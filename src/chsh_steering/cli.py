@@ -115,7 +115,7 @@ def cmd_experiment(args) -> int:
             raise ValueError("either --reported-s or both --theta and --p1 are required")
         eta_alice = args.eta_alice if args.eta_alice is not None else args.eta_bob
         state = SinglePhotonState(theta=np.deg2rad(args.theta), p1=args.p1)
-        if args.mc:
+        if args.mc is not None:
             mc = monte_carlo_correlations(
                 state, standard_settings(eta_alice, args.eta_bob),
                 n_samples=args.mc, seed=args.seed)

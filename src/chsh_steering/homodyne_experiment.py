@@ -26,7 +26,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import _accel
 from .correlation_model import CorrelationSet
 from .qubit_core import quantum_correlator, validate_density
 from .steering_witness import (
@@ -44,6 +43,9 @@ NO_STEERING = "no_steering"
 
 DEFAULT_GRID_CELLS = 4096
 DEFAULT_SPAN = 6.0
+# Rows of uniforms drawn and mapped per step of the Monte Carlo loop; bounds
+# the working set without changing the Philox stream or the result.
+_MC_BLOCK = 1 << 16
 
 # Standard quadrature phases of the experiment: Alice measures x and p, Bob
 # the rotated pair (x-p)/sqrt(2) and (x+p)/sqrt(2).
@@ -278,7 +280,10 @@ def _pair_sampler_arrays(rho: np.ndarray, sa: HomodyneSetting,
     integrals for sampling one setting pair."""
     if grid_cells < 8 or grid_cells % 2:
         raise ValueError("grid_cells must be an even integer >= 8")
-    grid = np.linspace(-span, span, grid_cells + 1)  # even cells: 0 is a knot
+    grid = np.linspace(-span, span, grid_cells + 1)
+    # Even cell count: the middle knot is 0, which the sign-only sampler
+    # relies on. linspace can leave it a few ulps off, so pin it.
+    grid[grid_cells // 2] = 0.0
     dx = grid[1] - grid[0]
 
     rho4 = rho.reshape(2, 2, 2, 2)
@@ -311,6 +316,39 @@ def _cumtrapz(f: np.ndarray, dx: float) -> np.ndarray:
     return out
 
 
+def _positive_products(u, grid, cdf_a, coef, cum_b):
+    """Where sign(x) * sign(y) = +1 for quadrature pairs drawn by inverse CDF.
+
+    ``u`` is (n, 2) uniforms; ``grid`` the quadrature abscissae, with 0 at
+    the middle knot; ``cdf_a`` the normalised CDF of the first party's
+    marginal on the grid; ``coef`` the 3x3 polynomial coefficient matrix of
+    the joint density; ``cum_b`` the (3, g) cumulative integrals of the
+    second party's envelope times (1, y, y^2). Returns an (n,) bool array.
+
+    x is interpolated from ``cdf_a``. y is never located: the conditional
+    CDF given x is nondecreasing, so y >= 0 exactly when its unnormalised
+    value at the 0 knot is at most the target mass ``u[:, 1] * total``.
+    """
+    g = grid.shape[0]
+    zero = (g - 1) // 2
+    u1 = u[:, 0]
+    k = np.searchsorted(cdf_a, u1, side="right") - 1
+    k = np.clip(k, 0, g - 2)
+    dc = cdf_a[k + 1] - cdf_a[k]
+    safe = np.where(dc > 0.0, dc, 1.0)
+    x = np.where(dc > 0.0,
+                 grid[k] + (u1 - cdf_a[k]) * (grid[k + 1] - grid[k]) / safe,
+                 grid[k])
+
+    d0 = coef[0, 0] + coef[1, 0] * x + coef[2, 0] * x * x
+    d1 = coef[0, 1] + coef[1, 1] * x + coef[2, 1] * x * x
+    d2 = coef[0, 2] + coef[1, 2] * x + coef[2, 2] * x * x
+    total = d0 * cum_b[0, g - 1] + d1 * cum_b[1, g - 1] + d2 * cum_b[2, g - 1]
+    target = u[:, 1] * total
+    below_zero = d0 * cum_b[0, zero] + d1 * cum_b[1, zero] + d2 * cum_b[2, zero]
+    return (x >= 0.0) == (below_zero <= target)
+
+
 def monte_carlo_correlations(state: SinglePhotonState,
                              settings: ExperimentSettings,
                              n_samples: int, seed: int,
@@ -320,10 +358,11 @@ def monte_carlo_correlations(state: SinglePhotonState,
 
     Per setting pair, the first outcome is drawn from its marginal and the
     second from the exact conditional given the first, both by inverse CDF on
-    the quadrature grid; the correlator is the mean sign product. Streams are
-    counter-based (Philox) and spawned per pair, so results are reproducible
-    for a fixed seed and the per-pair sampling is a pure elementwise map of
-    its uniforms (shards over sample ranges merge deterministically).
+    the quadrature grid; the correlator is the mean sign product, so only the
+    sign of the second outcome is resolved. Streams are counter-based
+    (Philox) and spawned per pair, so results are reproducible for a fixed
+    seed and the per-pair sampling is a pure elementwise map of its uniforms
+    (shards over sample ranges merge deterministically).
     """
     if n_samples < 1:
         raise ValueError("n_samples must be at least 1")
@@ -335,9 +374,14 @@ def monte_carlo_correlations(state: SinglePhotonState,
         grid, cdf_a, coef, cum_b = _pair_sampler_arrays(
             rho, sa, sb, grid_cells, span)
         rng = np.random.Generator(np.random.Philox(children[pair_idx]))
-        u = rng.random((n_samples, 2))
-        products = _accel.mc_products(u, grid, cdf_a, coef, cum_b)
-        mean = float(products.mean())
+        # Consecutive draws continue one stream, so blocks reproduce a
+        # single (n_samples, 2) draw; a count of +1 products is exact.
+        plus = 0
+        for start in range(0, n_samples, _MC_BLOCK):
+            u = rng.random((min(_MC_BLOCK, n_samples - start), 2))
+            plus += int(np.count_nonzero(
+                _positive_products(u, grid, cdf_a, coef, cum_b)))
+        mean = (2 * plus - n_samples) / n_samples
         means.append(mean)
         errors.append(float(np.sqrt(max(1.0 - mean * mean, 0.0) / n_samples)))
     return MonteCarloCorrelations(

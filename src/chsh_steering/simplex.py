@@ -10,8 +10,8 @@ deterministically without perturbation tricks. Phase 1 minimises the total
 artificial infeasibility; its per-row residuals double as the feasibility
 certificate for the membership oracle.
 
-The pivot loop itself lives in ``_accel`` (numba kernel with a NumPy
-fallback); this module owns tableau construction and interpretation.
+This module owns tableau construction, the vectorised NumPy pivot loop and
+the interpretation of its result.
 """
 
 from __future__ import annotations
@@ -19,8 +19,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-
-from . import _accel
 
 PIVOT_EPS = 1e-10
 DEFAULT_MAX_ITER = 1_000_000
@@ -43,6 +41,69 @@ class SimplexResult:
     x: np.ndarray | None
     objective: float | None
     residuals: np.ndarray
+
+
+# Status codes of the pivot loop.
+_PIVOT_OPTIMAL = 0
+_PIVOT_UNBOUNDED = 1
+_PIVOT_ITERATION_LIMIT = 2
+
+
+def _simplex_pivots(tableau, basis, eps, max_iter, bland_after):
+    """Run simplex pivots on a dense minimisation tableau, in place.
+
+    ``tableau`` has shape (m+1, n+1): m constraint rows kept with nonnegative
+    right-hand sides, a reduced-cost row at the bottom and the RHS in the last
+    column. ``basis`` holds the m basic column indices.
+
+    The entering column is the most negative reduced cost (first index on
+    ties) while the objective makes strict progress; after ``bland_after``
+    consecutive stalled pivots the rule switches permanently to Bland's
+    lowest-eligible-index, which rules out cycling and guarantees
+    termination. The leaving row is always the minimum-ratio row with ties
+    broken by the lowest basic index. Returns _PIVOT_OPTIMAL,
+    _PIVOT_UNBOUNDED or _PIVOT_ITERATION_LIMIT.
+    """
+    m = basis.shape[0]
+    n = tableau.shape[1] - 1
+    stall = 0
+    bland = False
+    last_objective = tableau[m, -1]
+    for _ in range(max_iter):
+        reduced = tableau[m, :n]
+        if bland:
+            negative = np.nonzero(reduced < -eps)[0]
+            if negative.size == 0:
+                return _PIVOT_OPTIMAL
+            col = int(negative[0])
+        else:
+            col = int(np.argmin(reduced))
+            if reduced[col] >= -eps:
+                return _PIVOT_OPTIMAL
+        column = tableau[:m, col]
+        rows = np.nonzero(column > eps)[0]
+        if rows.size == 0:
+            return _PIVOT_UNBOUNDED
+        ratios = tableau[rows, -1] / column[rows]
+        best = ratios.min()
+        tied = rows[ratios == best]
+        row = int(tied[np.argmin(basis[tied])])
+
+        piv = tableau[row, col]
+        tableau[row, :] /= piv
+        factors = tableau[:, col].copy()
+        factors[row] = 0.0
+        tableau -= np.outer(factors, tableau[row, :])
+        basis[row] = col
+
+        if tableau[m, -1] > last_objective:
+            last_objective = tableau[m, -1]
+            stall = 0
+        else:
+            stall += 1
+            if stall >= bland_after:
+                bland = True
+    return _PIVOT_ITERATION_LIMIT
 
 
 def _check_inputs(c, A, b):
@@ -80,10 +141,10 @@ def _phase1(A, b, eps, max_iter, bland_after):
     tableau[m, -1] = -b1.sum()
     basis = np.arange(n, n + m, dtype=np.int64)
 
-    status = _accel.simplex_pivots(tableau, basis, eps, max_iter, bland_after)
-    if status == _accel.ITERATION_LIMIT:
+    status = _simplex_pivots(tableau, basis, eps, max_iter, bland_after)
+    if status == _PIVOT_ITERATION_LIMIT:
         raise OracleError("simplex iteration limit reached in phase 1")
-    if status == _accel.UNBOUNDED:
+    if status == _PIVOT_UNBOUNDED:
         raise OracleError("phase 1 reported unbounded; tableau is corrupt")
     if not np.isfinite(tableau).all():
         raise OracleError("simplex tableau lost finiteness in phase 1")
@@ -155,12 +216,12 @@ def solve_lp(c, A, b, *, eps: float = PIVOT_EPS, feas_tol: float = 1e-9,
     tableau2[m2, :n] = c - cb @ tableau2[:m2, :n]
     tableau2[m2, -1] = -float(cb @ tableau2[:m2, -1])
 
-    status = _accel.simplex_pivots(tableau2, basis2, eps, max_iter, bland_after)
-    if status == _accel.ITERATION_LIMIT:
+    status = _simplex_pivots(tableau2, basis2, eps, max_iter, bland_after)
+    if status == _PIVOT_ITERATION_LIMIT:
         raise OracleError("simplex iteration limit reached in phase 2")
     if not np.isfinite(tableau2).all():
         raise OracleError("simplex tableau lost finiteness in phase 2")
-    if status == _accel.UNBOUNDED:
+    if status == _PIVOT_UNBOUNDED:
         return SimplexResult(UNBOUNDED, None, None, residuals)
 
     x = np.zeros(n)

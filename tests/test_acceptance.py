@@ -238,7 +238,7 @@ def test_criterion_10_monte_carlo_convergence():
     state = SinglePhotonState(theta=np.deg2rad(22.5), p1=1.0)
     settings = standard_settings(0.85, 0.85)
     analytic = analytic_correlations(state_density(state), settings).as_array()
-    monte_carlo_correlations(state, settings, 100, seed=113)  # jit warm-up
+    monte_carlo_correlations(state, settings, 100, seed=113)  # warm-up
     start = time.perf_counter()
     mc = monte_carlo_correlations(state, settings, 1_000_000, seed=113)
     rerun = monte_carlo_correlations(state, settings, 1_000_000, seed=113)

@@ -152,6 +152,14 @@ class TestExperiment:
         _, again, _ = run_cli(capsys, *args)
         assert out == again
 
+    @pytest.mark.parametrize("count", ["0", "-5"])
+    def test_nonpositive_monte_carlo_count_is_an_error(self, capsys, count):
+        code, out, err = run_cli(capsys, "experiment", "--theta", "22.5", "--p1", "1.0",
+                                 "--eta-bob", "0.85", "--mc", count)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+
     def test_missing_model_arguments(self, capsys):
         code, _, err = run_cli(capsys, "experiment", "--eta-bob", "0.85")
         assert code == 1

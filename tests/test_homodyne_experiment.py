@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from chsh_steering import _accel
 from chsh_steering.homodyne_experiment import (
     BOB_PHASES,
     HomodyneSetting,
@@ -23,6 +22,7 @@ from chsh_steering.homodyne_experiment import (
     standard_settings,
     state_density,
     _pair_sampler_arrays,
+    _positive_products,
 )
 from chsh_steering.correlation_model import CorrelationSet
 from chsh_steering.qubit_core import maximally_entangled, quantum_correlator
@@ -253,21 +253,111 @@ class TestMonteCarlo:
         sa, sb = settings.pairs()[0]
         grid, cdf_a, coef, cum_b = _pair_sampler_arrays(rho, sa, sb, 1024, 6.0)
         u = np.random.Generator(np.random.Philox(31)).random((10000, 2))
-        whole = _accel.mc_products(u, grid, cdf_a, coef, cum_b)
-        shards = [_accel.mc_products(np.ascontiguousarray(u[a:b]), grid, cdf_a, coef, cum_b)
+        whole = _positive_products(u, grid, cdf_a, coef, cum_b)
+        shards = [_positive_products(np.ascontiguousarray(u[a:b]), grid, cdf_a, coef, cum_b)
                   for a, b in ((0, 3000), (3000, 7000), (7000, 10000))]
         assert np.array_equal(whole, np.concatenate(shards))
 
-    @pytest.mark.skipif(not _accel.NUMBA_ENABLED, reason="numba path not active")
-    def test_kernel_paths_identical(self):
-        rho = state_density(SinglePhotonState(np.deg2rad(22.5), 0.8))
-        settings = standard_settings(0.85, 0.85)
-        sa, sb = settings.pairs()[0]
-        grid, cdf_a, coef, cum_b = _pair_sampler_arrays(rho, sa, sb, 1024, 6.0)
-        u = np.random.Generator(np.random.Philox(9)).random((20000, 2))
-        nb = _accel.mc_products_numba(u, grid, cdf_a, coef, cum_b)
-        npy = _accel.mc_products_numpy(u, grid, cdf_a, coef, cum_b)
-        assert np.array_equal(nb, npy)
+
+def _reference_mc_products(u, grid, cdf_a, coef, cum_b):
+    """The sampler before the sign-only kernel: it locates y by bisection."""
+    g = grid.shape[0]
+    u1 = u[:, 0]
+    k = np.searchsorted(cdf_a, u1, side="right") - 1
+    k = np.clip(k, 0, g - 2)
+    dc = cdf_a[k + 1] - cdf_a[k]
+    safe = np.where(dc > 0.0, dc, 1.0)
+    x = np.where(dc > 0.0,
+                 grid[k] + (u1 - cdf_a[k]) * (grid[k + 1] - grid[k]) / safe,
+                 grid[k])
+
+    d0 = coef[0, 0] + coef[1, 0] * x + coef[2, 0] * x * x
+    d1 = coef[0, 1] + coef[1, 1] * x + coef[2, 1] * x * x
+    d2 = coef[0, 2] + coef[1, 2] * x + coef[2, 2] * x * x
+    total = d0 * cum_b[0, g - 1] + d1 * cum_b[1, g - 1] + d2 * cum_b[2, g - 1]
+    target = u[:, 1] * total
+
+    lo = np.zeros(u.shape[0], dtype=np.int64)
+    hi = np.full(u.shape[0], g - 1, dtype=np.int64)
+    for _ in range(int(np.ceil(np.log2(g))) + 2):
+        active = hi - lo > 1
+        mid = (lo + hi) // 2
+        val = d0 * cum_b[0, mid] + d1 * cum_b[1, mid] + d2 * cum_b[2, mid]
+        le = val <= target
+        lo = np.where(active & le, mid, lo)
+        hi = np.where(active & ~le, mid, hi)
+
+    m_lo = d0 * cum_b[0, lo] + d1 * cum_b[1, lo] + d2 * cum_b[2, lo]
+    m_hi = d0 * cum_b[0, lo + 1] + d1 * cum_b[1, lo + 1] + d2 * cum_b[2, lo + 1]
+    dm = m_hi - m_lo
+    safe_m = np.where(dm > 0.0, dm, 1.0)
+    y = np.where(dm > 0.0,
+                 grid[lo] + (target - m_lo) * (grid[lo + 1] - grid[lo]) / safe_m,
+                 grid[lo])
+
+    sx = np.where(x >= 0.0, 1.0, -1.0)
+    sy = np.where(y >= 0.0, 1.0, -1.0)
+    return sx * sy
+
+
+def _reference_monte_carlo(state, settings, n_samples, seed):
+    """Correlators and errors as computed before block sampling."""
+    rho = state_density(state)
+    children = np.random.SeedSequence(seed).spawn(4)
+    means, errors = [], []
+    for pair_idx, (sa, sb) in enumerate(settings.pairs()):
+        grid, cdf_a, coef, cum_b = _pair_sampler_arrays(rho, sa, sb, 4096, 6.0)
+        rng = np.random.Generator(np.random.Philox(children[pair_idx]))
+        u = rng.random((n_samples, 2))
+        mean = float(_reference_mc_products(u, grid, cdf_a, coef, cum_b).mean())
+        means.append(mean)
+        errors.append(float(np.sqrt(max(1.0 - mean * mean, 0.0) / n_samples)))
+    return CorrelationSet(*means), tuple(errors)
+
+
+class TestSignOnlyKernel:
+    @pytest.mark.parametrize("grid_cells", [8, 1024, 4096, 5000])
+    @pytest.mark.parametrize("theta_deg, p1, eta_a, eta_b", [
+        (22.5, 1.0, 0.85, 0.85),
+        (22.5, 0.6, 1.0, 0.3),
+        (7.0, 0.9, 0.5, 1.0),
+        (40.0, 0.95, 0.2, 0.7),
+        (0.0, 1.0, 1.0, 1.0),
+    ])
+    def test_products_match_bisection_kernel(self, grid_cells, theta_deg, p1,
+                                             eta_a, eta_b):
+        rho = state_density(SinglePhotonState(np.deg2rad(theta_deg), p1))
+        rng = np.random.Generator(np.random.Philox(grid_cells))
+        for sa, sb in standard_settings(eta_a, eta_b).pairs():
+            arrays = _pair_sampler_arrays(rho, sa, sb, grid_cells, 6.0)
+            u = rng.random((20000, 2))
+            expected = _reference_mc_products(u, *arrays) > 0.0
+            assert np.array_equal(_positive_products(u, *arrays), expected)
+
+    @pytest.mark.parametrize("n", [1, 2**16 - 1, 2**16, 2**16 + 1, 3 * 2**16 + 7])
+    def test_block_sampling_matches_one_shot_draw(self, n):
+        state = SinglePhotonState(np.deg2rad(22.5), 0.9)
+        settings = standard_settings(0.85, 0.7)
+        mc = monte_carlo_correlations(state, settings, n, seed=n)
+        correlations, errors = _reference_monte_carlo(state, settings, n, seed=n)
+        assert mc.correlations == correlations
+        assert mc.std_errors == errors
+
+    @pytest.mark.parametrize("span, grid_cells", [(6.0, 5000), (3.3, 100), (3.3, 3000)])
+    def test_middle_knot_is_exactly_zero(self, span, grid_cells):
+        rho = state_density(SinglePhotonState(np.deg2rad(22.5), 1.0))
+        sa, sb = standard_settings().pairs()[0]
+        grid, _, _, _ = _pair_sampler_arrays(rho, sa, sb, grid_cells, span)
+        assert grid[grid_cells // 2] == 0.0
+        spaced = np.linspace(-span, span, grid_cells + 1)
+        spaced[grid_cells // 2] = 0.0
+        assert np.array_equal(grid, spaced)
+
+    def test_default_grid_is_plain_linspace(self):
+        rho = state_density(SinglePhotonState(np.deg2rad(22.5), 1.0))
+        sa, sb = standard_settings().pairs()[0]
+        grid, _, _, _ = _pair_sampler_arrays(rho, sa, sb, 4096, 6.0)
+        assert np.array_equal(grid, np.linspace(-6.0, 6.0, 4097))
 
 
 def test_maximally_entangled_ideal_configuration_hits_quantum_max():

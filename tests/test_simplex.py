@@ -1,7 +1,6 @@
 import numpy as np
 import pytest
 
-from chsh_steering import _accel
 from chsh_steering.simplex import (
     INFEASIBLE,
     OPTIMAL,
@@ -102,28 +101,3 @@ class TestFeasibility:
             lp_feasibility(np.ones((2, 3)), np.ones(3))
         with pytest.raises(ValueError):
             solve_lp(np.ones(2), np.ones((2, 3)), np.ones(2))
-
-
-@pytest.mark.skipif(not _accel.NUMBA_ENABLED, reason="numba path not active")
-def test_numba_and_numpy_paths_bit_identical():
-    rng = np.random.Generator(np.random.Philox(5))
-    for _ in range(50):
-        A = np.vstack([rng.normal(size=(4, 40)), np.ones(40)])
-        b = np.append(0.1 * rng.normal(size=4), 1.0)
-        m, n = A.shape
-        flip = np.where(b < 0, -1.0, 1.0)
-        A1, b1 = A * flip[:, None], b * flip
-        tableau = np.zeros((m + 1, n + m + 1))
-        tableau[:m, :n] = A1
-        tableau[:m, n:n + m] = np.eye(m)
-        tableau[:m, -1] = b1
-        tableau[m, :n] = -A1.sum(axis=0)
-        tableau[m, -1] = -b1.sum()
-        basis = np.arange(n, n + m, dtype=np.int64)
-
-        t_np, b_np = tableau.copy(), basis.copy()
-        status_nb = _accel.simplex_pivots_numba(tableau, basis, 1e-10, 10000, 64)
-        status_np = _accel.simplex_pivots_numpy(t_np, b_np, 1e-10, 10000, 64)
-        assert status_nb == status_np
-        assert np.array_equal(basis, b_np)
-        assert np.array_equal(tableau, t_np)

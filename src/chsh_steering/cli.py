@@ -6,16 +6,13 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys
 
 import numpy as np
 
 from . import lhs_oracle, violation_search
-from .correlation_model import (
-    ConstraintError,
-    correlation_set_from_json_dict,
-    PROBABILITY_TOL,
-)
+from .correlation_model import PROBABILITY_TOL, correlation_set_from_json_dict
 from .homodyne_experiment import (
     SinglePhotonState,
     adjudicate,
@@ -38,7 +35,7 @@ def _read_json(path: str):
 
 
 def _emit_json(obj) -> None:
-    print(json.dumps(obj, indent=2))
+    print(json.dumps(obj, indent=2, allow_nan=False))
 
 
 def _render_witness_table(report) -> None:
@@ -150,34 +147,31 @@ def cmd_scan_angles(args) -> int:
 
 
 def _state_from_json(data) -> np.ndarray:
-    if "real" in data:
-        real = np.asarray(data["real"], dtype=float)
-        imag = np.asarray(data.get("imag", np.zeros_like(real)), dtype=float)
+    if isinstance(data, dict) and "real" in data:
+        try:
+            real = np.asarray(data["real"], dtype=float)
+            imag = np.asarray(data.get("imag", np.zeros_like(real)), dtype=float)
+        except (TypeError, ValueError):
+            raise ValueError('state "real"/"imag" must be arrays of numbers') from None
         return validate_density(real + 1j * imag)
-    if "theta_deg" in data:
-        state = SinglePhotonState(theta=np.deg2rad(float(data["theta_deg"])),
-                                  p1=float(data.get("p1", 1.0)))
-        return state_density(state)
+    if isinstance(data, dict) and "theta_deg" in data:
+        try:
+            theta_deg, p1 = float(data["theta_deg"]), float(data.get("p1", 1.0))
+        except (TypeError, ValueError):
+            raise ValueError('state "theta_deg"/"p1" must be numbers') from None
+        return state_density(SinglePhotonState(theta=np.deg2rad(theta_deg), p1=p1))
     raise ValueError('state JSON needs "real" (+ optional "imag") or "theta_deg"/"p1"')
 
 
 def cmd_scan_state(args) -> int:
     rho = _state_from_json(_read_json(args.input))
-    res = args.resolution
-    thetas = np.linspace(0.0, np.pi, res)
-    phis = 2.0 * np.pi * np.arange(res) / res
-    tt, pp = np.meshgrid(thetas, phis, indexing="ij")
-    dirs = violation_search._directions(tt.ravel(), pp.ravel())
-    cols = violation_search._correlation_tensor_columns(rho)
-    values = violation_search._scan_lhs(cols, dirs[:, None, :], dirs[None, :, :])
-    per_first = values.max(axis=1)
-
+    _, refined, coarse = violation_search.state_scan(rho,
+                                                     bloch_resolution=args.resolution)
     writer = csv.writer(sys.stdout)
     writer.writerow(["theta_deg", "phi_deg", "max_lhs"])
-    for (theta, phi), value in zip(zip(tt.ravel(), pp.ravel()), per_first):
+    for theta, phi, value in coarse:
         writer.writerow([float(np.rad2deg(theta)), float(np.rad2deg(phi)),
                          float(value)])
-    _, refined = violation_search.state_scan(rho, bloch_resolution=res)
     print(f"refined best lhs: {refined!r}", file=sys.stderr)
     return 0
 
@@ -192,8 +186,23 @@ def cmd_ellipse(args) -> int:
     return 0
 
 
+def _finite_float(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"not a finite number: {text!r}")
+    return value
+
+
+class _ArgumentParser(argparse.ArgumentParser):
+    """Reports a usage error as a ``ValueError``, so ``main`` prints it as one
+    ``error:`` line and exits 1 like every other rejected input."""
+
+    def error(self, message):
+        raise ValueError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="chsh-steering",
         description="Decide whether two-setting, two-outcome correlation data "
                     "admits a local model with a trusted quantum side, and "
@@ -204,9 +213,9 @@ def build_parser() -> argparse.ArgumentParser:
     witness_sub = witness.add_subparsers(dest="subcommand", required=True)
     weval = witness_sub.add_parser("eval", help="evaluate a correlation JSON file")
     weval.add_argument("input", help="path to correlation JSON ('-' for stdin)")
-    weval.add_argument("--tol", type=float, default=VERDICT_TOL,
+    weval.add_argument("--tol", type=_finite_float, default=VERDICT_TOL,
                        help="verdict tolerance around each bound")
-    weval.add_argument("--prob-tol", type=float, default=PROBABILITY_TOL,
+    weval.add_argument("--prob-tol", type=_finite_float, default=PROBABILITY_TOL,
                        help="probability-constraint tolerance for joint matrices")
     weval.add_argument("--format", choices=("json", "table"), default="json")
     weval.set_defaults(func=cmd_witness_eval)
@@ -218,22 +227,22 @@ def build_parser() -> argparse.ArgumentParser:
     ocheck.add_argument("--grid", type=int, default=2048)
     ocheck.add_argument("--samples", type=int, default=10000)
     ocheck.add_argument("--seed", type=int, default=0)
-    ocheck.add_argument("--lp-tol", type=float, default=lhs_oracle.DEFAULT_LP_TOL)
+    ocheck.add_argument("--lp-tol", type=_finite_float, default=lhs_oracle.DEFAULT_LP_TOL)
     ocheck.set_defaults(func=cmd_oracle_check)
 
     experiment = sub.add_parser("experiment", help="adjudicate the experiment")
-    experiment.add_argument("--reported-s", type=float, default=None,
+    experiment.add_argument("--reported-s", type=_finite_float, default=None,
                             help="reported CHSH S value (equal-magnitude reduction)")
-    experiment.add_argument("--theta", type=float, default=None,
+    experiment.add_argument("--theta", type=_finite_float, default=None,
                             help="splitting angle in degrees")
-    experiment.add_argument("--p1", type=float, default=None,
+    experiment.add_argument("--p1", type=_finite_float, default=None,
                             help="single-photon probability")
-    experiment.add_argument("--eta-bob", type=float, required=True)
-    experiment.add_argument("--eta-alice", type=float, default=None)
+    experiment.add_argument("--eta-bob", type=_finite_float, required=True)
+    experiment.add_argument("--eta-alice", type=_finite_float, default=None)
     experiment.add_argument("--mc", type=int, default=None,
                             help="Monte Carlo sample count (analytic if omitted)")
     experiment.add_argument("--seed", type=int, default=0)
-    experiment.add_argument("--tol", type=float, default=VERDICT_TOL)
+    experiment.add_argument("--tol", type=_finite_float, default=VERDICT_TOL)
     experiment.add_argument("--format", choices=("json", "table"), default="json")
     experiment.set_defaults(func=cmd_experiment)
 
@@ -248,7 +257,7 @@ def build_parser() -> argparse.ArgumentParser:
     sstate.set_defaults(func=cmd_scan_state)
 
     ellipse = sub.add_parser("ellipse", help="allowed-probability boundary curve")
-    ellipse.add_argument("--mu", type=float, required=True)
+    ellipse.add_argument("--mu", type=_finite_float, required=True)
     ellipse.add_argument("--n", type=int, default=256)
     ellipse.set_defaults(func=cmd_ellipse)
 
@@ -256,17 +265,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
-    except (ValueError, ConstraintError, OracleError) as exc:
+    except (ValueError, OSError, OracleError) as exc:
+        # ConstraintError and json.JSONDecodeError are ValueErrors.
         print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except json.JSONDecodeError as exc:
-        print(f"error: invalid JSON input ({exc})", file=sys.stderr)
         return 1
 
 

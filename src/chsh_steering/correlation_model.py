@@ -103,6 +103,8 @@ class EBasisVector:
 def validate_correlation_matrix(matrix: np.ndarray,
                                 tol: float = PROBABILITY_TOL) -> np.ndarray:
     """Check range, normalisation and no-signalling; raise listing failures."""
+    if not (np.isfinite(tol) and tol >= 0.0):
+        raise ValueError(f"probability tolerance must be finite and >= 0, got {tol}")
     m = np.asarray(matrix, dtype=float)
     if m.shape != (4, 4):
         raise ConstraintError(f"joint probability matrix must be 4x4, got {m.shape}")
@@ -118,16 +120,16 @@ def validate_correlation_matrix(matrix: np.ndarray,
             block = m[2 * ib:2 * ib + 2, 2 * ia:2 * ia + 2]
             total = block.sum()
             if abs(total - 1.0) > tol:
-                failures.append(f"normalisation ({as_},{bs}): sum={total!r}")
+                failures.append(f"normalisation ({as_},{bs}): sum={float(total)!r}")
     for i in range(4):
-        lhs = m[i, 0] + m[i, 1]
-        rhs = m[i, 2] + m[i, 3]
+        lhs = float(m[i, 0] + m[i, 1])
+        rhs = float(m[i, 2] + m[i, 3])
         if abs(lhs - rhs) > tol:
             failures.append(
                 f"no-signalling to Bob, row {i}: {lhs!r} != {rhs!r}")
     for j in range(4):
-        lhs = m[0, j] + m[1, j]
-        rhs = m[2, j] + m[3, j]
+        lhs = float(m[0, j] + m[1, j])
+        rhs = float(m[2, j] + m[3, j])
         if abs(lhs - rhs) > tol:
             failures.append(
                 f"no-signalling to Alice, column {j}: {lhs!r} != {rhs!r}")
@@ -259,6 +261,23 @@ def extremal_correlations_array(chi: int, xi: np.ndarray) -> np.ndarray:
     return np.stack([sa * cos, sap * cos, sa * sin, sap * sin], axis=-1)
 
 
+def _json_numbers(obj, names, what: str) -> list[float]:
+    """The fields ``names`` of the JSON object ``obj``, as floats."""
+    if not isinstance(obj, dict):
+        raise ConstraintError(f"{what} must be a JSON object, got {obj!r}")
+    missing = [k for k in names if k not in obj]
+    if missing:
+        raise ConstraintError(f"{what} missing fields {missing}")
+    values = []
+    for k in names:
+        try:
+            values.append(float(obj[k]))
+        except (TypeError, ValueError):
+            raise ConstraintError(f"{what} field {k} must be a number, "
+                                  f"got {obj[k]!r}") from None
+    return values
+
+
 def correlation_set_from_json_dict(data: dict,
                                    tol: float = PROBABILITY_TOL) -> CorrelationSet:
     """Parse the CLI JSON schema into a ``CorrelationSet``.
@@ -272,23 +291,19 @@ def correlation_set_from_json_dict(data: dict,
         raise ConstraintError("correlation input must be a JSON object")
     from_joint = None
     if "joint" in data:
-        from_joint = correlations_from_matrix(np.asarray(data["joint"], dtype=float), tol)
+        try:
+            joint = np.asarray(data["joint"], dtype=float)
+        except (TypeError, ValueError):
+            raise ConstraintError("joint must be a 4x4 array of numbers") from None
+        from_joint = correlations_from_matrix(joint, tol)
     correlators = data.get("correlators")
     marginals = None
-    if "marginals" in data and data["marginals"] is not None:
-        md = data["marginals"]
-        missing = [k for k in MARGINAL_NAMES if k not in md]
-        if missing:
-            raise ConstraintError(f"marginals missing fields {missing}")
-        marginals = Marginals(a=float(md["A"]), ap=float(md["Ap"]),
-                              b=float(md["B"]), bp=float(md["Bp"]))
+    if data.get("marginals") is not None:
+        marginals = Marginals(*_json_numbers(data["marginals"], MARGINAL_NAMES, "marginals"))
     if correlators is None and from_joint is None:
         raise ConstraintError('input needs a "correlators" object or a "joint" matrix')
     if correlators is not None:
-        missing = [k for k in CORRELATOR_NAMES if k not in correlators]
-        if missing:
-            raise ConstraintError(f"correlators missing fields {missing}")
-        values = [float(correlators[k]) for k in CORRELATOR_NAMES]
+        values = _json_numbers(correlators, CORRELATOR_NAMES, "correlators")
         result = CorrelationSet(*values, marginals=marginals)
         if from_joint is not None:
             if np.abs(result.as_array() - from_joint.as_array()).max() > tol:

@@ -97,10 +97,10 @@ def gamma(eta: float) -> float:
     """Correlation shrink factor sqrt(2 eta / pi) of a sign-binned homodyne.
 
     Physical efficiencies live in (0, 1] (enforced by ``HomodyneSetting``);
-    the formula itself is accepted for any positive argument.
+    the formula itself is accepted for any finite positive argument.
     """
-    if eta <= 0.0:
-        raise ValueError(f"eta must be positive, got {eta}")
+    if not (np.isfinite(eta) and eta > 0.0):
+        raise ValueError(f"eta must be finite and positive, got {eta}")
     return float(np.sqrt(2.0 * eta / np.pi))
 
 
@@ -213,6 +213,8 @@ def adjudicate_reported(s_max: float, eta_bob: float,
     """
     if not 0.0 <= s_max <= 2.0 * np.sqrt(2.0):
         raise ValueError(f"s_max must lie in [0, 2*sqrt(2)], got {s_max}")
+    if not 0.0 < eta_bob <= 1.0:
+        raise ValueError(f"eta_bob must lie in (0, 1], got {eta_bob}")
     g = gamma(eta_bob)
     return ExperimentReport(
         gamma=g,

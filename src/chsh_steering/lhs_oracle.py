@@ -22,7 +22,7 @@ from .correlation_model import (
     extremal_correlations_array,
 )
 from .simplex import lp_feasibility
-from .steering_witness import f_value, f_value_array
+from .steering_witness import f_value_array
 from . import correlation_model
 
 WEIGHT_SUM_TOL = 1e-12

@@ -20,10 +20,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .correlation_model import CORRELATOR_RANGE_TOL
+
 HERMITIAN_TOL = 1e-12
 EFFECT_TOL = 1e-12
 DENSITY_PSD_TOL = 1e-10
-CORRELATOR_RANGE_TOL = 1e-10
 
 IDENTITY2 = np.eye(2, dtype=complex)
 
@@ -43,11 +44,6 @@ def validate_effect(op: np.ndarray, tol: float = EFFECT_TOL) -> np.ndarray:
     if eig.min() < -tol or eig.max() > 1.0 + tol:
         raise ValueError(f"effect eigenvalues {eig} outside [0, 1]")
     return op
-
-
-def is_projector(op: np.ndarray, tol: float = HERMITIAN_TOL) -> bool:
-    op = np.asarray(op, dtype=complex)
-    return is_hermitian(op, tol) and np.abs(op @ op - op).max() <= tol
 
 
 def validate_density(rho: np.ndarray, dim: int = 4,

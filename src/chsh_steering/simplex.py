@@ -1,13 +1,13 @@
-"""Dense two-phase simplex for small equality-constrained linear programs.
+"""Phase-1 simplex feasibility for small dense equality systems.
 
-Solves min c.x subject to A x = b, x >= 0 on a dense tableau. The entering
+Decides whether A x = b, x >= 0 has a solution on a dense tableau. The entering
 column is the most negative reduced cost while the objective strictly
 improves; after ``BLAND_AFTER`` stalled pivots the rule switches permanently
 to Bland's lowest eligible index, and the leaving row is always the minimum
 ratio with the lowest-basic-index tie-break. Strict-progress pivots cannot
 revisit a basis and the Bland phase cannot cycle, so the solver terminates
 deterministically without perturbation tricks. Phase 1 minimises the total
-artificial infeasibility; its per-row residuals double as the feasibility
+artificial infeasibility; its per-row residuals are the feasibility
 certificate for the membership oracle.
 
 This module owns tableau construction, the vectorised NumPy pivot loop and
@@ -15,8 +15,6 @@ the interpretation of its result.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -26,21 +24,9 @@ DEFAULT_MAX_ITER = 1_000_000
 # from most-negative-reduced-cost to Bland's anti-cycling lowest index.
 BLAND_AFTER = 64
 
-OPTIMAL = "optimal"
-INFEASIBLE = "infeasible"
-UNBOUNDED = "unbounded"
-
 
 class OracleError(RuntimeError):
     """The LP solver failed numerically; no verdict should be derived."""
-
-
-@dataclass(frozen=True)
-class SimplexResult:
-    status: str
-    x: np.ndarray | None
-    objective: float | None
-    residuals: np.ndarray
 
 
 # Status codes of the pivot loop.
@@ -106,7 +92,16 @@ def _simplex_pivots(tableau, basis, eps, max_iter, bland_after):
     return _PIVOT_ITERATION_LIMIT
 
 
-def _check_inputs(c, A, b):
+def lp_feasibility(A, b, *, tol: float = 1e-9):
+    """Decide whether {x >= 0 : A x = b} is nonempty, within ``tol`` per row.
+
+    Phase 1 of the simplex method: rows with a negative right-hand side are
+    negated, one artificial variable per row starts in the basis, and the
+    pivots minimise their sum. Returns (feasible, x, residuals), where
+    residuals[i] is the absolute infeasibility left in row i at the phase-1
+    optimum and ``x`` is the phase-1 point (its real variables) whether or
+    not the tolerance test passes.
+    """
     A = np.ascontiguousarray(A, dtype=float)
     b = np.asarray(b, dtype=float)
     if A.ndim != 2:
@@ -114,20 +109,6 @@ def _check_inputs(c, A, b):
     m, n = A.shape
     if b.shape != (m,):
         raise ValueError(f"b must have shape ({m},), got {b.shape}")
-    if c is not None:
-        c = np.asarray(c, dtype=float)
-        if c.shape != (n,):
-            raise ValueError(f"c must have shape ({n},), got {c.shape}")
-    return c, A, b
-
-
-def _phase1(A, b, eps, max_iter, bland_after):
-    """Build and solve the artificial-variable tableau.
-
-    Returns (tableau, basis, residuals) where residuals[i] is the absolute
-    infeasibility left in constraint i at the phase-1 optimum.
-    """
-    m, n = A.shape
     flip = np.where(b < 0.0, -1.0, 1.0)
     A1 = A * flip[:, None]
     b1 = b * flip
@@ -141,7 +122,7 @@ def _phase1(A, b, eps, max_iter, bland_after):
     tableau[m, -1] = -b1.sum()
     basis = np.arange(n, n + m, dtype=np.int64)
 
-    status = _simplex_pivots(tableau, basis, eps, max_iter, bland_after)
+    status = _simplex_pivots(tableau, basis, PIVOT_EPS, DEFAULT_MAX_ITER, BLAND_AFTER)
     if status == _PIVOT_ITERATION_LIMIT:
         raise OracleError("simplex iteration limit reached in phase 1")
     if status == _PIVOT_UNBOUNDED:
@@ -150,81 +131,10 @@ def _phase1(A, b, eps, max_iter, bland_after):
         raise OracleError("simplex tableau lost finiteness in phase 1")
 
     residuals = np.zeros(m)
+    x = np.zeros(n)
     for row, var in enumerate(basis):
         if var >= n:
             residuals[var - n] = tableau[row, -1]
-    return tableau, basis, residuals
-
-
-def lp_feasibility(A, b, *, tol: float = 1e-9, eps: float = PIVOT_EPS,
-                   max_iter: int = DEFAULT_MAX_ITER,
-                   bland_after: int = BLAND_AFTER):
-    """Decide whether {x >= 0 : A x = b} is nonempty, within ``tol`` per row.
-
-    Returns (feasible, x, residuals). ``x`` is the phase-1 point (its real
-    variables) whether or not the tolerance test passes.
-    """
-    _, A, b = _check_inputs(None, A, b)
-    m, n = A.shape
-    tableau, basis, residuals = _phase1(A, b, eps, max_iter, bland_after)
-    x = np.zeros(n)
-    for row, var in enumerate(basis):
-        if var < n:
+        else:
             x[var] = tableau[row, -1]
     return bool((residuals <= tol).all()), x, residuals
-
-
-def solve_lp(c, A, b, *, eps: float = PIVOT_EPS, feas_tol: float = 1e-9,
-             max_iter: int = DEFAULT_MAX_ITER,
-             bland_after: int = BLAND_AFTER) -> SimplexResult:
-    """Minimise c.x subject to A x = b, x >= 0."""
-    c, A, b = _check_inputs(c, A, b)
-    m, n = A.shape
-    tableau, basis, residuals = _phase1(A, b, eps, max_iter, bland_after)
-    if (residuals > feas_tol).any():
-        return SimplexResult(INFEASIBLE, None, None, residuals)
-
-    # Drive leftover artificials out of the basis; rows where no real column
-    # is available are redundant constraints and get dropped. The artificial
-    # sits at a dust-level value (<= feas_tol), which is clamped before the
-    # pivot so the divided right-hand side cannot go negative; the pivot is
-    # the largest real entry to avoid amplifying noise.
-    drop = []
-    for row in range(m):
-        if basis[row] < n:
-            continue
-        pivot_col = int(np.argmax(np.abs(tableau[row, :n])))
-        if abs(tableau[row, pivot_col]) <= eps:
-            drop.append(row)
-            continue
-        tableau[row, -1] = 0.0
-        piv = tableau[row, pivot_col]
-        tableau[row, :] /= piv
-        factors = tableau[:, pivot_col].copy()
-        factors[row] = 0.0
-        tableau -= np.outer(factors, tableau[row, :])
-        basis[row] = pivot_col
-
-    keep = [row for row in range(m) if row not in drop]
-    basis2 = basis[keep]
-    m2 = len(keep)
-    tableau2 = np.zeros((m2 + 1, n + 1))
-    tableau2[:m2, :n] = tableau[keep, :n]
-    tableau2[:m2, -1] = tableau[keep, -1]
-    # Reduced costs of c relative to the current basis.
-    cb = c[basis2]
-    tableau2[m2, :n] = c - cb @ tableau2[:m2, :n]
-    tableau2[m2, -1] = -float(cb @ tableau2[:m2, -1])
-
-    status = _simplex_pivots(tableau2, basis2, eps, max_iter, bland_after)
-    if status == _PIVOT_ITERATION_LIMIT:
-        raise OracleError("simplex iteration limit reached in phase 2")
-    if not np.isfinite(tableau2).all():
-        raise OracleError("simplex tableau lost finiteness in phase 2")
-    if status == _PIVOT_UNBOUNDED:
-        return SimplexResult(UNBOUNDED, None, None, residuals)
-
-    x = np.zeros(n)
-    for row, var in enumerate(basis2):
-        x[var] = tableau2[row, -1]
-    return SimplexResult(OPTIMAL, x, float(c @ x), residuals)

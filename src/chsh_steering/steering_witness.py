@@ -18,6 +18,7 @@ dominates all eight CHSH facet values.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -99,6 +100,10 @@ def pair_values_array(c: np.ndarray) -> np.ndarray:
 
 def verdict(value: float, bound: float, tol: float = VERDICT_TOL) -> str:
     """Classify an inequality value against its bound with a tie band."""
+    if not (math.isfinite(value) and math.isfinite(bound) and math.isfinite(tol)
+            and tol >= 0.0):
+        raise ValueError(f"verdict needs a finite value and bound and a finite "
+                         f"tolerance >= 0, got value={value}, bound={bound}, tol={tol}")
     if value > bound + tol:
         return VIOLATED
     if value >= bound - tol:

@@ -150,7 +150,9 @@ def state_scan(rho: np.ndarray, bloch_resolution: int = 24,
     Bob is fixed to the mutually unbiased z/x pair. A full four-angle grid of
     ``bloch_resolution`` points per angle seeds a deterministic shrinking
     local grid search (first maximum wins on ties). Returns the best
-    ``CorrelationSet`` and its witness value.
+    ``CorrelationSet``, its witness value and the coarse grid as a
+    (``bloch_resolution``**2, 3) array: the polar and azimuthal angle of each
+    first direction, in radians, and its maximum over the second direction.
     """
     if bloch_resolution < 4:
         raise ValueError("bloch_resolution must be at least 4")
@@ -163,6 +165,7 @@ def state_scan(rho: np.ndarray, bloch_resolution: int = 24,
     count = dirs.shape[0]
 
     values = _scan_lhs(cols, dirs[:, None, :], dirs[None, :, :])
+    coarse = np.stack([tt.ravel(), pp.ravel(), values.max(axis=1)], axis=-1)
     flat_best = int(np.argmax(values))
     i, j = divmod(flat_best, count)
     params = np.array([tt.ravel()[i], pp.ravel()[i],
@@ -189,4 +192,4 @@ def state_scan(rho: np.ndarray, bloch_resolution: int = 24,
     a2 = n2 @ cols
     correlations = CorrelationSet(ab=float(a1[0]), apb=float(a2[0]),
                                   abp=float(a1[1]), apbp=float(a2[1]))
-    return correlations, best
+    return correlations, best, coarse

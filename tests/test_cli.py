@@ -241,6 +241,47 @@ class TestEllipse:
         assert "mu" in err
 
 
+class TestRejectedInput:
+    """Malformed input ends in one ``error:`` line, exit 1 and no stdout."""
+
+    @staticmethod
+    def assert_rejected(code, out, err):
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+
+    def test_scan_state_resolution_checked_before_output(self, capsys, tmp_path):
+        path = tmp_path / "state.json"
+        path.write_text(json.dumps({"theta_deg": 22.5, "p1": 0.9}))
+        self.assert_rejected(*run_cli(capsys, "scan", "state", "--input", str(path),
+                                      "--resolution", "2"))
+
+    @pytest.mark.parametrize("eta", ["nan", "inf", "5"])
+    def test_reported_eta_bob_out_of_range(self, capsys, eta):
+        self.assert_rejected(*run_cli(capsys, "experiment", "--reported-s", "1.33",
+                                      "--eta-bob", eta))
+
+    @pytest.mark.parametrize("flag", ["--tol", "--prob-tol"])
+    def test_witness_tolerance_nan(self, capsys, tmp_path, flag):
+        path = write_correlators(tmp_path, [1.0, 0.0, 0.0, 1.0])
+        self.assert_rejected(*run_cli(capsys, "witness", "eval", path, flag, "nan"))
+
+    def test_null_correlator(self, capsys, tmp_path):
+        path = write_correlators(tmp_path, [None, 0.0, 0.0, 0.0])
+        self.assert_rejected(*run_cli(capsys, "witness", "eval", path))
+
+    @pytest.mark.parametrize("state", [5, {"real": None}, {"theta_deg": None},
+                                       {"theta_deg": float("nan")}])
+    def test_malformed_state_json(self, capsys, tmp_path, state):
+        path = tmp_path / "state.json"
+        path.write_text(json.dumps(state))
+        self.assert_rejected(*run_cli(capsys, "scan", "state", "--input", str(path),
+                                      "--resolution", "6"))
+
+    def test_usage_error(self, capsys):
+        self.assert_rejected(*run_cli(capsys, "experiment", "--eta-bob", "abc"))
+
+
 def test_console_entry_point_runs():
     proc = subprocess.run(
         [sys.executable, "-m", "chsh_steering.cli", "experiment",

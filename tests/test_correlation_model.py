@@ -128,6 +128,16 @@ class TestValidation:
         with pytest.raises(ConstraintError):
             validate_correlation_matrix(m)
         validate_correlation_matrix(m, tol=1e-5)
+        for tol in (float("nan"), -1.0):
+            with pytest.raises(ValueError, match="tolerance"):
+                validate_correlation_matrix(m, tol=tol)
+
+    def test_failures_print_plain_floats(self):
+        m = np.full((4, 4), 0.25)
+        m[0, 0] = 0.3
+        with pytest.raises(ConstraintError, match=r"sum=1\.05") as info:
+            validate_correlation_matrix(m)
+        assert "np.float64" not in str(info.value)
 
 
 class TestEBasis:
@@ -247,6 +257,21 @@ class TestJsonParsing:
             correlation_set_from_json_dict({"correlators": {"AB": 0.1}})
         with pytest.raises(ConstraintError):
             correlation_set_from_json_dict({})
+
+    @pytest.mark.parametrize("data", [
+        {"correlators": {"AB": None, "ApB": 0.0, "ABp": 0.0, "ApBp": 0.0}},
+        {"correlators": {"AB": "x", "ApB": 0.0, "ABp": 0.0, "ApBp": 0.0}},
+        {"correlators": [0.0, 0.0, 0.0, 0.0]},
+        {"correlators": 5},
+        {"correlators": {"AB": 0.0, "ApB": 0.0, "ABp": 0.0, "ApBp": 0.0},
+         "marginals": {"A": [], "Ap": 0.0, "B": 0.0, "Bp": 0.0}},
+        {"joint": [[None] * 4] * 4},
+        {"joint": {"a": 1}},
+        5,
+    ])
+    def test_malformed_json_is_a_constraint_error(self, data):
+        with pytest.raises(ConstraintError):
+            correlation_set_from_json_dict(data)
 
     def test_round_trip_serialisation(self):
         c = CorrelationSet(0.1, 0.2, 0.3, -0.4, marginals=Marginals(0, 0, 0.5, 0.5))

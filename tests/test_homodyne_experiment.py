@@ -92,10 +92,9 @@ class TestGamma:
         assert gamma(0.5) == pytest.approx(math.sqrt(1.0 / math.pi), abs=1e-15)
 
     def test_domain(self):
-        with pytest.raises(ValueError):
-            gamma(0.0)
-        with pytest.raises(ValueError):
-            gamma(-0.5)
+        for eta in (0.0, -0.5, math.nan, math.inf):
+            with pytest.raises(ValueError):
+                gamma(eta)
         # physical range is enforced where a measurement is actually built
         with pytest.raises(ValueError):
             HomodyneSetting(0.0, 1.2)
@@ -166,10 +165,10 @@ class TestAdjudication:
             assert adjudicate_reported(0.0, eta).verdict == NO_STEERING
 
     def test_reported_domain(self):
-        with pytest.raises(ValueError):
-            adjudicate_reported(3.0, 0.85)
-        with pytest.raises(ValueError):
-            adjudicate_reported(-0.1, 0.85)
+        for s_max, eta in ((3.0, 0.85), (-0.1, 0.85), (math.nan, 0.85),
+                           (1.33, 5.0), (1.33, 0.0), (1.33, math.nan)):
+            with pytest.raises(ValueError):
+                adjudicate_reported(s_max, eta)
 
 
 class TestPdf:

@@ -1,0 +1,63 @@
+"""No package module reads a ``_``-prefixed name from another package module."""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+PACKAGE = "chsh_steering"
+SOURCE = Path(__file__).resolve().parents[1] / "src" / PACKAGE
+
+
+def _is_private(name: str) -> bool:
+    return name.startswith("_") and not name.endswith("__")
+
+
+def private_reads(source: str) -> list[str]:
+    """``module.name`` for every private name the source takes from the package."""
+    tree = ast.parse(source)
+    modules = {}  # local name -> package module it is bound to
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            in_package = node.level > 0 or (node.module or "").split(".")[0] == PACKAGE
+            if not in_package:
+                continue
+            for alias in node.names:
+                if _is_private(alias.name):
+                    found.append(f"{node.module or '.'}.{alias.name}")
+                elif node.module in (None, PACKAGE):
+                    modules[alias.asname or alias.name] = alias.name
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.name.split(".")[0] == PACKAGE:
+                    if any(_is_private(part) for part in alias.name.split(".")):
+                        found.append(alias.name)
+                    if alias.asname:
+                        modules[alias.asname] = alias.name
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                and node.value.id in modules and _is_private(node.attr)):
+            found.append(f"{modules[node.value.id]}.{node.attr}")
+    return found
+
+
+def test_checker_finds_each_form():
+    source = (
+        "from . import violation_search as vs, lhs_oracle\n"
+        "from .simplex import lp_feasibility, _simplex_pivots\n"
+        "from chsh_steering.cli import _finite_float\n"
+        "import chsh_steering.qubit_core as qc\n"
+        "vs._scan_lhs(lhs_oracle.MEMBER, qc._PAULIS, qc.__name__)\n"
+    )
+    assert sorted(private_reads(source)) == [
+        "chsh_steering.cli._finite_float",
+        "chsh_steering.qubit_core._PAULIS",
+        "simplex._simplex_pivots",
+        "violation_search._scan_lhs",
+    ]
+
+
+@pytest.mark.parametrize("path", sorted(SOURCE.glob("*.py")), ids=lambda p: p.name)
+def test_module_reads_no_private_name_of_another(path):
+    assert private_reads(path.read_text(encoding="utf-8")) == []

@@ -1,55 +1,46 @@
 import numpy as np
 import pytest
 
+from chsh_steering import simplex
 from chsh_steering.simplex import (
-    INFEASIBLE,
-    OPTIMAL,
-    UNBOUNDED,
+    BLAND_AFTER,
+    PIVOT_EPS,
     OracleError,
+    _PIVOT_ITERATION_LIMIT,
+    _PIVOT_OPTIMAL,
+    _simplex_pivots,
     lp_feasibility,
-    solve_lp,
 )
 
 
-def test_textbook_optimum():
-    # max 3x1 + 5x2 with x1 <= 4, 2x2 <= 12, 3x1 + 2x2 <= 18, in slack form.
-    A = np.array([[1.0, 0, 1, 0, 0], [0, 2, 0, 1, 0], [3, 2, 0, 0, 1]])
-    b = np.array([4.0, 12.0, 18.0])
-    c = np.array([-3.0, -5.0, 0.0, 0.0, 0.0])
-    res = solve_lp(c, A, b)
-    assert res.status == OPTIMAL
-    assert np.allclose(res.x[:2], [2.0, 6.0], atol=1e-10)
-    assert res.objective == pytest.approx(-36.0, abs=1e-10)
-
-
 def test_infeasible_system():
-    res = solve_lp(np.zeros(2), np.array([[1.0, 1.0], [1.0, 1.0]]), np.array([2.0, 3.0]))
-    assert res.status == INFEASIBLE
-    assert res.residuals.max() == pytest.approx(1.0, abs=1e-10)
-
-
-def test_unbounded_objective():
-    res = solve_lp(np.array([-1.0, 0.0]), np.array([[1.0, -1.0]]), np.array([0.0]))
-    assert res.status == UNBOUNDED
+    feasible, _, residuals = lp_feasibility(np.array([[1.0, 1.0], [1.0, 1.0]]),
+                                            np.array([2.0, 3.0]))
+    assert not feasible
+    assert residuals.max() == pytest.approx(1.0, abs=1e-10)
 
 
 def test_negative_rhs_handled():
-    # Same feasible set expressed with a negated row.
-    res = solve_lp(np.array([1.0, 1.0]), np.array([[-1.0, -1.0]]), np.array([-2.0]))
-    assert res.status == OPTIMAL
-    assert res.objective == pytest.approx(2.0, abs=1e-10)
+    # The row is negated internally; the phase-1 point must satisfy the original.
+    A = np.array([[-1.0, -1.0]])
+    feasible, x, residuals = lp_feasibility(A, np.array([-2.0]))
+    assert feasible
+    assert residuals.max() == 0.0
+    assert np.allclose(A @ x, [-2.0], atol=1e-12)
+    assert (x >= 0.0).all()
 
 
-def test_redundant_constraint_dropped():
+def test_redundant_rows_are_feasible():
     A = np.array([[1.0, 1.0], [2.0, 2.0]])
-    b = np.array([1.0, 2.0])
-    res = solve_lp(np.array([1.0, 0.0]), A, b)
-    assert res.status == OPTIMAL
-    assert res.objective == pytest.approx(0.0, abs=1e-12)
+    feasible, x, residuals = lp_feasibility(A, np.array([1.0, 2.0]))
+    assert feasible
+    assert residuals.max() <= 1e-12
+    assert np.allclose(A @ x, [1.0, 2.0], atol=1e-12)
 
 
-def test_bland_terminates_on_cycling_example():
-    # Classic degenerate LP that cycles under largest-coefficient pivoting.
+def _beale_tableau():
+    # Beale's degenerate LP, min c.x s.t. A x = b, x >= 0, with the slack basis:
+    # it cycles under most-negative-reduced-cost pivoting.
     A = np.array([
         [0.25, -60.0, -1.0 / 25.0, 9.0, 1.0, 0.0, 0.0],
         [0.5, -90.0, -1.0 / 50.0, 3.0, 0.0, 1.0, 0.0],
@@ -57,16 +48,34 @@ def test_bland_terminates_on_cycling_example():
     ])
     b = np.array([0.0, 0.0, 1.0])
     c = np.array([-0.75, 150.0, -1.0 / 50.0, 6.0, 0.0, 0.0, 0.0])
-    res = solve_lp(c, A, b)
-    assert res.status == OPTIMAL
-    assert res.objective == pytest.approx(-0.05, abs=1e-10)
+    tableau = np.zeros((4, 8))
+    tableau[:3, :7] = A
+    tableau[:3, -1] = b
+    tableau[3, :7] = c
+    return tableau, np.array([4, 5, 6], dtype=np.int64)
 
 
-def test_iteration_limit_raises_oracle_error():
+def test_bland_terminates_on_cycling_example():
+    tableau, basis = _beale_tableau()
+    status = _simplex_pivots(tableau, basis, PIVOT_EPS, 1000, BLAND_AFTER)
+    assert status == _PIVOT_OPTIMAL
+    # The bottom-right entry is -z; the optimum of Beale's LP is z = -1/20.
+    assert tableau[3, -1] == pytest.approx(0.05, abs=1e-10)
+
+
+def test_cycling_example_hits_limit_without_bland():
+    tableau, basis = _beale_tableau()
+    status = _simplex_pivots(tableau, basis, PIVOT_EPS, 1000, 10**9)
+    assert status == _PIVOT_ITERATION_LIMIT
+
+
+def test_iteration_limit_raises_oracle_error(monkeypatch):
     A = np.array([[1.0, 0, 1, 0, 0], [0, 2, 0, 1, 0], [3, 2, 0, 0, 1]])
     b = np.array([4.0, 12.0, 18.0])
+    assert lp_feasibility(A, b)[0]
+    monkeypatch.setattr(simplex, "DEFAULT_MAX_ITER", 1)
     with pytest.raises(OracleError):
-        solve_lp(np.array([-3.0, -5.0, 0, 0, 0]), A, b, max_iter=1)
+        lp_feasibility(A, b)
 
 
 class TestFeasibility:
@@ -100,4 +109,4 @@ class TestFeasibility:
         with pytest.raises(ValueError):
             lp_feasibility(np.ones((2, 3)), np.ones(3))
         with pytest.raises(ValueError):
-            solve_lp(np.ones(2), np.ones((2, 3)), np.ones(2))
+            lp_feasibility(np.ones(3), np.ones(3))

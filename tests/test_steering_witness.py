@@ -25,6 +25,7 @@ from chsh_steering.steering_witness import (
     pair_values_array,
     steering_inequality,
     steering_lhs_array,
+    verdict,
 )
 
 correlator = st.floats(min_value=-1.0, max_value=1.0)
@@ -182,6 +183,14 @@ class TestFullReport:
 
         boundary = full_report(CorrelationSet(1, 1, 0, 0))
         assert boundary.steering_verdict == BOUNDARY
+
+    def test_no_verdict_from_non_finite_input(self):
+        for value, bound, tol in ((float("nan"), 2.0, 1e-9), (1.0, float("inf"), 1e-9),
+                                  (1.0, 2.0, float("nan")), (1.0, 2.0, -1.0)):
+            with pytest.raises(ValueError):
+                verdict(value, bound, tol)
+        with pytest.raises(ValueError):
+            full_report(CorrelationSet(1, 0, 0, 1), tol=float("nan"))
 
     def test_verdict_matches_slack_sign(self):
         rng = np.random.Generator(np.random.Philox(43))

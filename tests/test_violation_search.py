@@ -97,7 +97,7 @@ class TestMaximize:
 
 class TestStateScan:
     def test_maximally_entangled(self):
-        _, value = state_scan(maximally_entangled(), bloch_resolution=16)
+        _, value, _ = state_scan(maximally_entangled(), bloch_resolution=16)
         assert value == pytest.approx(2.0 * np.sqrt(2.0), abs=1e-6)
 
     def test_product_states_never_violate(self):
@@ -111,7 +111,7 @@ class TestStateScan:
             paulis = np.array([[[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]])
             rho_a = 0.5 * (np.eye(2) + np.einsum("k,kij->ij", bloch[0], paulis))
             rho_b = 0.5 * (np.eye(2) + np.einsum("k,kij->ij", bloch[1], paulis))
-            best, value = state_scan(np.kron(rho_a, rho_b), bloch_resolution=12)
+            best, value, _ = state_scan(np.kron(rho_a, rho_b), bloch_resolution=12)
             assert value <= 2.0 + 1e-9
             res = lp_membership(best, grid_n=512)
             assert res.verdict == MEMBER
@@ -124,16 +124,23 @@ class TestStateScan:
         vacuum = state_density(SinglePhotonState(np.deg2rad(22.5), 0.0))
         for p1 in (0.2, 0.5, 0.8):
             mixed = state_density(SinglePhotonState(np.deg2rad(22.5), p1))
-            _, v_mixed = state_scan(mixed, bloch_resolution=12)
-            _, v_pure = state_scan(pure, bloch_resolution=12)
-            _, v_vac = state_scan(vacuum, bloch_resolution=12)
+            _, v_mixed, _ = state_scan(mixed, bloch_resolution=12)
+            _, v_pure, _ = state_scan(pure, bloch_resolution=12)
+            _, v_vac, _ = state_scan(vacuum, bloch_resolution=12)
             assert v_mixed <= p1 * v_pure + (1.0 - p1) * v_vac + 1e-9
 
     def test_returns_matching_correlations(self):
-        best, value = state_scan(maximally_entangled(), bloch_resolution=12)
+        best, value, _ = state_scan(maximally_entangled(), bloch_resolution=12)
         assert isinstance(best, CorrelationSet)
         lhs, _ = steering_inequality(best)
         assert lhs == pytest.approx(value, abs=1e-12)
+
+    def test_coarse_grid_rows(self):
+        _, value, coarse = state_scan(maximally_entangled(), bloch_resolution=8)
+        assert coarse.shape == (64, 3)
+        assert np.array_equal(np.unique(coarse[:, 0]), np.linspace(0.0, np.pi, 8))
+        assert np.array_equal(np.unique(coarse[:, 1]), 2.0 * np.pi * np.arange(8) / 8)
+        assert coarse[:, 2].max() <= value
 
     def test_resolution_validation(self):
         with pytest.raises(ValueError):

@@ -178,10 +178,11 @@ def cmd_scan_state(args) -> int:
 
 def cmd_ellipse(args) -> int:
     xis = 2.0 * np.pi * np.arange(args.n) / args.n
+    # Every point first: ellipse_point rejects mu, and nothing may print then.
+    points = [ellipse_point(args.mu, float(xi)) for xi in xis]
     writer = csv.writer(sys.stdout)
     writer.writerow(["xi", "p_b", "p_bp"])
-    for xi in xis:
-        p, pp = ellipse_point(args.mu, float(xi))
+    for xi, (p, pp) in zip(xis, points):
         writer.writerow([float(xi), float(p), float(pp)])
     return 0
 
@@ -190,6 +191,13 @@ def _finite_float(text: str) -> float:
     value = float(text)
     if not math.isfinite(value):
         raise argparse.ArgumentTypeError(f"not a finite number: {text!r}")
+    return value
+
+
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"not a positive integer: {text!r}")
     return value
 
 
@@ -249,7 +257,7 @@ def build_parser() -> argparse.ArgumentParser:
     scan = sub.add_parser("scan", help="witness maximisation scans")
     scan_sub = scan.add_subparsers(dest="subcommand", required=True)
     sangles = scan_sub.add_parser("angles", help="witness value vs Alice angle difference")
-    sangles.add_argument("--resolution", type=int, default=360)
+    sangles.add_argument("--resolution", type=_positive_int, default=360)
     sangles.set_defaults(func=cmd_scan_angles)
     sstate = scan_sub.add_parser("state", help="scan Alice directions for a state")
     sstate.add_argument("--input", required=True, help="state JSON file")
@@ -258,7 +266,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     ellipse = sub.add_parser("ellipse", help="allowed-probability boundary curve")
     ellipse.add_argument("--mu", type=_finite_float, required=True)
-    ellipse.add_argument("--n", type=int, default=256)
+    ellipse.add_argument("--n", type=_positive_int, default=256)
     ellipse.set_defaults(func=cmd_ellipse)
 
     return parser

@@ -22,6 +22,8 @@ widened envelope exp(-eta x^2 / 2) and the coefficient polynomial used in
 
 from __future__ import annotations
 
+import os
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -44,8 +46,12 @@ NO_STEERING = "no_steering"
 DEFAULT_GRID_CELLS = 4096
 DEFAULT_SPAN = 6.0
 # Rows of uniforms drawn and mapped per step of the Monte Carlo loop; bounds
-# the working set without changing the Philox stream or the result.
-_MC_BLOCK = 1 << 16
+# the working set (one block per setting pair in flight) without changing the
+# Philox stream or the result.
+_MC_BLOCK = 1 << 15
+# Buckets of the guide table that starts the x inverse CDF; a power of two, so
+# the bucket edges i / B and the bucket index floor(u * B) are exact.
+_GUIDE_BUCKETS = 1 << 14
 
 # Standard quadrature phases of the experiment: Alice measures x and p, Bob
 # the rotated pair (x-p)/sqrt(2) and (x+p)/sqrt(2).
@@ -278,8 +284,8 @@ class MonteCarloCorrelations:
 
 def _pair_sampler_arrays(rho: np.ndarray, sa: HomodyneSetting,
                          sb: HomodyneSetting, grid_cells: int, span: float):
-    """Precompute grid, marginal CDF, coefficient matrix and cumulative
-    integrals for sampling one setting pair."""
+    """Precompute grid, marginal CDF, its guide table, coefficient matrix and
+    cumulative integrals for sampling one setting pair."""
     if grid_cells < 8 or grid_cells % 2:
         raise ValueError("grid_cells must be an even integer >= 8")
     grid = np.linspace(-span, span, grid_cells + 1)
@@ -309,7 +315,22 @@ def _pair_sampler_arrays(rho: np.ndarray, sa: HomodyneSetting,
 
     env_b = _envelope(grid, sb.eta)
     cum_b = np.stack([_cumtrapz(env_b * powers[j], dx) for j in range(3)])
-    return grid, cdf_a, coef, cum_b
+    return grid, cdf_a, _guide_table(cdf_a), coef, cum_b
+
+
+def _guide_table(cdf: np.ndarray) -> np.ndarray:
+    """Index of the last knot ``j`` with ``cdf[j] <= i / B``, for ``i = 0 ..
+    B`` with ``B = _GUIDE_BUCKETS`` (Chen & Asau's guide table for an inverse
+    CDF).
+
+    Knot ``j`` is at or below edge ``i`` exactly when ``i >= ceil(cdf[j] *
+    B)``; with ``B`` a power of two that product is exact, so counting knots
+    per first edge and summing equals ``searchsorted(cdf, arange(B + 1) / B,
+    side="right") - 1`` for a nondecreasing ``cdf`` in [0, 1] with ``cdf[0]
+    == 0``.
+    """
+    first_edge = np.ceil(cdf * _GUIDE_BUCKETS).astype(np.intp)
+    return np.cumsum(np.bincount(first_edge, minlength=_GUIDE_BUCKETS + 1)) - 1
 
 
 def _cumtrapz(f: np.ndarray, dx: float) -> np.ndarray:
@@ -318,23 +339,31 @@ def _cumtrapz(f: np.ndarray, dx: float) -> np.ndarray:
     return out
 
 
-def _positive_products(u, grid, cdf_a, coef, cum_b):
+def _positive_products(u, grid, cdf_a, guide, coef, cum_b):
     """Where sign(x) * sign(y) = +1 for quadrature pairs drawn by inverse CDF.
 
     ``u`` is (n, 2) uniforms; ``grid`` the quadrature abscissae, with 0 at
     the middle knot; ``cdf_a`` the normalised CDF of the first party's
-    marginal on the grid; ``coef`` the 3x3 polynomial coefficient matrix of
-    the joint density; ``cum_b`` the (3, g) cumulative integrals of the
-    second party's envelope times (1, y, y^2). Returns an (n,) bool array.
+    marginal on the grid and ``guide`` its ``_guide_table``; ``coef`` the
+    3x3 polynomial coefficient matrix of the joint density; ``cum_b`` the
+    (3, g) cumulative integrals of the second party's envelope times
+    (1, y, y^2). Returns an (n,) bool array.
 
-    x is interpolated from ``cdf_a``. y is never located: the conditional
-    CDF given x is nondecreasing, so y >= 0 exactly when its unnormalised
-    value at the 0 knot is at most the target mass ``u[:, 1] * total``.
+    x is interpolated from ``cdf_a`` at the knot ``k`` that
+    ``searchsorted(cdf_a, u, side="right") - 1`` gives. With ``b = floor(u *
+    B)``, ``b / B <= u < (b + 1) / B`` brackets ``k`` between ``guide[b]``
+    and ``guide[b + 1]``, so where those agree the table is the answer; only
+    the other rows are searched. y is never located: the conditional CDF
+    given x is nondecreasing, so y >= 0 exactly when its unnormalised value
+    at the 0 knot is at most the target mass ``u[:, 1] * total``.
     """
     g = grid.shape[0]
     zero = (g - 1) // 2
     u1 = u[:, 0]
-    k = np.searchsorted(cdf_a, u1, side="right") - 1
+    bucket = (u1 * (guide.shape[0] - 1)).astype(np.intp)
+    k = guide[bucket]
+    open_rows = np.flatnonzero(guide[bucket + 1] != k)
+    k[open_rows] = np.searchsorted(cdf_a, u1[open_rows], side="right") - 1
     k = np.clip(k, 0, g - 2)
     dc = cdf_a[k + 1] - cdf_a[k]
     safe = np.where(dc > 0.0, dc, 1.0)
@@ -351,6 +380,42 @@ def _positive_products(u, grid, cdf_a, coef, cum_b):
     return (x >= 0.0) == (below_zero <= target)
 
 
+_POOL = None
+_POOL_LOCK = threading.Lock()
+
+
+def _pair_pool():
+    """The process-wide pool that samples setting pairs, created on first use
+    with one thread per usable core, at most one per pair."""
+    global _POOL
+    with _POOL_LOCK:
+        if _POOL is None:
+            # Imported here: it would add several ms to every CLI start-up.
+            from concurrent.futures import ThreadPoolExecutor
+            try:
+                cores = len(os.sched_getaffinity(0))
+            except AttributeError:  # no affinity call on this platform
+                cores = os.cpu_count() or 1
+            _POOL = ThreadPoolExecutor(max_workers=min(4, cores),
+                                       thread_name_prefix="chsh-mc")
+        return _POOL
+
+
+def _count_positive(arrays, seed: np.random.SeedSequence, n_samples: int) -> int:
+    """Number of +1 sign products in ``n_samples`` draws for one pair.
+
+    Runs on a pool thread, so it calls only NumPy and private helpers.
+    Consecutive draws continue one stream, so blocks reproduce a single
+    (n_samples, 2) draw.
+    """
+    rng = np.random.Generator(np.random.Philox(seed))
+    plus = 0
+    for start in range(0, n_samples, _MC_BLOCK):
+        u = rng.random((min(_MC_BLOCK, n_samples - start), 2))
+        plus += int(np.count_nonzero(_positive_products(u, *arrays)))
+    return plus
+
+
 def monte_carlo_correlations(state: SinglePhotonState,
                              settings: ExperimentSettings,
                              n_samples: int, seed: int,
@@ -361,28 +426,27 @@ def monte_carlo_correlations(state: SinglePhotonState,
     Per setting pair, the first outcome is drawn from its marginal and the
     second from the exact conditional given the first, both by inverse CDF on
     the quadrature grid; the correlator is the mean sign product, so only the
-    sign of the second outcome is resolved. Streams are counter-based
-    (Philox) and spawned per pair, so results are reproducible for a fixed
-    seed and the per-pair sampling is a pure elementwise map of its uniforms
-    (shards over sample ranges merge deterministically).
+    sign of the second outcome is resolved. The x inverse CDF starts from a
+    guide table of uniform buckets and searches only the uniforms whose
+    bucket holds a knot. Streams are counter-based (Philox) and spawned per
+    pair, so results are reproducible for a fixed seed and the per-pair
+    sampling is a pure elementwise map of its uniforms (shards over sample
+    ranges merge deterministically). The pairs are sampled concurrently on a
+    process-wide thread pool with one thread per core in this process's CPU
+    affinity, at most four; each pair's exact count of +1 products does not
+    depend on the scheduling, so neither does the result.
     """
     if n_samples < 1:
         raise ValueError("n_samples must be at least 1")
     rho = state_density(state)
     children = np.random.SeedSequence(seed).spawn(4)
+    tables = [_pair_sampler_arrays(rho, sa, sb, grid_cells, span)
+              for sa, sb in settings.pairs()]
+    counts = _pair_pool().map(_count_positive, tables, children,
+                              [n_samples] * 4)
     means = []
     errors = []
-    for pair_idx, (sa, sb) in enumerate(settings.pairs()):
-        grid, cdf_a, coef, cum_b = _pair_sampler_arrays(
-            rho, sa, sb, grid_cells, span)
-        rng = np.random.Generator(np.random.Philox(children[pair_idx]))
-        # Consecutive draws continue one stream, so blocks reproduce a
-        # single (n_samples, 2) draw; a count of +1 products is exact.
-        plus = 0
-        for start in range(0, n_samples, _MC_BLOCK):
-            u = rng.random((min(_MC_BLOCK, n_samples - start), 2))
-            plus += int(np.count_nonzero(
-                _positive_products(u, grid, cdf_a, coef, cum_b)))
+    for plus in counts:
         mean = (2 * plus - n_samples) / n_samples
         means.append(mean)
         errors.append(float(np.sqrt(max(1.0 - mean * mean, 0.0) / n_samples)))

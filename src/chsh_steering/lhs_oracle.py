@@ -191,6 +191,8 @@ def lp_membership_batch(points: np.ndarray, grid_n: int = 2048,
     points = np.asarray(points, dtype=float)
     if points.ndim != 2 or points.shape[1] != 4:
         raise ValueError(f"points must have shape (N, 4), got {points.shape}")
+    if not (np.isfinite(tol) and tol >= 0.0):
+        raise ValueError(f"LP tolerance must be finite and >= 0, got {tol}")
     A = _membership_constraints(grid_n)
     band = float(boundary_band(grid_n))
     f_values = f_value_array(correlation_model.to_e_basis_array(points))

@@ -281,6 +281,24 @@ class TestRejectedInput:
     def test_usage_error(self, capsys):
         self.assert_rejected(*run_cli(capsys, "experiment", "--eta-bob", "abc"))
 
+    @pytest.mark.parametrize("argv", [
+        ("scan", "angles", "--resolution", "0"),
+        ("scan", "angles", "--resolution", "-3"),
+        ("ellipse", "--mu", "0.5", "--n", "-1"),
+        ("ellipse", "--mu", "0.5", "--n", "0"),
+    ])
+    def test_nonpositive_count(self, capsys, argv):
+        self.assert_rejected(*run_cli(capsys, *argv))
+
+    @pytest.mark.parametrize("mu", ["2", "-0.5"])
+    def test_ellipse_overlap_checked_before_output(self, capsys, mu):
+        self.assert_rejected(*run_cli(capsys, "ellipse", "--mu", mu, "--n", "4"))
+
+    @pytest.mark.parametrize("tol", ["-1", "-1e-12"])
+    def test_negative_lp_tolerance(self, capsys, tol):
+        self.assert_rejected(*run_cli(capsys, "oracle", "check", "--grid", "64",
+                                      "--samples", "20", "--lp-tol", tol))
+
 
 def test_console_entry_point_runs():
     proc = subprocess.run(

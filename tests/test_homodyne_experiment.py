@@ -1,4 +1,6 @@
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -21,6 +23,8 @@ from chsh_steering.homodyne_experiment import (
     quadrature_projectors,
     standard_settings,
     state_density,
+    _GUIDE_BUCKETS,
+    _MC_BLOCK,
     _pair_sampler_arrays,
     _positive_products,
 )
@@ -219,6 +223,32 @@ class TestMonteCarlo:
         assert a.correlations == b.correlations
         assert a.std_errors == b.std_errors
 
+    def test_concurrent_callers_share_the_pair_pool(self):
+        # More callers than cores, switching threads often, all on the one
+        # process-wide pool: each must get the result of a lone call.
+        state = SinglePhotonState(np.deg2rad(22.5), 0.9)
+        settings = standard_settings(0.85, 0.7)
+        seeds = range(8)
+        expected = [monte_carlo_correlations(state, settings, 3000, seed=s)
+                    for s in seeds]
+        results = {}
+
+        def call(seed):
+            results[seed] = monte_carlo_correlations(state, settings, 3000, seed=seed)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=call, args=(s,)) for s in seeds]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert [results[s] for s in seeds] == expected
+
     def test_converges_to_analytic(self):
         state = SinglePhotonState(np.deg2rad(22.5), 1.0)
         settings = standard_settings(0.85, 0.85)
@@ -250,10 +280,10 @@ class TestMonteCarlo:
         rho = state_density(SinglePhotonState(np.deg2rad(22.5), 0.9))
         settings = standard_settings(0.85, 0.85)
         sa, sb = settings.pairs()[0]
-        grid, cdf_a, coef, cum_b = _pair_sampler_arrays(rho, sa, sb, 1024, 6.0)
+        arrays = _pair_sampler_arrays(rho, sa, sb, 1024, 6.0)
         u = np.random.Generator(np.random.Philox(31)).random((10000, 2))
-        whole = _positive_products(u, grid, cdf_a, coef, cum_b)
-        shards = [_positive_products(np.ascontiguousarray(u[a:b]), grid, cdf_a, coef, cum_b)
+        whole = _positive_products(u, *arrays)
+        shards = [_positive_products(np.ascontiguousarray(u[a:b]), *arrays)
                   for a, b in ((0, 3000), (3000, 7000), (7000, 10000))]
         assert np.array_equal(whole, np.concatenate(shards))
 
@@ -305,7 +335,7 @@ def _reference_monte_carlo(state, settings, n_samples, seed):
     children = np.random.SeedSequence(seed).spawn(4)
     means, errors = [], []
     for pair_idx, (sa, sb) in enumerate(settings.pairs()):
-        grid, cdf_a, coef, cum_b = _pair_sampler_arrays(rho, sa, sb, 4096, 6.0)
+        grid, cdf_a, _, coef, cum_b = _pair_sampler_arrays(rho, sa, sb, 4096, 6.0)
         rng = np.random.Generator(np.random.Philox(children[pair_idx]))
         u = rng.random((n_samples, 2))
         mean = float(_reference_mc_products(u, grid, cdf_a, coef, cum_b).mean())
@@ -314,26 +344,44 @@ def _reference_monte_carlo(state, settings, n_samples, seed):
     return CorrelationSet(*means), tuple(errors)
 
 
+_GRID_CELLS = pytest.mark.parametrize("grid_cells", [8, 1024, 4096, 5000])
+_STATES = pytest.mark.parametrize("theta_deg, p1, eta_a, eta_b", [
+    (22.5, 1.0, 0.85, 0.85),
+    (22.5, 0.6, 1.0, 0.3),
+    (7.0, 0.9, 0.5, 1.0),
+    (40.0, 0.95, 0.2, 0.7),
+    (0.0, 1.0, 1.0, 1.0),
+])
+
+
 class TestSignOnlyKernel:
-    @pytest.mark.parametrize("grid_cells", [8, 1024, 4096, 5000])
-    @pytest.mark.parametrize("theta_deg, p1, eta_a, eta_b", [
-        (22.5, 1.0, 0.85, 0.85),
-        (22.5, 0.6, 1.0, 0.3),
-        (7.0, 0.9, 0.5, 1.0),
-        (40.0, 0.95, 0.2, 0.7),
-        (0.0, 1.0, 1.0, 1.0),
-    ])
+    @_GRID_CELLS
+    @_STATES
     def test_products_match_bisection_kernel(self, grid_cells, theta_deg, p1,
                                              eta_a, eta_b):
         rho = state_density(SinglePhotonState(np.deg2rad(theta_deg), p1))
         rng = np.random.Generator(np.random.Philox(grid_cells))
         for sa, sb in standard_settings(eta_a, eta_b).pairs():
-            arrays = _pair_sampler_arrays(rho, sa, sb, grid_cells, 6.0)
+            grid, cdf_a, guide, coef, cum_b = _pair_sampler_arrays(
+                rho, sa, sb, grid_cells, 6.0)
             u = rng.random((20000, 2))
-            expected = _reference_mc_products(u, *arrays) > 0.0
-            assert np.array_equal(_positive_products(u, *arrays), expected)
+            expected = _reference_mc_products(u, grid, cdf_a, coef, cum_b) > 0.0
+            assert np.array_equal(
+                _positive_products(u, grid, cdf_a, guide, coef, cum_b), expected)
 
-    @pytest.mark.parametrize("n", [1, 2**16 - 1, 2**16, 2**16 + 1, 3 * 2**16 + 7])
+    @_GRID_CELLS
+    @_STATES
+    def test_guide_table_is_searchsorted_lower_bound(self, grid_cells, theta_deg,
+                                                     p1, eta_a, eta_b):
+        rho = state_density(SinglePhotonState(np.deg2rad(theta_deg), p1))
+        edges = np.arange(_GUIDE_BUCKETS + 1) / _GUIDE_BUCKETS
+        for sa, sb in standard_settings(eta_a, eta_b).pairs():
+            _, cdf_a, guide, _, _ = _pair_sampler_arrays(rho, sa, sb, grid_cells, 6.0)
+            expected = np.searchsorted(cdf_a, edges, side="right") - 1
+            assert np.array_equal(guide, expected)
+
+    @pytest.mark.parametrize("n", [1, _MC_BLOCK - 1, _MC_BLOCK, _MC_BLOCK + 1,
+                                   3 * _MC_BLOCK + 7])
     def test_block_sampling_matches_one_shot_draw(self, n):
         state = SinglePhotonState(np.deg2rad(22.5), 0.9)
         settings = standard_settings(0.85, 0.7)
@@ -346,7 +394,7 @@ class TestSignOnlyKernel:
     def test_middle_knot_is_exactly_zero(self, span, grid_cells):
         rho = state_density(SinglePhotonState(np.deg2rad(22.5), 1.0))
         sa, sb = standard_settings().pairs()[0]
-        grid, _, _, _ = _pair_sampler_arrays(rho, sa, sb, grid_cells, span)
+        grid = _pair_sampler_arrays(rho, sa, sb, grid_cells, span)[0]
         assert grid[grid_cells // 2] == 0.0
         spaced = np.linspace(-span, span, grid_cells + 1)
         spaced[grid_cells // 2] = 0.0
@@ -355,7 +403,7 @@ class TestSignOnlyKernel:
     def test_default_grid_is_plain_linspace(self):
         rho = state_density(SinglePhotonState(np.deg2rad(22.5), 1.0))
         sa, sb = standard_settings().pairs()[0]
-        grid, _, _, _ = _pair_sampler_arrays(rho, sa, sb, 4096, 6.0)
+        grid = _pair_sampler_arrays(rho, sa, sb, 4096, 6.0)[0]
         assert np.array_equal(grid, np.linspace(-6.0, 6.0, 4097))
 
 

@@ -202,6 +202,9 @@ class TestLpMembership:
             atom_matrix(4)
         with pytest.raises(ValueError):
             lp_membership_batch(np.zeros((3, 5)))
+        for tol in (-1e-12, np.nan, np.inf):
+            with pytest.raises(ValueError, match="LP tolerance"):
+                lp_membership_batch(np.zeros((3, 4)), grid_n=64, tol=tol)
 
     def test_atom_matrix_columns(self):
         A = atom_matrix(8)

@@ -286,18 +286,13 @@ class TestRejectedInput:
         ("scan", "angles", "--resolution", "-3"),
         ("ellipse", "--mu", "0.5", "--n", "-1"),
         ("ellipse", "--mu", "0.5", "--n", "0"),
+        ("ellipse", "--mu", "2", "--n", "4"),
+        ("ellipse", "--mu", "-0.5", "--n", "4"),
+        ("oracle", "check", "--grid", "64", "--samples", "20", "--lp-tol", "-1"),
+        ("oracle", "check", "--grid", "64", "--samples", "20", "--lp-tol", "-1e-12"),
     ])
-    def test_nonpositive_count(self, capsys, argv):
+    def test_out_of_range_flag(self, capsys, argv):
         self.assert_rejected(*run_cli(capsys, *argv))
-
-    @pytest.mark.parametrize("mu", ["2", "-0.5"])
-    def test_ellipse_overlap_checked_before_output(self, capsys, mu):
-        self.assert_rejected(*run_cli(capsys, "ellipse", "--mu", mu, "--n", "4"))
-
-    @pytest.mark.parametrize("tol", ["-1", "-1e-12"])
-    def test_negative_lp_tolerance(self, capsys, tol):
-        self.assert_rejected(*run_cli(capsys, "oracle", "check", "--grid", "64",
-                                      "--samples", "20", "--lp-tol", tol))
 
 
 def test_console_entry_point_runs():

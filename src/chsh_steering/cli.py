@@ -201,6 +201,13 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _nonnegative_int(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"not a non-negative integer: {text!r}")
+    return value
+
+
 class _ArgumentParser(argparse.ArgumentParser):
     """Reports a usage error as a ``ValueError``, so ``main`` prints it as one
     ``error:`` line and exits 1 like every other rejected input."""
@@ -233,8 +240,8 @@ def build_parser() -> argparse.ArgumentParser:
     ocheck = oracle_sub.add_parser(
         "check", help="compare LP membership against the witness on random points")
     ocheck.add_argument("--grid", type=int, default=2048)
-    ocheck.add_argument("--samples", type=int, default=10000)
-    ocheck.add_argument("--seed", type=int, default=0)
+    ocheck.add_argument("--samples", type=_positive_int, default=10000)
+    ocheck.add_argument("--seed", type=_nonnegative_int, default=0)
     ocheck.add_argument("--lp-tol", type=_finite_float, default=lhs_oracle.DEFAULT_LP_TOL)
     ocheck.set_defaults(func=cmd_oracle_check)
 
@@ -249,7 +256,7 @@ def build_parser() -> argparse.ArgumentParser:
     experiment.add_argument("--eta-alice", type=_finite_float, default=None)
     experiment.add_argument("--mc", type=int, default=None,
                             help="Monte Carlo sample count (analytic if omitted)")
-    experiment.add_argument("--seed", type=int, default=0)
+    experiment.add_argument("--seed", type=_nonnegative_int, default=0)
     experiment.add_argument("--tol", type=_finite_float, default=VERDICT_TOL)
     experiment.add_argument("--format", choices=("json", "table"), default="json")
     experiment.set_defaults(func=cmd_experiment)

@@ -1,17 +1,19 @@
-"""Phase-1 simplex feasibility for small dense equality systems.
+"""Phase-1 revised simplex feasibility for small equality systems.
 
-Decides whether A x = b, x >= 0 has a solution on a dense tableau. The entering
-column is the most negative reduced cost while the objective strictly
-improves; after ``BLAND_AFTER`` stalled pivots the rule switches permanently
-to Bland's lowest eligible index, and the leaving row is always the minimum
-ratio with the lowest-basic-index tie-break. Strict-progress pivots cannot
-revisit a basis and the Bland phase cannot cycle, so the solver terminates
-deterministically without perturbation tricks. Phase 1 minimises the total
-artificial infeasibility; its per-row residuals are the feasibility
-certificate for the membership oracle.
-
-This module owns tableau construction, the vectorised NumPy pivot loop and
-the interpretation of its result.
+Decides whether A x = b, x >= 0 has a solution. The solver keeps only an
+(m+1) x (m+1) revised tableau: the m x m basis inverse and the basic values
+above the negated duals and objective. The artificial column of row i is
+``flip_i * e_i`` with cost 1, signed to match b_i, and is never stored, so a
+pivot prices every column with one ``duals @ A`` matvec and rewrites only the
+small tableau. The entering column is the most negative reduced cost over the
+real and the artificial columns (first index on ties) while the objective
+strictly improves; after ``BLAND_AFTER`` stalled pivots the rule switches
+permanently to Bland's lowest eligible index, and the leaving row is always
+the minimum ratio with the lowest-basic-index tie-break. Strict-progress
+pivots cannot revisit a basis and the Bland phase cannot cycle, so the solver
+terminates deterministically without perturbation tricks. Phase 1 minimises
+the total artificial infeasibility; its per-row residuals are the
+feasibility certificate for the membership oracle.
 """
 
 from __future__ import annotations
@@ -35,55 +37,60 @@ _PIVOT_UNBOUNDED = 1
 _PIVOT_ITERATION_LIMIT = 2
 
 
-def _simplex_pivots(tableau, basis, eps, max_iter, bland_after):
-    """Run simplex pivots on a dense minimisation tableau, in place.
+def _revised_pivots(A, cost, flip, tableau, basis, eps, max_iter, bland_after):
+    """Run revised simplex pivots for min cost.x + sum(artificials), in place.
 
-    ``tableau`` has shape (m+1, n+1): m constraint rows kept with nonnegative
-    right-hand sides, a reduced-cost row at the bottom and the RHS in the last
-    column. ``basis`` holds the m basic column indices.
-
-    The entering column is the most negative reduced cost (first index on
-    ties) while the objective makes strict progress; after ``bland_after``
-    consecutive stalled pivots the rule switches permanently to Bland's
-    lowest-eligible-index, which rules out cycling and guarantees
-    termination. The leaving row is always the minimum-ratio row with ties
-    broken by the lowest basic index. Returns _PIVOT_OPTIMAL,
-    _PIVOT_UNBOUNDED or _PIVOT_ITERATION_LIMIT.
+    Columns 0..n-1 are those of ``A`` with costs ``cost`` (zero when None);
+    column n+i is the implicit artificial ``flip[i] * e_i`` with cost 1.
+    ``tableau`` has shape (m+1, m+1): the basis inverse in ``[:m, :m]``, the
+    basic values in ``[:m, m]``, the negated duals in ``[m, :m]`` and the
+    negated objective in ``[m, m]``. ``basis`` is the list of the m basic
+    column indices. Returns _PIVOT_OPTIMAL, _PIVOT_UNBOUNDED or
+    _PIVOT_ITERATION_LIMIT.
     """
-    m = basis.shape[0]
-    n = tableau.shape[1] - 1
+    m, n = A.shape
+    reduced = np.empty(n + m)
     stall = 0
     bland = False
-    last_objective = tableau[m, -1]
+    last_objective = tableau[m, m]
     for _ in range(max_iter):
-        reduced = tableau[m, :n]
+        duals = tableau[m, :m]
+        np.dot(duals, A, out=reduced[:n])
+        if cost is not None:
+            reduced[:n] += cost
+        reduced[n:] = 1.0 + flip * duals
         if bland:
-            negative = np.nonzero(reduced < -eps)[0]
+            negative = np.flatnonzero(reduced < -eps)
             if negative.size == 0:
                 return _PIVOT_OPTIMAL
             col = int(negative[0])
         else:
-            col = int(np.argmin(reduced))
+            col = int(reduced.argmin())
             if reduced[col] >= -eps:
                 return _PIVOT_OPTIMAL
-        column = tableau[:m, col]
-        rows = np.nonzero(column > eps)[0]
-        if rows.size == 0:
-            return _PIVOT_UNBOUNDED
-        ratios = tableau[rows, -1] / column[rows]
-        best = ratios.min()
-        tied = rows[ratios == best]
-        row = int(tied[np.argmin(basis[tied])])
 
-        piv = tableau[row, col]
-        tableau[row, :] /= piv
-        factors = tableau[:, col].copy()
-        factors[row] = 0.0
-        tableau -= np.outer(factors, tableau[row, :])
+        # The entering column of the full tableau: B^-1 a above its reduced cost.
+        if col < n:
+            column = tableau[:, :m] @ A[:, col]
+        else:
+            column = tableau[:, col - n] * flip[col - n]
+        column[m] = reduced[col]
+        row = -1
+        for i, (entry, value) in enumerate(zip(column[:m].tolist(), tableau[:m, m].tolist())):
+            if entry > eps:
+                ratio = value / entry
+                if row < 0 or ratio < best or (ratio == best and basis[i] < basis[row]):
+                    row, best = i, ratio
+        if row < 0:
+            return _PIVOT_UNBOUNDED
+
+        tableau[row] /= column[row]
+        column[row] = 0.0
+        tableau -= column[:, None] * tableau[row]
         basis[row] = col
 
-        if tableau[m, -1] > last_objective:
-            last_objective = tableau[m, -1]
+        if tableau[m, m] > last_objective:
+            last_objective = tableau[m, m]
             stall = 0
         else:
             stall += 1
@@ -95,12 +102,12 @@ def _simplex_pivots(tableau, basis, eps, max_iter, bland_after):
 def lp_feasibility(A, b, *, tol: float = 1e-9):
     """Decide whether {x >= 0 : A x = b} is nonempty, within ``tol`` per row.
 
-    Phase 1 of the simplex method: rows with a negative right-hand side are
-    negated, one artificial variable per row starts in the basis, and the
+    Phase 1: one artificial variable per row starts in the basis, and the
     pivots minimise their sum. Returns (feasible, x, residuals), where
     residuals[i] is the absolute infeasibility left in row i at the phase-1
     optimum and ``x`` is the phase-1 point (its real variables) whether or
-    not the tolerance test passes.
+    not the tolerance test passes. A malformed or non-finite ``A`` or ``b``
+    raises ``ValueError``.
     """
     A = np.ascontiguousarray(A, dtype=float)
     b = np.asarray(b, dtype=float)
@@ -109,32 +116,32 @@ def lp_feasibility(A, b, *, tol: float = 1e-9):
     m, n = A.shape
     if b.shape != (m,):
         raise ValueError(f"b must have shape ({m},), got {b.shape}")
+    if not (np.isfinite(A).all() and np.isfinite(b).all()):
+        raise ValueError("A and b must be finite")
     flip = np.where(b < 0.0, -1.0, 1.0)
-    A1 = A * flip[:, None]
-    b1 = b * flip
 
-    tableau = np.zeros((m + 1, n + m + 1))
-    tableau[:m, :n] = A1
-    tableau[:m, n:n + m] = np.eye(m)
-    tableau[:m, -1] = b1
-    # Reduced costs for the artificial basis: objective = sum of artificials.
-    tableau[m, :n] = -A1.sum(axis=0)
-    tableau[m, -1] = -b1.sum()
-    basis = np.arange(n, n + m, dtype=np.int64)
+    # Artificial basis: B^-1 = diag(flip), basic values |b|, duals = flip.
+    tableau = np.zeros((m + 1, m + 1))
+    tableau[:m, :m] = np.diag(flip)
+    tableau[:m, m] = b * flip
+    tableau[m, :m] = -flip
+    tableau[m, m] = -tableau[:m, m].sum()
+    basis = list(range(n, n + m))
 
-    status = _simplex_pivots(tableau, basis, PIVOT_EPS, DEFAULT_MAX_ITER, BLAND_AFTER)
+    status = _revised_pivots(A, None, flip, tableau, basis,
+                             PIVOT_EPS, DEFAULT_MAX_ITER, BLAND_AFTER)
     if status == _PIVOT_ITERATION_LIMIT:
         raise OracleError("simplex iteration limit reached in phase 1")
     if status == _PIVOT_UNBOUNDED:
-        raise OracleError("phase 1 reported unbounded; tableau is corrupt")
+        raise OracleError("phase 1 reported unbounded; basis inverse is corrupt")
     if not np.isfinite(tableau).all():
-        raise OracleError("simplex tableau lost finiteness in phase 1")
+        raise OracleError("basis inverse or basic values lost finiteness in phase 1")
 
     residuals = np.zeros(m)
     x = np.zeros(n)
-    for row, var in enumerate(basis):
+    for var, value in zip(basis, tableau[:m, m].tolist()):
         if var >= n:
-            residuals[var - n] = tableau[row, -1]
+            residuals[var - n] = value
         else:
-            x[var] = tableau[row, -1]
+            x[var] = value
     return bool((residuals <= tol).all()), x, residuals

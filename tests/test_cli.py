@@ -290,6 +290,11 @@ class TestRejectedInput:
         ("ellipse", "--mu", "-0.5", "--n", "4"),
         ("oracle", "check", "--grid", "64", "--samples", "20", "--lp-tol", "-1"),
         ("oracle", "check", "--grid", "64", "--samples", "20", "--lp-tol", "-1e-12"),
+        ("oracle", "check", "--grid", "64", "--samples", "0"),
+        ("oracle", "check", "--grid", "64", "--samples", "-3"),
+        ("oracle", "check", "--grid", "64", "--samples", "20", "--seed", "-1"),
+        ("experiment", "--theta", "22.5", "--p1", "0.9", "--eta-bob", "0.85",
+         "--mc", "10", "--seed", "-1"),
     ])
     def test_out_of_range_flag(self, capsys, argv):
         self.assert_rejected(*run_cli(capsys, *argv))

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from chsh_steering import lhs_oracle
 from chsh_steering.correlation_model import (
     CorrelationSet,
     EBasisVector,
@@ -22,6 +23,7 @@ from chsh_steering.lhs_oracle import (
     lp_membership_batch,
     model_correlations,
 )
+from chsh_steering.simplex import lp_feasibility
 from chsh_steering.steering_witness import f_value, f_value_array
 
 
@@ -196,6 +198,20 @@ class TestLpMembership:
         res = lp_membership(CorrelationSet(1.0, 1.0, 0.0, 0.0), grid_n=64)
         assert res.verdict == BOUNDARY_BAND
         assert isinstance(res.lp_feasible, bool)
+
+    def test_one_lp_call_per_point(self, monkeypatch):
+        # The oracle asks the LP only about A, b and tol, once per point, so
+        # nothing derived from f can reach the membership decision.
+        calls = []
+
+        def counting(A, b, **kwargs):
+            calls.append((len(b), sorted(kwargs)))
+            return lp_feasibility(A, b, **kwargs)
+
+        monkeypatch.setattr(lhs_oracle, "lp_feasibility", counting)
+        points = np.random.Generator(np.random.Philox(27)).uniform(-1.0, 1.0, (7, 4))
+        assert len(lp_membership_batch(points, grid_n=64)) == 7
+        assert calls == [(5, ["tol"])] * 7
 
     def test_input_validation(self):
         with pytest.raises(ValueError):

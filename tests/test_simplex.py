@@ -2,13 +2,14 @@ import numpy as np
 import pytest
 
 from chsh_steering import simplex
+from chsh_steering.lhs_oracle import atom_matrix
 from chsh_steering.simplex import (
     BLAND_AFTER,
     PIVOT_EPS,
     OracleError,
     _PIVOT_ITERATION_LIMIT,
     _PIVOT_OPTIMAL,
-    _simplex_pivots,
+    _revised_pivots,
     lp_feasibility,
 )
 
@@ -38,7 +39,7 @@ def test_redundant_rows_are_feasible():
     assert np.allclose(A @ x, [1.0, 2.0], atol=1e-12)
 
 
-def _beale_tableau():
+def _beale_problem():
     # Beale's degenerate LP, min c.x s.t. A x = b, x >= 0, with the slack basis:
     # it cycles under most-negative-reduced-cost pivoting.
     A = np.array([
@@ -48,24 +49,24 @@ def _beale_tableau():
     ])
     b = np.array([0.0, 0.0, 1.0])
     c = np.array([-0.75, 150.0, -1.0 / 50.0, 6.0, 0.0, 0.0, 0.0])
-    tableau = np.zeros((4, 8))
-    tableau[:3, :7] = A
-    tableau[:3, -1] = b
-    tableau[3, :7] = c
-    return tableau, np.array([4, 5, 6], dtype=np.int64)
+    # Slack basis: B^-1 = I, basic values b, zero duals and objective.
+    tableau = np.zeros((4, 4))
+    tableau[:3, :3] = np.eye(3)
+    tableau[:3, 3] = b
+    return A, c, tableau, [4, 5, 6]
 
 
 def test_bland_terminates_on_cycling_example():
-    tableau, basis = _beale_tableau()
-    status = _simplex_pivots(tableau, basis, PIVOT_EPS, 1000, BLAND_AFTER)
+    A, c, tableau, basis = _beale_problem()
+    status = _revised_pivots(A, c, np.ones(3), tableau, basis, PIVOT_EPS, 1000, BLAND_AFTER)
     assert status == _PIVOT_OPTIMAL
     # The bottom-right entry is -z; the optimum of Beale's LP is z = -1/20.
-    assert tableau[3, -1] == pytest.approx(0.05, abs=1e-10)
+    assert tableau[3, 3] == pytest.approx(0.05, abs=1e-10)
 
 
 def test_cycling_example_hits_limit_without_bland():
-    tableau, basis = _beale_tableau()
-    status = _simplex_pivots(tableau, basis, PIVOT_EPS, 1000, 10**9)
+    A, c, tableau, basis = _beale_problem()
+    status = _revised_pivots(A, c, np.ones(3), tableau, basis, PIVOT_EPS, 1000, 10**9)
     assert status == _PIVOT_ITERATION_LIMIT
 
 
@@ -110,3 +111,85 @@ class TestFeasibility:
             lp_feasibility(np.ones((2, 3)), np.ones(3))
         with pytest.raises(ValueError):
             lp_feasibility(np.ones(3), np.ones(3))
+
+    @pytest.mark.parametrize("A, b", [
+        ([[1.0, np.nan]], [1.0]),
+        ([[1.0, np.inf]], [1.0]),
+        ([[1.0, -np.inf]], [1.0]),
+        ([[1.0, 1.0]], [np.nan]),
+        ([[1.0, 1.0]], [-np.inf]),
+    ])
+    def test_non_finite_input_rejected(self, A, b):
+        with pytest.raises(ValueError, match="finite"):
+            lp_feasibility(np.array(A), np.array(b))
+
+    def test_overflow_raises_oracle_error(self):
+        # The single pivot divides 1e300 by 1e-9: the basic value overflows.
+        with np.errstate(over="ignore", invalid="ignore"), \
+                pytest.raises(OracleError, match="finiteness"):
+            lp_feasibility(np.array([[1e-9]]), np.array([1e300]))
+
+
+def _dense_phase1(A, b):
+    """The dense-tableau phase 1 the revised kernel replaced, kept as reference.
+
+    Returns (feasible at tol 1e-9, residuals) from an explicit
+    (m+1) x (n+m+1) tableau with the same entering, Bland and leaving rules.
+    """
+    m, n = A.shape
+    flip = np.where(b < 0.0, -1.0, 1.0)
+    A1 = A * flip[:, None]
+    tableau = np.zeros((m + 1, n + m + 1))
+    tableau[:m, :n] = A1
+    tableau[:m, n:n + m] = np.eye(m)
+    tableau[:m, -1] = b * flip
+    tableau[m, :n] = -A1.sum(axis=0)
+    tableau[m, -1] = -tableau[:m, -1].sum()
+    basis = np.arange(n, n + m)
+    width = n + m
+    stall, bland = 0, False
+    last_objective = tableau[m, -1]
+    while True:
+        reduced = tableau[m, :width]
+        if bland:
+            negative = np.nonzero(reduced < -PIVOT_EPS)[0]
+            if negative.size == 0:
+                break
+            col = int(negative[0])
+        else:
+            col = int(np.argmin(reduced))
+            if reduced[col] >= -PIVOT_EPS:
+                break
+        column = tableau[:m, col]
+        rows = np.nonzero(column > PIVOT_EPS)[0]
+        ratios = tableau[rows, -1] / column[rows]
+        tied = rows[ratios == ratios.min()]
+        row = int(tied[np.argmin(basis[tied])])
+        tableau[row, :] /= tableau[row, col]
+        factors = tableau[:, col].copy()
+        factors[row] = 0.0
+        tableau -= np.outer(factors, tableau[row, :])
+        basis[row] = col
+        if tableau[m, -1] > last_objective:
+            last_objective, stall = tableau[m, -1], 0
+        else:
+            stall += 1
+            bland = bland or stall >= BLAND_AFTER
+    residuals = np.zeros(m)
+    artificial = basis >= n
+    residuals[basis[artificial] - n] = tableau[:m, -1][artificial]
+    return bool((residuals <= 1e-9).all()), residuals
+
+
+@pytest.mark.parametrize("grid_n", [8, 64, 2048])
+def test_matches_dense_tableau_reference(grid_n):
+    atoms = atom_matrix(grid_n)
+    A = np.vstack([atoms, np.ones(atoms.shape[1])])
+    rng = np.random.Generator(np.random.Philox(grid_n))
+    for point in rng.uniform(-1.0, 1.0, (300, 4)):
+        b = np.append(point, 1.0)
+        feasible, x, residuals = lp_feasibility(A, b)
+        ref_feasible, ref_residuals = _dense_phase1(A, b)
+        assert feasible == ref_feasible
+        assert abs(residuals.sum() - ref_residuals.sum()) <= 1e-9
+        assert (x >= 0.0).all()

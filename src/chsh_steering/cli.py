@@ -165,14 +165,14 @@ def _state_from_json(data) -> np.ndarray:
 
 def cmd_scan_state(args) -> int:
     rho = _state_from_json(_read_json(args.input))
-    _, refined, coarse = violation_search.state_scan(rho,
-                                                     bloch_resolution=args.resolution)
+    _, best, coarse = violation_search.state_scan(rho, bloch_resolution=args.resolution)
     writer = csv.writer(sys.stdout)
     writer.writerow(["theta_deg", "phi_deg", "max_lhs"])
     for theta, phi, value in coarse:
         writer.writerow([float(np.rad2deg(theta)), float(np.rad2deg(phi)),
                          float(value)])
-    print(f"refined best lhs: {refined!r}", file=sys.stderr)
+    # Scripts parse this stderr label.
+    print(f"refined best lhs: {best!r}", file=sys.stderr)
     return 0
 
 
@@ -254,7 +254,7 @@ def build_parser() -> argparse.ArgumentParser:
                             help="single-photon probability")
     experiment.add_argument("--eta-bob", type=_finite_float, required=True)
     experiment.add_argument("--eta-alice", type=_finite_float, default=None)
-    experiment.add_argument("--mc", type=int, default=None,
+    experiment.add_argument("--mc", type=_positive_int, default=None,
                             help="Monte Carlo sample count (analytic if omitted)")
     experiment.add_argument("--seed", type=_nonnegative_int, default=0)
     experiment.add_argument("--tol", type=_finite_float, default=VERDICT_TOL)

@@ -106,9 +106,11 @@ def lp_feasibility(A, b, *, tol: float = 1e-9):
     pivots minimise their sum. Returns (feasible, x, residuals), where
     residuals[i] is the absolute infeasibility left in row i at the phase-1
     optimum and ``x`` is the phase-1 point (its real variables) whether or
-    not the tolerance test passes. A malformed or non-finite ``A`` or ``b``
-    raises ``ValueError``.
+    not the tolerance test passes. A malformed or non-finite ``A`` or ``b``,
+    or a negative or non-finite ``tol``, raises ``ValueError``.
     """
+    if not (np.isfinite(tol) and tol >= 0.0):
+        raise ValueError(f"tol must be finite and >= 0, got {tol}")
     A = np.ascontiguousarray(A, dtype=float)
     b = np.asarray(b, dtype=float)
     if A.ndim != 2:

@@ -7,9 +7,11 @@ correlators (cos a, cos a', sin a, sin a'), and the witness value depends on
 
     lhs = sqrt(2 + 2 cos(a - a')) + sqrt(2 - 2 cos(a - a')),
 
-peaking at 2*sqrt(2) when the difference is a quarter turn. ``state_scan``
-drops the closed form and greedily optimises the two Alice Bloch directions
-for an arbitrary two-qubit state, with Bob fixed to the z/x pair.
+peaking at 2*sqrt(2) when the difference is a quarter turn. For an arbitrary
+two-qubit state with Bob fixed to the z/x pair, ``state_scan`` tabulates the
+witness on a Bloch grid of Alice direction pairs and returns the exact
+maximum, 2 ||M||_F for the 2 x 3 correlation block M, attained on the pair
+built from the singular value decomposition of M.
 """
 
 from __future__ import annotations
@@ -19,9 +21,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .correlation_model import CorrelationSet
-from .steering_witness import steering_lhs_array
-
-GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
 
 
 @dataclass(frozen=True)
@@ -59,49 +58,6 @@ def closed_form_lhs(angles: AliceAngles) -> float:
     """Witness left-hand side as a function of the angle difference alone."""
     c = np.cos(angles.alpha - angles.alpha_prime)
     return float(np.sqrt(2.0 + 2.0 * c) + np.sqrt(2.0 - 2.0 * c))
-
-
-def _pipeline_lhs(alpha, alpha_prime):
-    return steering_lhs_array(angle_correlations_array(alpha, alpha_prime))
-
-
-def maximize_over_angles(resolution: int = 360):
-    """Maximise the witness over (alpha, alpha') by grid plus refinement.
-
-    The coarse grid locates the best cell (first maximum wins on ties); a
-    golden-section pass over the angle difference, which the invariance test
-    shows is the only direction that matters, polishes the value. Returns the
-    maximising ``AliceAngles`` and the value.
-    """
-    if resolution < 8:
-        raise ValueError(f"resolution must be at least 8, got {resolution}")
-    grid = 2.0 * np.pi * np.arange(resolution) / resolution
-    values = _pipeline_lhs(grid[:, None], grid[None, :])
-    flat_best = int(np.argmax(values))
-    i, j = divmod(flat_best, resolution)
-    alpha0 = float(grid[i])
-    delta0 = float(grid[i] - grid[j])
-
-    step = 2.0 * np.pi / resolution
-    lo, hi = delta0 - step, delta0 + step
-    x1 = hi - GOLDEN * (hi - lo)
-    x2 = lo + GOLDEN * (hi - lo)
-    f1 = float(_pipeline_lhs(alpha0, alpha0 - x1))
-    f2 = float(_pipeline_lhs(alpha0, alpha0 - x2))
-    for _ in range(200):
-        if f1 < f2:
-            lo, x1, f1 = x1, x2, f2
-            x2 = lo + GOLDEN * (hi - lo)
-            f2 = float(_pipeline_lhs(alpha0, alpha0 - x2))
-        else:
-            hi, x2, f2 = x2, x1, f1
-            x1 = hi - GOLDEN * (hi - lo)
-            f1 = float(_pipeline_lhs(alpha0, alpha0 - x1))
-        if hi - lo < 1e-13:
-            break
-    delta = 0.5 * (lo + hi)
-    best = AliceAngles(alpha0, alpha0 - delta)
-    return best, float(_pipeline_lhs(best.alpha, best.alpha_prime))
 
 
 # ---------------------------------------------------------------------------
@@ -143,16 +99,21 @@ def _scan_lhs(cols, n1, n2):
             + np.hypot(minus[..., 0], minus[..., 1]))
 
 
-def state_scan(rho: np.ndarray, bloch_resolution: int = 24,
-               refine_rounds: int = 60):
+def state_scan(rho: np.ndarray, bloch_resolution: int = 24):
     """Maximise the witness over Alice's two Bloch directions.
 
-    Bob is fixed to the mutually unbiased z/x pair. A full four-angle grid of
-    ``bloch_resolution`` points per angle seeds a deterministic shrinking
-    local grid search (first maximum wins on ties). Returns the best
-    ``CorrelationSet``, its witness value and the coarse grid as a
-    (``bloch_resolution``**2, 3) array: the polar and azimuthal angle of each
-    first direction, in radians, and its maximum over the second direction.
+    Bob is fixed to the mutually unbiased z/x pair, so for Alice's unit
+    directions n1, n2 the witness is |M(n1 + n2)| + |M(n1 - n2)| with M the
+    2 x 3 correlation block. The sum s = n1 + n2 and difference d = n1 - n2
+    are orthogonal with |s|^2 + |d|^2 = 4, so the witness is at most
+    2 sqrt(s1^2 + s2^2) = 2 ||M||_F for the singular values s1 >= s2 of M
+    (Ky Fan, then Cauchy-Schwarz). The bound is attained at s = 2 cos(t) v1,
+    d = 2 sin(t) v2 with tan(t) = s2 / s1 and v1, v2 the right singular
+    vectors. Returns that pair's ``CorrelationSet``, its witness value and the
+    coarse grid of ``bloch_resolution`` polar by ``bloch_resolution``
+    azimuthal first directions as a (``bloch_resolution``**2, 3) array: the
+    polar and azimuthal angle of each, in radians, and its maximum over the
+    second direction on the same grid.
     """
     if bloch_resolution < 4:
         raise ValueError("bloch_resolution must be at least 4")
@@ -162,34 +123,15 @@ def state_scan(rho: np.ndarray, bloch_resolution: int = 24,
     phis = 2.0 * np.pi * np.arange(bloch_resolution) / bloch_resolution
     tt, pp = np.meshgrid(thetas, phis, indexing="ij")
     dirs = _directions(tt.ravel(), pp.ravel())
-    count = dirs.shape[0]
-
     values = _scan_lhs(cols, dirs[:, None, :], dirs[None, :, :])
     coarse = np.stack([tt.ravel(), pp.ravel(), values.max(axis=1)], axis=-1)
-    flat_best = int(np.argmax(values))
-    i, j = divmod(flat_best, count)
-    params = np.array([tt.ravel()[i], pp.ravel()[i],
-                       tt.ravel()[j], pp.ravel()[j]])
-    best = float(values[i, j])
 
-    step = np.pi / bloch_resolution
-    offsets = np.array(np.meshgrid(*([[-1.0, 0.0, 1.0]] * 4),
-                                   indexing="ij")).reshape(4, -1).T
-    for _ in range(refine_rounds):
-        trial = params[None, :] + step * offsets
-        n1 = _directions(trial[:, 0], trial[:, 1])
-        n2 = _directions(trial[:, 2], trial[:, 3])
-        vals = _scan_lhs(cols, n1, n2)
-        k = int(np.argmax(vals))
-        if vals[k] > best:
-            best = float(vals[k])
-            params = trial[k]
-        step *= 0.5
-
-    n1 = _directions(params[0], params[1])
-    n2 = _directions(params[2], params[3])
+    _, singular, vt = np.linalg.svd(cols.T)
+    t = np.arctan2(singular[1], singular[0])
+    n1 = np.cos(t) * vt[0] + np.sin(t) * vt[1]
+    n2 = np.cos(t) * vt[0] - np.sin(t) * vt[1]
     a1 = n1 @ cols
     a2 = n2 @ cols
     correlations = CorrelationSet(ab=float(a1[0]), apb=float(a2[0]),
                                   abp=float(a1[1]), apbp=float(a2[1]))
-    return correlations, best, coarse
+    return correlations, float(_scan_lhs(cols, n1, n2)), coarse

@@ -160,6 +160,11 @@ class TestExperiment:
         assert out == ""
         assert err.startswith("error:") and err.count("\n") == 1
 
+    def test_monte_carlo_count_error_names_the_flag(self, capsys):
+        _, _, err = run_cli(capsys, "experiment", "--theta", "22.5", "--p1", "1.0",
+                            "--eta-bob", "0.85", "--mc", "0")
+        assert err == "error: argument --mc: not a positive integer: '0'\n"
+
     def test_missing_model_arguments(self, capsys):
         code, _, err = run_cli(capsys, "experiment", "--eta-bob", "0.85")
         assert code == 1

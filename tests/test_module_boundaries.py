@@ -1,6 +1,8 @@
-"""No package module reads a ``_``-prefixed name from another package module."""
+"""No package module reads a ``_``-prefixed name from another package module,
+and the package exports exactly the public names its ``__init__`` imports."""
 
 import ast
+import importlib
 from pathlib import Path
 
 import pytest
@@ -61,3 +63,13 @@ def test_checker_finds_each_form():
 @pytest.mark.parametrize("path", sorted(SOURCE.glob("*.py")), ids=lambda p: p.name)
 def test_module_reads_no_private_name_of_another(path):
     assert private_reads(path.read_text(encoding="utf-8")) == []
+
+
+def test_exports_match_imports():
+    package = importlib.import_module(PACKAGE)
+    tree = ast.parse((SOURCE / "__init__.py").read_text(encoding="utf-8"))
+    imported = {alias.asname or alias.name for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom) for alias in node.names}
+    public = {name for name in imported if not name.startswith("_")}
+    assert [name for name in package.__all__ if not hasattr(package, name)] == []
+    assert sorted(public - set(package.__all__)) == []

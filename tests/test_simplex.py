@@ -105,6 +105,10 @@ class TestFeasibility:
         assert feasible
         feasible, _, _ = lp_feasibility(A, np.array([-1e-6]), tol=1e-9)
         assert not feasible
+        # A negative or non-finite tolerance would call this feasible system infeasible.
+        for tol in (-1.0, -1e-12, np.nan, np.inf):
+            with pytest.raises(ValueError, match="tol"):
+                lp_feasibility(A, np.array([1.0]), tol=tol)
 
     def test_shape_validation(self):
         with pytest.raises(ValueError):

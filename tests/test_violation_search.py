@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from chsh_steering.correlation_model import CorrelationSet
+from chsh_steering.homodyne_experiment import SinglePhotonState, state_density
 from chsh_steering.lhs_oracle import MEMBER, lp_membership
 from chsh_steering.qubit_core import (
     maximally_entangled,
@@ -10,12 +11,14 @@ from chsh_steering.qubit_core import (
 )
 from chsh_steering.steering_witness import steering_inequality, steering_lhs_array
 from chsh_steering.violation_search import (
+    _correlation_tensor_columns,
+    _directions,
+    _scan_lhs,
     AliceAngles,
     alice_projector,
     angle_correlations,
     angle_correlations_array,
     closed_form_lhs,
-    maximize_over_angles,
     state_scan,
 )
 
@@ -75,12 +78,6 @@ class TestClosedForm:
 
 
 class TestMaximize:
-    def test_finds_quantum_maximum(self):
-        angles, value = maximize_over_angles(360)
-        assert value == pytest.approx(2.0 * np.sqrt(2.0), abs=1e-9)
-        delta = (angles.alpha - angles.alpha_prime) % np.pi
-        assert delta == pytest.approx(np.pi / 2.0, abs=2.0 * np.pi / 360)
-
     def test_shift_invariance(self):
         rng = np.random.Generator(np.random.Philox(53))
         base = AliceAngles(0.4, 0.4 - np.pi / 2.0)
@@ -89,10 +86,6 @@ class TestMaximize:
             shifted = AliceAngles(base.alpha + shift, base.alpha_prime + shift)
             value, _ = steering_inequality(angle_correlations(shifted))
             assert abs(value - reference) <= 1e-12
-
-    def test_resolution_validation(self):
-        with pytest.raises(ValueError):
-            maximize_over_angles(4)
 
 
 class TestStateScan:
@@ -119,7 +112,6 @@ class TestStateScan:
     def test_mixture_bounded_by_component_scans(self):
         # Witness value is convex in the state, so a mixture can never beat
         # the weighted best of its parts.
-        from chsh_steering.homodyne_experiment import SinglePhotonState, state_density
         pure = state_density(SinglePhotonState(np.deg2rad(22.5), 1.0))
         vacuum = state_density(SinglePhotonState(np.deg2rad(22.5), 0.0))
         for p1 in (0.2, 0.5, 0.8):
@@ -145,3 +137,128 @@ class TestStateScan:
     def test_resolution_validation(self):
         with pytest.raises(ValueError):
             state_scan(maximally_entangled(), bloch_resolution=2)
+
+
+PAULIS = np.array([[[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]])
+
+
+def _random_mixed_state(rng):
+    g = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+    rho = g @ g.conj().T
+    return rho / np.trace(rho).real
+
+
+def _lossy_split_photon(rng):
+    theta = rng.uniform(0.0, np.pi / 4.0)
+    return state_density(SinglePhotonState(theta, rng.uniform(0.5, 1.0)))
+
+
+def _test_states():
+    rng = np.random.Generator(np.random.Philox(71))
+    return ([_random_mixed_state(rng) for _ in range(8)]
+            + [_lossy_split_photon(rng) for _ in range(8)])
+
+
+def _reference_search(rho, bloch_resolution):
+    """The shrinking local search ``state_scan`` ran before the closed form.
+
+    The best pair of the full four-angle Bloch grid seeds 60 rounds over the
+    81 neighbours at steps pi/resolution, halved each round; returns the best
+    witness value found.
+    """
+    cols = _correlation_tensor_columns(rho)
+    thetas = np.linspace(0.0, np.pi, bloch_resolution)
+    phis = 2.0 * np.pi * np.arange(bloch_resolution) / bloch_resolution
+    tt, pp = np.meshgrid(thetas, phis, indexing="ij")
+    dirs = _directions(tt.ravel(), pp.ravel())
+    values = _scan_lhs(cols, dirs[:, None, :], dirs[None, :, :])
+    i, j = divmod(int(np.argmax(values)), dirs.shape[0])
+    params = np.array([tt.ravel()[i], pp.ravel()[i],
+                       tt.ravel()[j], pp.ravel()[j]])
+    best = float(values[i, j])
+
+    step = np.pi / bloch_resolution
+    offsets = np.array(np.meshgrid(*([[-1.0, 0.0, 1.0]] * 4),
+                                   indexing="ij")).reshape(4, -1).T
+    for _ in range(60):
+        trial = params[None, :] + step * offsets
+        vals = _scan_lhs(cols, _directions(trial[:, 0], trial[:, 1]),
+                         _directions(trial[:, 2], trial[:, 3]))
+        k = int(np.argmax(vals))
+        if vals[k] > best:
+            best = float(vals[k])
+            params = trial[k]
+        step *= 0.5
+    return best
+
+
+def _correlation_matrix(rho):
+    """T_kl = Tr[rho s_k x s_l] over the three Pauli matrices on each side."""
+    return np.array([[np.trace(rho @ np.kron(sk, sl)).real for sl in PAULIS]
+                     for sk in PAULIS])
+
+
+class TestClosedFormStateScan:
+    @pytest.mark.parametrize("index", range(16))
+    def test_value_is_twice_frobenius_norm(self, index):
+        rho = _test_states()[index]
+        best, value, coarse = state_scan(rho, bloch_resolution=12)
+        norm = np.linalg.norm(_correlation_tensor_columns(rho))
+        assert abs(value - 2.0 * norm) <= 1e-12
+        assert abs(steering_inequality(best)[0] - value) <= 1e-12
+        assert value >= coarse[:, 2].max() - 1e-12
+        assert value >= _reference_search(rho, 12) - 1e-12
+
+    def test_rank_zero_block(self):
+        best, value, coarse = state_scan(np.eye(4) / 4.0, bloch_resolution=8)
+        assert value == 0.0
+        assert np.array_equal(best.as_array(), np.zeros(4))
+        assert np.array_equal(coarse[:, 2], np.zeros(64))
+
+    def test_rank_one_block_gives_unit_directions(self):
+        # For pure product states M = (b_z, b_x)^T a^T, so M n = (b_z, b_x) (a.n)
+        # and the correlators are +-(b_z, b_x) exactly when n = +-a is a unit vector.
+        rng = np.random.Generator(np.random.Philox(73))
+        for _ in range(10):
+            a, b = rng.normal(size=(2, 3))
+            a /= np.linalg.norm(a)
+            b /= np.linalg.norm(b)
+            rho_a = 0.5 * (np.eye(2) + np.einsum("k,kij->ij", a, PAULIS))
+            rho_b = 0.5 * (np.eye(2) + np.einsum("k,kij->ij", b, PAULIS))
+            best, value, _ = state_scan(np.kron(rho_a, rho_b), bloch_resolution=8)
+            c = best.as_array()
+            bob = np.array([b[2], b[2], b[0], b[0]])
+            assert np.abs(np.abs(c) - np.abs(bob)).max() <= 1e-12
+            assert abs(value - 2.0 * np.hypot(b[2], b[0])) <= 1e-12
+            assert value <= 2.0 + 1e-12
+
+    def test_frobenius_norm_above_one_is_violation(self):
+        # Werner states: M has singular values (p, p), so ||M||_F = p sqrt 2.
+        werners = [p * maximally_entangled() + (1.0 - p) * np.eye(4) / 4.0
+                   for p in (0.5, 0.7, 0.71, 0.72, 0.8, 1.0)]
+        for rho in werners + _test_states():
+            best, _, _ = state_scan(rho, bloch_resolution=8)
+            lhs, bound = steering_inequality(best)
+            norm = np.linalg.norm(_correlation_tensor_columns(rho))
+            assert (norm > 1.0) == (lhs > bound)
+
+    @pytest.mark.parametrize("index", range(16))
+    def test_horodecki_maximum_over_bob_pairs(self, index):
+        # Rotating Bob's qubit so that his z/x pair becomes the top two right
+        # singular vectors of T gives 2 sqrt(t1^2 + t2^2), the Horodecki CHSH
+        # maximum; any other orthonormal Bob pair gives no more.
+        rho = _test_states()[index]
+        _, t, wt = np.linalg.svd(_correlation_matrix(rho))
+        horodecki = 2.0 * np.hypot(t[0], t[1])
+        rng = np.random.Generator(np.random.Philox(79 + index))
+        pairs = [(wt[0], wt[1])] + [tuple(np.linalg.qr(rng.normal(size=(3, 3)))[0].T[:2])
+                                    for _ in range(4)]
+        for k, (bz, bx) in enumerate(pairs):
+            # V sigma_z V^+ = bz.sigma and V sigma_x V^+ = bx.sigma.
+            plus = np.linalg.eigh(np.einsum("k,kij->ij", bz, PAULIS))[1][:, 1]
+            v = np.stack([plus, np.einsum("k,kij->ij", bx, PAULIS) @ plus], axis=1)
+            bob = np.kron(np.eye(2), v)
+            _, value, _ = state_scan(bob.conj().T @ rho @ bob, bloch_resolution=4)
+            if k == 0:
+                assert abs(value - horodecki) <= 1e-12
+            assert value <= horodecki + 1e-12

@@ -187,25 +187,24 @@ def cmd_ellipse(args) -> int:
     return 0
 
 
-def _finite_float(text: str) -> float:
-    value = float(text)
-    if not math.isfinite(value):
-        raise argparse.ArgumentTypeError(f"not a finite number: {text!r}")
-    return value
+def _flag_type(convert, accept, what: str):
+    """Argument type: ``convert(text)`` when that succeeds and passes
+    ``accept``, else a usage error naming the text, e.g. ``not a positive
+    integer: '1.5'`` (argparse would name this function instead)."""
+    def parse(text: str):
+        try:
+            value = convert(text)
+        except ValueError:
+            value = None
+        if value is None or not accept(value):
+            raise argparse.ArgumentTypeError(f"not {what}: {text!r}")
+        return value
+    return parse
 
 
-def _positive_int(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"not a positive integer: {text!r}")
-    return value
-
-
-def _nonnegative_int(text: str) -> int:
-    value = int(text)
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"not a non-negative integer: {text!r}")
-    return value
+_finite_float = _flag_type(float, math.isfinite, "a finite number")
+_positive_int = _flag_type(int, lambda n: n >= 1, "a positive integer")
+_nonnegative_int = _flag_type(int, lambda n: n >= 0, "a non-negative integer")
 
 
 class _ArgumentParser(argparse.ArgumentParser):

@@ -199,22 +199,12 @@ def matrix_from_correlations(c: CorrelationSet,
 
 def to_e_basis(c: CorrelationSet) -> EBasisVector:
     """Coefficients of the correlator vector in the rotated basis."""
-    return EBasisVector(
-        v1=0.5 * (c.ab + c.apb),
-        v2=0.5 * (c.abp + c.apbp),
-        v3=0.5 * (c.ab - c.apb),
-        v4=0.5 * (c.abp - c.apbp),
-    )
+    return EBasisVector(*to_e_basis_array(c.as_array()).tolist())
 
 
 def from_e_basis(v: EBasisVector) -> CorrelationSet:
     """Inverse of ``to_e_basis``; exact round trip."""
-    return CorrelationSet(
-        ab=v.v1 + v.v3,
-        apb=v.v1 - v.v3,
-        abp=v.v2 + v.v4,
-        apbp=v.v2 - v.v4,
-    )
+    return CorrelationSet(*from_e_basis_array(v.as_array()).tolist())
 
 
 def to_e_basis_array(c: np.ndarray) -> np.ndarray:
@@ -244,11 +234,7 @@ def extremal_correlations(chi: int, xi: float) -> CorrelationSet:
     Bob's two measurements are mutually unbiased and ``xi`` parametrises his
     pure state on the resulting probability circle.
     """
-    if chi not in ALICE_SIGNS:
-        raise ValueError(f"chi must be one of 1..4, got {chi}")
-    sa, sap = ALICE_SIGNS[chi]
-    cos, sin = np.cos(xi), np.sin(xi)
-    return CorrelationSet(ab=sa * cos, apb=sap * cos, abp=sa * sin, apbp=sap * sin)
+    return CorrelationSet(*extremal_correlations_array(chi, xi).tolist())
 
 
 def extremal_correlations_array(chi: int, xi: np.ndarray) -> np.ndarray:

@@ -22,6 +22,7 @@ widened envelope exp(-eta x^2 / 2) and the coefficient polynomial used in
 
 from __future__ import annotations
 
+import math
 import os
 import threading
 from dataclasses import dataclass
@@ -318,6 +319,13 @@ def _pair_sampler_arrays(rho: np.ndarray, sa: HomodyneSetting,
     return grid, cdf_a, _guide_table(cdf_a), coef, cum_b
 
 
+def _pair_grid(sa: HomodyneSetting, sb: HomodyneSetting) -> tuple[int, float]:
+    """Cell count and span of one pair's grid, by the rule that
+    ``monte_carlo_correlations`` states; exactly the defaults at eta >= 0.5."""
+    scale = math.sqrt(max(1.0, 0.5 / min(sa.eta, sb.eta)))
+    return 2 * math.ceil(DEFAULT_GRID_CELLS * scale / 2), DEFAULT_SPAN * scale
+
+
 def _guide_table(cdf: np.ndarray) -> np.ndarray:
     """Index of the last knot ``j`` with ``cdf[j] <= i / B``, for ``i = 0 ..
     B`` with ``B = _GUIDE_BUCKETS`` (Chen & Asau's guide table for an inverse
@@ -418,29 +426,31 @@ def _count_positive(arrays, seed: np.random.SeedSequence, n_samples: int) -> int
 
 def monte_carlo_correlations(state: SinglePhotonState,
                              settings: ExperimentSettings,
-                             n_samples: int, seed: int,
-                             grid_cells: int = DEFAULT_GRID_CELLS,
-                             span: float = DEFAULT_SPAN) -> MonteCarloCorrelations:
+                             n_samples: int, seed: int) -> MonteCarloCorrelations:
     """Estimate the four correlators by sampling quadrature outcome pairs.
 
     Per setting pair, the first outcome is drawn from its marginal and the
     second from the exact conditional given the first, both by inverse CDF on
     the quadrature grid; the correlator is the mean sign product, so only the
-    sign of the second outcome is resolved. The x inverse CDF starts from a
-    guide table of uniform buckets and searches only the uniforms whose
-    bucket holds a knot. Streams are counter-based (Philox) and spawned per
-    pair, so results are reproducible for a fixed seed and the per-pair
-    sampling is a pure elementwise map of its uniforms (shards over sample
-    ranges merge deterministically). The pairs are sampled concurrently on a
-    process-wide thread pool with one thread per core in this process's CPU
-    affinity, at most four; each pair's exact count of +1 products does not
-    depend on the scheduling, so neither does the result.
+    sign of the second outcome is resolved. The grid spans ``DEFAULT_SPAN``
+    times ``scale = sqrt(max(1, 0.5 / min(eta_a, eta_b)))`` on each side, in
+    ``2 ceil(DEFAULT_GRID_CELLS scale / 2)`` cells: below eta 0.5 it widens
+    with the outcome envelope, whose width is 1 / sqrt(eta), at the same cell
+    width, so the truncated tails stay at their eta 0.5 size. The x inverse
+    CDF starts from a guide table of uniform buckets and searches only the
+    uniforms whose bucket holds a knot. Streams are counter-based (Philox) and
+    spawned per pair, so results are reproducible for a fixed seed and the
+    per-pair sampling is a pure elementwise map of its uniforms (shards over
+    sample ranges merge deterministically). The pairs are sampled concurrently
+    on a process-wide thread pool with one thread per core in this process's
+    CPU affinity, at most four; each pair's exact count of +1 products does
+    not depend on the scheduling, so neither does the result.
     """
     if n_samples < 1:
         raise ValueError("n_samples must be at least 1")
     rho = state_density(state)
     children = np.random.SeedSequence(seed).spawn(4)
-    tables = [_pair_sampler_arrays(rho, sa, sb, grid_cells, span)
+    tables = [_pair_sampler_arrays(rho, sa, sb, *_pair_grid(sa, sb))
               for sa, sb in settings.pairs()]
     counts = _pair_pool().map(_count_positive, tables, children,
                               [n_samples] * 4)

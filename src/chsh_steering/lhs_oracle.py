@@ -158,13 +158,6 @@ class MembershipResult:
         }
 
 
-def _membership_constraints(grid_n: int):
-    atoms = atom_matrix(grid_n)
-    n_atoms = atoms.shape[1]
-    A = np.vstack([atoms, np.ones((1, n_atoms))])
-    return np.ascontiguousarray(A)
-
-
 def _classify(feasible, f, band):
     if abs(f - 1.0) <= band:
         return BOUNDARY_BAND
@@ -193,7 +186,10 @@ def lp_membership_batch(points: np.ndarray, grid_n: int = 2048,
         raise ValueError(f"points must have shape (N, 4), got {points.shape}")
     if not (np.isfinite(tol) and tol >= 0.0):
         raise ValueError(f"LP tolerance must be finite and >= 0, got {tol}")
-    A = _membership_constraints(grid_n)
+    atoms = atom_matrix(grid_n)
+    # vstack keeps the transposed atoms' Fortran order; lp_feasibility would
+    # copy a non-contiguous A for every point.
+    A = np.ascontiguousarray(np.vstack([atoms, np.ones((1, atoms.shape[1]))]))
     band = float(boundary_band(grid_n))
     f_values = f_value_array(correlation_model.to_e_basis_array(points))
     results = []

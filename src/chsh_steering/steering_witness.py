@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .correlation_model import CorrelationSet, EBasisVector, to_e_basis
+from .correlation_model import CorrelationSet, EBasisVector, to_e_basis, to_e_basis_array
 
 STEERING_BOUND = 2.0
 CHSH_BOUND = 2.0
@@ -52,7 +52,7 @@ PAIR_INDICES = ((0, 3), (1, 2), (0, 2), (1, 3))
 
 def f_value(v: EBasisVector) -> float:
     """Convex membership functional in the rotated basis."""
-    return float(np.hypot(v.v1, v.v2) + np.hypot(v.v3, v.v4))
+    return f_value_array(v.as_array()).item()
 
 
 def f_value_array(v: np.ndarray) -> np.ndarray:
@@ -67,13 +67,9 @@ def steering_inequality(c: CorrelationSet):
 
 
 def steering_lhs_array(c: np.ndarray) -> np.ndarray:
-    """Vectorised steering left-hand side; equals twice ``f_value``."""
-    c = np.asarray(c, dtype=float)
-    plus_b = c[..., 0] + c[..., 1]
-    plus_bp = c[..., 2] + c[..., 3]
-    minus_b = c[..., 0] - c[..., 1]
-    minus_bp = c[..., 2] - c[..., 3]
-    return np.hypot(plus_b, plus_bp) + np.hypot(minus_b, minus_bp)
+    """Vectorised steering left-hand side; twice ``f_value`` in the rotated
+    basis."""
+    return 2.0 * f_value_array(to_e_basis_array(c))
 
 
 def chsh_values(c: CorrelationSet) -> tuple[float, ...]:
@@ -165,7 +161,7 @@ class WitnessReport:
 def full_report(c: CorrelationSet, tol: float = VERDICT_TOL) -> WitnessReport:
     """Evaluate every inequality for one correlation set."""
     fv = f_value(to_e_basis(c))
-    lhs, bound = steering_inequality(c)
+    lhs, bound = 2.0 * fv, STEERING_BOUND
     chsh = chsh_values(c)
     pairs = pair_inequalities(c)
     return WitnessReport(

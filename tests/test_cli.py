@@ -1,11 +1,13 @@
 import json
 import math
+import os
 import subprocess
 import sys
 
 import numpy as np
 import pytest
 
+import chsh_steering
 from chsh_steering.cli import main
 from chsh_steering.qubit_core import ellipse_hull_excess
 
@@ -254,6 +256,7 @@ class TestRejectedInput:
         assert code == 1
         assert out == ""
         assert err.startswith("error:") and err.count("\n") == 1
+        assert "invalid _" not in err
 
     def test_scan_state_resolution_checked_before_output(self, capsys, tmp_path):
         path = tmp_path / "state.json"
@@ -300,15 +303,22 @@ class TestRejectedInput:
         ("oracle", "check", "--grid", "64", "--samples", "20", "--seed", "-1"),
         ("experiment", "--theta", "22.5", "--p1", "0.9", "--eta-bob", "0.85",
          "--mc", "10", "--seed", "-1"),
+        ("ellipse", "--mu", "0.5", "--n", "1.5"),
+        ("experiment", "--theta", "22.5", "--p1", "0.9", "--eta-bob", "0.85",
+         "--mc", "abc"),
+        ("oracle", "check", "--grid", "64", "--samples", "20", "--seed", "x"),
     ])
     def test_out_of_range_flag(self, capsys, argv):
         self.assert_rejected(*run_cli(capsys, *argv))
 
 
 def test_console_entry_point_runs():
+    # The child finds the package where this process did, installed or not.
+    package_root = os.path.dirname(os.path.dirname(chsh_steering.__file__))
+    path = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "chsh_steering.cli", "experiment",
          "--reported-s", "1.330", "--eta-bob", "0.85"],
-        capture_output=True, text=True)
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=path))
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["verdict"] == "no_steering"

@@ -67,6 +67,8 @@ def check_run(code, out, err, *, non_finite_input, output):
     if code == 1:
         assert out == ""
         assert err.startswith("error:") and err.count("\n") == 1
+        # A bad flag value is named, not the private parser that refused it.
+        assert "invalid _" not in err
         return
     if output == "json":
         json.loads(out, parse_constant=_reject_constant)

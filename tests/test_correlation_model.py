@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from chsh_steering.correlation_model import (
+    ALICE_SIGNS,
     ConstraintError,
     CorrelationSet,
     EBasisVector,
@@ -21,6 +22,12 @@ from chsh_steering.correlation_model import (
 
 correlator = st.floats(min_value=-1.0, max_value=1.0)
 angle = st.floats(min_value=0.0, max_value=2.0 * np.pi)
+_SCALES = pytest.mark.parametrize("scale", [1.0, 1e-3, 1e-150])
+
+
+def _seeded_correlators(scale, n=2000):
+    rng = np.random.Generator(np.random.Philox(89))
+    return rng.uniform(-1.0, 1.0, size=(n, 4)) * scale
 
 
 def brute_force_correlator(matrix, ia, ib):
@@ -177,6 +184,28 @@ class TestEBasis:
         parts = lam * to_e_basis_array(c1) + (1.0 - lam) * to_e_basis_array(c2)
         assert np.abs(mixed - parts).max() <= 1e-14
 
+    @staticmethod
+    def _reference_to_e_basis(c: CorrelationSet) -> EBasisVector:
+        return EBasisVector(
+            v1=0.5 * (c.ab + c.apb),
+            v2=0.5 * (c.abp + c.apbp),
+            v3=0.5 * (c.ab - c.apb),
+            v4=0.5 * (c.abp - c.apbp),
+        )
+
+    @staticmethod
+    def _reference_from_e_basis(v: EBasisVector) -> CorrelationSet:
+        return CorrelationSet(ab=v.v1 + v.v3, apb=v.v1 - v.v3,
+                              abp=v.v2 + v.v4, apbp=v.v2 - v.v4)
+
+    @_SCALES
+    def test_bitwise_equal_to_scalar_reference(self, scale):
+        for row in _seeded_correlators(scale):
+            c = CorrelationSet(*row)
+            v = to_e_basis(c)
+            assert v == self._reference_to_e_basis(c)
+            assert from_e_basis(v) == self._reference_from_e_basis(v)
+
 
 class TestExtremalCorrelations:
     def test_chi1_quarter(self):
@@ -206,6 +235,25 @@ class TestExtremalCorrelations:
         dead = arr[2:] if chi == 1 else arr[:2]
         assert np.abs(dead).max() <= 1e-15
         assert np.hypot(*live) == pytest.approx(1.0, abs=1e-12)
+
+    @staticmethod
+    def _reference_extremal(chi: int, xi: float) -> CorrelationSet:
+        sa, sap = ALICE_SIGNS[chi]
+        cos, sin = np.cos(xi), np.sin(xi)
+        return CorrelationSet(ab=sa * cos, apb=sap * cos, abp=sa * sin,
+                              apbp=sap * sin)
+
+    @_SCALES
+    def test_bitwise_equal_to_scalar_reference(self, scale):
+        xis = _seeded_correlators(scale, n=500).ravel() * np.pi
+        for chi in ALICE_SIGNS:
+            for xi in xis:
+                assert (extremal_correlations(chi, float(xi))
+                        == self._reference_extremal(chi, float(xi)))
+
+    def test_rejects_unknown_strategy(self):
+        with pytest.raises(ValueError, match="chi must be one of 1..4"):
+            extremal_correlations(5, 0.0)
 
 
 class TestReconstruction:

@@ -8,6 +8,8 @@ from scipy.integrate import quad
 
 from chsh_steering.homodyne_experiment import (
     BOB_PHASES,
+    DEFAULT_GRID_CELLS,
+    DEFAULT_SPAN,
     HomodyneSetting,
     NO_STEERING,
     STEERING,
@@ -25,6 +27,7 @@ from chsh_steering.homodyne_experiment import (
     state_density,
     _GUIDE_BUCKETS,
     _MC_BLOCK,
+    _pair_grid,
     _pair_sampler_arrays,
     _positive_products,
 )
@@ -268,6 +271,38 @@ class TestMonteCarlo:
             estimates[run] = mc.correlations.as_array()
         combined_se = np.sqrt((1.0 - analytic ** 2) / (n_runs * n_samples))
         assert np.abs(estimates.mean(axis=0) - analytic).max() <= 5.0 * combined_se.max()
+
+    @pytest.mark.parametrize("eta_alice, eta_bob", [
+        (0.02, 0.02), (0.05, 0.05), (0.1, 0.1), (0.3, 0.3),
+        (1.0, 0.05), (0.05, 1.0)])
+    def test_unbiased_at_low_efficiency(self, eta_alice, eta_bob):
+        # The outcome envelope's width grows as 1 / sqrt(eta). On a grid of
+        # fixed span the lost tails pulled these correlators 6 to 28 sigma
+        # toward 0 at 1e6 samples.
+        state = SinglePhotonState(np.deg2rad(22.5), 1.0)
+        analytic = experiment_correlations(state, eta_alice, eta_bob).as_array()
+        mc = monte_carlo_correlations(state, standard_settings(eta_alice, eta_bob),
+                                      1_000_000, seed=41)
+        pulls = (mc.correlations.as_array() - analytic) / np.array(mc.std_errors)
+        assert np.abs(pulls).max() <= 4.0
+
+    @pytest.mark.parametrize("eta_alice, eta_bob", [(0.5, 0.5), (1.0, 0.5),
+                                                    (0.5, 1.0), (0.85, 0.85)])
+    def test_default_grid_from_eta_one_half(self, eta_alice, eta_bob):
+        # The span only widens below eta 0.5, so results there keep their bytes.
+        for sa, sb in standard_settings(eta_alice, eta_bob).pairs():
+            assert _pair_grid(sa, sb) == (DEFAULT_GRID_CELLS, DEFAULT_SPAN)
+
+    @pytest.mark.parametrize("eta", [0.49, 0.3, 0.1, 0.05, 0.02, 1e-4])
+    def test_grid_widens_with_the_envelope(self, eta):
+        for low, high in ((eta, 1.0), (1.0, eta), (eta, eta)):
+            cells, span = _pair_grid(HomodyneSetting(0.0, low), HomodyneSetting(0.0, high))
+            assert cells % 2 == 0
+            # The span covers as many envelope widths as at eta 0.5, and the
+            # cell width is the default's up to the rounding to even cells.
+            assert span * math.sqrt(eta) == pytest.approx(DEFAULT_SPAN * math.sqrt(0.5))
+            assert span / cells == pytest.approx(DEFAULT_SPAN / DEFAULT_GRID_CELLS,
+                                                 rel=2.0 / DEFAULT_GRID_CELLS)
 
     def test_sample_count_validation(self):
         with pytest.raises(ValueError):

@@ -73,7 +73,37 @@ class TestSteeringInequality:
     def test_twice_f(self, ab, apb, abp, apbp):
         c = CorrelationSet(ab, apb, abp, apbp)
         lhs, _ = steering_inequality(c)
-        assert abs(lhs - 2.0 * f_value(to_e_basis(c))) <= 1e-12
+        assert lhs == 2.0 * f_value(to_e_basis(c))
+
+    @staticmethod
+    def _reference_lhs(c):
+        """The witness in raw correlators, as it was written before it went
+        through ``f_value_array``."""
+        plus_b = c[..., 0] + c[..., 1]
+        plus_bp = c[..., 2] + c[..., 3]
+        minus_b = c[..., 0] - c[..., 1]
+        minus_bp = c[..., 2] - c[..., 3]
+        return np.hypot(plus_b, plus_bp) + np.hypot(minus_b, minus_bp)
+
+    @staticmethod
+    def _reference_f(v: EBasisVector) -> float:
+        return float(np.hypot(v.v1, v.v2) + np.hypot(v.v3, v.v4))
+
+    @pytest.mark.parametrize("scale", [1.0, 1e-3, 1e-150])
+    def test_bitwise_equal_to_raw_correlator_reference(self, scale):
+        rng = np.random.Generator(np.random.Philox(73))
+        c = rng.uniform(-1.0, 1.0, size=(20000, 4)) * scale
+        assert np.array_equal(steering_lhs_array(c), self._reference_lhs(c))
+        for row in c[:500]:
+            correlations = CorrelationSet(*row)
+            lhs, _ = steering_inequality(correlations)
+            assert lhs == self._reference_lhs(row)
+            v = to_e_basis(correlations)
+            assert f_value(v) == self._reference_f(v)
+            report = full_report(correlations)
+            assert report.steering_lhs == lhs
+            assert report.f_value == f_value(v)
+            assert report.steering_lhs == 2.0 * report.f_value
 
 
 class TestChsh:

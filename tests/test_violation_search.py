@@ -48,6 +48,23 @@ class TestAngleCorrelations:
             ])
             assert np.abs(got - expected).max() <= 1e-12
 
+    @staticmethod
+    def _reference_angle_correlations(angles: AliceAngles) -> CorrelationSet:
+        return CorrelationSet(
+            ab=np.cos(angles.alpha),
+            apb=np.cos(angles.alpha_prime),
+            abp=np.sin(angles.alpha),
+            apbp=np.sin(angles.alpha_prime),
+        )
+
+    @pytest.mark.parametrize("scale", [1.0, 1e-3, 1e-150])
+    def test_bitwise_equal_to_scalar_reference(self, scale):
+        rng = np.random.Generator(np.random.Philox(97))
+        for a, ap in rng.uniform(-2.0 * np.pi, 2.0 * np.pi, size=(2000, 2)) * scale:
+            angles = AliceAngles(float(a), float(ap))
+            assert (angle_correlations(angles)
+                    == self._reference_angle_correlations(angles))
+
 
 class TestClosedForm:
     def test_quarter_turn_maximum(self):

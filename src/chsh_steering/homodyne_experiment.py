@@ -46,6 +46,9 @@ NO_STEERING = "no_steering"
 
 DEFAULT_GRID_CELLS = 4096
 DEFAULT_SPAN = 6.0
+# Smallest efficiency the Monte Carlo serves (1/8192): there a pair's grid
+# widens to 64 * DEFAULT_GRID_CELLS cells, about 10 MB of tables per pair.
+MIN_MC_ETA = 0.5 / 64 ** 2
 # Rows of uniforms drawn and mapped per step of the Monte Carlo loop; bounds
 # the working set (one block per setting pair in flight) without changing the
 # Philox stream or the result.
@@ -322,7 +325,11 @@ def _pair_sampler_arrays(rho: np.ndarray, sa: HomodyneSetting,
 def _pair_grid(sa: HomodyneSetting, sb: HomodyneSetting) -> tuple[int, float]:
     """Cell count and span of one pair's grid, by the rule that
     ``monte_carlo_correlations`` states; exactly the defaults at eta >= 0.5."""
-    scale = math.sqrt(max(1.0, 0.5 / min(sa.eta, sb.eta)))
+    eta = min(sa.eta, sb.eta)
+    if eta < MIN_MC_ETA:
+        raise ValueError(f"Monte Carlo needs eta >= {MIN_MC_ETA:g}, got {eta:g};"
+                         " the analytic correlators take any eta")
+    scale = math.sqrt(max(1.0, 0.5 / eta))
     return 2 * math.ceil(DEFAULT_GRID_CELLS * scale / 2), DEFAULT_SPAN * scale
 
 
@@ -436,9 +443,10 @@ def monte_carlo_correlations(state: SinglePhotonState,
     times ``scale = sqrt(max(1, 0.5 / min(eta_a, eta_b)))`` on each side, in
     ``2 ceil(DEFAULT_GRID_CELLS scale / 2)`` cells: below eta 0.5 it widens
     with the outcome envelope, whose width is 1 / sqrt(eta), at the same cell
-    width, so the truncated tails stay at their eta 0.5 size. The x inverse
-    CDF starts from a guide table of uniform buckets and searches only the
-    uniforms whose bucket holds a knot. Streams are counter-based (Philox) and
+    width, so the truncated tails stay at their eta 0.5 size. An efficiency
+    below ``MIN_MC_ETA`` (1/8192, where the grid is 64 times the default)
+    raises ``ValueError``. The x inverse CDF starts from a guide table of
+    uniform buckets and searches only the uniforms whose bucket holds a knot. Streams are counter-based (Philox) and
     spawned per pair, so results are reproducible for a fixed seed and the
     per-pair sampling is a pure elementwise map of its uniforms (shards over
     sample ranges merge deterministically). The pairs are sampled concurrently

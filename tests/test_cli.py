@@ -307,6 +307,10 @@ class TestRejectedInput:
         ("experiment", "--theta", "22.5", "--p1", "0.9", "--eta-bob", "0.85",
          "--mc", "abc"),
         ("oracle", "check", "--grid", "64", "--samples", "20", "--seed", "x"),
+        ("experiment", "--theta", "22.5", "--p1", "1", "--eta-bob", "1e-12",
+         "--mc", "10"),
+        ("experiment", "--theta", "22.5", "--p1", "1", "--eta-bob", "5e-324",
+         "--mc", "10"),
     ])
     def test_out_of_range_flag(self, capsys, argv):
         self.assert_rejected(*run_cli(capsys, *argv))

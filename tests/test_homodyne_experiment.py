@@ -11,6 +11,7 @@ from chsh_steering.homodyne_experiment import (
     DEFAULT_GRID_CELLS,
     DEFAULT_SPAN,
     HomodyneSetting,
+    MIN_MC_ETA,
     NO_STEERING,
     STEERING,
     SinglePhotonState,
@@ -293,7 +294,7 @@ class TestMonteCarlo:
         for sa, sb in standard_settings(eta_alice, eta_bob).pairs():
             assert _pair_grid(sa, sb) == (DEFAULT_GRID_CELLS, DEFAULT_SPAN)
 
-    @pytest.mark.parametrize("eta", [0.49, 0.3, 0.1, 0.05, 0.02, 1e-4])
+    @pytest.mark.parametrize("eta", [0.49, 0.3, 0.1, 0.05, 0.02, 1e-3, MIN_MC_ETA])
     def test_grid_widens_with_the_envelope(self, eta):
         for low, high in ((eta, 1.0), (1.0, eta), (eta, eta)):
             cells, span = _pair_grid(HomodyneSetting(0.0, low), HomodyneSetting(0.0, high))
@@ -303,6 +304,20 @@ class TestMonteCarlo:
             assert span * math.sqrt(eta) == pytest.approx(DEFAULT_SPAN * math.sqrt(0.5))
             assert span / cells == pytest.approx(DEFAULT_SPAN / DEFAULT_GRID_CELLS,
                                                  rel=2.0 / DEFAULT_GRID_CELLS)
+
+    def test_grid_is_bounded(self):
+        # The widening stops at 64 times the default grid, at MIN_MC_ETA;
+        # below it the call fails before any table is built.
+        for low, high in ((MIN_MC_ETA, 1.0), (1.0, MIN_MC_ETA)):
+            cells, span = _pair_grid(HomodyneSetting(0.0, low), HomodyneSetting(0.0, high))
+            assert (cells, span) == (64 * DEFAULT_GRID_CELLS, 64 * DEFAULT_SPAN)
+        for eta in (np.nextafter(MIN_MC_ETA, 0.0), 1e-12, 5e-324):
+            for low, high in ((eta, 1.0), (1.0, eta)):
+                with pytest.raises(ValueError, match="Monte Carlo needs eta"):
+                    _pair_grid(HomodyneSetting(0.0, low), HomodyneSetting(0.0, high))
+        with pytest.raises(ValueError):
+            monte_carlo_correlations(SinglePhotonState(0.0, 1.0),
+                                     standard_settings(1.0, 5e-324), 10, seed=0)
 
     def test_sample_count_validation(self):
         with pytest.raises(ValueError):

@@ -105,6 +105,27 @@ class TestSteeringInequality:
             assert report.f_value == f_value(v)
             assert report.steering_lhs == 2.0 * report.f_value
 
+    @pytest.mark.parametrize("scale", [1e-306, 1e-310, 1e-320])
+    def test_subnormal_halves_within_two_ulp_of_reference(self, scale):
+        # The e basis halves each a +- b, which rounds once the half is
+        # subnormal. So the bits match only where every a +- b is 0 or at
+        # least 2**-1021; elsewhere lhs is within 2 ulp plus 4 units of the
+        # smallest subnormal.
+        rng = np.random.Generator(np.random.Philox(73))
+        c = rng.uniform(-1.0, 1.0, size=(20000, 4)) * scale
+        lhs = steering_lhs_array(c)
+        reference = self._reference_lhs(c)
+        halved = np.stack([c[:, 0] + c[:, 1], c[:, 2] + c[:, 3],
+                           c[:, 0] - c[:, 1], c[:, 2] - c[:, 3]], axis=1)
+        exact = np.all((halved == 0.0) | (np.abs(halved) >= 2.0 ** -1021), axis=1)
+        assert not exact.all()
+        assert np.array_equal(lhs[exact], reference[exact])
+        tiny = np.nextafter(0.0, 1.0)
+        assert np.all(np.abs(lhs - reference) <= 4.0 * tiny + 2.0 * np.spacing(reference))
+        # The smallest subnormal halves to 0: lhs 0 where the raw form gave 2 tiny.
+        assert steering_lhs_array(np.array([tiny, 0.0, 0.0, 0.0])) == 0.0
+        assert self._reference_lhs(np.array([tiny, 0.0, 0.0, 0.0])) == 2.0 * tiny
+
 
 class TestChsh:
     def test_canonical_reduction(self):

@@ -168,9 +168,7 @@ def cmd_scan_state(args) -> int:
     _, best, coarse = violation_search.state_scan(rho, bloch_resolution=args.resolution)
     writer = csv.writer(sys.stdout)
     writer.writerow(["theta_deg", "phi_deg", "max_lhs"])
-    for theta, phi, value in coarse:
-        writer.writerow([float(np.rad2deg(theta)), float(np.rad2deg(phi)),
-                         float(value)])
+    writer.writerows(np.column_stack([np.rad2deg(coarse[:, :2]), coarse[:, 2]]).tolist())
     # Scripts parse this stderr label.
     print(f"refined best lhs: {best!r}", file=sys.stderr)
     return 0
@@ -238,7 +236,7 @@ def build_parser() -> argparse.ArgumentParser:
     oracle_sub = oracle.add_subparsers(dest="subcommand", required=True)
     ocheck = oracle_sub.add_parser(
         "check", help="compare LP membership against the witness on random points")
-    ocheck.add_argument("--grid", type=int, default=2048)
+    ocheck.add_argument("--grid", type=_positive_int, default=2048)
     ocheck.add_argument("--samples", type=_positive_int, default=10000)
     ocheck.add_argument("--seed", type=_nonnegative_int, default=0)
     ocheck.add_argument("--lp-tol", type=_finite_float, default=lhs_oracle.DEFAULT_LP_TOL)
@@ -267,7 +265,7 @@ def build_parser() -> argparse.ArgumentParser:
     sangles.set_defaults(func=cmd_scan_angles)
     sstate = scan_sub.add_parser("state", help="scan Alice directions for a state")
     sstate.add_argument("--input", required=True, help="state JSON file")
-    sstate.add_argument("--resolution", type=int, default=24)
+    sstate.add_argument("--resolution", type=_positive_int, default=24)
     sstate.set_defaults(func=cmd_scan_state)
 
     ellipse = sub.add_parser("ellipse", help="allowed-probability boundary curve")

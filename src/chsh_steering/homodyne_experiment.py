@@ -72,6 +72,8 @@ class SinglePhotonState:
     p1: float
 
     def __post_init__(self):
+        if not np.isfinite(self.theta):
+            raise ValueError(f"theta must be finite, got {self.theta}")
         if not 0.0 <= self.p1 <= 1.0:
             raise ValueError(f"p1 must lie in [0, 1], got {self.p1}")
 

@@ -29,6 +29,7 @@ WEIGHT_SUM_TOL = 1e-12
 WEIGHT_NEG_TOL = 1e-14
 MEMBER_TOL = 1e-12
 DEFAULT_LP_TOL = 1e-9
+MAX_GRID_N = 2 ** 20
 
 MEMBER = "member"
 NON_MEMBER = "non_member"
@@ -128,10 +129,13 @@ def atom_matrix(grid_n: int) -> np.ndarray:
     """Correlator columns of all grid atoms, shape (4, 2*grid_n).
 
     Columns 0..grid_n-1 are chi=1 atoms at xi_k = 2 pi k / grid_n, the rest
-    chi=2 atoms on the same angles.
+    chi=2 atoms on the same angles. ``grid_n`` must lie between 8 and
+    ``MAX_GRID_N``, else ``ValueError``: the matrix takes 64 bytes per angle.
     """
     if grid_n < 8:
         raise ValueError(f"grid_n must be at least 8, got {grid_n}")
+    if grid_n > MAX_GRID_N:
+        raise ValueError(f"grid_n must be at most {MAX_GRID_N}, got {grid_n}")
     xi = 2.0 * np.pi * np.arange(grid_n) / grid_n
     cols1 = extremal_correlations_array(1, xi)
     cols2 = extremal_correlations_array(2, xi)

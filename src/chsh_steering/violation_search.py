@@ -85,15 +85,41 @@ def _directions(thetas, phis):
                     axis=-1)
 
 
-def _scan_lhs(cols, n1, n2):
-    """Witness value for direction pairs; broadcasts over leading axes."""
-    # Not via f_value_array: an (N, N, 4) stack slows the coarse scan by 1/3.
-    a1 = n1 @ cols  # (..., 2): correlators of the first direction with (B, B')
-    a2 = n2 @ cols
-    plus = a1 + a2
-    minus = a1 - a2
-    return (np.hypot(plus[..., 0], plus[..., 1])
-            + np.hypot(minus[..., 0], minus[..., 1]))
+def _scan_lhs(x1, y1, x2, y2):
+    """Witness value |a1 + a2| + |a1 - a2| for the correlator pairs
+    a = (x, y) of two directions with Bob's (B, B'); broadcasts."""
+    # Two planes, not via f_value_array: a stacked (..., 4) array slows the
+    # coarse scan by 1/3. Swapping the pairs keeps every bit, which
+    # _coarse_maxima relies on: + commutes, x2 - x1 is the exact negation of
+    # x1 - x2, and hypot ignores signs.
+    return np.hypot(x1 + x2, y1 + y2) + np.hypot(x1 - x2, y1 - y2)
+
+
+# Pairs per block of the coarse scan. Its memory is a few arrays of this
+# size (256 KiB each); the whole pair grid at resolution 128 is 2 GiB each.
+_SCAN_BLOCK = 2 ** 15
+
+MAX_BLOCH_RESOLUTION = 128
+
+
+def _coarse_maxima(x, y):
+    """Maximum of ``_scan_lhs`` over the second direction for each first one.
+
+    The pair value is symmetric, so each block of rows s:s+r meets only the
+    columns s: of the upper triangle, and its column maxima stand in for the
+    rows of the lower triangle. The working set is a few arrays of
+    ``_SCAN_BLOCK`` elements, never the N^2 pairs; ``max`` is exact, so the
+    result does not depend on the block size.
+    """
+    n = x.shape[0]
+    rows = max(1, _SCAN_BLOCK // n)
+    best = np.full(n, -np.inf)
+    for s in range(0, n, rows):
+        block = _scan_lhs(x[s:s + rows, None], y[s:s + rows, None],
+                          x[None, s:], y[None, s:])
+        np.maximum(best[s:s + rows], block.max(axis=1), out=best[s:s + rows])
+        np.maximum(best[s:], block.max(axis=0), out=best[s:])
+    return best
 
 
 def state_scan(rho: np.ndarray, bloch_resolution: int = 24):
@@ -111,17 +137,24 @@ def state_scan(rho: np.ndarray, bloch_resolution: int = 24):
     azimuthal first directions as a (``bloch_resolution``**2, 3) array: the
     polar and azimuthal angle of each, in radians, and its maximum over the
     second direction on the same grid.
+
+    The grid has ``bloch_resolution``**4 direction pairs, so its time grows
+    as the fourth power: ``bloch_resolution`` must lie between 4 and
+    ``MAX_BLOCH_RESOLUTION`` (128, a few seconds), else ``ValueError``.
     """
     if bloch_resolution < 4:
         raise ValueError("bloch_resolution must be at least 4")
+    if bloch_resolution > MAX_BLOCH_RESOLUTION:
+        raise ValueError(f"bloch_resolution must be at most {MAX_BLOCH_RESOLUTION}, "
+                         f"got {bloch_resolution}")
     cols = _correlation_tensor_columns(rho)
 
     thetas = np.linspace(0.0, np.pi, bloch_resolution)
     phis = 2.0 * np.pi * np.arange(bloch_resolution) / bloch_resolution
     tt, pp = np.meshgrid(thetas, phis, indexing="ij")
-    dirs = _directions(tt.ravel(), pp.ravel())
-    values = _scan_lhs(cols, dirs[:, None, :], dirs[None, :, :])
-    coarse = np.stack([tt.ravel(), pp.ravel(), values.max(axis=1)], axis=-1)
+    # Correlators of each direction with (B, B'), as contiguous x and y planes.
+    x, y = np.ascontiguousarray((_directions(tt.ravel(), pp.ravel()) @ cols).T)
+    coarse = np.stack([tt.ravel(), pp.ravel(), _coarse_maxima(x, y)], axis=-1)
 
     _, singular, vt = np.linalg.svd(cols.T)
     t = np.arctan2(singular[1], singular[0])
@@ -131,4 +164,4 @@ def state_scan(rho: np.ndarray, bloch_resolution: int = 24):
     a2 = n2 @ cols
     correlations = CorrelationSet(ab=float(a1[0]), apb=float(a2[0]),
                                   abp=float(a1[1]), apbp=float(a2[1]))
-    return correlations, float(_scan_lhs(cols, n1, n2)), coarse
+    return correlations, float(_scan_lhs(a1[0], a1[1], a2[0], a2[1])), coarse

@@ -264,6 +264,13 @@ class TestRejectedInput:
         self.assert_rejected(*run_cli(capsys, "scan", "state", "--input", str(path),
                                       "--resolution", "2"))
 
+    @pytest.mark.parametrize("resolution", ["129", "100000", "1.5", "0"])
+    def test_scan_state_resolution_out_of_range(self, capsys, tmp_path, resolution):
+        path = tmp_path / "state.json"
+        path.write_text(json.dumps({"theta_deg": 22.5, "p1": 0.9}))
+        self.assert_rejected(*run_cli(capsys, "scan", "state", "--input", str(path),
+                                      "--resolution", resolution))
+
     @pytest.mark.parametrize("eta", ["nan", "inf", "5"])
     def test_reported_eta_bob_out_of_range(self, capsys, eta):
         self.assert_rejected(*run_cli(capsys, "experiment", "--reported-s", "1.33",
@@ -278,8 +285,11 @@ class TestRejectedInput:
         path = write_correlators(tmp_path, [None, 0.0, 0.0, 0.0])
         self.assert_rejected(*run_cli(capsys, "witness", "eval", path))
 
+    # A numpy warning would print more lines on stderr in a real run.
+    @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("state", [5, {"real": None}, {"theta_deg": None},
-                                       {"theta_deg": float("nan")}])
+                                       {"theta_deg": float("nan")},
+                                       {"theta_deg": float("inf"), "p1": 0.5}])
     def test_malformed_state_json(self, capsys, tmp_path, state):
         path = tmp_path / "state.json"
         path.write_text(json.dumps(state))
@@ -311,6 +321,9 @@ class TestRejectedInput:
          "--mc", "10"),
         ("experiment", "--theta", "22.5", "--p1", "1", "--eta-bob", "5e-324",
          "--mc", "10"),
+        ("oracle", "check", "--grid", "1048577", "--samples", "20"),
+        ("oracle", "check", "--grid", "10000000000000", "--samples", "20"),
+        ("oracle", "check", "--grid", "1.5", "--samples", "20"),
     ])
     def test_out_of_range_flag(self, capsys, argv):
         self.assert_rejected(*run_cli(capsys, *argv))

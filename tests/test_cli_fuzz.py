@@ -12,6 +12,7 @@ import json
 import math
 import sys
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from chsh_steering.cli import main
@@ -124,4 +125,23 @@ def test_scan_angles(resolution):
 def test_ellipse(mu, n):
     argv = _with_flags(["ellipse", "--mu", mu], {"--n": n})
     check_run(*run_cli(argv), non_finite_input=_non_finite(mu) or _non_finite(n),
+              output="csv")
+
+
+def _scan_resolutions():
+    """Too small, cheap, too large or junk: no example runs a slow scan."""
+    return st.one_of(st.integers(-5, 3).map(str), st.integers(4, 12).map(str),
+                     st.integers(129, 10 ** 15).map(str),
+                     st.sampled_from(["nan", "1.5", "abc", "", "1e3"]))
+
+
+@FUZZ
+@pytest.mark.filterwarnings("error")
+@given(theta_deg=_numbers(0.0, 45.0), p1=_numbers(0.0, 1.0),
+       resolution=_scan_resolutions())
+def test_scan_state(theta_deg, p1, resolution):
+    argv = _with_flags(["scan", "state", "--input", "-"], {"--resolution": resolution})
+    state = json.dumps({"theta_deg": theta_deg, "p1": p1})
+    check_run(*run_cli(argv, state),
+              non_finite_input=_non_finite(theta_deg) or _non_finite(p1),
               output="csv")

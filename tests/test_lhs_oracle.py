@@ -216,6 +216,8 @@ class TestLpMembership:
     def test_input_validation(self):
         with pytest.raises(ValueError):
             atom_matrix(4)
+        with pytest.raises(ValueError, match="at most"):
+            atom_matrix(lhs_oracle.MAX_GRID_N + 1)
         with pytest.raises(ValueError):
             lp_membership_batch(np.zeros((3, 5)))
         for tol in (-1e-12, np.nan, np.inf):

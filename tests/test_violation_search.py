@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -10,10 +12,10 @@ from chsh_steering.qubit_core import (
     quantum_correlator,
 )
 from chsh_steering.steering_witness import steering_inequality, steering_lhs_array
+from chsh_steering import violation_search
 from chsh_steering.violation_search import (
     _correlation_tensor_columns,
     _directions,
-    _scan_lhs,
     AliceAngles,
     alice_projector,
     angle_correlations,
@@ -155,6 +157,22 @@ class TestStateScan:
         with pytest.raises(ValueError):
             state_scan(maximally_entangled(), bloch_resolution=2)
 
+    @pytest.mark.parametrize("resolution", [129, 100000])
+    def test_resolution_upper_limit(self, resolution):
+        with pytest.raises(ValueError, match="at most 128"):
+            state_scan(maximally_entangled(), bloch_resolution=resolution)
+
+    def test_coarse_scan_memory_is_bounded(self):
+        state_scan(maximally_entangled(), bloch_resolution=40)
+        tracemalloc.start()
+        try:
+            state_scan(maximally_entangled(), bloch_resolution=40)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # The full (1600, 1600) pair grid alone would take 20 MB per array.
+        assert peak < 16 * 2 ** 20
+
 
 PAULIS = np.array([[[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]])
 
@@ -176,6 +194,32 @@ def _test_states():
             + [_lossy_split_photon(rng) for _ in range(8)])
 
 
+def _reference_pair_values(cols, n1, n2):
+    """Witness value of direction pairs; broadcasts over leading axes."""
+    a1 = n1 @ cols
+    a2 = n2 @ cols
+    plus = a1 + a2
+    minus = a1 - a2
+    return (np.hypot(plus[..., 0], plus[..., 1])
+            + np.hypot(minus[..., 0], minus[..., 1]))
+
+
+def _reference_grid(rho, bloch_resolution):
+    """Every pair of the Bloch grid at once: the (N, N) values and the grid."""
+    cols = _correlation_tensor_columns(rho)
+    thetas = np.linspace(0.0, np.pi, bloch_resolution)
+    phis = 2.0 * np.pi * np.arange(bloch_resolution) / bloch_resolution
+    tt, pp = np.meshgrid(thetas, phis, indexing="ij")
+    dirs = _directions(tt.ravel(), pp.ravel())
+    return cols, tt, pp, _reference_pair_values(cols, dirs[:, None, :], dirs[None, :, :])
+
+
+def _reference_coarse(rho, bloch_resolution):
+    """The coarse table from the full (N, N) scan over every pair."""
+    _, tt, pp, values = _reference_grid(rho, bloch_resolution)
+    return np.stack([tt.ravel(), pp.ravel(), values.max(axis=1)], axis=-1)
+
+
 def _reference_search(rho, bloch_resolution):
     """The shrinking local search ``state_scan`` ran before the closed form.
 
@@ -183,13 +227,8 @@ def _reference_search(rho, bloch_resolution):
     81 neighbours at steps pi/resolution, halved each round; returns the best
     witness value found.
     """
-    cols = _correlation_tensor_columns(rho)
-    thetas = np.linspace(0.0, np.pi, bloch_resolution)
-    phis = 2.0 * np.pi * np.arange(bloch_resolution) / bloch_resolution
-    tt, pp = np.meshgrid(thetas, phis, indexing="ij")
-    dirs = _directions(tt.ravel(), pp.ravel())
-    values = _scan_lhs(cols, dirs[:, None, :], dirs[None, :, :])
-    i, j = divmod(int(np.argmax(values)), dirs.shape[0])
+    cols, tt, pp, values = _reference_grid(rho, bloch_resolution)
+    i, j = divmod(int(np.argmax(values)), values.shape[0])
     params = np.array([tt.ravel()[i], pp.ravel()[i],
                        tt.ravel()[j], pp.ravel()[j]])
     best = float(values[i, j])
@@ -199,8 +238,8 @@ def _reference_search(rho, bloch_resolution):
                                    indexing="ij")).reshape(4, -1).T
     for _ in range(60):
         trial = params[None, :] + step * offsets
-        vals = _scan_lhs(cols, _directions(trial[:, 0], trial[:, 1]),
-                         _directions(trial[:, 2], trial[:, 3]))
+        vals = _reference_pair_values(cols, _directions(trial[:, 0], trial[:, 1]),
+                                      _directions(trial[:, 2], trial[:, 3]))
         k = int(np.argmax(vals))
         if vals[k] > best:
             best = float(vals[k])
@@ -213,6 +252,23 @@ def _correlation_matrix(rho):
     """T_kl = Tr[rho s_k x s_l] over the three Pauli matrices on each side."""
     return np.array([[np.trace(rho @ np.kron(sk, sl)).real for sl in PAULIS]
                      for sk in PAULIS])
+
+
+class TestBlockedCoarseScan:
+    # N = resolution**2 directions take one block (4, 5), a whole number of
+    # blocks (40: 20 rows each) or a short last block (24, 33).
+    @pytest.mark.parametrize("resolution", [4, 5, 24, 33, 40])
+    def test_bitwise_equal_to_full_scan(self, resolution):
+        for rho in _test_states():
+            _, _, coarse = state_scan(rho, bloch_resolution=resolution)
+            assert np.array_equal(coarse, _reference_coarse(rho, resolution))
+
+    @pytest.mark.parametrize("block", [1, 64, 100, 175])  # rows 1, 2, 4, 7 of N = 25
+    def test_bitwise_equal_at_any_block_size(self, monkeypatch, block):
+        monkeypatch.setattr(violation_search, "_SCAN_BLOCK", block)
+        for rho in _test_states()[::5]:
+            _, _, coarse = state_scan(rho, bloch_resolution=5)
+            assert np.array_equal(coarse, _reference_coarse(rho, 5))
 
 
 class TestClosedFormStateScan:

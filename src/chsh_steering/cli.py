@@ -104,6 +104,12 @@ def _render_experiment_table(report) -> None:
 
 def cmd_experiment(args) -> int:
     if args.reported_s is not None:
+        state_flags = [flag for flag, value in (
+            ("--theta", args.theta), ("--p1", args.p1),
+            ("--eta-alice", args.eta_alice), ("--mc", args.mc)) if value is not None]
+        if state_flags:
+            raise ValueError(f"--reported-s cannot be combined with "
+                             f"{', '.join(state_flags)}")
         report = adjudicate_reported(args.reported_s, args.eta_bob, tol=args.tol)
         payload = report.to_json_dict()
         payload["inputs"] = {"reported_s": args.reported_s, "eta_bob": args.eta_bob}
@@ -200,8 +206,14 @@ def _flag_type(convert, accept, what: str):
     return parse
 
 
+# Largest value of a count flag that sizes arrays by itself (--samples of
+# oracle check, --resolution of scan angles, --n of ellipse).
+MAX_COUNT = 2 ** 20
+
 _finite_float = _flag_type(float, math.isfinite, "a finite number")
 _positive_int = _flag_type(int, lambda n: n >= 1, "a positive integer")
+_count = _flag_type(int, lambda n: 1 <= n <= MAX_COUNT,
+                    f"an integer from 1 to {MAX_COUNT}")
 _nonnegative_int = _flag_type(int, lambda n: n >= 0, "a non-negative integer")
 
 
@@ -237,7 +249,7 @@ def build_parser() -> argparse.ArgumentParser:
     ocheck = oracle_sub.add_parser(
         "check", help="compare LP membership against the witness on random points")
     ocheck.add_argument("--grid", type=_positive_int, default=2048)
-    ocheck.add_argument("--samples", type=_positive_int, default=10000)
+    ocheck.add_argument("--samples", type=_count, default=10000)
     ocheck.add_argument("--seed", type=_nonnegative_int, default=0)
     ocheck.add_argument("--lp-tol", type=_finite_float, default=lhs_oracle.DEFAULT_LP_TOL)
     ocheck.set_defaults(func=cmd_oracle_check)
@@ -261,7 +273,7 @@ def build_parser() -> argparse.ArgumentParser:
     scan = sub.add_parser("scan", help="witness maximisation scans")
     scan_sub = scan.add_subparsers(dest="subcommand", required=True)
     sangles = scan_sub.add_parser("angles", help="witness value vs Alice angle difference")
-    sangles.add_argument("--resolution", type=_positive_int, default=360)
+    sangles.add_argument("--resolution", type=_count, default=360)
     sangles.set_defaults(func=cmd_scan_angles)
     sstate = scan_sub.add_parser("state", help="scan Alice directions for a state")
     sstate.add_argument("--input", required=True, help="state JSON file")
@@ -270,7 +282,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     ellipse = sub.add_parser("ellipse", help="allowed-probability boundary curve")
     ellipse.add_argument("--mu", type=_finite_float, required=True)
-    ellipse.add_argument("--n", type=_positive_int, default=256)
+    ellipse.add_argument("--n", type=_count, default=256)
     ellipse.set_defaults(func=cmd_ellipse)
 
     return parser

@@ -35,8 +35,9 @@ ALICE_EXTREMALS = {
     4: np.array([0.0, 1.0, 0.0, 1.0]),
 }
 
-# Signs (2 p+1 - 1) of Alice's two observables for each strategy.
-ALICE_SIGNS = {1: (1.0, 1.0), 2: (1.0, -1.0), 3: (-1.0, 1.0), 4: (-1.0, -1.0)}
+# Signs p+1 - p-1 of Alice's two observables for each strategy.
+ALICE_SIGNS = {chi: (float(p[0] - p[1]), float(p[2] - p[3]))
+               for chi, p in ALICE_EXTREMALS.items()}
 
 
 class ConstraintError(ValueError):

@@ -29,8 +29,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .correlation_model import CorrelationSet
-from .qubit_core import quantum_correlator, validate_density
+from .correlation_model import CORRELATOR_NAMES, CorrelationSet
+from .qubit_core import (
+    IDENTITY2,
+    expectation_table,
+    quantum_correlator,
+    validate_density,
+)
 from .steering_witness import (
     BOUNDARY,
     CANONICAL_CHSH_INDEX,
@@ -262,11 +267,8 @@ def homodyne_pdf(rho: np.ndarray, phi: float, eta: float, x):
     if not 0.0 < eta <= 1.0:
         raise ValueError(f"eta must lie in (0, 1], got {eta}")
     x = np.asarray(x, dtype=float)
-    coherence = float(np.real(np.exp(-1j * phi) * rho[0, 1])) * 2.0
-    p0 = float(rho[0, 0].real)
-    p1 = float(rho[1, 1].real)
-    poly = (p0 + (1.0 - eta) * p1) + eta * x * coherence + (eta * eta) * x * x * p1
-    result = _envelope(x, eta) * poly
+    c0, c1, c2 = (float(np.trace(rho @ g).real) for g in _g_operators(phi, eta))
+    result = _envelope(x, eta) * (c0 + c1 * x + c2 * x * x)
     return result if result.ndim else float(result)
 
 
@@ -281,8 +283,7 @@ class MonteCarloCorrelations:
 
     def to_json_dict(self) -> dict:
         out = self.correlations.to_json_dict()
-        out["std_errors"] = dict(zip(("AB", "ApB", "ABp", "ApBp"),
-                                     map(float, self.std_errors)))
+        out["std_errors"] = dict(zip(CORRELATOR_NAMES, map(float, self.std_errors)))
         out["n_samples"] = self.n_samples
         out["seed"] = self.seed
         return out
@@ -300,17 +301,10 @@ def _pair_sampler_arrays(rho: np.ndarray, sa: HomodyneSetting,
     grid[grid_cells // 2] = 0.0
     dx = grid[1] - grid[0]
 
-    rho4 = rho.reshape(2, 2, 2, 2)
-    ga = _g_operators(sa.phi, sa.eta)
-    gb = _g_operators(sb.phi, sb.eta)
-    eye = np.eye(2, dtype=complex)
-
-    coef = np.empty((3, 3))
-    marginal = np.empty(3)
-    for i in range(3):
-        marginal[i] = np.real(np.einsum("abcd,ca,db->", rho4, ga[i], eye))
-        for j in range(3):
-            coef[i, j] = np.real(np.einsum("abcd,ca,db->", rho4, ga[i], gb[j]))
+    # Bob's identity in the last column gives the first party's marginal.
+    table = expectation_table(rho, _g_operators(sa.phi, sa.eta),
+                              (*_g_operators(sb.phi, sb.eta), IDENTITY2))
+    coef, marginal = table[:, :3], table[:, 3]
 
     powers = np.stack([np.ones_like(grid), grid, grid * grid])
     pdf_a = np.maximum(_envelope(grid, sa.eta) * (marginal @ powers), 0.0)

@@ -147,9 +147,21 @@ def ellipse_hull_excess(mu: float, p: float, p_prime: float):
     return (c + d) ** 2 / mu + (d - c) ** 2 / (1.0 - mu) - 1.0
 
 
+def expectation_table(rho: np.ndarray, alice_ops, bob_ops) -> np.ndarray:
+    """Table ``t[i, j] = Re Tr[rho (A_i x B_j)]`` of a two-qubit ``rho``
+    against stacks of 2x2 operators ``A_i`` and ``B_j``, as a C-contiguous
+    float array (a strided ``.real`` view would change the bits of matmuls
+    taken on it). Does not validate its inputs."""
+    rho4 = np.asarray(rho, dtype=complex).reshape(2, 2, 2, 2)
+    return np.einsum("abcd,ica,jdb->ij", rho4, alice_ops, bob_ops).real.copy()
+
+
 def quantum_correlator(rho: np.ndarray, alice_effect: np.ndarray,
                        bob_effect: np.ndarray) -> float:
-    """Correlator Tr[rho (2E_A - 1) x (2E_B - 1)] of two dichotomic effects."""
+    """Correlator Tr[rho (2E_A - 1) x (2E_B - 1)] of two dichotomic effects.
+
+    A kron and a trace, not ``expectation_table``: the analytic correlators'
+    last bits depend on this summation order."""
     rho = validate_density(rho, dim=4)
     alice_effect = validate_effect(alice_effect)
     bob_effect = validate_effect(bob_effect)

@@ -21,6 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .correlation_model import CorrelationSet
+from .qubit_core import expectation_table
 
 
 @dataclass(frozen=True)
@@ -65,17 +66,6 @@ _PAULIS = np.array([
     [[0.0, -1.0j], [1.0j, 0.0]],
     [[1.0, 0.0], [0.0, -1.0]],
 ])
-
-
-def _correlation_tensor_columns(rho: np.ndarray) -> np.ndarray:
-    """Columns u, w with u_k = Tr[rho s_k x s_z], w_k = Tr[rho s_k x s_x]."""
-    rho4 = np.asarray(rho, dtype=complex).reshape(2, 2, 2, 2)
-    cols = np.empty((3, 2))
-    for k in range(3):
-        for col, bob in enumerate((_PAULIS[2], _PAULIS[0])):
-            cols[k, col] = np.real(
-                np.einsum("abcd,ca,db->", rho4, _PAULIS[k], bob))
-    return cols
 
 
 def _directions(thetas, phis):
@@ -147,7 +137,8 @@ def state_scan(rho: np.ndarray, bloch_resolution: int = 24):
     if bloch_resolution > MAX_BLOCH_RESOLUTION:
         raise ValueError(f"bloch_resolution must be at most {MAX_BLOCH_RESOLUTION}, "
                          f"got {bloch_resolution}")
-    cols = _correlation_tensor_columns(rho)
+    # Columns u_k = Tr[rho s_k x s_z], w_k = Tr[rho s_k x s_x].
+    cols = expectation_table(rho, _PAULIS, _PAULIS[[2, 0]])
 
     thetas = np.linspace(0.0, np.pi, bloch_resolution)
     phis = 2.0 * np.pi * np.arange(bloch_resolution) / bloch_resolution

@@ -324,6 +324,17 @@ class TestRejectedInput:
         ("oracle", "check", "--grid", "1048577", "--samples", "20"),
         ("oracle", "check", "--grid", "10000000000000", "--samples", "20"),
         ("oracle", "check", "--grid", "1.5", "--samples", "20"),
+        ("oracle", "check", "--grid", "64", "--samples", "1048577"),
+        ("oracle", "check", "--grid", "64", "--samples", "1e13"),
+        ("scan", "angles", "--resolution", "1048577"),
+        ("scan", "angles", "--resolution", "1e13"),
+        ("ellipse", "--mu", "0.5", "--n", "1048577"),
+        ("ellipse", "--mu", "0.5", "--n", "1e13"),
+        ("experiment", "--reported-s", "1.33", "--eta-bob", "0.85", "--theta", "10"),
+        ("experiment", "--reported-s", "1.33", "--eta-bob", "0.85", "--p1", "0.5"),
+        ("experiment", "--reported-s", "1.33", "--eta-bob", "0.85",
+         "--eta-alice", "0.3"),
+        ("experiment", "--reported-s", "1.33", "--eta-bob", "0.85", "--mc", "1000"),
     ])
     def test_out_of_range_flag(self, capsys, argv):
         self.assert_rejected(*run_cli(capsys, *argv))

@@ -104,13 +104,22 @@ def test_witness_eval(correlators, marginals, tol, prob_tol):
 @FUZZ
 @given(reported_s=_flag_text(_numbers(0.0, 3.0)),
        eta_bob=_flag_text(_numbers(0.0, 1.2)),
-       tol=st.none() | _flag_text(_numbers(0.0, 0.1)))
-def test_experiment_reported(reported_s, eta_bob, tol):
+       tol=st.none() | _flag_text(_numbers(0.0, 0.1)),
+       state_flag=st.none() | st.sampled_from([("--theta", "10"), ("--p1", "0.5"),
+                                               ("--eta-alice", "0.3"),
+                                               ("--mc", "1000")]))
+def test_experiment_reported(reported_s, eta_bob, tol, state_flag):
     argv = _with_flags(["experiment"], {"--reported-s": reported_s,
                                         "--eta-bob": eta_bob, "--tol": tol})
-    check_run(*run_cli(argv),
+    if state_flag is not None:
+        argv += state_flag
+    code, out, err = run_cli(argv)
+    check_run(code, out, err,
               non_finite_input=any(map(_non_finite, (reported_s, eta_bob, tol))),
               output="json")
+    # --reported-s adjudicates a reported S, not a state: a state flag is refused.
+    if state_flag is not None:
+        assert code == 1
 
 
 @FUZZ

@@ -28,6 +28,10 @@ from chsh_steering.homodyne_experiment import (
     state_density,
     _GUIDE_BUCKETS,
     _MC_BLOCK,
+    _cumtrapz,
+    _envelope,
+    _g_operators,
+    _guide_table,
     _pair_grid,
     _pair_sampler_arrays,
     _positive_products,
@@ -179,7 +183,34 @@ class TestAdjudication:
                 adjudicate_reported(s_max, eta)
 
 
+def _reference_pdf(rho, phi, eta, x):
+    """``homodyne_pdf`` with the polynomial expanded by hand, as it was
+    before it took the traces of ``_g_operators``."""
+    coherence = float(np.real(np.exp(-1j * phi) * rho[0, 1])) * 2.0
+    p0 = float(rho[0, 0].real)
+    p1 = float(rho[1, 1].real)
+    poly = (p0 + (1.0 - eta) * p1) + eta * x * coherence + (eta * eta) * x * x * p1
+    return _envelope(x, eta) * poly
+
+
+def _random_density(rng, dim):
+    """A Ginibre-distributed density matrix."""
+    g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    rho = g @ g.conj().T
+    return rho / np.trace(rho).real
+
+
 class TestPdf:
+    def test_matches_hand_expanded_polynomial(self):
+        rng = np.random.Generator(np.random.Philox(89))
+        x = np.linspace(-8.0, 8.0, 401)
+        for _ in range(40):
+            rho = _random_density(rng, 2)
+            phi = rng.uniform(-np.pi, np.pi)
+            eta = rng.uniform(0.01, 1.0)
+            got = homodyne_pdf(rho, phi, eta, x)
+            assert np.abs(got - _reference_pdf(rho, phi, eta, x)).max() <= 4e-16
+
     def test_vacuum_full_efficiency_is_standard_normal(self):
         rho = np.diag([1.0, 0.0]).astype(complex)
         x = np.linspace(-5, 5, 101)
@@ -338,6 +369,35 @@ class TestMonteCarlo:
         assert np.array_equal(whole, np.concatenate(shards))
 
 
+def _reference_sampler_arrays(rho, sa, sb, grid_cells, span):
+    """``_pair_sampler_arrays`` with one scalar einsum per expectation, as it
+    was before it called ``expectation_table``."""
+    grid = np.linspace(-span, span, grid_cells + 1)
+    grid[grid_cells // 2] = 0.0
+    dx = grid[1] - grid[0]
+
+    rho4 = rho.reshape(2, 2, 2, 2)
+    ga = _g_operators(sa.phi, sa.eta)
+    gb = _g_operators(sb.phi, sb.eta)
+    eye = np.eye(2, dtype=complex)
+
+    coef = np.empty((3, 3))
+    marginal = np.empty(3)
+    for i in range(3):
+        marginal[i] = np.real(np.einsum("abcd,ca,db->", rho4, ga[i], eye))
+        for j in range(3):
+            coef[i, j] = np.real(np.einsum("abcd,ca,db->", rho4, ga[i], gb[j]))
+
+    powers = np.stack([np.ones_like(grid), grid, grid * grid])
+    pdf_a = np.maximum(_envelope(grid, sa.eta) * (marginal @ powers), 0.0)
+    cdf_a = _cumtrapz(pdf_a, dx)
+    cdf_a /= cdf_a[-1]
+
+    env_b = _envelope(grid, sb.eta)
+    cum_b = np.stack([_cumtrapz(env_b * powers[j], dx) for j in range(3)])
+    return grid, cdf_a, _guide_table(cdf_a), coef, cum_b
+
+
 def _reference_mc_products(u, grid, cdf_a, coef, cum_b):
     """The sampler before the sign-only kernel: it locates y by bisection."""
     g = grid.shape[0]
@@ -429,6 +489,21 @@ class TestSignOnlyKernel:
             _, cdf_a, guide, _, _ = _pair_sampler_arrays(rho, sa, sb, grid_cells, 6.0)
             expected = np.searchsorted(cdf_a, edges, side="right") - 1
             assert np.array_equal(guide, expected)
+
+    @pytest.mark.parametrize("eta_a, eta_b", [(1.0, 1.0), (0.85, 0.85), (0.9, 0.3)])
+    def test_sampler_arrays_match_scalar_loops(self, eta_a, eta_b):
+        rng = np.random.Generator(np.random.Philox(83))
+        states = ([_random_density(rng, 4) for _ in range(4)]
+                  + [state_density(SinglePhotonState(rng.uniform(0.0, np.pi / 4.0),
+                                                     rng.uniform(0.5, 1.0)))
+                     for _ in range(4)])
+        for rho in states:
+            for sa, sb in standard_settings(eta_a, eta_b).pairs():
+                cells, span = _pair_grid(sa, sb)
+                got = _pair_sampler_arrays(rho, sa, sb, cells, span)
+                expected = _reference_sampler_arrays(rho, sa, sb, cells, span)
+                for a, b in zip(got, expected, strict=True):
+                    assert np.array_equal(a, b)
 
     @pytest.mark.parametrize("n", [1, _MC_BLOCK - 1, _MC_BLOCK, _MC_BLOCK + 1,
                                    3 * _MC_BLOCK + 7])

@@ -1,5 +1,6 @@
 """No package module reads a ``_``-prefixed name from another package module,
-and the package exports exactly the public names its ``__init__`` imports."""
+only ``qubit_core`` calls ``einsum``, and the package exports exactly the
+public names its ``__init__`` imports."""
 
 import ast
 import importlib
@@ -63,6 +64,34 @@ def test_checker_finds_each_form():
 @pytest.mark.parametrize("path", sorted(SOURCE.glob("*.py")), ids=lambda p: p.name)
 def test_module_reads_no_private_name_of_another(path):
     assert private_reads(path.read_text(encoding="utf-8")) == []
+
+
+def einsum_calls(source: str) -> list[int]:
+    """Line of every call to ``einsum``, bare or as an attribute."""
+    return sorted(node.lineno for node in ast.walk(ast.parse(source))
+                  if isinstance(node, ast.Call)
+                  and (getattr(node.func, "id", None) == "einsum"
+                       or getattr(node.func, "attr", None) == "einsum"))
+
+
+def test_einsum_checker_finds_each_form():
+    source = (
+        "import numpy as np\n"
+        "from numpy import einsum\n"
+        "np.einsum('ij->', a)\n"
+        "einsum('ij->', a)\n"
+        "numpy.einsum('i,i->', a, b).real\n"
+        "einsum_path = np.einsum_path\n"
+    )
+    assert einsum_calls(source) == [3, 4, 5]
+
+
+@pytest.mark.parametrize("path", sorted(set(SOURCE.glob("*.py"))
+                                         - {SOURCE / "qubit_core.py"}),
+                         ids=lambda p: p.name)
+def test_only_qubit_core_calls_einsum(path):
+    # Every two-qubit expectation goes through qubit_core.expectation_table.
+    assert einsum_calls(path.read_text(encoding="utf-8")) == []
 
 
 def test_exports_match_imports():

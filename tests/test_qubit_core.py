@@ -8,6 +8,7 @@ from chsh_steering.qubit_core import (
     born_probability,
     ellipse_hull_excess,
     ellipse_point,
+    expectation_table,
     maximally_entangled,
     mub_circle_point,
     projector_from_params,
@@ -144,6 +145,20 @@ def _random_density(rng, dim=4):
     g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
     rho = g @ g.conj().T
     return rho / np.trace(rho).real
+
+
+class TestExpectationTable:
+    def test_matches_kron_trace(self):
+        rng = np.random.Generator(np.random.Philox(13))
+        for _ in range(20):
+            rho = _random_density(rng)
+            alice = rng.normal(size=(3, 2, 2)) + 1j * rng.normal(size=(3, 2, 2))
+            bob = rng.normal(size=(4, 2, 2)) + 1j * rng.normal(size=(4, 2, 2))
+            table = expectation_table(rho, alice, bob)
+            assert table.shape == (3, 4) and table.dtype == np.float64
+            assert table.flags.c_contiguous
+            expected = [[np.trace(rho @ np.kron(a, b)).real for b in bob] for a in alice]
+            assert np.abs(table - expected).max() <= 1e-14
 
 
 class TestQuantumCorrelator:

@@ -7,6 +7,7 @@ from chsh_steering.correlation_model import CorrelationSet
 from chsh_steering.homodyne_experiment import SinglePhotonState, state_density
 from chsh_steering.lhs_oracle import MEMBER, lp_membership
 from chsh_steering.qubit_core import (
+    expectation_table,
     maximally_entangled,
     projector_from_params,
     quantum_correlator,
@@ -14,7 +15,7 @@ from chsh_steering.qubit_core import (
 from chsh_steering.steering_witness import steering_inequality, steering_lhs_array
 from chsh_steering import violation_search
 from chsh_steering.violation_search import (
-    _correlation_tensor_columns,
+    _PAULIS,
     _directions,
     AliceAngles,
     alice_projector,
@@ -194,6 +195,18 @@ def _test_states():
             + [_lossy_split_photon(rng) for _ in range(8)])
 
 
+def _reference_tensor_columns(rho):
+    """The scalar loop ``state_scan`` used for its correlation columns
+    u_k = Tr[rho s_k x s_z], w_k = Tr[rho s_k x s_x]."""
+    rho4 = np.asarray(rho, dtype=complex).reshape(2, 2, 2, 2)
+    cols = np.empty((3, 2))
+    for k in range(3):
+        for col, bob in enumerate((_PAULIS[2], _PAULIS[0])):
+            cols[k, col] = np.real(
+                np.einsum("abcd,ca,db->", rho4, _PAULIS[k], bob))
+    return cols
+
+
 def _reference_pair_values(cols, n1, n2):
     """Witness value of direction pairs; broadcasts over leading axes."""
     a1 = n1 @ cols
@@ -206,7 +219,7 @@ def _reference_pair_values(cols, n1, n2):
 
 def _reference_grid(rho, bloch_resolution):
     """Every pair of the Bloch grid at once: the (N, N) values and the grid."""
-    cols = _correlation_tensor_columns(rho)
+    cols = _reference_tensor_columns(rho)
     thetas = np.linspace(0.0, np.pi, bloch_resolution)
     phis = 2.0 * np.pi * np.arange(bloch_resolution) / bloch_resolution
     tt, pp = np.meshgrid(thetas, phis, indexing="ij")
@@ -271,12 +284,20 @@ class TestBlockedCoarseScan:
             assert np.array_equal(coarse, _reference_coarse(rho, 5))
 
 
+@pytest.mark.parametrize("index", range(16))
+def test_tensor_columns_bitwise_equal_to_scalar_loop(index):
+    rho = _test_states()[index]
+    cols = expectation_table(rho, _PAULIS, _PAULIS[[2, 0]])
+    assert cols.flags.c_contiguous
+    assert np.array_equal(cols, _reference_tensor_columns(rho))
+
+
 class TestClosedFormStateScan:
     @pytest.mark.parametrize("index", range(16))
     def test_value_is_twice_frobenius_norm(self, index):
         rho = _test_states()[index]
         best, value, coarse = state_scan(rho, bloch_resolution=12)
-        norm = np.linalg.norm(_correlation_tensor_columns(rho))
+        norm = np.linalg.norm(_reference_tensor_columns(rho))
         assert abs(value - 2.0 * norm) <= 1e-12
         assert abs(steering_inequality(best)[0] - value) <= 1e-12
         assert value >= coarse[:, 2].max() - 1e-12
@@ -312,7 +333,7 @@ class TestClosedFormStateScan:
         for rho in werners + _test_states():
             best, _, _ = state_scan(rho, bloch_resolution=8)
             lhs, bound = steering_inequality(best)
-            norm = np.linalg.norm(_correlation_tensor_columns(rho))
+            norm = np.linalg.norm(_reference_tensor_columns(rho))
             assert (norm > 1.0) == (lhs > bound)
 
     @pytest.mark.parametrize("index", range(16))

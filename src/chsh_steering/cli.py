@@ -23,7 +23,7 @@ from .homodyne_experiment import (
     state_density,
 )
 from .qubit_core import ellipse_point, validate_density
-from .simplex import OracleError
+from .simplex import DEFAULT_LP_TOL, OracleError
 from .steering_witness import VERDICT_TOL, full_report, steering_lhs_array
 
 
@@ -248,10 +248,10 @@ def build_parser() -> argparse.ArgumentParser:
     oracle_sub = oracle.add_subparsers(dest="subcommand", required=True)
     ocheck = oracle_sub.add_parser(
         "check", help="compare LP membership against the witness on random points")
-    ocheck.add_argument("--grid", type=_positive_int, default=2048)
+    ocheck.add_argument("--grid", type=_positive_int, default=lhs_oracle.DEFAULT_GRID_N)
     ocheck.add_argument("--samples", type=_count, default=10000)
     ocheck.add_argument("--seed", type=_nonnegative_int, default=0)
-    ocheck.add_argument("--lp-tol", type=_finite_float, default=lhs_oracle.DEFAULT_LP_TOL)
+    ocheck.add_argument("--lp-tol", type=_finite_float, default=DEFAULT_LP_TOL)
     ocheck.set_defaults(func=cmd_oracle_check)
 
     experiment = sub.add_parser("experiment", help="adjudicate the experiment")
@@ -277,7 +277,8 @@ def build_parser() -> argparse.ArgumentParser:
     sangles.set_defaults(func=cmd_scan_angles)
     sstate = scan_sub.add_parser("state", help="scan Alice directions for a state")
     sstate.add_argument("--input", required=True, help="state JSON file")
-    sstate.add_argument("--resolution", type=_positive_int, default=24)
+    sstate.add_argument("--resolution", type=_positive_int,
+                        default=violation_search.DEFAULT_BLOCH_RESOLUTION)
     sstate.set_defaults(func=cmd_scan_state)
 
     ellipse = sub.add_parser("ellipse", help="allowed-probability boundary curve")

@@ -22,6 +22,11 @@ from dataclasses import dataclass
 import numpy as np
 
 PROBABILITY_TOL = 1e-10
+# Largest probability tolerance accepted: it covers probabilities rounded to
+# three decimals, whose four-entry block sums are off by at most 2e-3. A
+# larger one would let the joint-matrix checks pass on data that is not a
+# probability table.
+MAX_PROBABILITY_TOL = 1e-2
 CORRELATOR_RANGE_TOL = 1e-10
 
 CORRELATOR_NAMES = ("AB", "ApB", "ABp", "ApBp")
@@ -104,8 +109,9 @@ class EBasisVector:
 def validate_correlation_matrix(matrix: np.ndarray,
                                 tol: float = PROBABILITY_TOL) -> np.ndarray:
     """Check range, normalisation and no-signalling; raise listing failures."""
-    if not (np.isfinite(tol) and tol >= 0.0):
-        raise ValueError(f"probability tolerance must be finite and >= 0, got {tol}")
+    if not 0.0 <= tol <= MAX_PROBABILITY_TOL:
+        raise ValueError(f"probability tolerance must lie in [0, {MAX_PROBABILITY_TOL}],"
+                         f" got {tol}")
     m = np.asarray(matrix, dtype=float)
     if m.shape != (4, 4):
         raise ConstraintError(f"joint probability matrix must be 4x4, got {m.shape}")

@@ -290,11 +290,10 @@ class MonteCarloCorrelations:
 
 
 def _pair_sampler_arrays(rho: np.ndarray, sa: HomodyneSetting,
-                         sb: HomodyneSetting, grid_cells: int, span: float):
+                         sb: HomodyneSetting):
     """Precompute grid, marginal CDF, its guide table, coefficient matrix and
-    cumulative integrals for sampling one setting pair."""
-    if grid_cells < 8 or grid_cells % 2:
-        raise ValueError("grid_cells must be an even integer >= 8")
+    cumulative integrals for sampling one setting pair on its ``_pair_grid``."""
+    grid_cells, span = _pair_grid(sa, sb)
     grid = np.linspace(-span, span, grid_cells + 1)
     # Even cell count: the middle knot is 0, which the sign-only sampler
     # relies on. linspace can leave it a few ulps off, so pin it.
@@ -454,8 +453,7 @@ def monte_carlo_correlations(state: SinglePhotonState,
         raise ValueError("n_samples must be at least 1")
     rho = state_density(state)
     children = np.random.SeedSequence(seed).spawn(4)
-    tables = [_pair_sampler_arrays(rho, sa, sb, *_pair_grid(sa, sb))
-              for sa, sb in settings.pairs()]
+    tables = [_pair_sampler_arrays(rho, sa, sb) for sa, sb in settings.pairs()]
     counts = _pair_pool().map(_count_positive, tables, children,
                               [n_samples] * 4)
     means = []

@@ -21,14 +21,14 @@ from .correlation_model import (
     EBasisVector,
     extremal_correlations_array,
 )
-from .simplex import lp_feasibility
+from .simplex import DEFAULT_LP_TOL, lp_feasibility
 from .steering_witness import f_value_array
 from . import correlation_model
 
 WEIGHT_SUM_TOL = 1e-12
 WEIGHT_NEG_TOL = 1e-14
 MEMBER_TOL = 1e-12
-DEFAULT_LP_TOL = 1e-9
+DEFAULT_GRID_N = 2048
 MAX_GRID_N = 2 ** 20
 
 MEMBER = "member"
@@ -151,16 +151,6 @@ class MembershipResult:
     grid_n: int
     max_residual: float
 
-    def to_json_dict(self) -> dict:
-        return {
-            "verdict": self.verdict,
-            "lp_feasible": self.lp_feasible,
-            "f_value": self.f_value,
-            "band": self.band,
-            "grid_n": self.grid_n,
-            "max_residual": self.max_residual,
-        }
-
 
 def _classify(feasible, f, band):
     if abs(f - 1.0) <= band:
@@ -168,7 +158,7 @@ def _classify(feasible, f, band):
     return MEMBER if feasible else NON_MEMBER
 
 
-def lp_membership(c: CorrelationSet, grid_n: int = 2048,
+def lp_membership(c: CorrelationSet, grid_n: int = DEFAULT_GRID_N,
                   tol: float = DEFAULT_LP_TOL) -> MembershipResult:
     """Decide hull membership of one correlation set by LP feasibility.
 
@@ -182,7 +172,7 @@ def lp_membership(c: CorrelationSet, grid_n: int = 2048,
     return results[0]
 
 
-def lp_membership_batch(points: np.ndarray, grid_n: int = 2048,
+def lp_membership_batch(points: np.ndarray, grid_n: int = DEFAULT_GRID_N,
                         tol: float = DEFAULT_LP_TOL) -> list[MembershipResult]:
     """``lp_membership`` for an (N, 4) batch, sharing one atom grid."""
     points = np.asarray(points, dtype=float)

@@ -33,31 +33,29 @@ def is_hermitian(op: np.ndarray, tol: float = HERMITIAN_TOL) -> bool:
     return np.abs(op - op.conj().T).max() <= tol
 
 
-def validate_effect(op: np.ndarray, tol: float = EFFECT_TOL) -> np.ndarray:
+def validate_effect(op: np.ndarray) -> np.ndarray:
     """Check that ``op`` is a valid 2x2 POVM effect (0 <= op <= 1)."""
     op = np.asarray(op, dtype=complex)
     if op.shape != (2, 2):
         raise ValueError(f"effect must be a 2x2 matrix, got shape {op.shape}")
-    if not is_hermitian(op, tol):
+    if not is_hermitian(op, EFFECT_TOL):
         raise ValueError("effect is not Hermitian within tolerance")
     eig = np.linalg.eigvalsh(op)
-    if eig.min() < -tol or eig.max() > 1.0 + tol:
+    if eig.min() < -EFFECT_TOL or eig.max() > 1.0 + EFFECT_TOL:
         raise ValueError(f"effect eigenvalues {eig} outside [0, 1]")
     return op
 
 
-def validate_density(rho: np.ndarray, dim: int = 4,
-                     tol: float = HERMITIAN_TOL,
-                     psd_tol: float = DENSITY_PSD_TOL) -> np.ndarray:
+def validate_density(rho: np.ndarray, dim: int = 4) -> np.ndarray:
     """Check Hermiticity, unit trace and positivity of a density matrix."""
     rho = np.asarray(rho, dtype=complex)
     if rho.shape != (dim, dim):
         raise ValueError(f"density matrix must be {dim}x{dim}, got {rho.shape}")
-    if not is_hermitian(rho, tol):
+    if not is_hermitian(rho):
         raise ValueError("density matrix is not Hermitian within tolerance")
-    if abs(np.trace(rho).real - 1.0) > tol:
+    if abs(np.trace(rho).real - 1.0) > HERMITIAN_TOL:
         raise ValueError(f"density matrix trace {np.trace(rho)} differs from 1")
-    if np.linalg.eigvalsh(rho).min() < -psd_tol:
+    if np.linalg.eigvalsh(rho).min() < -DENSITY_PSD_TOL:
         raise ValueError("density matrix has a negative eigenvalue beyond tolerance")
     return rho
 

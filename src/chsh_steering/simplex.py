@@ -25,35 +25,35 @@ DEFAULT_MAX_ITER = 1_000_000
 # Consecutive degenerate pivots tolerated before switching the entering rule
 # from most-negative-reduced-cost to Bland's anti-cycling lowest index.
 BLAND_AFTER = 64
+DEFAULT_LP_TOL = 1e-9
 
 
 class OracleError(RuntimeError):
     """The LP solver failed numerically; no verdict should be derived."""
 
 
-# Status codes of the pivot loop.
-_PIVOT_OPTIMAL = 0
-_PIVOT_UNBOUNDED = 1
-_PIVOT_ITERATION_LIMIT = 2
-
-
-def _revised_pivots(A, cost, flip, tableau, basis, eps, max_iter, bland_after):
+def _revised_pivots(A, cost, flip, tableau, basis):
     """Run revised simplex pivots for min cost.x + sum(artificials), in place.
 
     Columns 0..n-1 are those of ``A`` with costs ``cost`` (zero when None);
     column n+i is the implicit artificial ``flip[i] * e_i`` with cost 1.
+    ``lp_feasibility`` passes None; ``cost`` is kept because a cycling LP
+    such as Beale's, which exercises the Bland switch, needs an objective on
+    the real columns.
     ``tableau`` has shape (m+1, m+1): the basis inverse in ``[:m, :m]``, the
     basic values in ``[:m, m]``, the negated duals in ``[m, :m]`` and the
     negated objective in ``[m, m]``. ``basis`` is the list of the m basic
-    column indices. Returns _PIVOT_OPTIMAL, _PIVOT_UNBOUNDED or
-    _PIVOT_ITERATION_LIMIT.
+    column indices. Uses ``PIVOT_EPS``, ``DEFAULT_MAX_ITER`` and
+    ``BLAND_AFTER``; returns at the optimum and raises ``OracleError`` on an
+    unbounded ray or at the iteration limit.
     """
+    eps, bland_after = PIVOT_EPS, BLAND_AFTER
     m, n = A.shape
     reduced = np.empty(n + m)
     stall = 0
     bland = False
     last_objective = tableau[m, m]
-    for _ in range(max_iter):
+    for _ in range(DEFAULT_MAX_ITER):
         duals = tableau[m, :m]
         np.dot(duals, A, out=reduced[:n])
         if cost is not None:
@@ -62,12 +62,12 @@ def _revised_pivots(A, cost, flip, tableau, basis, eps, max_iter, bland_after):
         if bland:
             negative = np.flatnonzero(reduced < -eps)
             if negative.size == 0:
-                return _PIVOT_OPTIMAL
+                return
             col = int(negative[0])
         else:
             col = int(reduced.argmin())
             if reduced[col] >= -eps:
-                return _PIVOT_OPTIMAL
+                return
 
         # The entering column of the full tableau: B^-1 a above its reduced cost.
         if col < n:
@@ -82,7 +82,7 @@ def _revised_pivots(A, cost, flip, tableau, basis, eps, max_iter, bland_after):
                 if row < 0 or ratio < best or (ratio == best and basis[i] < basis[row]):
                     row, best = i, ratio
         if row < 0:
-            return _PIVOT_UNBOUNDED
+            raise OracleError("phase 1 reported unbounded; basis inverse is corrupt")
 
         tableau[row] /= column[row]
         column[row] = 0.0
@@ -96,10 +96,10 @@ def _revised_pivots(A, cost, flip, tableau, basis, eps, max_iter, bland_after):
             stall += 1
             if stall >= bland_after:
                 bland = True
-    return _PIVOT_ITERATION_LIMIT
+    raise OracleError("simplex iteration limit reached in phase 1")
 
 
-def lp_feasibility(A, b, *, tol: float = 1e-9):
+def lp_feasibility(A, b, *, tol: float = DEFAULT_LP_TOL):
     """Decide whether {x >= 0 : A x = b} is nonempty, within ``tol`` per row.
 
     Phase 1: one artificial variable per row starts in the basis, and the
@@ -130,12 +130,7 @@ def lp_feasibility(A, b, *, tol: float = 1e-9):
     tableau[m, m] = -tableau[:m, m].sum()
     basis = list(range(n, n + m))
 
-    status = _revised_pivots(A, None, flip, tableau, basis,
-                             PIVOT_EPS, DEFAULT_MAX_ITER, BLAND_AFTER)
-    if status == _PIVOT_ITERATION_LIMIT:
-        raise OracleError("simplex iteration limit reached in phase 1")
-    if status == _PIVOT_UNBOUNDED:
-        raise OracleError("phase 1 reported unbounded; basis inverse is corrupt")
+    _revised_pivots(A, None, flip, tableau, basis)
     if not np.isfinite(tableau).all():
         raise OracleError("basis inverse or basic values lost finiteness in phase 1")
 

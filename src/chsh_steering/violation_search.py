@@ -89,6 +89,7 @@ def _scan_lhs(x1, y1, x2, y2):
 # size (256 KiB each); the whole pair grid at resolution 128 is 2 GiB each.
 _SCAN_BLOCK = 2 ** 15
 
+DEFAULT_BLOCH_RESOLUTION = 24
 MAX_BLOCH_RESOLUTION = 128
 
 
@@ -112,7 +113,7 @@ def _coarse_maxima(x, y):
     return best
 
 
-def state_scan(rho: np.ndarray, bloch_resolution: int = 24):
+def state_scan(rho: np.ndarray, bloch_resolution: int = DEFAULT_BLOCH_RESOLUTION):
     """Maximise the witness over Alice's two Bloch directions.
 
     Bob is fixed to the mutually unbiased z/x pair, so for Alice's unit

@@ -281,12 +281,20 @@ class TestRejectedInput:
         path = write_correlators(tmp_path, [1.0, 0.0, 0.0, 1.0])
         self.assert_rejected(*run_cli(capsys, "witness", "eval", path, flag, "nan"))
 
+    def test_joint_matrix_with_oversized_prob_tol(self, capsys, tmp_path):
+        # Every setting pair of this matrix sums to 0.4; a tolerance without a
+        # cap let it pass as a probability table with a "satisfied" verdict.
+        path = tmp_path / "joint.json"
+        path.write_text(json.dumps({"joint": [[0.1] * 4] * 4}))
+        self.assert_rejected(*run_cli(capsys, "witness", "eval", str(path),
+                                      "--prob-tol", "1e300"))
+
     def test_null_correlator(self, capsys, tmp_path):
         path = write_correlators(tmp_path, [None, 0.0, 0.0, 0.0])
         self.assert_rejected(*run_cli(capsys, "witness", "eval", path))
 
-    # A numpy warning would print more lines on stderr in a real run.
-    @pytest.mark.filterwarnings("error")
+    # A numpy warning would print more lines on stderr in a real run; the
+    # suite turns every warning into an error.
     @pytest.mark.parametrize("state", [5, {"real": None}, {"theta_deg": None},
                                        {"theta_deg": float("nan")},
                                        {"theta_deg": float("inf"), "p1": 0.5}])

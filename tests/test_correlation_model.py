@@ -135,7 +135,8 @@ class TestValidation:
         with pytest.raises(ConstraintError):
             validate_correlation_matrix(m)
         validate_correlation_matrix(m, tol=1e-5)
-        for tol in (float("nan"), -1.0):
+        validate_correlation_matrix(m, tol=1e-2)
+        for tol in (float("nan"), -1.0, 0.0101, 1e300, float("inf")):
             with pytest.raises(ValueError, match="tolerance"):
                 validate_correlation_matrix(m, tol=tol)
 

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from chsh_steering import homodyne_experiment
 from chsh_steering.homodyne_experiment import (
     BOB_PHASES,
     DEFAULT_GRID_CELLS,
@@ -361,12 +362,20 @@ class TestMonteCarlo:
         rho = state_density(SinglePhotonState(np.deg2rad(22.5), 0.9))
         settings = standard_settings(0.85, 0.85)
         sa, sb = settings.pairs()[0]
-        arrays = _pair_sampler_arrays(rho, sa, sb, 1024, 6.0)
+        arrays = _pair_sampler_arrays(rho, sa, sb)
         u = np.random.Generator(np.random.Philox(31)).random((10000, 2))
         whole = _positive_products(u, *arrays)
         shards = [_positive_products(np.ascontiguousarray(u[a:b]), *arrays)
                   for a, b in ((0, 3000), (3000, 7000), (7000, 10000))]
         assert np.array_equal(whole, np.concatenate(shards))
+
+
+def _sampler_arrays_on_grid(monkeypatch, rho, sa, sb, grid_cells, span):
+    """``_pair_sampler_arrays`` with the default grid set to ``grid_cells``
+    cells over [-span, span]; ``_pair_grid`` still widens it below eta 0.5."""
+    monkeypatch.setattr(homodyne_experiment, "DEFAULT_GRID_CELLS", grid_cells)
+    monkeypatch.setattr(homodyne_experiment, "DEFAULT_SPAN", span)
+    return _pair_sampler_arrays(rho, sa, sb)
 
 
 def _reference_sampler_arrays(rho, sa, sb, grid_cells, span):
@@ -445,7 +454,7 @@ def _reference_monte_carlo(state, settings, n_samples, seed):
     children = np.random.SeedSequence(seed).spawn(4)
     means, errors = [], []
     for pair_idx, (sa, sb) in enumerate(settings.pairs()):
-        grid, cdf_a, _, coef, cum_b = _pair_sampler_arrays(rho, sa, sb, 4096, 6.0)
+        grid, cdf_a, _, coef, cum_b = _pair_sampler_arrays(rho, sa, sb)
         rng = np.random.Generator(np.random.Philox(children[pair_idx]))
         u = rng.random((n_samples, 2))
         mean = float(_reference_mc_products(u, grid, cdf_a, coef, cum_b).mean())
@@ -467,13 +476,13 @@ _STATES = pytest.mark.parametrize("theta_deg, p1, eta_a, eta_b", [
 class TestSignOnlyKernel:
     @_GRID_CELLS
     @_STATES
-    def test_products_match_bisection_kernel(self, grid_cells, theta_deg, p1,
-                                             eta_a, eta_b):
+    def test_products_match_bisection_kernel(self, monkeypatch, grid_cells, theta_deg,
+                                             p1, eta_a, eta_b):
         rho = state_density(SinglePhotonState(np.deg2rad(theta_deg), p1))
         rng = np.random.Generator(np.random.Philox(grid_cells))
         for sa, sb in standard_settings(eta_a, eta_b).pairs():
-            grid, cdf_a, guide, coef, cum_b = _pair_sampler_arrays(
-                rho, sa, sb, grid_cells, 6.0)
+            grid, cdf_a, guide, coef, cum_b = _sampler_arrays_on_grid(
+                monkeypatch, rho, sa, sb, grid_cells, 6.0)
             u = rng.random((20000, 2))
             expected = _reference_mc_products(u, grid, cdf_a, coef, cum_b) > 0.0
             assert np.array_equal(
@@ -481,12 +490,13 @@ class TestSignOnlyKernel:
 
     @_GRID_CELLS
     @_STATES
-    def test_guide_table_is_searchsorted_lower_bound(self, grid_cells, theta_deg,
-                                                     p1, eta_a, eta_b):
+    def test_guide_table_is_searchsorted_lower_bound(self, monkeypatch, grid_cells,
+                                                     theta_deg, p1, eta_a, eta_b):
         rho = state_density(SinglePhotonState(np.deg2rad(theta_deg), p1))
         edges = np.arange(_GUIDE_BUCKETS + 1) / _GUIDE_BUCKETS
         for sa, sb in standard_settings(eta_a, eta_b).pairs():
-            _, cdf_a, guide, _, _ = _pair_sampler_arrays(rho, sa, sb, grid_cells, 6.0)
+            _, cdf_a, guide, _, _ = _sampler_arrays_on_grid(
+                monkeypatch, rho, sa, sb, grid_cells, 6.0)
             expected = np.searchsorted(cdf_a, edges, side="right") - 1
             assert np.array_equal(guide, expected)
 
@@ -500,7 +510,7 @@ class TestSignOnlyKernel:
         for rho in states:
             for sa, sb in standard_settings(eta_a, eta_b).pairs():
                 cells, span = _pair_grid(sa, sb)
-                got = _pair_sampler_arrays(rho, sa, sb, cells, span)
+                got = _pair_sampler_arrays(rho, sa, sb)
                 expected = _reference_sampler_arrays(rho, sa, sb, cells, span)
                 for a, b in zip(got, expected, strict=True):
                     assert np.array_equal(a, b)
@@ -516,10 +526,10 @@ class TestSignOnlyKernel:
         assert mc.std_errors == errors
 
     @pytest.mark.parametrize("span, grid_cells", [(6.0, 5000), (3.3, 100), (3.3, 3000)])
-    def test_middle_knot_is_exactly_zero(self, span, grid_cells):
+    def test_middle_knot_is_exactly_zero(self, monkeypatch, span, grid_cells):
         rho = state_density(SinglePhotonState(np.deg2rad(22.5), 1.0))
         sa, sb = standard_settings().pairs()[0]
-        grid = _pair_sampler_arrays(rho, sa, sb, grid_cells, span)[0]
+        grid = _sampler_arrays_on_grid(monkeypatch, rho, sa, sb, grid_cells, span)[0]
         assert grid[grid_cells // 2] == 0.0
         spaced = np.linspace(-span, span, grid_cells + 1)
         spaced[grid_cells // 2] = 0.0
@@ -528,7 +538,7 @@ class TestSignOnlyKernel:
     def test_default_grid_is_plain_linspace(self):
         rho = state_density(SinglePhotonState(np.deg2rad(22.5), 1.0))
         sa, sb = standard_settings().pairs()[0]
-        grid = _pair_sampler_arrays(rho, sa, sb, 4096, 6.0)[0]
+        grid = _pair_sampler_arrays(rho, sa, sb)[0]
         assert np.array_equal(grid, np.linspace(-6.0, 6.0, 4097))
 
 

@@ -7,8 +7,6 @@ from chsh_steering.simplex import (
     BLAND_AFTER,
     PIVOT_EPS,
     OracleError,
-    _PIVOT_ITERATION_LIMIT,
-    _PIVOT_OPTIMAL,
     _revised_pivots,
     lp_feasibility,
 )
@@ -56,18 +54,29 @@ def _beale_problem():
     return A, c, tableau, [4, 5, 6]
 
 
-def test_bland_terminates_on_cycling_example():
+def test_bland_terminates_on_cycling_example(monkeypatch):
+    monkeypatch.setattr(simplex, "DEFAULT_MAX_ITER", 1000)
     A, c, tableau, basis = _beale_problem()
-    status = _revised_pivots(A, c, np.ones(3), tableau, basis, PIVOT_EPS, 1000, BLAND_AFTER)
-    assert status == _PIVOT_OPTIMAL
+    _revised_pivots(A, c, np.ones(3), tableau, basis)
     # The bottom-right entry is -z; the optimum of Beale's LP is z = -1/20.
     assert tableau[3, 3] == pytest.approx(0.05, abs=1e-10)
 
 
-def test_cycling_example_hits_limit_without_bland():
+def test_cycling_example_hits_limit_without_bland(monkeypatch):
+    monkeypatch.setattr(simplex, "DEFAULT_MAX_ITER", 1000)
+    monkeypatch.setattr(simplex, "BLAND_AFTER", 10**9)
     A, c, tableau, basis = _beale_problem()
-    status = _revised_pivots(A, c, np.ones(3), tableau, basis, PIVOT_EPS, 1000, 10**9)
-    assert status == _PIVOT_ITERATION_LIMIT
+    with pytest.raises(OracleError, match="iteration limit"):
+        _revised_pivots(A, c, np.ones(3), tableau, basis)
+
+
+def test_unbounded_ray_raises_oracle_error():
+    # min -x0 s.t. x0 - x1 + x2 = 1, x >= 0, from the slack basis {x2}: x0
+    # enters, then x1 prices negative along the ray x0 = 1 + t, x1 = t.
+    A = np.array([[1.0, -1.0, 1.0]])
+    tableau = np.array([[1.0, 1.0], [0.0, 0.0]])
+    with pytest.raises(OracleError, match="unbounded"):
+        _revised_pivots(A, np.array([-1.0, 0.0, 0.0]), np.ones(1), tableau, [2])
 
 
 def test_iteration_limit_raises_oracle_error(monkeypatch):

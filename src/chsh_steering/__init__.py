@@ -10,9 +10,6 @@ from .correlation_model import (
     correlation_set_from_json_dict,
     correlations_from_matrix,
     extremal_correlations,
-    from_e_basis,
-    matrix_from_correlations,
-    matrix_from_extremal,
     to_e_basis,
 )
 from .homodyne_experiment import (
@@ -43,16 +40,7 @@ from .lhs_oracle import (
     lp_membership_batch,
     model_correlations,
 )
-from .qubit_core import (
-    MeasurementPair,
-    PureQubitState,
-    born_probability,
-    ellipse_point,
-    maximally_entangled,
-    mub_circle_point,
-    projector_from_params,
-    quantum_correlator,
-)
+from .qubit_core import ellipse_point, projector_from_params, quantum_correlator
 from .simplex import OracleError, lp_feasibility
 from .steering_witness import (
     WitnessReport,
@@ -62,17 +50,11 @@ from .steering_witness import (
     pair_inequalities,
     steering_inequality,
 )
-from .violation_search import (
-    AliceAngles,
-    angle_correlations,
-    closed_form_lhs,
-    state_scan,
-)
+from .violation_search import state_scan
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "AliceAngles",
     "ConstraintError",
     "CorrelationSet",
     "EBasisVector",
@@ -82,22 +64,17 @@ __all__ = [
     "LhsAtom",
     "LhsModel",
     "Marginals",
-    "MeasurementPair",
     "MembershipResult",
     "MonteCarloCorrelations",
     "NotAMemberError",
     "OracleError",
-    "PureQubitState",
     "SinglePhotonState",
     "WitnessReport",
     "adjudicate",
     "adjudicate_reported",
     "analytic_correlations",
-    "angle_correlations",
-    "born_probability",
     "boundary_band",
     "chsh_values",
-    "closed_form_lhs",
     "correlation_set_from_json_dict",
     "correlations_from_matrix",
     "decompose",
@@ -105,7 +82,6 @@ __all__ = [
     "experiment_correlations",
     "extremal_correlations",
     "f_value",
-    "from_e_basis",
     "full_report",
     "gamma",
     "homodyne_effects",
@@ -113,12 +89,8 @@ __all__ = [
     "lp_feasibility",
     "lp_membership",
     "lp_membership_batch",
-    "matrix_from_correlations",
-    "matrix_from_extremal",
-    "maximally_entangled",
     "model_correlations",
     "monte_carlo_correlations",
-    "mub_circle_point",
     "pair_inequalities",
     "projector_from_params",
     "quantum_correlator",

@@ -84,7 +84,7 @@ def cmd_oracle_check(args) -> int:
         "grid_n": args.grid,
         "samples": args.samples,
         "lp_tol": args.lp_tol,
-        "band": float(lhs_oracle.boundary_band(args.grid)),
+        "band": float(lhs_oracle.boundary_band(args.grid, args.lp_tol)),
         "disagreements": disagreements,
         "within_band": within_band,
         "verdicts": verdicts,

@@ -106,12 +106,16 @@ class EBasisVector:
         return np.array([self.v1, self.v2, self.v3, self.v4])
 
 
-def validate_correlation_matrix(matrix: np.ndarray,
-                                tol: float = PROBABILITY_TOL) -> np.ndarray:
-    """Check range, normalisation and no-signalling; raise listing failures."""
+def _check_probability_tol(tol: float) -> None:
     if not 0.0 <= tol <= MAX_PROBABILITY_TOL:
         raise ValueError(f"probability tolerance must lie in [0, {MAX_PROBABILITY_TOL}],"
                          f" got {tol}")
+
+
+def validate_correlation_matrix(matrix: np.ndarray,
+                                tol: float = PROBABILITY_TOL) -> np.ndarray:
+    """Check range, normalisation and no-signalling; raise listing failures."""
+    _check_probability_tol(tol)
     m = np.asarray(matrix, dtype=float)
     if m.shape != (4, 4):
         raise ConstraintError(f"joint probability matrix must be 4x4, got {m.shape}")
@@ -165,53 +169,9 @@ def correlations_from_matrix(matrix: np.ndarray,
                           abp=corr[(0, 1)], apbp=corr[(1, 1)], marginals=marg)
 
 
-def matrix_from_extremal(chi: int, bob_probs) -> np.ndarray:
-    """Joint matrix of a deterministic Alice strategy and Bob probabilities.
-
-    ``bob_probs`` is the pair (p+1|B, p+1|B'). The result is the outer product
-    of Bob's probability vector with Alice's deterministic one.
-    """
-    if chi not in ALICE_EXTREMALS:
-        raise ValueError(f"chi must be one of 1..4, got {chi}")
-    pb, pbp = bob_probs
-    if not (0.0 <= pb <= 1.0 and 0.0 <= pbp <= 1.0):
-        raise ValueError(f"Bob probabilities {bob_probs} outside [0, 1]")
-    bob_vec = np.array([pb, 1.0 - pb, pbp, 1.0 - pbp])
-    return np.outer(bob_vec, ALICE_EXTREMALS[chi])
-
-
-def matrix_from_correlations(c: CorrelationSet,
-                             marginals: Marginals | None = None) -> np.ndarray:
-    """Rebuild the 4x4 joint matrix from correlators and marginals.
-
-    Marginals must be supplied either explicitly or on ``c``; the scenario's
-    constraints leave them free, so they are never assumed unbiased.
-    """
-    marg = marginals if marginals is not None else c.marginals
-    if marg is None:
-        raise ValueError("marginals are required to reconstruct the joint matrix")
-    corr = {(0, 0): c.ab, (1, 0): c.apb, (0, 1): c.abp, (1, 1): c.apbp}
-    alice = (marg.a, marg.ap)
-    bob = (marg.b, marg.bp)
-    m = np.empty((4, 4))
-    for ib in range(2):
-        for b_out, bsign in enumerate((1.0, -1.0)):
-            for ia in range(2):
-                for a_out, asign in enumerate((1.0, -1.0)):
-                    m[2 * ib + b_out, 2 * ia + a_out] = 0.25 * (
-                        1.0 + asign * alice[ia] + bsign * bob[ib]
-                        + asign * bsign * corr[(ia, ib)])
-    return validate_correlation_matrix(m)
-
-
 def to_e_basis(c: CorrelationSet) -> EBasisVector:
     """Coefficients of the correlator vector in the rotated basis."""
     return EBasisVector(*to_e_basis_array(c.as_array()).tolist())
-
-
-def from_e_basis(v: EBasisVector) -> CorrelationSet:
-    """Inverse of ``to_e_basis``; exact round trip."""
-    return CorrelationSet(*from_e_basis_array(v.as_array()).tolist())
 
 
 def to_e_basis_array(c: np.ndarray) -> np.ndarray:
@@ -222,16 +182,6 @@ def to_e_basis_array(c: np.ndarray) -> np.ndarray:
     out[..., 1] = 0.5 * (c[..., 2] + c[..., 3])
     out[..., 2] = 0.5 * (c[..., 0] - c[..., 1])
     out[..., 3] = 0.5 * (c[..., 2] - c[..., 3])
-    return out
-
-
-def from_e_basis_array(v: np.ndarray) -> np.ndarray:
-    v = np.asarray(v, dtype=float)
-    out = np.empty_like(v)
-    out[..., 0] = v[..., 0] + v[..., 2]
-    out[..., 1] = v[..., 0] - v[..., 2]
-    out[..., 2] = v[..., 1] + v[..., 3]
-    out[..., 3] = v[..., 1] - v[..., 3]
     return out
 
 
@@ -279,7 +229,10 @@ def correlation_set_from_json_dict(data: dict,
     "marginals": {"A": x, "Ap": x, "B": x, "Bp": x} (optional),
     "joint": 4x4 array (optional)}``. When a joint matrix is present it is
     validated and reduced, and any explicitly given values must agree with it.
+    ``tol`` must lie in [0, ``MAX_PROBABILITY_TOL``] even without a joint
+    matrix, else ``ValueError``.
     """
+    _check_probability_tol(tol)
     if not isinstance(data, dict):
         raise ConstraintError("correlation input must be a JSON object")
     from_joint = None

@@ -129,13 +129,6 @@ def homodyne_effects(setting: HomodyneSetting):
     return eye + half, eye - half
 
 
-def quadrature_projectors(phi: float):
-    """Projector pair (1 pm sigma_phi)/2 of the ideal quadrature sign."""
-    half = 0.5 * sigma_phi(phi)
-    eye = 0.5 * np.eye(2, dtype=complex)
-    return eye + half, eye - half
-
-
 @dataclass(frozen=True)
 class ExperimentSettings:
     """The four homodyne settings: two per party."""
@@ -441,10 +434,11 @@ def monte_carlo_correlations(state: SinglePhotonState,
     width, so the truncated tails stay at their eta 0.5 size. An efficiency
     below ``MIN_MC_ETA`` (1/8192, where the grid is 64 times the default)
     raises ``ValueError``. The x inverse CDF starts from a guide table of
-    uniform buckets and searches only the uniforms whose bucket holds a knot. Streams are counter-based (Philox) and
-    spawned per pair, so results are reproducible for a fixed seed and the
-    per-pair sampling is a pure elementwise map of its uniforms (shards over
-    sample ranges merge deterministically). The pairs are sampled concurrently
+    uniform buckets and searches only the uniforms whose bucket holds a knot.
+    Streams are counter-based (Philox) and spawned per pair, so results are
+    reproducible for a fixed seed and the per-pair sampling is a pure
+    elementwise map of its uniforms (shards over sample ranges merge
+    deterministically). The pairs are sampled concurrently
     on a process-wide thread pool with one thread per core in this process's
     CPU affinity, at most four; each pair's exact count of +1 products does
     not depend on the scheduling, so neither does the result.

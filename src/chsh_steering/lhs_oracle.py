@@ -6,8 +6,8 @@ cross-check that owes nothing to the witness formula, ``lp_membership`` tests
 convex-hull membership directly: it discretises the two extremal circles on a
 uniform angle grid and asks a phase-1 simplex whether the target correlators
 are a convex combination of grid atoms. The only use of f there is to flag
-points within the discretisation band of the boundary, where a grid oracle
-cannot be trusted either way.
+points within the band of the boundary set by the grid's chord sag and the
+LP's residual tolerance, where the oracle cannot be trusted either way.
 """
 
 from __future__ import annotations
@@ -30,6 +30,11 @@ WEIGHT_NEG_TOL = 1e-14
 MEMBER_TOL = 1e-12
 DEFAULT_GRID_N = 2048
 MAX_GRID_N = 2 ** 20
+# The LP's residual tolerance widens the band by KAPPA * tol (see
+# ``boundary_band``). At MAX_LP_TOL that is 3.8e-6, three times the sag of
+# the default grid; a larger tolerance would only hide more points in it.
+KAPPA = 1.0 + 2.0 * np.sqrt(2.0)
+MAX_LP_TOL = 1e-6
 
 MEMBER = "member"
 NON_MEMBER = "non_member"
@@ -115,14 +120,27 @@ def decompose(v: EBasisVector, tol: float = MEMBER_TOL) -> LhsModel:
     return LhsModel(atoms)
 
 
-def boundary_band(grid_n: int) -> float:
-    """Chord sag of a regular ``grid_n``-gon inscribed in the unit circle.
+def boundary_band(grid_n: int, tol: float = DEFAULT_LP_TOL) -> float:
+    """Distance ``max(sag, KAPPA * tol)`` of f from 1 within which the oracle
+    on ``grid_n`` angles with LP tolerance ``tol`` makes no membership claim.
 
-    Inside this distance of the exact boundary the discretised hull and the
-    true region can legitimately disagree, so the oracle reports a band
-    verdict instead of a membership claim.
+    Each side of the band needs only its own term:
+
+    - A false NON_MEMBER needs f > 1 - sag, with sag = 1 - cos(pi/grid_n)
+      the chord sag of the inscribed regular ``grid_n``-gon: that polygon
+      holds the disk of radius 1 - sag in each plane, so the grid hull holds
+      every point with f <= 1 - sag.
+    - A false MEMBER needs f <= 1 + KAPPA * tol. Phase 1 accepts x >= 0 with
+      every row of A x - b within ``tol``. The atoms have f = 1 and f is a
+      norm, so their mixture c' has f(c') <= sum(x) <= 1 + tol by the weight
+      row. Each e-basis coordinate of c - c' is half a sum of two correlator
+      errors, so at most ``tol``; each plane's radius is then at most
+      sqrt(2) tol, and f(c - c') <= 2 sqrt(2) tol. By the triangle
+      inequality f(c) <= 1 + (1 + 2 sqrt(2)) tol = 1 + KAPPA * tol.
+
+    At the default tolerance the sag is the larger term up to grid 2^15.
     """
-    return 1.0 - np.cos(np.pi / grid_n)
+    return max(1.0 - np.cos(np.pi / grid_n), KAPPA * tol)
 
 
 def atom_matrix(grid_n: int) -> np.ndarray:
@@ -164,8 +182,9 @@ def lp_membership(c: CorrelationSet, grid_n: int = DEFAULT_GRID_N,
 
     The verdict is MEMBER or NON_MEMBER according to whether the correlators
     are a convex combination of the grid atoms (equality within ``tol`` per
-    coordinate), except within ``boundary_band(grid_n)`` of the exact
-    boundary, where BOUNDARY_BAND is returned. Numerical failure of the LP
+    coordinate), except within ``boundary_band(grid_n, tol)`` of the exact
+    boundary, where BOUNDARY_BAND is returned. ``tol`` must lie in [0,
+    ``MAX_LP_TOL``], else ``ValueError``. Numerical failure of the LP
     raises ``OracleError`` rather than producing a verdict.
     """
     results = lp_membership_batch(c.as_array()[None, :], grid_n, tol)
@@ -178,13 +197,13 @@ def lp_membership_batch(points: np.ndarray, grid_n: int = DEFAULT_GRID_N,
     points = np.asarray(points, dtype=float)
     if points.ndim != 2 or points.shape[1] != 4:
         raise ValueError(f"points must have shape (N, 4), got {points.shape}")
-    if not (np.isfinite(tol) and tol >= 0.0):
-        raise ValueError(f"LP tolerance must be finite and >= 0, got {tol}")
+    if not 0.0 <= tol <= MAX_LP_TOL:
+        raise ValueError(f"LP tolerance must lie in [0, {MAX_LP_TOL:g}], got {tol}")
     atoms = atom_matrix(grid_n)
     # vstack keeps the transposed atoms' Fortran order; lp_feasibility would
     # copy a non-contiguous A for every point.
     A = np.ascontiguousarray(np.vstack([atoms, np.ones((1, atoms.shape[1]))]))
-    band = float(boundary_band(grid_n))
+    band = float(boundary_band(grid_n, tol))
     f_values = f_value_array(correlation_model.to_e_basis_array(points))
     results = []
     for point, f in zip(points, f_values):

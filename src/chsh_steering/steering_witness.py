@@ -29,6 +29,11 @@ STEERING_BOUND = 2.0
 CHSH_BOUND = 2.0
 PAIR_BOUND = 1.0
 VERDICT_TOL = 1e-9
+# Largest verdict tolerance accepted: it covers correlators rounded to three
+# decimals (each off by at most 5e-4), which move a CHSH value by at most
+# 2e-3 and the steering left-hand side by at most 4 sqrt(2) 5e-4 = 2.8e-3.
+# A larger one could call a clear violation a boundary.
+MAX_VERDICT_TOL = 1e-2
 
 SATISFIED = "satisfied"
 VIOLATED = "violated"
@@ -95,11 +100,13 @@ def pair_values_array(c: np.ndarray) -> np.ndarray:
 
 
 def verdict(value: float, bound: float, tol: float = VERDICT_TOL) -> str:
-    """Classify an inequality value against its bound with a tie band."""
-    if not (math.isfinite(value) and math.isfinite(bound) and math.isfinite(tol)
-            and tol >= 0.0):
-        raise ValueError(f"verdict needs a finite value and bound and a finite "
-                         f"tolerance >= 0, got value={value}, bound={bound}, tol={tol}")
+    """Classify an inequality value against its bound with a tie band of
+    half-width ``tol``, which must lie in [0, ``MAX_VERDICT_TOL``]."""
+    if not (math.isfinite(value) and math.isfinite(bound)
+            and 0.0 <= tol <= MAX_VERDICT_TOL):
+        raise ValueError(f"verdict needs a finite value and bound and a tolerance "
+                         f"in [0, {MAX_VERDICT_TOL:g}], got value={value}, "
+                         f"bound={bound}, tol={tol}")
     if value > bound + tol:
         return VIOLATED
     if value >= bound - tol:

@@ -16,45 +16,19 @@ built from the singular value decomposition of M.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .correlation_model import CorrelationSet
 from .qubit_core import expectation_table
 
 
-@dataclass(frozen=True)
-class AliceAngles:
-    """Angles of Alice's two measurement directions in the real plane."""
-
-    alpha: float
-    alpha_prime: float
-
-
-def alice_projector(alpha: float) -> np.ndarray:
-    """+1-outcome projector onto cos(a/2)|0> + sin(a/2)|1>."""
-    u = np.array([np.cos(alpha / 2.0), np.sin(alpha / 2.0)], dtype=complex)
-    return np.outer(u, u.conj())
-
-
-def angle_correlations(angles: AliceAngles) -> CorrelationSet:
-    """Correlators (cos a, cos a', sin a, sin a') of the ideal configuration."""
-    return CorrelationSet(*angle_correlations_array(
-        angles.alpha, angles.alpha_prime).tolist())
-
-
 def angle_correlations_array(alpha: np.ndarray, alpha_prime: np.ndarray) -> np.ndarray:
+    """Correlators (cos a, cos a', sin a, sin a') of the ideal configuration,
+    as an (..., 4) array broadcast over ``alpha`` and ``alpha_prime``."""
     alpha, alpha_prime = np.broadcast_arrays(np.asarray(alpha, dtype=float),
                                              np.asarray(alpha_prime, dtype=float))
     return np.stack([np.cos(alpha), np.cos(alpha_prime),
                      np.sin(alpha), np.sin(alpha_prime)], axis=-1)
-
-
-def closed_form_lhs(angles: AliceAngles) -> float:
-    """Witness left-hand side as a function of the angle difference alone."""
-    c = np.cos(angles.alpha - angles.alpha_prime)
-    return float(np.sqrt(2.0 + 2.0 * c) + np.sqrt(2.0 - 2.0 * c))
 
 
 # ---------------------------------------------------------------------------

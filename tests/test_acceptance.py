@@ -12,7 +12,6 @@ from chsh_steering.cli import main
 from chsh_steering.correlation_model import (
     EBasisVector,
     extremal_correlations_array,
-    from_e_basis_array,
     to_e_basis_array,
 )
 from chsh_steering.homodyne_experiment import (
@@ -36,7 +35,6 @@ from chsh_steering.lhs_oracle import (
 )
 from chsh_steering.qubit_core import (
     ellipse_point,
-    maximally_entangled,
     projector_from_params,
     quantum_correlator,
 )
@@ -46,7 +44,7 @@ from chsh_steering.steering_witness import (
     pair_values_array,
     steering_lhs_array,
 )
-from chsh_steering.violation_search import alice_projector
+from reference import alice_projector, from_e_basis_array, maximally_entangled
 
 PAULIS = np.array([[[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]])
 

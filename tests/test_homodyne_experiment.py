@@ -24,7 +24,6 @@ from chsh_steering.homodyne_experiment import (
     homodyne_effects,
     homodyne_pdf,
     monte_carlo_correlations,
-    quadrature_projectors,
     standard_settings,
     state_density,
     _GUIDE_BUCKETS,
@@ -38,8 +37,9 @@ from chsh_steering.homodyne_experiment import (
     _positive_products,
 )
 from chsh_steering.correlation_model import CorrelationSet
-from chsh_steering.qubit_core import maximally_entangled, quantum_correlator
+from chsh_steering.qubit_core import projector_from_params, quantum_correlator
 from chsh_steering.steering_witness import steering_inequality
+from reference import maximally_entangled
 
 
 class TestState:
@@ -130,8 +130,9 @@ class TestAnalyticCorrelations:
         assert np.abs(scaled - np.sqrt(0.49) * base).max() <= 1e-12
 
     def test_projective_bob_reference(self):
-        # With Bob's effects replaced by the quadrature-sign projectors, each
-        # correlator shrinks by exactly gamma(eta) when efficiency returns.
+        # With Bob's effects replaced by the quadrature-sign projectors
+        # (1 + sigma_phi)/2, the projector onto (|0> + e^{-i phi}|1>)/sqrt(2),
+        # each correlator shrinks by exactly gamma(eta) when efficiency returns.
         rng = np.random.Generator(np.random.Philox(51))
         for _ in range(100):
             state = SinglePhotonState(rng.uniform(0, np.pi / 2), rng.uniform(0, 1))
@@ -142,7 +143,7 @@ class TestAnalyticCorrelations:
             phi_b = rng.uniform(0, 2 * np.pi)
             ea, _ = homodyne_effects(HomodyneSetting(phi_a, eta_a))
             eb, _ = homodyne_effects(HomodyneSetting(phi_b, eta_b))
-            pb, _ = quadrature_projectors(phi_b)
+            pb = projector_from_params(0.5, -phi_b)
             with_eff = quantum_correlator(rho, ea, eb)
             projective = quantum_correlator(rho, ea, pb)
             assert with_eff == pytest.approx(gamma(eta_b) * projective, abs=1e-12)
@@ -549,8 +550,8 @@ def test_maximally_entangled_ideal_configuration_hits_quantum_max():
     values = []
     for phi_a in (0.0, np.pi / 2.0):
         for phi_b in BOB_PHASES:
-            pa, _ = quadrature_projectors(phi_a)
-            pb, _ = quadrature_projectors(phi_b)
+            pa = projector_from_params(0.5, -phi_a)
+            pb = projector_from_params(0.5, -phi_b)
             values.append(quantum_correlator(rho, pa, pb))
     c = CorrelationSet(values[0], values[2], values[1], values[3])
     lhs, _ = steering_inequality(c)

@@ -5,7 +5,6 @@ from chsh_steering import lhs_oracle
 from chsh_steering.correlation_model import (
     CorrelationSet,
     EBasisVector,
-    from_e_basis,
     to_e_basis,
     to_e_basis_array,
 )
@@ -25,6 +24,7 @@ from chsh_steering.lhs_oracle import (
 )
 from chsh_steering.simplex import lp_feasibility
 from chsh_steering.steering_witness import f_value, f_value_array
+from reference import from_e_basis, from_e_basis_array
 
 
 def random_members(rng, count):
@@ -34,6 +34,12 @@ def random_members(rng, count):
     f = np.where(f > 0, f, 1.0)
     targets = rng.uniform(0.0, 1.0, count)
     return raw * (targets / f)[:, None]
+
+
+def _points_at(rng, targets):
+    """Correlator points in random directions with f equal to ``targets``."""
+    raw = to_e_basis_array(rng.uniform(-1.0, 1.0, (len(targets), 4)))
+    return from_e_basis_array(raw * (targets / f_value_array(raw))[:, None])
 
 
 class TestModel:
@@ -129,6 +135,30 @@ class TestLpMembership:
 
     def test_band_formula(self):
         assert boundary_band(2048) == pytest.approx(1.0 - np.cos(np.pi / 2048), abs=1e-18)
+        assert boundary_band(64, tol=0.0) == 1.0 - np.cos(np.pi / 64)
+        # Above grid 2^15 the LP tolerance, not the chord sag, sets the band.
+        assert boundary_band(2 ** 15) == 1.0 - np.cos(np.pi / 2 ** 15)
+        assert boundary_band(2 ** 16) == (1.0 + 2.0 * np.sqrt(2.0)) * 1e-9
+        assert boundary_band(2048, tol=1e-6) == lhs_oracle.KAPPA * 1e-6
+
+    def test_fine_grid_band_covers_lp_tolerance(self):
+        # At grid 2^17 the sag (2.9e-10) is below the LP tolerance, and phase
+        # 1 accepts these points with f - 1 = 5e-10 as feasible, so only the
+        # band keeps them from a false MEMBER claim.
+        rng = np.random.Generator(np.random.Philox(29))
+        points = _points_at(rng, np.full(20, 1.0 + 5e-10))
+        results = lp_membership_batch(points, grid_n=2 ** 17)
+        assert [res.verdict for res in results] == [BOUNDARY_BAND] * 20
+
+    @pytest.mark.parametrize("grid_n", [64, 2048, 2 ** 17])
+    def test_no_wrong_verdict_near_boundary(self, grid_n):
+        rng = np.random.Generator(np.random.Philox(31))
+        offsets = 10.0 ** rng.uniform(-11.0, -6.0, 30)
+        signs = np.where(rng.uniform(size=30) < 0.5, -1.0, 1.0)
+        points = _points_at(rng, 1.0 + signs * offsets)
+        for res in lp_membership_batch(points, grid_n=grid_n):
+            if abs(res.f_value - 1.0) > res.band:
+                assert res.verdict == (MEMBER if res.f_value <= 1.0 else NON_MEMBER)
 
     def test_agreement_with_witness(self):
         rng = np.random.Generator(np.random.Philox(13))
@@ -220,9 +250,10 @@ class TestLpMembership:
             atom_matrix(lhs_oracle.MAX_GRID_N + 1)
         with pytest.raises(ValueError):
             lp_membership_batch(np.zeros((3, 5)))
-        for tol in (-1e-12, np.nan, np.inf):
+        for tol in (-1e-12, np.nan, np.inf, 1.01e-6, 1e300):
             with pytest.raises(ValueError, match="LP tolerance"):
                 lp_membership_batch(np.zeros((3, 4)), grid_n=64, tol=tol)
+        lp_membership_batch(np.zeros((3, 4)), grid_n=64, tol=lhs_oracle.MAX_LP_TOL)
 
     def test_atom_matrix_columns(self):
         A = atom_matrix(8)

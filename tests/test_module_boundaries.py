@@ -102,3 +102,62 @@ def test_exports_match_imports():
     public = {name for name in imported if not name.startswith("_")}
     assert [name for name in package.__all__ if not hasattr(package, name)] == []
     assert sorted(public - set(package.__all__)) == []
+
+
+# Public names that nothing in the package or perfbench calls, kept because
+# the README documents them (the library example, homodyne_pdf, the qubit
+# projectors) or the roadmap reuses them (model_correlations certifies a
+# decomposition).
+DOCUMENTED_API = {"decompose", "homodyne_pdf", "lp_membership", "model_correlations",
+                  "projector_from_params"}
+PERFBENCH = SOURCE.parents[1] / "perfbench"
+
+
+def unreferenced_definitions(modules: dict[str, str], others=()) -> list[str]:
+    """``module.name`` of every public top-level function or class of
+    ``modules`` (module name -> source) that no source in ``modules`` or
+    ``others`` names, as a bare name or an attribute, outside its own
+    definition. Docstrings and comments are not names."""
+    trees = {module: ast.parse(source) for module, source in modules.items()}
+    everything = [*trees.values(), *map(ast.parse, others)]
+    inside = {}  # (module, name) -> ids of the nodes of its definition
+    for module, tree in trees.items():
+        for node in tree.body:
+            if (isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                    and not node.name.startswith("_")):
+                inside[(module, node.name)] = {id(n) for n in ast.walk(node)}
+    uses = {}  # name -> ids of the nodes that name it
+    for tree in everything:
+        for node in ast.walk(tree):
+            name = (node.id if isinstance(node, ast.Name)
+                    else node.attr if isinstance(node, ast.Attribute) else None)
+            if name is not None:
+                uses.setdefault(name, set()).add(id(node))
+    return sorted(f"{module}.{name}" for (module, name), own in inside.items()
+                  if not uses.get(name, set()) - own)
+
+
+def test_unreferenced_checker_finds_each_form():
+    modules = {
+        "a": ("def called(): pass\n"
+              "def recursive(n): return recursive(n - 1)\n"
+              "def documented():\n    '''Not the same as ``in_docstring``.'''\n"
+              "def in_docstring(): pass\n"
+              "class Annotated: pass\n"
+              "def uses(x: Annotated): return called()\n"
+              "def _private(): pass\n"),
+        "b": "from . import a\nvalue = a.documented\n",
+    }
+    assert unreferenced_definitions(modules) == ["a.in_docstring", "a.recursive",
+                                                 "a.uses"]
+    assert unreferenced_definitions(modules, ["uses(recursive)"]) == ["a.in_docstring"]
+
+
+def test_every_public_definition_is_used():
+    modules = {path.stem: path.read_text(encoding="utf-8")
+               for path in sorted(SOURCE.glob("*.py")) if path.name != "__init__.py"}
+    others = [path.read_text(encoding="utf-8") for path in sorted(PERFBENCH.glob("*.py"))]
+    unused = unreferenced_definitions(modules, others)
+    assert [name for name in unused if name.split(".")[1] not in DOCUMENTED_API] == []
+    # Every exempt name exists and is still only documented, not used.
+    assert sorted(name.split(".")[1] for name in unused) == sorted(DOCUMENTED_API)

@@ -14,6 +14,7 @@ from chsh_steering.correlation_model import (
 from chsh_steering.steering_witness import (
     BOUNDARY,
     CANONICAL_CHSH_INDEX,
+    MAX_VERDICT_TOL,
     SATISFIED,
     VIOLATED,
     chsh_values,
@@ -237,11 +238,14 @@ class TestFullReport:
 
     def test_no_verdict_from_non_finite_input(self):
         for value, bound, tol in ((float("nan"), 2.0, 1e-9), (1.0, float("inf"), 1e-9),
-                                  (1.0, 2.0, float("nan")), (1.0, 2.0, -1.0)):
+                                  (1.0, 2.0, float("nan")), (1.0, 2.0, -1.0),
+                                  (1.0, 2.0, 1.01e-2), (1.0, 2.0, float("inf"))):
             with pytest.raises(ValueError):
                 verdict(value, bound, tol)
-        with pytest.raises(ValueError):
-            full_report(CorrelationSet(1, 0, 0, 1), tol=float("nan"))
+        for tol in (float("nan"), 1e300):
+            with pytest.raises(ValueError):
+                full_report(CorrelationSet(1, 0, 0, 1), tol=tol)
+        assert verdict(2.5, 2.0, MAX_VERDICT_TOL) == VIOLATED
 
     def test_verdict_matches_slack_sign(self):
         rng = np.random.Generator(np.random.Philox(43))

@@ -8,7 +8,6 @@ from chsh_steering.homodyne_experiment import SinglePhotonState, state_density
 from chsh_steering.lhs_oracle import MEMBER, lp_membership
 from chsh_steering.qubit_core import (
     expectation_table,
-    maximally_entangled,
     projector_from_params,
     quantum_correlator,
 )
@@ -17,23 +16,32 @@ from chsh_steering import violation_search
 from chsh_steering.violation_search import (
     _PAULIS,
     _directions,
-    AliceAngles,
-    alice_projector,
-    angle_correlations,
     angle_correlations_array,
-    closed_form_lhs,
     state_scan,
 )
+from reference import alice_projector, maximally_entangled
+
+
+def closed_form_lhs(alpha, alpha_prime):
+    """Witness left-hand side as a function of the angle difference alone."""
+    c = np.cos(alpha - alpha_prime)
+    return np.sqrt(2.0 + 2.0 * c) + np.sqrt(2.0 - 2.0 * c)
+
+
+def pipeline_lhs(alpha, alpha_prime):
+    """Steering left-hand side of one angle pair, through ``CorrelationSet``."""
+    c = CorrelationSet(*angle_correlations_array(alpha, alpha_prime).tolist())
+    return steering_inequality(c)[0]
 
 
 class TestAngleCorrelations:
     def test_orthogonal_pair(self):
-        c = angle_correlations(AliceAngles(0.0, np.pi / 2.0))
-        assert np.allclose(c.as_array(), [1.0, 0.0, 0.0, 1.0], atol=1e-15)
+        c = angle_correlations_array(0.0, np.pi / 2.0)
+        assert np.allclose(c, [1.0, 0.0, 0.0, 1.0], atol=1e-15)
 
     def test_parallel_pair(self):
-        c = angle_correlations(AliceAngles(np.pi / 2.0, np.pi / 2.0))
-        assert np.allclose(c.as_array(), [0.0, 0.0, 1.0, 1.0], atol=1e-15)
+        c = angle_correlations_array(np.pi / 2.0, np.pi / 2.0)
+        assert np.allclose(c, [0.0, 0.0, 1.0, 1.0], atol=1e-15)
 
     def test_matches_trace_oracle(self):
         rho = maximally_entangled()
@@ -42,7 +50,7 @@ class TestAngleCorrelations:
         rng = np.random.Generator(np.random.Philox(47))
         for _ in range(64):
             a, ap = rng.uniform(0.0, 2.0 * np.pi, 2)
-            expected = angle_correlations(AliceAngles(a, ap)).as_array()
+            expected = angle_correlations_array(a, ap)
             got = np.array([
                 quantum_correlator(rho, alice_projector(a), b_effect),
                 quantum_correlator(rho, alice_projector(ap), b_effect),
@@ -52,59 +60,56 @@ class TestAngleCorrelations:
             assert np.abs(got - expected).max() <= 1e-12
 
     @staticmethod
-    def _reference_angle_correlations(angles: AliceAngles) -> CorrelationSet:
+    def _reference_angle_correlations(alpha, alpha_prime) -> CorrelationSet:
         return CorrelationSet(
-            ab=np.cos(angles.alpha),
-            apb=np.cos(angles.alpha_prime),
-            abp=np.sin(angles.alpha),
-            apbp=np.sin(angles.alpha_prime),
+            ab=np.cos(alpha),
+            apb=np.cos(alpha_prime),
+            abp=np.sin(alpha),
+            apbp=np.sin(alpha_prime),
         )
 
     @pytest.mark.parametrize("scale", [1.0, 1e-3, 1e-150])
     def test_bitwise_equal_to_scalar_reference(self, scale):
         rng = np.random.Generator(np.random.Philox(97))
         for a, ap in rng.uniform(-2.0 * np.pi, 2.0 * np.pi, size=(2000, 2)) * scale:
-            angles = AliceAngles(float(a), float(ap))
-            assert (angle_correlations(angles)
-                    == self._reference_angle_correlations(angles))
+            row = angle_correlations_array(float(a), float(ap)).tolist()
+            assert (CorrelationSet(*row)
+                    == self._reference_angle_correlations(float(a), float(ap)))
 
 
 class TestClosedForm:
     def test_quarter_turn_maximum(self):
-        assert closed_form_lhs(AliceAngles(0.7, 0.7 - np.pi / 2.0)) == pytest.approx(
+        assert pipeline_lhs(0.7, 0.7 - np.pi / 2.0) == pytest.approx(
             2.0 * np.sqrt(2.0), abs=1e-14)
 
     def test_equal_angles(self):
-        assert closed_form_lhs(AliceAngles(1.3, 1.3)) == pytest.approx(2.0, abs=1e-14)
+        assert pipeline_lhs(1.3, 1.3) == pytest.approx(2.0, abs=1e-14)
 
     def test_third_turn(self):
-        assert closed_form_lhs(AliceAngles(np.pi / 3.0, 0.0)) == pytest.approx(
+        assert pipeline_lhs(np.pi / 3.0, 0.0) == pytest.approx(
             np.sqrt(3.0) + 1.0, abs=1e-14)
 
     def test_matches_pipeline_on_full_grid(self):
         grid = 2.0 * np.pi * np.arange(360) / 360
         pipeline = steering_lhs_array(
             angle_correlations_array(grid[:, None], grid[None, :]))
-        cos = np.cos(grid[:, None] - grid[None, :])
-        closed = np.sqrt(2.0 + 2.0 * cos) + np.sqrt(2.0 - 2.0 * cos)
+        closed = closed_form_lhs(grid[:, None], grid[None, :])
         assert np.abs(pipeline - closed).max() <= 1e-12
 
     def test_function_matches_pipeline_pointwise(self):
         rng = np.random.Generator(np.random.Philox(61))
         for _ in range(1000):
-            angles = AliceAngles(*rng.uniform(0.0, 2.0 * np.pi, 2))
-            lhs, _ = steering_inequality(angle_correlations(angles))
-            assert abs(closed_form_lhs(angles) - lhs) <= 1e-12
+            a, ap = rng.uniform(0.0, 2.0 * np.pi, 2)
+            assert abs(closed_form_lhs(a, ap) - pipeline_lhs(a, ap)) <= 1e-12
 
 
 class TestMaximize:
     def test_shift_invariance(self):
         rng = np.random.Generator(np.random.Philox(53))
-        base = AliceAngles(0.4, 0.4 - np.pi / 2.0)
-        reference, _ = steering_inequality(angle_correlations(base))
+        alpha, alpha_prime = 0.4, 0.4 - np.pi / 2.0
+        reference = pipeline_lhs(alpha, alpha_prime)
         for shift in rng.uniform(0.0, 2.0 * np.pi, 100):
-            shifted = AliceAngles(base.alpha + shift, base.alpha_prime + shift)
-            value, _ = steering_inequality(angle_correlations(shifted))
+            value = pipeline_lhs(alpha + shift, alpha_prime + shift)
             assert abs(value - reference) <= 1e-12
 
 

@@ -14,19 +14,15 @@ from .correlation_model import (
 )
 from .homodyne_experiment import (
     ExperimentReport,
-    ExperimentSettings,
-    HomodyneSetting,
     MonteCarloCorrelations,
     SinglePhotonState,
     adjudicate,
     adjudicate_reported,
-    analytic_correlations,
     experiment_correlations,
     gamma,
     homodyne_effects,
     homodyne_pdf,
     monte_carlo_correlations,
-    standard_settings,
     state_density,
 )
 from .lhs_oracle import (
@@ -59,8 +55,6 @@ __all__ = [
     "CorrelationSet",
     "EBasisVector",
     "ExperimentReport",
-    "ExperimentSettings",
-    "HomodyneSetting",
     "LhsAtom",
     "LhsModel",
     "Marginals",
@@ -72,7 +66,6 @@ __all__ = [
     "WitnessReport",
     "adjudicate",
     "adjudicate_reported",
-    "analytic_correlations",
     "boundary_band",
     "chsh_values",
     "correlation_set_from_json_dict",
@@ -94,7 +87,6 @@ __all__ = [
     "pair_inequalities",
     "projector_from_params",
     "quantum_correlator",
-    "standard_settings",
     "state_density",
     "state_scan",
     "steering_inequality",

@@ -19,7 +19,6 @@ from .homodyne_experiment import (
     adjudicate_reported,
     experiment_correlations,
     monte_carlo_correlations,
-    standard_settings,
     state_density,
 )
 from .qubit_core import ellipse_point, validate_density
@@ -119,9 +118,8 @@ def cmd_experiment(args) -> int:
         eta_alice = args.eta_alice if args.eta_alice is not None else args.eta_bob
         state = SinglePhotonState(theta=np.deg2rad(args.theta), p1=args.p1)
         if args.mc is not None:
-            mc = monte_carlo_correlations(
-                state, standard_settings(eta_alice, args.eta_bob),
-                n_samples=args.mc, seed=args.seed)
+            mc = monte_carlo_correlations(state, eta_alice, args.eta_bob,
+                                          n_samples=args.mc, seed=args.seed)
             correlations = mc.correlations
         else:
             mc = None

@@ -93,80 +93,48 @@ def state_density(state: SinglePhotonState) -> np.ndarray:
     return validate_density(rho)
 
 
-@dataclass(frozen=True)
-class HomodyneSetting:
-    """One sign-binned quadrature measurement: phase and efficiency."""
-
-    phi: float
-    eta: float
-
-    def __post_init__(self):
-        if not 0.0 < self.eta <= 1.0:
-            raise ValueError(f"eta must lie in (0, 1], got {self.eta}")
-
-
 def sigma_phi(phi: float) -> np.ndarray:
     """Phase-phi flip operator e^{i phi}|0><1| + e^{-i phi}|1><0|."""
     return np.array([[0.0, np.exp(1j * phi)], [np.exp(-1j * phi), 0.0]])
 
 
-def gamma(eta: float) -> float:
-    """Correlation shrink factor sqrt(2 eta / pi) of a sign-binned homodyne.
+def _check_eta(eta: float) -> None:
+    """Reject a detector efficiency outside (0, 1], NaN included."""
+    if not 0.0 < eta <= 1.0:
+        raise ValueError(f"eta must lie in (0, 1], got {eta}")
 
-    Physical efficiencies live in (0, 1] (enforced by ``HomodyneSetting``);
-    the formula itself is accepted for any finite positive argument.
-    """
-    if not (np.isfinite(eta) and eta > 0.0):
-        raise ValueError(f"eta must be finite and positive, got {eta}")
+
+def gamma(eta: float) -> float:
+    """Correlation shrink factor sqrt(2 eta / pi) of a sign-binned homodyne
+    with efficiency ``eta`` in (0, 1], else ``ValueError``."""
+    _check_eta(eta)
     return float(np.sqrt(2.0 * eta / np.pi))
 
 
-def homodyne_effects(setting: HomodyneSetting):
-    """Sign-binned effect pair (E_plus, E_minus) for one setting."""
-    g = gamma(setting.eta)
-    half = 0.5 * g * sigma_phi(setting.phi)
+def homodyne_effects(phi: float, eta: float):
+    """Sign-binned effect pair (E_plus, E_minus) at phase ``phi``."""
+    g = gamma(eta)
+    half = 0.5 * g * sigma_phi(phi)
     eye = 0.5 * np.eye(2, dtype=complex)
     return eye + half, eye - half
 
 
-@dataclass(frozen=True)
-class ExperimentSettings:
-    """The four homodyne settings: two per party."""
-
-    alice: tuple[HomodyneSetting, HomodyneSetting]
-    bob: tuple[HomodyneSetting, HomodyneSetting]
-
-    def pairs(self):
-        """Setting pairs in correlator order (AB, A'B, AB', A'B')."""
-        (a, ap), (b, bp) = self.alice, self.bob
-        return ((a, b), (ap, b), (a, bp), (ap, bp))
-
-
-def standard_settings(eta_alice: float = 1.0,
-                      eta_bob: float = 1.0) -> ExperimentSettings:
-    """The experiment's quadrature phases with the given efficiencies."""
-    return ExperimentSettings(
-        alice=tuple(HomodyneSetting(phi, eta_alice) for phi in ALICE_PHASES),
-        bob=tuple(HomodyneSetting(phi, eta_bob) for phi in BOB_PHASES),
-    )
-
-
-def analytic_correlations(rho: np.ndarray,
-                          settings: ExperimentSettings) -> CorrelationSet:
-    """Exact sign-binned correlators of a two-mode state."""
-    values = []
-    for sa, sb in settings.pairs():
-        ea_plus, _ = homodyne_effects(sa)
-        eb_plus, _ = homodyne_effects(sb)
-        values.append(quantum_correlator(rho, ea_plus, eb_plus))
-    return CorrelationSet(*values)
+def _setting_pairs(eta_alice: float, eta_bob: float):
+    """(phi_a, eta_a, phi_b, eta_b) of the four setting pairs in correlator
+    order (AB, A'B, AB', A'B')."""
+    return [(phi_a, eta_alice, phi_b, eta_bob)
+            for phi_b in BOB_PHASES for phi_a in ALICE_PHASES]
 
 
 def experiment_correlations(state: SinglePhotonState, eta_alice: float,
                             eta_bob: float) -> CorrelationSet:
-    """Correlators of the split photon under the standard settings."""
-    return analytic_correlations(state_density(state),
-                                 standard_settings(eta_alice, eta_bob))
+    """Exact sign-binned correlators of the split photon at the experiment's
+    phases."""
+    rho = state_density(state)
+    return CorrelationSet(*(
+        quantum_correlator(rho, homodyne_effects(phi_a, eta_a)[0],
+                           homodyne_effects(phi_b, eta_b)[0])
+        for phi_a, eta_a, phi_b, eta_b in _setting_pairs(eta_alice, eta_bob)))
 
 
 @dataclass(frozen=True)
@@ -223,8 +191,6 @@ def adjudicate_reported(s_max: float, eta_bob: float,
     """
     if not 0.0 <= s_max <= 2.0 * np.sqrt(2.0):
         raise ValueError(f"s_max must lie in [0, 2*sqrt(2)], got {s_max}")
-    if not 0.0 < eta_bob <= 1.0:
-        raise ValueError(f"eta_bob must lie in (0, 1], got {eta_bob}")
     g = gamma(eta_bob)
     return ExperimentReport(
         gamma=g,
@@ -245,6 +211,7 @@ def _envelope(x, eta):
 
 def _g_operators(phi: float, eta: float):
     """Operator coefficients of (1, x, x^2) in the smoothed outcome density."""
+    _check_eta(eta)
     g0 = np.array([[1.0, 0.0], [0.0, 1.0 - eta]], dtype=complex)
     g1 = eta * sigma_phi(phi)
     g2 = np.array([[0.0, 0.0], [0.0, eta * eta]], dtype=complex)
@@ -257,8 +224,6 @@ def homodyne_pdf(rho: np.ndarray, phi: float, eta: float, x):
     Accepts scalar or array ``x``; integrates to 1 over the real line.
     """
     rho = validate_density(rho, dim=2)
-    if not 0.0 < eta <= 1.0:
-        raise ValueError(f"eta must lie in (0, 1], got {eta}")
     x = np.asarray(x, dtype=float)
     c0, c1, c2 = (float(np.trace(rho @ g).real) for g in _g_operators(phi, eta))
     result = _envelope(x, eta) * (c0 + c1 * x + c2 * x * x)
@@ -282,38 +247,40 @@ class MonteCarloCorrelations:
         return out
 
 
-def _pair_sampler_arrays(rho: np.ndarray, sa: HomodyneSetting,
-                         sb: HomodyneSetting):
+def _pair_sampler_arrays(rho: np.ndarray, phi_a: float, eta_a: float,
+                         phi_b: float, eta_b: float):
     """Precompute grid, marginal CDF, its guide table, coefficient matrix and
     cumulative integrals for sampling one setting pair on its ``_pair_grid``."""
-    grid_cells, span = _pair_grid(sa, sb)
+    # The operators come first, so an efficiency outside (0, 1] is reported
+    # as such rather than as below the grid's MIN_MC_ETA. Bob's identity in
+    # the last column gives the first party's marginal.
+    table = expectation_table(rho, _g_operators(phi_a, eta_a),
+                              (*_g_operators(phi_b, eta_b), IDENTITY2))
+    coef, marginal = table[:, :3], table[:, 3]
+
+    grid_cells, span = _pair_grid(eta_a, eta_b)
     grid = np.linspace(-span, span, grid_cells + 1)
     # Even cell count: the middle knot is 0, which the sign-only sampler
     # relies on. linspace can leave it a few ulps off, so pin it.
     grid[grid_cells // 2] = 0.0
     dx = grid[1] - grid[0]
 
-    # Bob's identity in the last column gives the first party's marginal.
-    table = expectation_table(rho, _g_operators(sa.phi, sa.eta),
-                              (*_g_operators(sb.phi, sb.eta), IDENTITY2))
-    coef, marginal = table[:, :3], table[:, 3]
-
     powers = np.stack([np.ones_like(grid), grid, grid * grid])
-    pdf_a = np.maximum(_envelope(grid, sa.eta) * (marginal @ powers), 0.0)
+    pdf_a = np.maximum(_envelope(grid, eta_a) * (marginal @ powers), 0.0)
     cdf_a = _cumtrapz(pdf_a, dx)
     if cdf_a[-1] <= 0.0:
         raise ValueError("degenerate marginal density on the sampling grid")
     cdf_a /= cdf_a[-1]
 
-    env_b = _envelope(grid, sb.eta)
+    env_b = _envelope(grid, eta_b)
     cum_b = np.stack([_cumtrapz(env_b * powers[j], dx) for j in range(3)])
     return grid, cdf_a, _guide_table(cdf_a), coef, cum_b
 
 
-def _pair_grid(sa: HomodyneSetting, sb: HomodyneSetting) -> tuple[int, float]:
+def _pair_grid(eta_a: float, eta_b: float) -> tuple[int, float]:
     """Cell count and span of one pair's grid, by the rule that
     ``monte_carlo_correlations`` states; exactly the defaults at eta >= 0.5."""
-    eta = min(sa.eta, sb.eta)
+    eta = min(eta_a, eta_b)
     if eta < MIN_MC_ETA:
         raise ValueError(f"Monte Carlo needs eta >= {MIN_MC_ETA:g}, got {eta:g};"
                          " the analytic correlators take any eta")
@@ -419,10 +386,11 @@ def _count_positive(arrays, seed: np.random.SeedSequence, n_samples: int) -> int
     return plus
 
 
-def monte_carlo_correlations(state: SinglePhotonState,
-                             settings: ExperimentSettings,
-                             n_samples: int, seed: int) -> MonteCarloCorrelations:
-    """Estimate the four correlators by sampling quadrature outcome pairs.
+def monte_carlo_correlations(state: SinglePhotonState, eta_alice: float,
+                             eta_bob: float, n_samples: int,
+                             seed: int) -> MonteCarloCorrelations:
+    """Estimate the four correlators by sampling quadrature outcome pairs at
+    the experiment's phases with efficiencies ``eta_alice`` and ``eta_bob``.
 
     Per setting pair, the first outcome is drawn from its marginal and the
     second from the exact conditional given the first, both by inverse CDF on
@@ -432,8 +400,8 @@ def monte_carlo_correlations(state: SinglePhotonState,
     ``2 ceil(DEFAULT_GRID_CELLS scale / 2)`` cells: below eta 0.5 it widens
     with the outcome envelope, whose width is 1 / sqrt(eta), at the same cell
     width, so the truncated tails stay at their eta 0.5 size. An efficiency
-    below ``MIN_MC_ETA`` (1/8192, where the grid is 64 times the default)
-    raises ``ValueError``. The x inverse CDF starts from a guide table of
+    above 1 or below ``MIN_MC_ETA`` (1/8192, where the grid is 64 times the
+    default) raises ``ValueError``. The x inverse CDF starts from a guide table of
     uniform buckets and searches only the uniforms whose bucket holds a knot.
     Streams are counter-based (Philox) and spawned per pair, so results are
     reproducible for a fixed seed and the per-pair sampling is a pure
@@ -447,7 +415,8 @@ def monte_carlo_correlations(state: SinglePhotonState,
         raise ValueError("n_samples must be at least 1")
     rho = state_density(state)
     children = np.random.SeedSequence(seed).spawn(4)
-    tables = [_pair_sampler_arrays(rho, sa, sb) for sa, sb in settings.pairs()]
+    tables = [_pair_sampler_arrays(rho, *pair)
+              for pair in _setting_pairs(eta_alice, eta_bob)]
     counts = _pair_pool().map(_count_positive, tables, children,
                               [n_samples] * 4)
     means = []

@@ -21,7 +21,7 @@ from .correlation_model import (
     EBasisVector,
     extremal_correlations_array,
 )
-from .simplex import DEFAULT_LP_TOL, lp_feasibility
+from .simplex import DEFAULT_LP_TOL, MAX_LP_TOL, lp_feasibility
 from .steering_witness import f_value_array
 from . import correlation_model
 
@@ -34,7 +34,6 @@ MAX_GRID_N = 2 ** 20
 # ``boundary_band``). At MAX_LP_TOL that is 3.8e-6, three times the sag of
 # the default grid; a larger tolerance would only hide more points in it.
 KAPPA = 1.0 + 2.0 * np.sqrt(2.0)
-MAX_LP_TOL = 1e-6
 
 MEMBER = "member"
 NON_MEMBER = "non_member"

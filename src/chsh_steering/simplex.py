@@ -26,6 +26,8 @@ DEFAULT_MAX_ITER = 1_000_000
 # from most-negative-reduced-cost to Bland's anti-cycling lowest index.
 BLAND_AFTER = 64
 DEFAULT_LP_TOL = 1e-9
+# Largest residual tolerance accepted; ``lhs_oracle`` explains the value.
+MAX_LP_TOL = 1e-6
 
 
 class OracleError(RuntimeError):
@@ -107,10 +109,10 @@ def lp_feasibility(A, b, *, tol: float = DEFAULT_LP_TOL):
     residuals[i] is the absolute infeasibility left in row i at the phase-1
     optimum and ``x`` is the phase-1 point (its real variables) whether or
     not the tolerance test passes. A malformed or non-finite ``A`` or ``b``,
-    or a negative or non-finite ``tol``, raises ``ValueError``.
+    or a ``tol`` outside [0, ``MAX_LP_TOL``], raises ``ValueError``.
     """
-    if not (np.isfinite(tol) and tol >= 0.0):
-        raise ValueError(f"tol must be finite and >= 0, got {tol}")
+    if not 0.0 <= tol <= MAX_LP_TOL:
+        raise ValueError(f"tol must lie in [0, {MAX_LP_TOL:g}], got {tol}")
     A = np.ascontiguousarray(A, dtype=float)
     b = np.asarray(b, dtype=float)
     if A.ndim != 2:

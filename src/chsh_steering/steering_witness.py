@@ -132,10 +132,6 @@ class WitnessReport:
     tolerance: float
 
     @property
-    def steering_demonstrated(self) -> bool:
-        return self.steering_verdict == VIOLATED
-
-    @property
     def chsh_max(self) -> float:
         return max(self.chsh_values)
 

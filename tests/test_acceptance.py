@@ -15,14 +15,11 @@ from chsh_steering.correlation_model import (
     to_e_basis_array,
 )
 from chsh_steering.homodyne_experiment import (
-    HomodyneSetting,
     SinglePhotonState,
-    analytic_correlations,
+    experiment_correlations,
     gamma,
     homodyne_effects,
     monte_carlo_correlations,
-    standard_settings,
-    state_density,
 )
 from chsh_steering.lhs_oracle import (
     BOUNDARY_BAND,
@@ -222,7 +219,7 @@ def test_criterion_09_povm_validity():
     ok = True
     for phi in 2.0 * np.pi * np.arange(64) / 64:
         for eta in np.linspace(1.0 / 16.0, 1.0, 16):
-            plus, minus = homodyne_effects(HomodyneSetting(phi, eta))
+            plus, minus = homodyne_effects(phi, eta)
             if np.abs(plus + minus - np.eye(2)).max() > 1e-12:
                 ok = False
             if (np.linalg.eigvalsh(plus).min() < -1e-12
@@ -234,12 +231,11 @@ def test_criterion_09_povm_validity():
 
 def test_criterion_10_monte_carlo_convergence():
     state = SinglePhotonState(theta=np.deg2rad(22.5), p1=1.0)
-    settings = standard_settings(0.85, 0.85)
-    analytic = analytic_correlations(state_density(state), settings).as_array()
-    monte_carlo_correlations(state, settings, 100, seed=113)  # warm-up
+    analytic = experiment_correlations(state, 0.85, 0.85).as_array()
+    monte_carlo_correlations(state, 0.85, 0.85, 100, seed=113)  # warm-up
     start = time.perf_counter()
-    mc = monte_carlo_correlations(state, settings, 1_000_000, seed=113)
-    rerun = monte_carlo_correlations(state, settings, 1_000_000, seed=113)
+    mc = monte_carlo_correlations(state, 0.85, 0.85, 1_000_000, seed=113)
+    rerun = monte_carlo_correlations(state, 0.85, 0.85, 1_000_000, seed=113)
     elapsed = time.perf_counter() - start
     pulls = np.abs(mc.correlations.as_array() - analytic) / np.array(mc.std_errors)
     ok = bool((pulls <= 3.0).all()) and mc == rerun

@@ -351,6 +351,12 @@ class TestRejectedInput:
         ("experiment", "--reported-s", "1.33", "--eta-bob", "0.85",
          "--eta-alice", "0.3"),
         ("experiment", "--reported-s", "1.33", "--eta-bob", "0.85", "--mc", "1000"),
+        # Each efficiency outside (0, 1], on the analytic and the sampled path.
+        *(("experiment", "--theta", "22.5", "--p1", "0.9", *etas, *mc)
+          for mc in ((), ("--mc", "10"))
+          for etas in (("--eta-bob", "0.85", "--eta-alice", "0"),
+                       ("--eta-bob", "0.85", "--eta-alice", "1.5"),
+                       ("--eta-bob", "1.5"))),
     ])
     def test_out_of_range_flag(self, capsys, argv):
         self.assert_rejected(*run_cli(capsys, *argv))

@@ -11,20 +11,17 @@ from chsh_steering.homodyne_experiment import (
     BOB_PHASES,
     DEFAULT_GRID_CELLS,
     DEFAULT_SPAN,
-    HomodyneSetting,
     MIN_MC_ETA,
     NO_STEERING,
     STEERING,
     SinglePhotonState,
     adjudicate,
     adjudicate_reported,
-    analytic_correlations,
     experiment_correlations,
     gamma,
     homodyne_effects,
     homodyne_pdf,
     monte_carlo_correlations,
-    standard_settings,
     state_density,
     _GUIDE_BUCKETS,
     _MC_BLOCK,
@@ -35,6 +32,7 @@ from chsh_steering.homodyne_experiment import (
     _pair_grid,
     _pair_sampler_arrays,
     _positive_products,
+    _setting_pairs,
 )
 from chsh_steering.correlation_model import CorrelationSet
 from chsh_steering.qubit_core import projector_from_params, quantum_correlator
@@ -68,12 +66,12 @@ class TestState:
 
 class TestEffects:
     def test_full_efficiency_magnitude(self):
-        plus, minus = homodyne_effects(HomodyneSetting(phi=0.0, eta=1.0))
+        plus, minus = homodyne_effects(0.0, 1.0)
         assert plus[0, 1] == pytest.approx(0.5 * np.sqrt(2.0 / np.pi), abs=1e-15)
         assert np.abs(plus + minus - np.eye(2)).max() <= 1e-15
 
     def test_off_diagonal_at_experiment_efficiency(self):
-        plus, _ = homodyne_effects(HomodyneSetting(phi=0.0, eta=0.85))
+        plus, _ = homodyne_effects(0.0, 0.85)
         assert abs(plus[0, 1]) == pytest.approx(0.3678, abs=5e-5)
 
     def test_completeness_and_positivity_grid(self):
@@ -81,16 +79,16 @@ class TestEffects:
         etas = np.linspace(1.0 / 16.0, 1.0, 16)
         for phi in phis:
             for eta in etas:
-                plus, minus = homodyne_effects(HomodyneSetting(phi, eta))
+                plus, minus = homodyne_effects(phi, eta)
                 assert np.abs(plus + minus - np.eye(2)).max() <= 1e-12
                 assert np.linalg.eigvalsh(plus).min() >= -1e-12
                 assert np.linalg.eigvalsh(minus).min() >= -1e-12
 
     def test_eta_domain(self):
         with pytest.raises(ValueError):
-            homodyne_effects(HomodyneSetting(0.0, 0.0))
+            homodyne_effects(0.0, 0.0)
         with pytest.raises(ValueError):
-            homodyne_effects(HomodyneSetting(0.0, 1.1))
+            homodyne_effects(0.0, 1.1)
 
 
 class TestGamma:
@@ -98,19 +96,15 @@ class TestGamma:
         assert gamma(0.85) == pytest.approx(math.sqrt(2.0 * 0.85 / math.pi), abs=1e-15)
         assert format(2.0 * gamma(0.85), ".3g") == "1.47"
 
-    def test_algebraic_unit_point(self):
-        assert gamma(np.pi / 2.0) == pytest.approx(1.0, abs=1e-15)
-
     def test_half(self):
         assert gamma(0.5) == pytest.approx(math.sqrt(1.0 / math.pi), abs=1e-15)
 
     def test_domain(self):
-        for eta in (0.0, -0.5, math.nan, math.inf):
+        # Efficiencies above 1 are unphysical: at pi / 2 the corrected bound
+        # 2*gamma would equal the ideal bound 2.
+        for eta in (0.0, -0.5, math.nan, math.inf, np.pi / 2.0, 1.2):
             with pytest.raises(ValueError):
                 gamma(eta)
-        # physical range is enforced where a measurement is actually built
-        with pytest.raises(ValueError):
-            HomodyneSetting(0.0, 1.2)
 
 
 class TestAnalyticCorrelations:
@@ -141,8 +135,8 @@ class TestAnalyticCorrelations:
             eta_b = rng.uniform(0.1, 1.0)
             phi_a = rng.uniform(0, 2 * np.pi)
             phi_b = rng.uniform(0, 2 * np.pi)
-            ea, _ = homodyne_effects(HomodyneSetting(phi_a, eta_a))
-            eb, _ = homodyne_effects(HomodyneSetting(phi_b, eta_b))
+            ea, _ = homodyne_effects(phi_a, eta_a)
+            eb, _ = homodyne_effects(phi_b, eta_b)
             pb = projector_from_params(0.5, -phi_b)
             with_eff = quantum_correlator(rho, ea, eb)
             projective = quantum_correlator(rho, ea, pb)
@@ -183,6 +177,26 @@ class TestAdjudication:
                            (1.33, 5.0), (1.33, 0.0), (1.33, math.nan)):
             with pytest.raises(ValueError):
                 adjudicate_reported(s_max, eta)
+
+
+# One entry point per path that takes an efficiency: each reaches the single
+# range check. adjudicate once returned bound 3.57 and "no_steering" at 5.0.
+_OUT_OF_RANGE_CALLS = {
+    "adjudicate": lambda: adjudicate(CorrelationSet(1, 0, 0, 1), 5.0),
+    "gamma": lambda: gamma(5.0),
+    "homodyne_pdf": lambda: homodyne_pdf(np.diag([1.0, 0.0]).astype(complex),
+                                         0.0, 1.5, 0.0),
+    "experiment_correlations": lambda: experiment_correlations(
+        SinglePhotonState(np.deg2rad(22.5), 1.0), 0.85, 0.0),
+    "monte_carlo_correlations": lambda: monte_carlo_correlations(
+        SinglePhotonState(np.deg2rad(22.5), 1.0), 1.5, 0.85, 10, seed=0),
+}
+
+
+@pytest.mark.parametrize("call", _OUT_OF_RANGE_CALLS.values(), ids=_OUT_OF_RANGE_CALLS)
+def test_efficiency_outside_unit_interval_is_rejected(call):
+    with pytest.raises(ValueError, match=r"eta must lie in \(0, 1\]"):
+        call()
 
 
 def _reference_pdf(rho, phi, eta, x):
@@ -241,7 +255,7 @@ class TestPdf:
         phi, eta = 0.7, 0.85
         upper, _ = quad(lambda x: homodyne_pdf(rho, phi, eta, x), 0.0, np.inf)
         lower, _ = quad(lambda x: homodyne_pdf(rho, phi, eta, x), -np.inf, 0.0)
-        plus, minus = homodyne_effects(HomodyneSetting(phi, eta))
+        plus, minus = homodyne_effects(phi, eta)
         expected = np.trace(rho @ (plus - minus)).real
         assert upper - lower == pytest.approx(expected, abs=1e-10)
 
@@ -249,14 +263,13 @@ class TestPdf:
 class TestMonteCarlo:
     def test_single_sample_is_a_sign_product(self):
         state = SinglePhotonState(np.deg2rad(22.5), 1.0)
-        mc = monte_carlo_correlations(state, standard_settings(0.85, 0.85), 1, seed=3)
+        mc = monte_carlo_correlations(state, 0.85, 0.85, 1, seed=3)
         assert set(np.abs(mc.correlations.as_array())) == {1.0}
 
     def test_fixed_seed_reproducible(self):
         state = SinglePhotonState(np.deg2rad(22.5), 1.0)
-        settings = standard_settings(0.85, 0.85)
-        a = monte_carlo_correlations(state, settings, 20000, seed=11)
-        b = monte_carlo_correlations(state, settings, 20000, seed=11)
+        a = monte_carlo_correlations(state, 0.85, 0.85, 20000, seed=11)
+        b = monte_carlo_correlations(state, 0.85, 0.85, 20000, seed=11)
         assert a.correlations == b.correlations
         assert a.std_errors == b.std_errors
 
@@ -264,14 +277,13 @@ class TestMonteCarlo:
         # More callers than cores, switching threads often, all on the one
         # process-wide pool: each must get the result of a lone call.
         state = SinglePhotonState(np.deg2rad(22.5), 0.9)
-        settings = standard_settings(0.85, 0.7)
         seeds = range(8)
-        expected = [monte_carlo_correlations(state, settings, 3000, seed=s)
+        expected = [monte_carlo_correlations(state, 0.85, 0.7, 3000, seed=s)
                     for s in seeds]
         results = {}
 
         def call(seed):
-            results[seed] = monte_carlo_correlations(state, settings, 3000, seed=seed)
+            results[seed] = monte_carlo_correlations(state, 0.85, 0.7, 3000, seed=seed)
 
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
@@ -288,20 +300,18 @@ class TestMonteCarlo:
 
     def test_converges_to_analytic(self):
         state = SinglePhotonState(np.deg2rad(22.5), 1.0)
-        settings = standard_settings(0.85, 0.85)
-        analytic = analytic_correlations(state_density(state), settings).as_array()
-        mc = monte_carlo_correlations(state, settings, 100000, seed=23)
+        analytic = experiment_correlations(state, 0.85, 0.85).as_array()
+        mc = monte_carlo_correlations(state, 0.85, 0.85, 100000, seed=23)
         pulls = (mc.correlations.as_array() - analytic) / np.array(mc.std_errors)
         assert np.abs(pulls).max() <= 4.0
 
     def test_estimator_unbiased_over_runs(self):
         state = SinglePhotonState(np.deg2rad(22.5), 1.0)
-        settings = standard_settings(0.85, 0.85)
-        analytic = analytic_correlations(state_density(state), settings).as_array()
+        analytic = experiment_correlations(state, 0.85, 0.85).as_array()
         n_runs, n_samples = 100, 2000
         estimates = np.empty((n_runs, 4))
         for run in range(n_runs):
-            mc = monte_carlo_correlations(state, settings, n_samples, seed=1000 + run)
+            mc = monte_carlo_correlations(state, 0.85, 0.85, n_samples, seed=1000 + run)
             estimates[run] = mc.correlations.as_array()
         combined_se = np.sqrt((1.0 - analytic ** 2) / (n_runs * n_samples))
         assert np.abs(estimates.mean(axis=0) - analytic).max() <= 5.0 * combined_se.max()
@@ -315,8 +325,7 @@ class TestMonteCarlo:
         # toward 0 at 1e6 samples.
         state = SinglePhotonState(np.deg2rad(22.5), 1.0)
         analytic = experiment_correlations(state, eta_alice, eta_bob).as_array()
-        mc = monte_carlo_correlations(state, standard_settings(eta_alice, eta_bob),
-                                      1_000_000, seed=41)
+        mc = monte_carlo_correlations(state, eta_alice, eta_bob, 1_000_000, seed=41)
         pulls = (mc.correlations.as_array() - analytic) / np.array(mc.std_errors)
         assert np.abs(pulls).max() <= 4.0
 
@@ -324,13 +333,13 @@ class TestMonteCarlo:
                                                     (0.5, 1.0), (0.85, 0.85)])
     def test_default_grid_from_eta_one_half(self, eta_alice, eta_bob):
         # The span only widens below eta 0.5, so results there keep their bytes.
-        for sa, sb in standard_settings(eta_alice, eta_bob).pairs():
-            assert _pair_grid(sa, sb) == (DEFAULT_GRID_CELLS, DEFAULT_SPAN)
+        for _, eta_a, _, eta_b in _setting_pairs(eta_alice, eta_bob):
+            assert _pair_grid(eta_a, eta_b) == (DEFAULT_GRID_CELLS, DEFAULT_SPAN)
 
     @pytest.mark.parametrize("eta", [0.49, 0.3, 0.1, 0.05, 0.02, 1e-3, MIN_MC_ETA])
     def test_grid_widens_with_the_envelope(self, eta):
         for low, high in ((eta, 1.0), (1.0, eta), (eta, eta)):
-            cells, span = _pair_grid(HomodyneSetting(0.0, low), HomodyneSetting(0.0, high))
+            cells, span = _pair_grid(low, high)
             assert cells % 2 == 0
             # The span covers as many envelope widths as at eta 0.5, and the
             # cell width is the default's up to the rounding to even cells.
@@ -342,28 +351,24 @@ class TestMonteCarlo:
         # The widening stops at 64 times the default grid, at MIN_MC_ETA;
         # below it the call fails before any table is built.
         for low, high in ((MIN_MC_ETA, 1.0), (1.0, MIN_MC_ETA)):
-            cells, span = _pair_grid(HomodyneSetting(0.0, low), HomodyneSetting(0.0, high))
+            cells, span = _pair_grid(low, high)
             assert (cells, span) == (64 * DEFAULT_GRID_CELLS, 64 * DEFAULT_SPAN)
         for eta in (np.nextafter(MIN_MC_ETA, 0.0), 1e-12, 5e-324):
             for low, high in ((eta, 1.0), (1.0, eta)):
                 with pytest.raises(ValueError, match="Monte Carlo needs eta"):
-                    _pair_grid(HomodyneSetting(0.0, low), HomodyneSetting(0.0, high))
+                    _pair_grid(low, high)
         with pytest.raises(ValueError):
-            monte_carlo_correlations(SinglePhotonState(0.0, 1.0),
-                                     standard_settings(1.0, 5e-324), 10, seed=0)
+            monte_carlo_correlations(SinglePhotonState(0.0, 1.0), 1.0, 5e-324, 10, seed=0)
 
     def test_sample_count_validation(self):
         with pytest.raises(ValueError):
-            monte_carlo_correlations(SinglePhotonState(0.0, 1.0),
-                                     standard_settings(), 0, seed=0)
+            monte_carlo_correlations(SinglePhotonState(0.0, 1.0), 1.0, 1.0, 0, seed=0)
 
     def test_sharded_sampling_merges_deterministically(self):
         # The kernel maps each uniform pair independently, so splitting the
         # sample range into shards and concatenating reproduces the full run.
         rho = state_density(SinglePhotonState(np.deg2rad(22.5), 0.9))
-        settings = standard_settings(0.85, 0.85)
-        sa, sb = settings.pairs()[0]
-        arrays = _pair_sampler_arrays(rho, sa, sb)
+        arrays = _pair_sampler_arrays(rho, *_setting_pairs(0.85, 0.85)[0])
         u = np.random.Generator(np.random.Philox(31)).random((10000, 2))
         whole = _positive_products(u, *arrays)
         shards = [_positive_products(np.ascontiguousarray(u[a:b]), *arrays)
@@ -371,15 +376,16 @@ class TestMonteCarlo:
         assert np.array_equal(whole, np.concatenate(shards))
 
 
-def _sampler_arrays_on_grid(monkeypatch, rho, sa, sb, grid_cells, span):
-    """``_pair_sampler_arrays`` with the default grid set to ``grid_cells``
-    cells over [-span, span]; ``_pair_grid`` still widens it below eta 0.5."""
+def _sampler_arrays_on_grid(monkeypatch, rho, pair, grid_cells, span):
+    """``_pair_sampler_arrays`` for ``pair`` (phi_a, eta_a, phi_b, eta_b) with
+    the default grid set to ``grid_cells`` cells over [-span, span];
+    ``_pair_grid`` still widens it below eta 0.5."""
     monkeypatch.setattr(homodyne_experiment, "DEFAULT_GRID_CELLS", grid_cells)
     monkeypatch.setattr(homodyne_experiment, "DEFAULT_SPAN", span)
-    return _pair_sampler_arrays(rho, sa, sb)
+    return _pair_sampler_arrays(rho, *pair)
 
 
-def _reference_sampler_arrays(rho, sa, sb, grid_cells, span):
+def _reference_sampler_arrays(rho, phi_a, eta_a, phi_b, eta_b, grid_cells, span):
     """``_pair_sampler_arrays`` with one scalar einsum per expectation, as it
     was before it called ``expectation_table``."""
     grid = np.linspace(-span, span, grid_cells + 1)
@@ -387,8 +393,8 @@ def _reference_sampler_arrays(rho, sa, sb, grid_cells, span):
     dx = grid[1] - grid[0]
 
     rho4 = rho.reshape(2, 2, 2, 2)
-    ga = _g_operators(sa.phi, sa.eta)
-    gb = _g_operators(sb.phi, sb.eta)
+    ga = _g_operators(phi_a, eta_a)
+    gb = _g_operators(phi_b, eta_b)
     eye = np.eye(2, dtype=complex)
 
     coef = np.empty((3, 3))
@@ -399,11 +405,11 @@ def _reference_sampler_arrays(rho, sa, sb, grid_cells, span):
             coef[i, j] = np.real(np.einsum("abcd,ca,db->", rho4, ga[i], gb[j]))
 
     powers = np.stack([np.ones_like(grid), grid, grid * grid])
-    pdf_a = np.maximum(_envelope(grid, sa.eta) * (marginal @ powers), 0.0)
+    pdf_a = np.maximum(_envelope(grid, eta_a) * (marginal @ powers), 0.0)
     cdf_a = _cumtrapz(pdf_a, dx)
     cdf_a /= cdf_a[-1]
 
-    env_b = _envelope(grid, sb.eta)
+    env_b = _envelope(grid, eta_b)
     cum_b = np.stack([_cumtrapz(env_b * powers[j], dx) for j in range(3)])
     return grid, cdf_a, _guide_table(cdf_a), coef, cum_b
 
@@ -449,13 +455,13 @@ def _reference_mc_products(u, grid, cdf_a, coef, cum_b):
     return sx * sy
 
 
-def _reference_monte_carlo(state, settings, n_samples, seed):
+def _reference_monte_carlo(state, eta_alice, eta_bob, n_samples, seed):
     """Correlators and errors as computed before block sampling."""
     rho = state_density(state)
     children = np.random.SeedSequence(seed).spawn(4)
     means, errors = [], []
-    for pair_idx, (sa, sb) in enumerate(settings.pairs()):
-        grid, cdf_a, _, coef, cum_b = _pair_sampler_arrays(rho, sa, sb)
+    for pair_idx, pair in enumerate(_setting_pairs(eta_alice, eta_bob)):
+        grid, cdf_a, _, coef, cum_b = _pair_sampler_arrays(rho, *pair)
         rng = np.random.Generator(np.random.Philox(children[pair_idx]))
         u = rng.random((n_samples, 2))
         mean = float(_reference_mc_products(u, grid, cdf_a, coef, cum_b).mean())
@@ -481,9 +487,9 @@ class TestSignOnlyKernel:
                                              p1, eta_a, eta_b):
         rho = state_density(SinglePhotonState(np.deg2rad(theta_deg), p1))
         rng = np.random.Generator(np.random.Philox(grid_cells))
-        for sa, sb in standard_settings(eta_a, eta_b).pairs():
+        for pair in _setting_pairs(eta_a, eta_b):
             grid, cdf_a, guide, coef, cum_b = _sampler_arrays_on_grid(
-                monkeypatch, rho, sa, sb, grid_cells, 6.0)
+                monkeypatch, rho, pair, grid_cells, 6.0)
             u = rng.random((20000, 2))
             expected = _reference_mc_products(u, grid, cdf_a, coef, cum_b) > 0.0
             assert np.array_equal(
@@ -495,9 +501,9 @@ class TestSignOnlyKernel:
                                                      theta_deg, p1, eta_a, eta_b):
         rho = state_density(SinglePhotonState(np.deg2rad(theta_deg), p1))
         edges = np.arange(_GUIDE_BUCKETS + 1) / _GUIDE_BUCKETS
-        for sa, sb in standard_settings(eta_a, eta_b).pairs():
+        for pair in _setting_pairs(eta_a, eta_b):
             _, cdf_a, guide, _, _ = _sampler_arrays_on_grid(
-                monkeypatch, rho, sa, sb, grid_cells, 6.0)
+                monkeypatch, rho, pair, grid_cells, 6.0)
             expected = np.searchsorted(cdf_a, edges, side="right") - 1
             assert np.array_equal(guide, expected)
 
@@ -509,10 +515,10 @@ class TestSignOnlyKernel:
                                                      rng.uniform(0.5, 1.0)))
                      for _ in range(4)])
         for rho in states:
-            for sa, sb in standard_settings(eta_a, eta_b).pairs():
-                cells, span = _pair_grid(sa, sb)
-                got = _pair_sampler_arrays(rho, sa, sb)
-                expected = _reference_sampler_arrays(rho, sa, sb, cells, span)
+            for pair in _setting_pairs(eta_a, eta_b):
+                cells, span = _pair_grid(eta_a, eta_b)
+                got = _pair_sampler_arrays(rho, *pair)
+                expected = _reference_sampler_arrays(rho, *pair, cells, span)
                 for a, b in zip(got, expected, strict=True):
                     assert np.array_equal(a, b)
 
@@ -520,17 +526,16 @@ class TestSignOnlyKernel:
                                    3 * _MC_BLOCK + 7])
     def test_block_sampling_matches_one_shot_draw(self, n):
         state = SinglePhotonState(np.deg2rad(22.5), 0.9)
-        settings = standard_settings(0.85, 0.7)
-        mc = monte_carlo_correlations(state, settings, n, seed=n)
-        correlations, errors = _reference_monte_carlo(state, settings, n, seed=n)
+        mc = monte_carlo_correlations(state, 0.85, 0.7, n, seed=n)
+        correlations, errors = _reference_monte_carlo(state, 0.85, 0.7, n, seed=n)
         assert mc.correlations == correlations
         assert mc.std_errors == errors
 
     @pytest.mark.parametrize("span, grid_cells", [(6.0, 5000), (3.3, 100), (3.3, 3000)])
     def test_middle_knot_is_exactly_zero(self, monkeypatch, span, grid_cells):
         rho = state_density(SinglePhotonState(np.deg2rad(22.5), 1.0))
-        sa, sb = standard_settings().pairs()[0]
-        grid = _sampler_arrays_on_grid(monkeypatch, rho, sa, sb, grid_cells, span)[0]
+        pair = _setting_pairs(1.0, 1.0)[0]
+        grid = _sampler_arrays_on_grid(monkeypatch, rho, pair, grid_cells, span)[0]
         assert grid[grid_cells // 2] == 0.0
         spaced = np.linspace(-span, span, grid_cells + 1)
         spaced[grid_cells // 2] = 0.0
@@ -538,8 +543,7 @@ class TestSignOnlyKernel:
 
     def test_default_grid_is_plain_linspace(self):
         rho = state_density(SinglePhotonState(np.deg2rad(22.5), 1.0))
-        sa, sb = standard_settings().pairs()[0]
-        grid = _pair_sampler_arrays(rho, sa, sb)[0]
+        grid = _pair_sampler_arrays(rho, *_setting_pairs(1.0, 1.0)[0])[0]
         assert np.array_equal(grid, np.linspace(-6.0, 6.0, 4097))
 
 
@@ -562,8 +566,7 @@ def test_maximally_entangled_state_matches_fock_form():
     # The computational-basis maximally entangled state and the single-photon
     # one are locally equivalent; both must give unit-magnitude correlators
     # somewhere. Sanity-check the Fock one against its own analytic values.
-    rho = state_density(SinglePhotonState(np.deg2rad(22.5), 1.0))
-    c = analytic_correlations(rho, standard_settings(1.0, 1.0))
+    c = experiment_correlations(SinglePhotonState(np.deg2rad(22.5), 1.0), 1.0, 1.0)
     expected = 2.0 / np.pi * np.sqrt(0.5)
     assert np.abs(np.abs(c.as_array()) - expected).max() <= 1e-12
     assert maximally_entangled().shape == (4, 4)

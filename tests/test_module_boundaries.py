@@ -113,19 +113,29 @@ DOCUMENTED_API = {"decompose", "homodyne_pdf", "lp_membership", "model_correlati
 PERFBENCH = SOURCE.parents[1] / "perfbench"
 
 
+def _public_definitions(body, prefix=""):
+    """(qualified name, node) of every public function or class in ``body``
+    and, inside a public class, of every public method or property."""
+    for node in body:
+        if (isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                and not node.name.startswith("_")):
+            yield prefix + node.name, node
+            if isinstance(node, ast.ClassDef) and not prefix:
+                yield from _public_definitions(node.body, f"{node.name}.")
+
+
 def unreferenced_definitions(modules: dict[str, str], others=()) -> list[str]:
     """``module.name`` of every public top-level function or class of
-    ``modules`` (module name -> source) that no source in ``modules`` or
-    ``others`` names, as a bare name or an attribute, outside its own
+    ``modules`` (module name -> source), and ``module.Class.name`` of every
+    public method or property of such a class, that no source in ``modules``
+    or ``others`` names, as a bare name or an attribute, outside its own
     definition. Docstrings and comments are not names."""
     trees = {module: ast.parse(source) for module, source in modules.items()}
     everything = [*trees.values(), *map(ast.parse, others)]
-    inside = {}  # (module, name) -> ids of the nodes of its definition
+    inside = {}  # (module, qualified name) -> (name, ids of its definition's nodes)
     for module, tree in trees.items():
-        for node in tree.body:
-            if (isinstance(node, (ast.FunctionDef, ast.ClassDef))
-                    and not node.name.startswith("_")):
-                inside[(module, node.name)] = {id(n) for n in ast.walk(node)}
+        for qualified, node in _public_definitions(tree.body):
+            inside[(module, qualified)] = (node.name, {id(n) for n in ast.walk(node)})
     uses = {}  # name -> ids of the nodes that name it
     for tree in everything:
         for node in ast.walk(tree):
@@ -133,7 +143,8 @@ def unreferenced_definitions(modules: dict[str, str], others=()) -> list[str]:
                     else node.attr if isinstance(node, ast.Attribute) else None)
             if name is not None:
                 uses.setdefault(name, set()).add(id(node))
-    return sorted(f"{module}.{name}" for (module, name), own in inside.items()
+    return sorted(f"{module}.{qualified}"
+                  for (module, qualified), (name, own) in inside.items()
                   if not uses.get(name, set()) - own)
 
 
@@ -145,12 +156,19 @@ def test_unreferenced_checker_finds_each_form():
               "def in_docstring(): pass\n"
               "class Annotated: pass\n"
               "def uses(x: Annotated): return called()\n"
-              "def _private(): pass\n"),
+              "def _private(): pass\n"
+              "class Report:\n"
+              "    def read(self): return self.shown\n"
+              "    @property\n"
+              "    def shown(self): return self.shown\n"
+              "    def _hidden(self): pass\n"),
         "b": "from . import a\nvalue = a.documented\n",
     }
-    assert unreferenced_definitions(modules) == ["a.in_docstring", "a.recursive",
+    assert unreferenced_definitions(modules) == ["a.Report", "a.Report.read",
+                                                 "a.in_docstring", "a.recursive",
                                                  "a.uses"]
-    assert unreferenced_definitions(modules, ["uses(recursive)"]) == ["a.in_docstring"]
+    assert unreferenced_definitions(modules, ["uses(recursive, Report().read)"]) == [
+        "a.in_docstring"]
 
 
 def test_every_public_definition_is_used():

@@ -5,6 +5,7 @@ from chsh_steering import simplex
 from chsh_steering.lhs_oracle import atom_matrix
 from chsh_steering.simplex import (
     BLAND_AFTER,
+    MAX_LP_TOL,
     PIVOT_EPS,
     OracleError,
     _revised_pivots,
@@ -114,10 +115,13 @@ class TestFeasibility:
         assert feasible
         feasible, _, _ = lp_feasibility(A, np.array([-1e-6]), tol=1e-9)
         assert not feasible
-        # A negative or non-finite tolerance would call this feasible system infeasible.
-        for tol in (-1.0, -1e-12, np.nan, np.inf):
+        # A negative or non-finite tolerance would call this feasible system
+        # infeasible; one above MAX_LP_TOL called [[1]] x = 5 feasible at 1e300.
+        for tol in (-1.0, -1e-12, np.nan, np.inf, 1e300, np.nextafter(MAX_LP_TOL, 1.0)):
             with pytest.raises(ValueError, match="tol"):
                 lp_feasibility(A, np.array([1.0]), tol=tol)
+        feasible, _, _ = lp_feasibility(A, np.array([1.0]), tol=MAX_LP_TOL)
+        assert feasible
 
     def test_shape_validation(self):
         with pytest.raises(ValueError):

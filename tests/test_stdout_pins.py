@@ -1,0 +1,51 @@
+"""Seeded CLI runs print the same bytes from one change to the next.
+
+Each pin is the sha256 of a command's full stdout. The pins were recorded
+with NumPy 2.4.6 on an x86-64 Linux machine; another NumPy build or CPU may
+round differently and legitimately change them.
+"""
+
+import hashlib
+import json
+
+import pytest
+
+from chsh_steering.cli import main
+
+STATE = {"theta_deg": 22.5, "p1": 0.9}
+CORRELATORS = {"AB": 0.3325, "ApB": 0.3325, "ABp": 0.3325, "ApBp": -0.3325}
+
+PINS = {
+    "experiment --theta 22.5 --p1 0.9 --eta-bob 0.85 --mc 1000000 --seed 1":
+        "71dfe65947ce015f49f44ff0b2ed094b1af2641bc5d7131fd80640b23c235c7f",
+    "experiment --theta 22.5 --p1 0.9 --eta-bob 0.85":
+        "e4f52ec9212c8ff4aa375cea433228a7fefe4929330864bfb780e435b78a97a5",
+    "experiment --theta 33 --p1 0.7 --eta-bob 0.2 --eta-alice 0.9 --mc 100000 --seed 5":
+        "c73c344a42b260132a2f3dfc0c426243031e6adc4fc630273e406760aa4675ae",
+    "experiment --theta 33 --p1 0.7 --eta-bob 0.2 --eta-alice 0.9":
+        "b39ae5d5bd23dbcf6ccd316e8a3d3c953fff457307cd07b41d921a54093bbf91",
+    "experiment --reported-s 1.330 --eta-bob 0.85":
+        "2313e2df11b515d7ff92c84460bccda08ce2687702722d6bfe5592b8e82bd44a",
+    "oracle check --grid 2048 --samples 2000 --seed 201":
+        "d9d23cfd4d0da88736e3d7df74cd5b63afedfc1b6d046ae9e03473579a4f9c69",
+    "oracle check --grid 64 --samples 2000 --seed 7":
+        "1a045de722d48c5f65fafb8835dbbb29c4b6f9d675cc9608ebd87d6435d28f41",
+    "scan state --input {state} --resolution 24":
+        "7bba821ea2eaa89ce025ac59243e78d817f77b5759bf9100a120745eea140c72",
+    "witness eval {correlators}":
+        "888339917a59a88d17e21b070d09f7f35645bbc9aa83b6d5096030f91530ca91",
+}
+
+
+@pytest.mark.parametrize("command, digest", PINS.items(), ids=list(PINS))
+def test_stdout_matches_pin(capsys, tmp_path, command, digest):
+    state = tmp_path / "state.json"
+    state.write_text(json.dumps(STATE))
+    correlators = tmp_path / "correlators.json"
+    correlators.write_text(json.dumps({"correlators": CORRELATORS}))
+    argv = command.format(state=state, correlators=correlators).split()
+    code = main(argv)
+    out = capsys.readouterr().out
+    # The oracle check exits 1 on a disagreement; these runs have none.
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest

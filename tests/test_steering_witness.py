@@ -227,11 +227,9 @@ class TestFullReport:
     def test_verdicts(self):
         violated = full_report(CorrelationSet(1, 0, 0, 1))
         assert violated.steering_verdict == VIOLATED
-        assert violated.steering_demonstrated
 
         satisfied = full_report(CorrelationSet(0.1, 0.1, 0.0, 0.0))
         assert satisfied.steering_verdict == SATISFIED
-        assert not satisfied.steering_demonstrated
 
         boundary = full_report(CorrelationSet(1, 1, 0, 0))
         assert boundary.steering_verdict == BOUNDARY

@@ -14,6 +14,7 @@ import numpy as np
 from . import lhs_oracle, violation_search
 from .correlation_model import PROBABILITY_TOL, correlation_set_from_json_dict
 from .homodyne_experiment import (
+    MAX_MC_SAMPLES,
     SinglePhotonState,
     adjudicate,
     adjudicate_reported,
@@ -213,6 +214,8 @@ _positive_int = _flag_type(int, lambda n: n >= 1, "a positive integer")
 _count = _flag_type(int, lambda n: 1 <= n <= MAX_COUNT,
                     f"an integer from 1 to {MAX_COUNT}")
 _nonnegative_int = _flag_type(int, lambda n: n >= 0, "a non-negative integer")
+_mc_count = _flag_type(int, lambda n: 1 <= n <= MAX_MC_SAMPLES,
+                       f"an integer from 1 to {MAX_MC_SAMPLES}")
 
 
 class _ArgumentParser(argparse.ArgumentParser):
@@ -261,7 +264,7 @@ def build_parser() -> argparse.ArgumentParser:
                             help="single-photon probability")
     experiment.add_argument("--eta-bob", type=_finite_float, required=True)
     experiment.add_argument("--eta-alice", type=_finite_float, default=None)
-    experiment.add_argument("--mc", type=_positive_int, default=None,
+    experiment.add_argument("--mc", type=_mc_count, default=None,
                             help="Monte Carlo sample count (analytic if omitted)")
     experiment.add_argument("--seed", type=_nonnegative_int, default=0)
     experiment.add_argument("--tol", type=_finite_float, default=VERDICT_TOL)

@@ -54,6 +54,10 @@ DEFAULT_SPAN = 6.0
 # Smallest efficiency the Monte Carlo serves (1/8192): there a pair's grid
 # widens to 64 * DEFAULT_GRID_CELLS cells, about 10 MB of tables per pair.
 MIN_MC_ETA = 0.5 / 64 ** 2
+# Largest Monte Carlo sample count per setting pair: about 4 minutes at the
+# measured 0.24 s per 1e6 samples (2-core x86-64). A larger count would run
+# for hours without a word.
+MAX_MC_SAMPLES = 2 ** 30
 # Rows of uniforms drawn and mapped per step of the Monte Carlo loop; bounds
 # the working set (one block per setting pair in flight) without changing the
 # Philox stream or the result.
@@ -111,8 +115,16 @@ def gamma(eta: float) -> float:
     return float(np.sqrt(2.0 * eta / np.pi))
 
 
+def _check_phase(phi: float) -> None:
+    """Reject a non-finite phase, which would turn every effect into NaN."""
+    if not np.isfinite(phi):
+        raise ValueError(f"phase must be finite, got {phi}")
+
+
 def homodyne_effects(phi: float, eta: float):
-    """Sign-binned effect pair (E_plus, E_minus) at phase ``phi``."""
+    """Sign-binned effect pair (E_plus, E_minus) at phase ``phi``; a
+    non-finite ``phi`` raises ``ValueError``."""
+    _check_phase(phi)
     g = gamma(eta)
     half = 0.5 * g * sigma_phi(phi)
     eye = 0.5 * np.eye(2, dtype=complex)
@@ -221,10 +233,14 @@ def _g_operators(phi: float, eta: float):
 def homodyne_pdf(rho: np.ndarray, phi: float, eta: float, x):
     """Outcome density of one inefficient homodyne on a single-mode state.
 
-    Accepts scalar or array ``x``; integrates to 1 over the real line.
+    Accepts scalar or array ``x``; integrates to 1 over the real line. A
+    non-finite phase or outcome raises ``ValueError``.
     """
     rho = validate_density(rho, dim=2)
+    _check_phase(phi)
     x = np.asarray(x, dtype=float)
+    if not np.isfinite(x).all():
+        raise ValueError("homodyne outcome x must be finite")
     c0, c1, c2 = (float(np.trace(rho @ g).real) for g in _g_operators(phi, eta))
     result = _envelope(x, eta) * (c0 + c1 * x + c2 * x * x)
     return result if result.ndim else float(result)
@@ -401,7 +417,8 @@ def monte_carlo_correlations(state: SinglePhotonState, eta_alice: float,
     with the outcome envelope, whose width is 1 / sqrt(eta), at the same cell
     width, so the truncated tails stay at their eta 0.5 size. An efficiency
     above 1 or below ``MIN_MC_ETA`` (1/8192, where the grid is 64 times the
-    default) raises ``ValueError``. The x inverse CDF starts from a guide table of
+    default) raises ``ValueError``, as does an ``n_samples`` outside [1,
+    ``MAX_MC_SAMPLES``]. The x inverse CDF starts from a guide table of
     uniform buckets and searches only the uniforms whose bucket holds a knot.
     Streams are counter-based (Philox) and spawned per pair, so results are
     reproducible for a fixed seed and the per-pair sampling is a pure
@@ -411,8 +428,8 @@ def monte_carlo_correlations(state: SinglePhotonState, eta_alice: float,
     CPU affinity, at most four; each pair's exact count of +1 products does
     not depend on the scheduling, so neither does the result.
     """
-    if n_samples < 1:
-        raise ValueError("n_samples must be at least 1")
+    if not 1 <= n_samples <= MAX_MC_SAMPLES:
+        raise ValueError(f"n_samples must lie in [1, {MAX_MC_SAMPLES}], got {n_samples}")
     rho = state_density(state)
     children = np.random.SeedSequence(seed).spawn(4)
     tables = [_pair_sampler_arrays(rho, *pair)

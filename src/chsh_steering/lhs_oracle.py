@@ -5,22 +5,23 @@ of deterministic-Alice atoms, built in closed form by ``decompose``. As a
 cross-check that owes nothing to the witness formula, ``lp_membership`` tests
 convex-hull membership directly: it discretises the two extremal circles on a
 uniform angle grid and asks a phase-1 simplex whether the target correlators
-are a convex combination of grid atoms. The only use of f there is to flag
-points within the band of the boundary set by the grid's chord sag and the
-LP's residual tolerance, where the oracle cannot be trusted either way.
+are a convex combination of grid atoms. The atoms are never stored: on each
+circle an atom's reduced cost is a cosine of its angle, so the simplex's
+pricing callback (``_grid_pricer``) finds the best atom in closed form and
+the cost of a point does not grow with the grid. The only use of f there is
+to flag points within the band of the boundary set by the grid's chord sag
+and the LP's residual tolerance, where the oracle cannot be trusted either
+way.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .correlation_model import (
-    CorrelationSet,
-    EBasisVector,
-    extremal_correlations_array,
-)
+from .correlation_model import ALICE_SIGNS, CorrelationSet, EBasisVector
 from .simplex import DEFAULT_LP_TOL, MAX_LP_TOL, lp_feasibility
 from .steering_witness import f_value_array
 from . import correlation_model
@@ -142,21 +143,68 @@ def boundary_band(grid_n: int, tol: float = DEFAULT_LP_TOL) -> float:
     return max(1.0 - np.cos(np.pi / grid_n), KAPPA * tol)
 
 
-def atom_matrix(grid_n: int) -> np.ndarray:
-    """Correlator columns of all grid atoms, shape (4, 2*grid_n).
+def _grid_pricer(grid_n: int):
+    """The pricing callback ``lp_feasibility`` takes for the oracle's columns.
 
-    Columns 0..grid_n-1 are chi=1 atoms at xi_k = 2 pi k / grid_n, the rest
-    chi=2 atoms on the same angles. ``grid_n`` must lie between 8 and
-    ``MAX_GRID_N``, else ``ValueError``: the matrix takes 64 bytes per angle.
+    Column k < grid_n is (correlators, 1) of the chi = 1 atom at
+    xi_k = 2 pi k / grid_n, and column grid_n + k that of the chi = 2 atom
+    at xi_k. With Alice's signs (sa, sap) the chi atom's correlators are
+    (sa c, sap c, sa s, sap s), c = cos xi, s = sin xi, so at duals y the
+    reduced cost is y4 + p c + q s with p = y0 sa + y1 sap and
+    q = y2 sa + y3 sap: a cosine over the circle, lowest at
+    xi = atan2(-q, -p). Each family evaluates only the grid index nearest
+    that angle and its two neighbours, each as the dot product of y with the
+    column summed left to right, and keeps the first index on a tie; p = q = 0
+    makes the family flat and takes its index 0. A dense ``y @ A`` may round
+    a reduced cost differently in its last bits, so where two columns lie
+    within a few ulps of each other it may pick the other one. Under Bland's
+    rule a column is eligible when its reduced cost is below -eps, which
+    holds on the arc within acos((y4 + eps) / hypot(p, q)) of that angle.
+    The family's lowest eligible index is then index 0 or the first index on
+    the arc, so those are evaluated too, with the neighbours of the arc's
+    start to absorb rounding. Nothing here knows the target point, let alone
+    f; no column is stored, so the cost of a pivot does not grow with
+    ``grid_n``.
     """
-    if grid_n < 8:
-        raise ValueError(f"grid_n must be at least 8, got {grid_n}")
-    if grid_n > MAX_GRID_N:
-        raise ValueError(f"grid_n must be at most {MAX_GRID_N}, got {grid_n}")
-    xi = 2.0 * np.pi * np.arange(grid_n) / grid_n
-    cols1 = extremal_correlations_array(1, xi)
-    cols2 = extremal_correlations_array(2, xi)
-    return np.concatenate([cols1, cols2], axis=0).T
+    units = grid_n / (2.0 * math.pi)  # grid steps per radian
+    two_pi, cos, sin, atan2 = 2.0 * math.pi, math.cos, math.sin, math.atan2
+    families = ((0, *ALICE_SIGNS[1]), (grid_n, *ALICE_SIGNS[2]))
+
+    def price(duals, eps, bland):
+        y0, y1, y2, y3, y4 = duals
+        best = best_reduced = None
+        for offset, sa, sap in families:
+            # sa, sap are +-1, so u0 * c rounds exactly like y0 * (sa * c).
+            u0, u1, u2, u3 = y0 * sa, y1 * sap, y2 * sa, y3 * sap
+            p, q = u0 + u1, u2 + u3
+            centre = atan2(-q, -p) * units if p or q else 0.0
+            near = round(centre)
+            indices = (near - 1, near, near + 1)
+            if bland:
+                indices = {0, *indices}
+                r = math.hypot(p, q)
+                if r > 0.0:
+                    half = math.acos(min(max((y4 + eps) / r, -1.0), 1.0)) * units
+                    start = math.floor(centre - half) + 1
+                    indices.update((start - 1, start, start + 1))
+                indices = sorted({k % grid_n for k in indices})
+            for k in indices:
+                k %= grid_n
+                xi = two_pi * k / grid_n
+                c, s = cos(xi), sin(xi)
+                reduced = u0 * c + u1 * c + u2 * s + u3 * s + y4
+                if bland:
+                    if reduced < -eps:
+                        return offset + k, reduced, [sa * c, sap * c, sa * s, sap * s, 1.0]
+                elif (best is None or reduced < best_reduced
+                      or (reduced == best_reduced and offset + k < best[0])):
+                    best, best_reduced = (offset + k, sa, sap, c, s), reduced
+        if best is None or not best_reduced < -eps:
+            return None
+        col, sa, sap, c, s = best
+        return col, best_reduced, [sa * c, sap * c, sa * s, sap * s, 1.0]
+
+    return price
 
 
 @dataclass(frozen=True)
@@ -192,27 +240,33 @@ def lp_membership(c: CorrelationSet, grid_n: int = DEFAULT_GRID_N,
 
 def lp_membership_batch(points: np.ndarray, grid_n: int = DEFAULT_GRID_N,
                         tol: float = DEFAULT_LP_TOL) -> list[MembershipResult]:
-    """``lp_membership`` for an (N, 4) batch, sharing one atom grid."""
+    """``lp_membership`` for an (N, 4) batch, sharing one pricer.
+
+    Each point is one ``lp_feasibility`` call on b = (point, 1) over the
+    2 * ``grid_n`` implicit atom columns, whose last row (all ones) makes the
+    weights sum to 1. ``grid_n`` must lie between 8 and ``MAX_GRID_N``,
+    else ``ValueError``.
+    """
     points = np.asarray(points, dtype=float)
     if points.ndim != 2 or points.shape[1] != 4:
         raise ValueError(f"points must have shape (N, 4), got {points.shape}")
     if not 0.0 <= tol <= MAX_LP_TOL:
         raise ValueError(f"LP tolerance must lie in [0, {MAX_LP_TOL:g}], got {tol}")
-    atoms = atom_matrix(grid_n)
-    # vstack keeps the transposed atoms' Fortran order; lp_feasibility would
-    # copy a non-contiguous A for every point.
-    A = np.ascontiguousarray(np.vstack([atoms, np.ones((1, atoms.shape[1]))]))
+    if grid_n < 8:
+        raise ValueError(f"grid_n must be at least 8, got {grid_n}")
+    if grid_n > MAX_GRID_N:
+        raise ValueError(f"grid_n must be at most {MAX_GRID_N}, got {grid_n}")
+    price = _grid_pricer(grid_n)
     band = float(boundary_band(grid_n, tol))
     f_values = f_value_array(correlation_model.to_e_basis_array(points))
     results = []
-    for point, f in zip(points, f_values):
-        b = np.append(point, 1.0)
-        feasible, _, residuals = lp_feasibility(A, b, tol=tol)
+    for point, f in zip(points.tolist(), f_values.tolist()):
+        feasible, _, residuals = lp_feasibility(price, 2 * grid_n, [*point, 1.0], tol=tol)
         max_residual = float(residuals.max())
         results.append(MembershipResult(
-            verdict=_classify(feasible, float(f), band),
+            verdict=_classify(feasible, f, band),
             lp_feasible=feasible,
-            f_value=float(f),
+            f_value=f,
             band=band,
             grid_n=grid_n,
             max_residual=max_residual,

@@ -1,22 +1,30 @@
 """Phase-1 revised simplex feasibility for small equality systems.
 
-Decides whether A x = b, x >= 0 has a solution. The solver keeps only an
-(m+1) x (m+1) revised tableau: the m x m basis inverse and the basic values
-above the negated duals and objective. The artificial column of row i is
-``flip_i * e_i`` with cost 1, signed to match b_i, and is never stored, so a
-pivot prices every column with one ``duals @ A`` matvec and rewrites only the
-small tableau. The entering column is the most negative reduced cost over the
-real and the artificial columns (first index on ties) while the objective
-strictly improves; after ``BLAND_AFTER`` stalled pivots the rule switches
-permanently to Bland's lowest eligible index, and the leaving row is always
-the minimum ratio with the lowest-basic-index tie-break. Strict-progress
-pivots cannot revisit a basis and the Bland phase cannot cycle, so the solver
-terminates deterministically without perturbation tricks. Phase 1 minimises
-the total artificial infeasibility; its per-row residuals are the
-feasibility certificate for the membership oracle.
+Decides whether A x = b, x >= 0 has a solution without ever storing A: a
+pricing callback supplies the real columns. The solver keeps only an
+(m+1) x (m+1) revised tableau, as lists of Python floats: the m x m basis
+inverse and the basic values above the negated duals and objective. At m = 5
+(the oracle) a NumPy call costs more than the arithmetic it would vectorise.
+The artificial column of row i is ``flip_i * e_i`` with cost 1, signed to
+match b_i, and is never stored either. Each pivot asks the callback for the
+best real column at the current duals, prices the m artificial columns
+itself and rewrites only the small tableau. The entering column is the most
+negative reduced cost over the real and the artificial columns (first index
+on ties) while the objective strictly improves; after ``BLAND_AFTER`` stalled
+pivots the rule switches permanently to Bland's lowest eligible index, and
+the leaving row is always the minimum ratio with the lowest-basic-index
+tie-break. Strict-progress pivots cannot revisit a basis and the Bland phase
+cannot cycle, so the solver terminates deterministically without
+perturbation tricks. Phase 1 minimises the total artificial infeasibility;
+its per-row residuals are the feasibility certificate for the membership
+oracle.
 """
 
 from __future__ import annotations
+
+import math
+from itertools import chain
+from operator import mul
 
 import numpy as np
 
@@ -29,70 +37,81 @@ DEFAULT_LP_TOL = 1e-9
 # Largest residual tolerance accepted; ``lhs_oracle`` explains the value.
 MAX_LP_TOL = 1e-6
 
+_LOST_FINITENESS = "basis inverse or basic values lost finiteness in phase 1"
+
 
 class OracleError(RuntimeError):
     """The LP solver failed numerically; no verdict should be derived."""
 
 
-def _revised_pivots(A, cost, flip, tableau, basis):
+def _revised_pivots(price, n, flip, tableau, basis):
     """Run revised simplex pivots for min cost.x + sum(artificials), in place.
 
-    Columns 0..n-1 are those of ``A`` with costs ``cost`` (zero when None);
-    column n+i is the implicit artificial ``flip[i] * e_i`` with cost 1.
-    ``lp_feasibility`` passes None; ``cost`` is kept because a cycling LP
-    such as Beale's, which exercises the Bland switch, needs an objective on
-    the real columns.
-    ``tableau`` has shape (m+1, m+1): the basis inverse in ``[:m, :m]``, the
-    basic values in ``[:m, m]``, the negated duals in ``[m, :m]`` and the
-    negated objective in ``[m, m]``. ``basis`` is the list of the m basic
-    column indices. Uses ``PIVOT_EPS``, ``DEFAULT_MAX_ITER`` and
+    Columns 0..n-1 are the real columns, known only to ``price`` (see
+    ``lp_feasibility``); a real column's cost is the pricer's business, zero
+    for phase 1. Column n+i is the implicit artificial ``flip[i] * e_i`` with
+    cost 1.
+    ``tableau`` is a list of m+1 rows of m+1 floats: the basis inverse in
+    ``[:m][:m]``, the basic values in column m, the negated duals in row m
+    and the negated objective in ``[m][m]``. ``basis`` is the list of the m
+    basic column indices. Uses ``PIVOT_EPS``, ``DEFAULT_MAX_ITER`` and
     ``BLAND_AFTER``; returns at the optimum and raises ``OracleError`` on an
-    unbounded ray or at the iteration limit.
+    unbounded ray, on non-finite duals or objective, or at the iteration
+    limit.
     """
     eps, bland_after = PIVOT_EPS, BLAND_AFTER
-    m, n = A.shape
-    reduced = np.empty(n + m)
+    m = len(flip)
+    bottom = tableau[m]
     stall = 0
-    bland = False
-    last_objective = tableau[m, m]
+    bland = bland_after <= 0  # BLAND_AFTER = 0 tolerates no stall at all
+    last_objective = bottom[m]
     for _ in range(DEFAULT_MAX_ITER):
-        duals = tableau[m, :m]
-        np.dot(duals, A, out=reduced[:n])
-        if cost is not None:
-            reduced[:n] += cost
-        reduced[n:] = 1.0 + flip * duals
+        duals = bottom[:m]
+        entering = price(duals, eps, bland)
+        artificial = [1.0 + f * y for f, y in zip(flip, duals)]
         if bland:
-            negative = np.flatnonzero(reduced < -eps)
-            if negative.size == 0:
-                return
-            col = int(negative[0])
+            if entering is None:
+                eligible = [i for i, r in enumerate(artificial) if r < -eps]
+                if not eligible:
+                    return
+                entering = (n + eligible[0], artificial[eligible[0]], None)
         else:
-            col = int(reduced.argmin())
-            if reduced[col] >= -eps:
+            least = min(artificial)
+            if least < -eps and (entering is None or least < entering[1]):
+                entering = (n + artificial.index(least), least, None)
+            elif entering is None:
                 return
+        col, reduced, a = entering
 
         # The entering column of the full tableau: B^-1 a above its reduced cost.
-        if col < n:
-            column = tableau[:, :m] @ A[:, col]
+        if a is None:
+            f = flip[col - n]
+            column = [tableau[i][col - n] * f for i in range(m)]
         else:
-            column = tableau[:, col - n] * flip[col - n]
-        column[m] = reduced[col]
+            column = [sum(map(mul, tableau[i], a)) for i in range(m)]
         row = -1
-        for i, (entry, value) in enumerate(zip(column[:m].tolist(), tableau[:m, m].tolist())):
+        for i, entry in enumerate(column):
             if entry > eps:
-                ratio = value / entry
+                ratio = tableau[i][m] / entry
                 if row < 0 or ratio < best or (ratio == best and basis[i] < basis[row]):
                     row, best = i, ratio
         if row < 0:
             raise OracleError("phase 1 reported unbounded; basis inverse is corrupt")
+        column.append(reduced)
 
-        tableau[row] /= column[row]
-        column[row] = 0.0
-        tableau -= column[:, None] * tableau[row]
+        pivot = column[row]
+        leaving = tableau[row] = [t / pivot for t in tableau[row]]
+        for i, factor in enumerate(column):
+            if i != row:
+                tableau[i] = [t - factor * r for t, r in zip(tableau[i], leaving)]
         basis[row] = col
+        bottom = tableau[m]
+        # A pricer may take angles of the duals; stop before it sees a NaN.
+        if not all(map(math.isfinite, bottom)):
+            raise OracleError(_LOST_FINITENESS)
 
-        if tableau[m, m] > last_objective:
-            last_objective = tableau[m, m]
+        if bottom[m] > last_objective:
+            last_objective = bottom[m]
             stall = 0
         else:
             stall += 1
@@ -101,46 +120,53 @@ def _revised_pivots(A, cost, flip, tableau, basis):
     raise OracleError("simplex iteration limit reached in phase 1")
 
 
-def lp_feasibility(A, b, *, tol: float = DEFAULT_LP_TOL):
+def lp_feasibility(price, n, b, *, tol: float = DEFAULT_LP_TOL):
     """Decide whether {x >= 0 : A x = b} is nonempty, within ``tol`` per row.
 
-    Phase 1: one artificial variable per row starts in the basis, and the
-    pivots minimise their sum. Returns (feasible, x, residuals), where
-    residuals[i] is the absolute infeasibility left in row i at the phase-1
-    optimum and ``x`` is the phase-1 point (its real variables) whether or
-    not the tolerance test passes. A malformed or non-finite ``A`` or ``b``,
-    or a ``tol`` outside [0, ``MAX_LP_TOL``], raises ``ValueError``.
+    ``A`` has ``n`` columns that only the pricing callback knows.
+    ``price(duals, eps, bland)`` prices them at the duals, a list of m
+    floats, and returns ``(col, reduced, column)``, the entering candidate's
+    index, reduced cost and column (a list of m floats), or None when no
+    column has a reduced cost below ``-eps``. The candidate is the lowest
+    index of the most negative reduced cost or, with ``bland`` true, the
+    lowest index whose reduced cost is below ``-eps``. Phase 1: one
+    artificial variable per row starts in the basis, and the pivots minimise
+    their sum.
+    Returns (feasible, x, residuals), where residuals[i] is the absolute
+    infeasibility left in row i at the phase-1 optimum and ``x`` maps each
+    basic real column to its value at the phase-1 point, whether or not the
+    tolerance test passes; every other real variable is 0. A malformed or
+    non-finite ``b``, or a ``tol`` outside [0, ``MAX_LP_TOL``], raises
+    ``ValueError``.
     """
     if not 0.0 <= tol <= MAX_LP_TOL:
         raise ValueError(f"tol must lie in [0, {MAX_LP_TOL:g}], got {tol}")
-    A = np.ascontiguousarray(A, dtype=float)
     b = np.asarray(b, dtype=float)
-    if A.ndim != 2:
-        raise ValueError("A must be a 2-D matrix")
-    m, n = A.shape
-    if b.shape != (m,):
-        raise ValueError(f"b must have shape ({m},), got {b.shape}")
-    if not (np.isfinite(A).all() and np.isfinite(b).all()):
-        raise ValueError("A and b must be finite")
-    flip = np.where(b < 0.0, -1.0, 1.0)
+    if b.ndim != 1:
+        raise ValueError(f"b must be a vector, got shape {b.shape}")
+    b = b.tolist()
+    if not all(map(math.isfinite, b)):
+        raise ValueError("b must be finite")
+    m = len(b)
+    flip = [-1.0 if v < 0.0 else 1.0 for v in b]
 
     # Artificial basis: B^-1 = diag(flip), basic values |b|, duals = flip.
-    tableau = np.zeros((m + 1, m + 1))
-    tableau[:m, :m] = np.diag(flip)
-    tableau[:m, m] = b * flip
-    tableau[m, :m] = -flip
-    tableau[m, m] = -tableau[:m, m].sum()
+    values = [v * f for v, f in zip(b, flip)]
+    tableau = [[0.0] * m + [v] for v in values]
+    for i, f in enumerate(flip):
+        tableau[i][i] = f
+    tableau.append([-f for f in flip] + [-sum(values)])
     basis = list(range(n, n + m))
 
-    _revised_pivots(A, None, flip, tableau, basis)
-    if not np.isfinite(tableau).all():
-        raise OracleError("basis inverse or basic values lost finiteness in phase 1")
+    _revised_pivots(price, n, flip, tableau, basis)
+    if not all(map(math.isfinite, chain.from_iterable(tableau))):
+        raise OracleError(_LOST_FINITENESS)
 
-    residuals = np.zeros(m)
-    x = np.zeros(n)
-    for var, value in zip(basis, tableau[:m, m].tolist()):
+    residuals = [0.0] * m
+    x = {}
+    for var, row in zip(basis, tableau):
         if var >= n:
-            residuals[var - n] = value
+            residuals[var - n] = row[m]
         else:
-            x[var] = value
-    return bool((residuals <= tol).all()), x, residuals
+            x[var] = row[m]
+    return max(residuals, default=0.0) <= tol, x, np.array(residuals)

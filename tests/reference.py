@@ -2,7 +2,9 @@
 
 Nothing in the package calls these: each is a second, plain statement of a
 physical quantity (a pure state, a Born probability, a joint probability
-table) or a short form of a production object that the tests need as input.
+table), a short form of a production object that the tests need as input,
+or the dense form of a computation the package does implicitly (the oracle's
+atom matrix and the ``duals @ A`` pricing over it).
 """
 
 from __future__ import annotations
@@ -16,9 +18,11 @@ from chsh_steering.correlation_model import (
     CorrelationSet,
     EBasisVector,
     Marginals,
+    extremal_correlations_array,
     validate_correlation_matrix,
 )
 from chsh_steering.qubit_core import projector_from_params, validate_effect
+from chsh_steering.simplex import DEFAULT_LP_TOL, lp_feasibility
 
 
 @dataclass(frozen=True)
@@ -129,3 +133,68 @@ def from_e_basis_array(v: np.ndarray) -> np.ndarray:
 def from_e_basis(v: EBasisVector) -> CorrelationSet:
     """Inverse of ``to_e_basis``; exact round trip."""
     return CorrelationSet(*from_e_basis_array(v.as_array()).tolist())
+
+
+def atom_matrix(grid_n: int) -> np.ndarray:
+    """Correlator columns of all grid atoms, shape (4, 2*grid_n).
+
+    Columns 0..grid_n-1 are chi=1 atoms at xi_k = 2 pi k / grid_n, the rest
+    chi=2 atoms on the same angles. It takes 64 bytes per angle.
+    """
+    xi = 2.0 * np.pi * np.arange(grid_n) / grid_n
+    cols1 = extremal_correlations_array(1, xi)
+    cols2 = extremal_correlations_array(2, xi)
+    return np.concatenate([cols1, cols2], axis=0).T
+
+
+def oracle_matrix(grid_n: int) -> np.ndarray:
+    """The oracle's LP columns: the grid atoms above a row of ones."""
+    atoms = atom_matrix(grid_n)
+    return np.ascontiguousarray(np.vstack([atoms, np.ones((1, atoms.shape[1]))]))
+
+
+def dense_pricer(A, cost=None):
+    """A pricing callback for ``simplex`` over the columns of a dense ``A``.
+
+    Every reduced cost comes from one ``duals @ A`` matvec (plus ``cost``, if
+    given): the most negative one with the first index on ties or, under
+    Bland's rule, the lowest index below ``-eps``.
+    """
+    A = np.ascontiguousarray(A, dtype=float)
+
+    def price(duals, eps, bland):
+        reduced = np.dot(duals, A)
+        if cost is not None:
+            reduced += cost
+        if bland:
+            negative = np.flatnonzero(reduced < -eps)
+            if negative.size == 0:
+                return None
+            col = int(negative[0])
+        else:
+            col = int(reduced.argmin())
+            if not reduced[col] < -eps:
+                return None
+        return col, float(reduced[col]), A[:, col].tolist()
+
+    return price
+
+
+def dense_lp_feasibility(A, b, *, tol: float = DEFAULT_LP_TOL):
+    """``simplex.lp_feasibility`` on the columns of a dense matrix ``A``.
+
+    Returns (feasible, x, residuals) with ``x`` as a dense vector. A matrix
+    that is not 2-D, not finite or not as tall as ``b`` raises ``ValueError``.
+    """
+    A = np.asarray(A, dtype=float)
+    if A.ndim != 2:
+        raise ValueError("A must be a 2-D matrix")
+    if np.shape(b) != (A.shape[0],):
+        raise ValueError(f"b must have shape ({A.shape[0]},), got {np.shape(b)}")
+    if not np.isfinite(A).all():
+        raise ValueError("A must be finite")
+    feasible, basic, residuals = lp_feasibility(dense_pricer(A), A.shape[1], b, tol=tol)
+    x = np.zeros(A.shape[1])
+    for col, value in basic.items():
+        x[col] = value
+    return feasible, x, residuals

@@ -165,7 +165,7 @@ class TestExperiment:
     def test_monte_carlo_count_error_names_the_flag(self, capsys):
         _, _, err = run_cli(capsys, "experiment", "--theta", "22.5", "--p1", "1.0",
                             "--eta-bob", "0.85", "--mc", "0")
-        assert err == "error: argument --mc: not a positive integer: '0'\n"
+        assert err == "error: argument --mc: not an integer from 1 to 1073741824: '0'\n"
 
     def test_missing_model_arguments(self, capsys):
         code, _, err = run_cli(capsys, "experiment", "--eta-bob", "0.85")
@@ -351,6 +351,8 @@ class TestRejectedInput:
         ("experiment", "--reported-s", "1.33", "--eta-bob", "0.85",
          "--eta-alice", "0.3"),
         ("experiment", "--reported-s", "1.33", "--eta-bob", "0.85", "--mc", "1000"),
+        ("experiment", "--theta", "22.5", "--p1", "0.9", "--eta-bob", "0.85",
+         "--mc", str(2 ** 30 + 1)),
         # Each efficiency outside (0, 1], on the analytic and the sampled path.
         *(("experiment", "--theta", "22.5", "--p1", "0.9", *etas, *mc)
           for mc in ((), ("--mc", "10"))

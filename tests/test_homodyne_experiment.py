@@ -11,6 +11,7 @@ from chsh_steering.homodyne_experiment import (
     BOB_PHASES,
     DEFAULT_GRID_CELLS,
     DEFAULT_SPAN,
+    MAX_MC_SAMPLES,
     MIN_MC_ETA,
     NO_STEERING,
     STEERING,
@@ -199,6 +200,25 @@ def test_efficiency_outside_unit_interval_is_rejected(call):
         call()
 
 
+# Each non-finite phase or outcome once gave NaN instead of an error.
+_NON_FINITE_CALLS = {
+    "homodyne_pdf phase": lambda bad: homodyne_pdf(np.diag([0.5, 0.5]).astype(complex),
+                                                   bad, 0.85, 0.3),
+    "homodyne_pdf x": lambda bad: homodyne_pdf(np.diag([0.5, 0.5]).astype(complex),
+                                               0.0, 0.85, bad),
+    "homodyne_pdf x array": lambda bad: homodyne_pdf(np.diag([0.5, 0.5]).astype(complex),
+                                                     0.0, 0.85, [0.0, bad]),
+    "homodyne_effects phase": lambda bad: homodyne_effects(bad, 0.85),
+}
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("call", _NON_FINITE_CALLS.values(), ids=_NON_FINITE_CALLS)
+def test_non_finite_phase_or_outcome_is_rejected(call, bad):
+    with pytest.raises(ValueError, match="finite"):
+        call(bad)
+
+
 def _reference_pdf(rho, phi, eta, x):
     """``homodyne_pdf`` with the polynomial expanded by hand, as it was
     before it took the traces of ``_g_operators``."""
@@ -363,6 +383,10 @@ class TestMonteCarlo:
     def test_sample_count_validation(self):
         with pytest.raises(ValueError):
             monte_carlo_correlations(SinglePhotonState(0.0, 1.0), 1.0, 1.0, 0, seed=0)
+        # Above the cap the call fails at once instead of running for hours.
+        with pytest.raises(ValueError, match="n_samples must lie in"):
+            monte_carlo_correlations(SinglePhotonState(0.0, 1.0), 1.0, 1.0,
+                                     MAX_MC_SAMPLES + 1, seed=0)
 
     def test_sharded_sampling_merges_deterministically(self):
         # The kernel maps each uniform pair independently, so splitting the

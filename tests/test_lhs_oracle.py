@@ -1,7 +1,10 @@
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from chsh_steering import lhs_oracle
+from chsh_steering import lhs_oracle, simplex
 from chsh_steering.correlation_model import (
     CorrelationSet,
     EBasisVector,
@@ -15,16 +18,15 @@ from chsh_steering.lhs_oracle import (
     LhsAtom,
     LhsModel,
     NotAMemberError,
-    atom_matrix,
     boundary_band,
     decompose,
     lp_membership,
     lp_membership_batch,
     model_correlations,
 )
-from chsh_steering.simplex import lp_feasibility
+from chsh_steering.simplex import PIVOT_EPS, lp_feasibility
 from chsh_steering.steering_witness import f_value, f_value_array
-from reference import from_e_basis, from_e_basis_array
+from reference import atom_matrix, from_e_basis, from_e_basis_array, oracle_matrix
 
 
 def random_members(rng, count):
@@ -230,24 +232,29 @@ class TestLpMembership:
         assert isinstance(res.lp_feasible, bool)
 
     def test_one_lp_call_per_point(self, monkeypatch):
-        # The oracle asks the LP only about A, b and tol, once per point, so
-        # nothing derived from f can reach the membership decision.
+        # The oracle asks the LP only about its columns, b and tol, once per
+        # point: one pricer, built from the grid alone, serves every point,
+        # and b is the point above the weight row, so nothing derived from f
+        # can reach the membership decision.
         calls = []
 
-        def counting(A, b, **kwargs):
-            calls.append((len(b), sorted(kwargs)))
-            return lp_feasibility(A, b, **kwargs)
+        def counting(price, n, b, **kwargs):
+            calls.append((price, n, list(b), sorted(kwargs)))
+            return lp_feasibility(price, n, b, **kwargs)
 
         monkeypatch.setattr(lhs_oracle, "lp_feasibility", counting)
         points = np.random.Generator(np.random.Philox(27)).uniform(-1.0, 1.0, (7, 4))
         assert len(lp_membership_batch(points, grid_n=64)) == 7
-        assert calls == [(5, ["tol"])] * 7
+        assert len(calls) == 7
+        assert len({id(price) for price, _, _, _ in calls}) == 1
+        assert [(n, b, kwargs) for _, n, b, kwargs in calls] == [
+            (128, [*point, 1.0], ["tol"]) for point in points.tolist()]
 
     def test_input_validation(self):
         with pytest.raises(ValueError):
-            atom_matrix(4)
+            lp_membership_batch(np.zeros((3, 4)), grid_n=4)
         with pytest.raises(ValueError, match="at most"):
-            atom_matrix(lhs_oracle.MAX_GRID_N + 1)
+            lp_membership_batch(np.zeros((3, 4)), grid_n=lhs_oracle.MAX_GRID_N + 1)
         with pytest.raises(ValueError):
             lp_membership_batch(np.zeros((3, 5)))
         for tol in (-1e-12, np.nan, np.inf, 1.01e-6, 1e300):
@@ -260,3 +267,145 @@ class TestLpMembership:
         assert A.shape == (4, 16)
         assert np.allclose(A[:, 0], [1.0, 1.0, 0.0, 0.0], atol=1e-15)
         assert np.allclose(A[:, 8], [1.0, -1.0, 0.0, 0.0], atol=1e-15)
+
+
+def _random_duals(rng, count):
+    """Duals of every kind pricing meets: generic, scaled so one family is
+    nearly flat against y4, dyadic (grid-aligned minima and exact ties), and
+    with p = q = 0 in both families."""
+    generic = rng.uniform(-2.0, 2.0, (count, 5))
+    flat = generic.copy()
+    flat[:, :4] *= 10.0 ** rng.uniform(-15.0, -6.0, (count, 1))
+    dyadic = rng.integers(-2, 3, (count, 5)) / 2.0
+    zero = np.zeros((count, 5))
+    zero[:, 4] = rng.uniform(-2.0, 2.0, count)
+    return np.concatenate([generic, flat, dyadic, zero])
+
+
+def _scalar_reduced(duals, grid_n):
+    """Every column's reduced cost with the pricer's own scalar arithmetic."""
+    y0, y1, y2, y3, y4 = duals
+    out = []
+    for sa, sap in ((1.0, 1.0), (1.0, -1.0)):
+        for k in range(grid_n):
+            xi = 2.0 * math.pi * k / grid_n
+            c, s = math.cos(xi), math.sin(xi)
+            out.append(y0 * (sa * c) + y1 * (sap * c) + y2 * (sa * s) + y3 * (sap * s) + y4)
+    return np.array(out)
+
+
+class TestGridPricer:
+    """The closed-form pricer against the dense pricing it replaced."""
+
+    @pytest.mark.parametrize("grid_n, count", [(8, 100), (64, 100), (2048, 100), (2 ** 20, 5)])
+    def test_matches_dense_argmin(self, grid_n, count):
+        A = oracle_matrix(grid_n)
+        price = lhs_oracle._grid_pricer(grid_n)
+        rng = np.random.Generator(np.random.Philox(grid_n))
+        for duals in _random_duals(rng, count):
+            reduced = np.dot(duals, A)
+            first, second = np.argsort(reduced, kind="stable")[:2]
+            # eps = -inf admits every column, so the pricer returns its minimum.
+            col, value, column = price(duals.tolist(), -np.inf, False)
+            assert np.abs(np.array(column) - A[:, col]).max() <= 1e-15
+            if reduced[second] - reduced[first] > 1e-12:
+                assert col == first
+            else:
+                assert abs(value - reduced[first]) <= 4 * np.spacing(np.abs(duals).sum())
+
+    @pytest.mark.parametrize("grid_n", [8, 64])
+    def test_exact_ties_take_the_first_index(self, grid_n):
+        price = lhs_oracle._grid_pricer(grid_n)
+        rng = np.random.Generator(np.random.Philox(41))
+        # Dyadic duals tie whole families; duals aimed half-way between two
+        # grid angles, against a y4 whose ulp hides their rounding, tie the
+        # nearest index with a neighbour.
+        halfway = 2.0 * np.pi * (rng.integers(0, grid_n, 300) + 0.5) / grid_n
+        aimed = np.zeros((300, 5))
+        aimed[:, 0], aimed[:, 2], aimed[:, 4] = -np.cos(halfway), -np.sin(halfway), 64.0
+        tied = 0
+        for duals in np.concatenate([rng.integers(-2, 3, (300, 5)) / 2.0, aimed]):
+            reduced = _scalar_reduced(duals.tolist(), grid_n)
+            least = np.flatnonzero(reduced == reduced.min())
+            tied += np.unique(least % grid_n).size > 1
+            assert price(duals.tolist(), -np.inf, False)[0] == least[0]
+        assert tied > 0
+
+    def test_flat_family_takes_index_zero(self):
+        price = lhs_oracle._grid_pricer(64)
+        # p = q = 0 in both families: every column costs y4.
+        assert price([0.0, 0.0, 0.0, 0.0, -1.0], PIVOT_EPS, False)[:2] == (0, -1.0)
+        assert price([0.0, 0.0, 0.0, 0.0, -1.0], PIVOT_EPS, True)[:2] == (0, -1.0)
+        assert price([0.0, 0.0, 0.0, 0.0, 0.0], PIVOT_EPS, False) is None
+        # y0 = -y1 and y2 = -y3 flatten only the chi = 1 family; under Bland's
+        # rule its index 0 comes before every chi = 2 column.
+        assert price([0.5, -0.5, 0.25, -0.25, -1.0], PIVOT_EPS, True)[:2] == (0, -1.0)
+
+    @pytest.mark.parametrize("grid_n, count", [(8, 100), (64, 100), (2048, 100), (2 ** 20, 5)])
+    def test_bland_takes_the_lowest_eligible_index(self, grid_n, count):
+        A = oracle_matrix(grid_n)
+        price = lhs_oracle._grid_pricer(grid_n)
+        rng = np.random.Generator(np.random.Philox(43 + grid_n))
+        seen = set()
+        for duals in _random_duals(rng, count):
+            # Shift y4 so the eligible arcs range from empty to the whole circle.
+            duals[4] = rng.uniform(-1.2, 1.2) * np.abs(duals[:4]).sum()
+            reduced = np.dot(duals, A)
+            eligible = np.flatnonzero(reduced < -PIVOT_EPS)
+            got = price(duals.tolist(), PIVOT_EPS, True)
+            ulps = 4 * np.spacing(np.abs(duals).sum())
+            if got is None:
+                assert eligible.size == 0 or abs(reduced[eligible[0]] + PIVOT_EPS) <= ulps
+                seen.add("none")
+                continue
+            col, value, column = got
+            assert value < -PIVOT_EPS
+            assert np.abs(np.array(column) - A[:, col]).max() <= 1e-15
+            # Rounding may only move the answer across a column at -eps.
+            assert col == eligible[0] or abs(reduced[min(col, eligible[0])] + PIVOT_EPS) <= ulps
+            seen.add("zero" if col in (0, grid_n) else "arc")
+        assert seen == {"none", "zero", "arc"}
+
+    def test_bland_from_the_start_keeps_verdicts(self, monkeypatch):
+        # Bland's rule from the first pivot takes about 8 times the pivots of
+        # the default rule at grid 64 (and 50 times at grid 256), so a coarse
+        # grid keeps this test short.
+        rng = np.random.Generator(np.random.Philox(47))
+        targets = 1.0 + rng.choice([-1.0, 1.0], 150) * 10.0 ** rng.uniform(-2.5, -1.0, 150)
+        points = np.concatenate([rng.uniform(-1.0, 1.0, (150, 4)), _points_at(rng, targets)])
+        default = lp_membership_batch(points, grid_n=64)
+        rules = []
+        grid_pricer = lhs_oracle._grid_pricer
+
+        def recording(grid_n):
+            price = grid_pricer(grid_n)
+
+            def recorded(duals, eps, bland):
+                rules.append(bland)
+                return price(duals, eps, bland)
+
+            return recorded
+
+        monkeypatch.setattr(simplex, "BLAND_AFTER", 0)
+        monkeypatch.setattr(lhs_oracle, "_grid_pricer", recording)
+        bland = lp_membership_batch(points, grid_n=64)
+        assert rules and all(rules)
+        assert [r.verdict for r in bland] == [r.verdict for r in default]
+        assert [r.lp_feasible for r in bland] == [r.lp_feasible for r in default]
+
+    def test_grid_is_free(self):
+        # At the largest grid the atom matrix alone would take 84 MB, and
+        # pricing it took 7.3 s for these 20 points.
+        grid_n = lhs_oracle.MAX_GRID_N
+        rng = np.random.Generator(np.random.Philox(53))
+        targets = np.repeat([1.0 - 1e-3, 1.0 + 1e-3], 10)
+        points = _points_at(rng, targets)
+        results = lp_membership_batch(points, grid_n=grid_n)
+        assert [r.verdict for r in results] == [MEMBER] * 10 + [NON_MEMBER] * 10
+        tracemalloc.start()
+        try:
+            lp_membership_batch(points[:1], grid_n=grid_n)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20

@@ -11,7 +11,7 @@ import sys
 
 import numpy as np
 
-from . import lhs_oracle, violation_search
+from . import correlation_model, lhs_oracle, violation_search
 from .correlation_model import PROBABILITY_TOL, correlation_set_from_json_dict
 from .homodyne_experiment import (
     MAX_MC_SAMPLES,
@@ -153,17 +153,12 @@ def cmd_scan_angles(args) -> int:
 
 def _state_from_json(data) -> np.ndarray:
     if isinstance(data, dict) and "real" in data:
-        try:
-            real = np.asarray(data["real"], dtype=float)
-            imag = np.asarray(data.get("imag", np.zeros_like(real)), dtype=float)
-        except (TypeError, ValueError):
-            raise ValueError('state "real"/"imag" must be arrays of numbers') from None
+        real = correlation_model.json_number_array(data["real"], 'state "real"')
+        imag = correlation_model.json_number_array(data.get("imag", 0.0), 'state "imag"')
         return validate_density(real + 1j * imag)
     if isinstance(data, dict) and "theta_deg" in data:
-        try:
-            theta_deg, p1 = float(data["theta_deg"]), float(data.get("p1", 1.0))
-        except (TypeError, ValueError):
-            raise ValueError('state "theta_deg"/"p1" must be numbers') from None
+        theta_deg = correlation_model.json_number(data["theta_deg"], 'state "theta_deg"')
+        p1 = correlation_model.json_number(data.get("p1", 1.0), 'state "p1"')
         return state_density(SinglePhotonState(theta=np.deg2rad(theta_deg), p1=p1))
     raise ValueError('state JSON needs "real" (+ optional "imag") or "theta_deg"/"p1"')
 

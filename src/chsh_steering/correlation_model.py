@@ -204,6 +204,26 @@ def extremal_correlations_array(chi: int, xi: np.ndarray) -> np.ndarray:
     return np.stack([sa * cos, sap * cos, sa * sin, sap * sin], axis=-1)
 
 
+def json_number(value, what: str) -> float:
+    """``value`` as a float if it is a JSON number: an int or a float, not a
+    bool and not a numeric string; else ``ConstraintError`` naming ``what``."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConstraintError(f"{what} must be a number, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError:
+        raise ConstraintError(f"{what} is too large for a float") from None
+
+
+def json_number_array(value, what: str) -> np.ndarray:
+    """``value``, a JSON number or nested arrays of them, as a float array;
+    any other entry, a ragged array's rows included, raises
+    ``ConstraintError`` naming ``what``."""
+    entries = np.asarray(value, dtype=object)
+    return np.array([json_number(v, f"{what} entry") for v in entries.flat],
+                    dtype=float).reshape(entries.shape)
+
+
 def _json_numbers(obj, names, what: str) -> list[float]:
     """The fields ``names`` of the JSON object ``obj``, as floats."""
     if not isinstance(obj, dict):
@@ -211,14 +231,7 @@ def _json_numbers(obj, names, what: str) -> list[float]:
     missing = [k for k in names if k not in obj]
     if missing:
         raise ConstraintError(f"{what} missing fields {missing}")
-    values = []
-    for k in names:
-        try:
-            values.append(float(obj[k]))
-        except (TypeError, ValueError):
-            raise ConstraintError(f"{what} field {k} must be a number, "
-                                  f"got {obj[k]!r}") from None
-    return values
+    return [json_number(obj[k], f"{what} field {k}") for k in names]
 
 
 def correlation_set_from_json_dict(data: dict,
@@ -237,11 +250,7 @@ def correlation_set_from_json_dict(data: dict,
         raise ConstraintError("correlation input must be a JSON object")
     from_joint = None
     if "joint" in data:
-        try:
-            joint = np.asarray(data["joint"], dtype=float)
-        except (TypeError, ValueError):
-            raise ConstraintError("joint must be a 4x4 array of numbers") from None
-        from_joint = correlations_from_matrix(joint, tol)
+        from_joint = correlations_from_matrix(json_number_array(data["joint"], "joint"), tol)
     correlators = data.get("correlators")
     marginals = None
     if data.get("marginals") is not None:

@@ -52,7 +52,7 @@ NO_STEERING = "no_steering"
 DEFAULT_GRID_CELLS = 4096
 DEFAULT_SPAN = 6.0
 # Smallest efficiency the Monte Carlo serves (1/8192): there a pair's grid
-# widens to 64 * DEFAULT_GRID_CELLS cells, about 10 MB of tables per pair.
+# widens to 64 * DEFAULT_GRID_CELLS cells, 4.3 MB of tables per pair.
 MIN_MC_ETA = 0.5 / 64 ** 2
 # Largest Monte Carlo sample count per setting pair: about 4 minutes at the
 # measured 0.24 s per 1e6 samples (2-core x86-64). A larger count would run
@@ -265,8 +265,8 @@ class MonteCarloCorrelations:
 
 def _pair_sampler_arrays(rho: np.ndarray, phi_a: float, eta_a: float,
                          phi_b: float, eta_b: float):
-    """Precompute grid, marginal CDF, its guide table, coefficient matrix and
-    cumulative integrals for sampling one setting pair on its ``_pair_grid``."""
+    """Precompute the arrays ``_positive_products`` takes after ``u`` for
+    sampling one setting pair on its ``_pair_grid``."""
     # The operators come first, so an efficiency outside (0, 1] is reported
     # as such rather than as below the grid's MIN_MC_ETA. Bob's identity in
     # the last column gives the first party's marginal.
@@ -288,9 +288,11 @@ def _pair_sampler_arrays(rho: np.ndarray, phi_a: float, eta_a: float,
         raise ValueError("degenerate marginal density on the sampling grid")
     cdf_a /= cdf_a[-1]
 
+    # Bob's masses up to the 0 knot and over the grid, from the trapezoid sums.
     env_b = _envelope(grid, eta_b)
-    cum_b = np.stack([_cumtrapz(env_b * powers[j], dx) for j in range(3)])
-    return grid, cdf_a, _guide_table(cdf_a), coef, cum_b
+    cum_b = np.stack([_cumtrapz(env_b * p, dx) for p in powers])
+    return (grid, cdf_a, _guide_table(cdf_a),
+            coef @ cum_b[:, grid_cells // 2], coef @ cum_b[:, -1])
 
 
 def _pair_grid(eta_a: float, eta_b: float) -> tuple[int, float]:
@@ -325,45 +327,34 @@ def _cumtrapz(f: np.ndarray, dx: float) -> np.ndarray:
     return out
 
 
-def _positive_products(u, grid, cdf_a, guide, coef, cum_b):
+def _positive_products(u, grid, cdf_a, guide, below, total):
     """Where sign(x) * sign(y) = +1 for quadrature pairs drawn by inverse CDF.
 
-    ``u`` is (n, 2) uniforms; ``grid`` the quadrature abscissae, with 0 at
-    the middle knot; ``cdf_a`` the normalised CDF of the first party's
-    marginal on the grid and ``guide`` its ``_guide_table``; ``coef`` the
-    3x3 polynomial coefficient matrix of the joint density; ``cum_b`` the
-    (3, g) cumulative integrals of the second party's envelope times
-    (1, y, y^2). Returns an (n,) bool array.
+    ``u`` is (n, 2) uniforms in [0, 1); ``grid`` the quadrature abscissae,
+    with 0 at the middle knot; ``cdf_a`` the normalised CDF of the first
+    party's marginal on the grid and ``guide`` its ``_guide_table``;
+    ``below`` and ``total`` the coefficients in (1, x, x^2) of the second
+    party's unnormalised mass below y = 0 and in all, given x.
 
     x is interpolated from ``cdf_a`` at the knot ``k`` that
     ``searchsorted(cdf_a, u, side="right") - 1`` gives. With ``b = floor(u *
     B)``, ``b / B <= u < (b + 1) / B`` brackets ``k`` between ``guide[b]``
     and ``guide[b + 1]``, so where those agree the table is the answer; only
-    the other rows are searched. y is never located: the conditional CDF
-    given x is nondecreasing, so y >= 0 exactly when its unnormalised value
-    at the 0 knot is at most the target mass ``u[:, 1] * total``.
+    the other rows are searched. As ``cdf_a[0] = 0 <= u < 1 = cdf_a[-1]``,
+    ``0 <= k <= g - 2`` and ``cdf_a[k + 1] > u``: no cell drawn is empty. y
+    is never located: its conditional CDF is nondecreasing, so y >= 0
+    exactly when the mass below 0 is at most the share ``u[:, 1]`` of the
+    total. Returns an (n,) bool array.
     """
-    g = grid.shape[0]
-    zero = (g - 1) // 2
     u1 = u[:, 0]
     bucket = (u1 * (guide.shape[0] - 1)).astype(np.intp)
     k = guide[bucket]
     open_rows = np.flatnonzero(guide[bucket + 1] != k)
     k[open_rows] = np.searchsorted(cdf_a, u1[open_rows], side="right") - 1
-    k = np.clip(k, 0, g - 2)
-    dc = cdf_a[k + 1] - cdf_a[k]
-    safe = np.where(dc > 0.0, dc, 1.0)
-    x = np.where(dc > 0.0,
-                 grid[k] + (u1 - cdf_a[k]) * (grid[k + 1] - grid[k]) / safe,
-                 grid[k])
-
-    d0 = coef[0, 0] + coef[1, 0] * x + coef[2, 0] * x * x
-    d1 = coef[0, 1] + coef[1, 1] * x + coef[2, 1] * x * x
-    d2 = coef[0, 2] + coef[1, 2] * x + coef[2, 2] * x * x
-    total = d0 * cum_b[0, g - 1] + d1 * cum_b[1, g - 1] + d2 * cum_b[2, g - 1]
-    target = u[:, 1] * total
-    below_zero = d0 * cum_b[0, zero] + d1 * cum_b[1, zero] + d2 * cum_b[2, zero]
-    return (x >= 0.0) == (below_zero <= target)
+    x = grid[k] + (u1 - cdf_a[k]) * (grid[k + 1] - grid[k]) / (cdf_a[k + 1] - cdf_a[k])
+    mass_below = below[0] + x * (below[1] + x * below[2])
+    mass = total[0] + x * (total[1] + x * total[2])
+    return (x >= 0.0) == (mass_below <= u[:, 1] * mass)
 
 
 _POOL = None
@@ -408,10 +399,10 @@ def monte_carlo_correlations(state: SinglePhotonState, eta_alice: float,
     """Estimate the four correlators by sampling quadrature outcome pairs at
     the experiment's phases with efficiencies ``eta_alice`` and ``eta_bob``.
 
-    Per setting pair, the first outcome is drawn from its marginal and the
-    second from the exact conditional given the first, both by inverse CDF on
-    the quadrature grid; the correlator is the mean sign product, so only the
-    sign of the second outcome is resolved. The grid spans ``DEFAULT_SPAN``
+    Per setting pair, the first outcome x is drawn from its marginal by
+    inverse CDF on the quadrature grid; the correlator is the mean sign
+    product, so of the second outcome only the sign is resolved, by
+    comparing two quadratics in x. The grid spans ``DEFAULT_SPAN``
     times ``scale = sqrt(max(1, 0.5 / min(eta_a, eta_b)))`` on each side, in
     ``2 ceil(DEFAULT_GRID_CELLS scale / 2)`` cells: below eta 0.5 it widens
     with the outcome envelope, whose width is 1 / sqrt(eta), at the same cell

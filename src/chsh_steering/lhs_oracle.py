@@ -244,12 +244,14 @@ def lp_membership_batch(points: np.ndarray, grid_n: int = DEFAULT_GRID_N,
 
     Each point is one ``lp_feasibility`` call on b = (point, 1) over the
     2 * ``grid_n`` implicit atom columns, whose last row (all ones) makes the
-    weights sum to 1. ``grid_n`` must lie between 8 and ``MAX_GRID_N``,
-    else ``ValueError``.
+    weights sum to 1. ``grid_n`` must lie between 8 and ``MAX_GRID_N``, and
+    every point must be finite, else ``ValueError``.
     """
     points = np.asarray(points, dtype=float)
     if points.ndim != 2 or points.shape[1] != 4:
         raise ValueError(f"points must have shape (N, 4), got {points.shape}")
+    if not np.isfinite(points).all():
+        raise ValueError("points must be finite")
     if not 0.0 <= tol <= MAX_LP_TOL:
         raise ValueError(f"LP tolerance must lie in [0, {MAX_LP_TOL:g}], got {tol}")
     if grid_n < 8:

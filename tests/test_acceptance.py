@@ -4,6 +4,7 @@ enforcing its runtime budget."""
 
 import json
 import math
+import statistics
 import time
 
 import numpy as np
@@ -53,31 +54,46 @@ def report(name, budget, elapsed, ok=True):
     assert elapsed < budget, f"{name} exceeded its {budget}s budget: {elapsed:.3f}s"
 
 
-def test_criterion_01_gamma_reproduction():
+# Criteria 01 and 02 time calls of a millisecond or two, where one
+# descheduling pause on a busy host exceeds the budget; the median of this
+# many back-to-back calls is held to it instead.
+TIMED_CALLS = 5
+
+
+def timed(call):
+    """Wall time of one ``call()`` and its result."""
     start = time.perf_counter()
-    value = gamma(0.85)
-    elapsed = time.perf_counter() - start
+    result = call()
+    return time.perf_counter() - start, result
+
+
+def test_criterion_01_gamma_reproduction():
+    runs = [timed(lambda: gamma(0.85)) for _ in range(TIMED_CALLS)]
     independent = math.sqrt(2.0 * 0.85 / math.pi)
-    ok = (abs(value - independent) <= 1e-6
-          and format(2.0 * value, ".3g") == "1.47")
-    report("01 gamma reproduction", 1e-3, elapsed, ok)
+    ok = all(abs(value - independent) <= 1e-6
+             and format(2.0 * value, ".3g") == "1.47" for _, value in runs)
+    report("01 gamma reproduction", 1e-3,
+           statistics.median(elapsed for elapsed, _ in runs), ok)
 
 
 def test_criterion_02_experimental_verdict(capsys):
     argv = ["experiment", "--reported-s", "1.330", "--eta-bob", "0.85"]
     main(argv)  # warm pass; parser and imports out of the timed window
     capsys.readouterr()
-    start = time.perf_counter()
-    code = main(argv)
-    elapsed = time.perf_counter() - start
-    payload = json.loads(capsys.readouterr().out)
-    ok = (code == 0
-          and payload["steering_lhs"] == 1.330
-          and abs(payload["corrected_bound"] - 2.0 * math.sqrt(2.0 * 0.85 / math.pi)) <= 1e-12
-          and format(payload["corrected_bound"], ".3g") == "1.47"
-          and payload["verdict"] == "no_steering")
+    runs = []
+    for _ in range(TIMED_CALLS):
+        elapsed, code = timed(lambda: main(argv))
+        runs.append((elapsed, code, json.loads(capsys.readouterr().out)))
+    ok = all(code == 0
+             and payload["steering_lhs"] == 1.330
+             and abs(payload["corrected_bound"]
+                     - 2.0 * math.sqrt(2.0 * 0.85 / math.pi)) <= 1e-12
+             and format(payload["corrected_bound"], ".3g") == "1.47"
+             and payload["verdict"] == "no_steering"
+             for _, code, payload in runs)
     with capsys.disabled():
-        report("02 experimental verdict", 0.01, elapsed, ok)
+        report("02 experimental verdict", 0.01,
+               statistics.median(elapsed for elapsed, _, _ in runs), ok)
 
 
 def test_criterion_03_quantum_maximum():

@@ -297,11 +297,26 @@ class TestRejectedInput:
         path = write_correlators(tmp_path, [None, 0.0, 0.0, 0.0])
         self.assert_rejected(*run_cli(capsys, "witness", "eval", path))
 
+    # float() takes a bool or a numeric string, so these once printed a
+    # verdict with exit 0.
+    @pytest.mark.parametrize("value", [True, False, "0.5", "1e300"])
+    def test_correlator_that_is_not_a_number(self, capsys, tmp_path, value):
+        path = write_correlators(tmp_path, [value, 0, 0, 1])
+        self.assert_rejected(*run_cli(capsys, "witness", "eval", path))
+
     # A numpy warning would print more lines on stderr in a real run; the
     # suite turns every warning into an error.
     @pytest.mark.parametrize("state", [5, {"real": None}, {"theta_deg": None},
                                        {"theta_deg": float("nan")},
-                                       {"theta_deg": float("inf"), "p1": 0.5}])
+                                       {"theta_deg": float("inf"), "p1": 0.5},
+                                       {"theta_deg": "22.5", "p1": True},
+                                       {"theta_deg": 22.5, "p1": True},
+                                       {"theta_deg": "22.5"},
+                                       {"real": [[True, 0], [0, 0]]},
+                                       {"real": [["1", 0, 0, 0]] + [[0] * 4] * 3},
+                                       {"real": [[1, 0, 0, 0]] + [[0] * 4] * 3,
+                                        "imag": [[False] * 4] * 4},
+                                       {"real": [[1, 0, 0, 0], [0, 0]]}])
     def test_malformed_state_json(self, capsys, tmp_path, state):
         path = tmp_path / "state.json"
         path.write_text(json.dumps(state))

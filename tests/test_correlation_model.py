@@ -316,6 +316,17 @@ class TestJsonParsing:
         {"joint": [[None] * 4] * 4},
         {"joint": {"a": 1}},
         5,
+        # A bool or a numeric string is not a number, though float() takes it.
+        {"correlators": {"AB": True, "ApB": 0, "ABp": 0, "ApBp": 1}},
+        {"correlators": {"AB": "0.5", "ApB": 0, "ABp": 0, "ApBp": 1}},
+        {"correlators": {"AB": 0.0, "ApB": 0.0, "ABp": 0.0, "ApBp": 0.0},
+         "marginals": {"A": False, "Ap": 0.0, "B": 0.0, "Bp": 0.0}},
+        {"joint": [["0.25"] * 4] * 4},
+        # As floats these bools are a valid deterministic joint matrix.
+        {"joint": [[True, False, True, False], [False] * 4] * 2},
+        {"joint": [[0.25] * 4] * 3 + [[0.25] * 3]},
+        # An int beyond the float range used to end in an OverflowError.
+        {"correlators": {"AB": 10 ** 400, "ApB": 0, "ABp": 0, "ApBp": 1}},
     ])
     def test_malformed_json_is_a_constraint_error(self, data):
         with pytest.raises(ConstraintError):

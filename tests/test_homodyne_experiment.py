@@ -438,6 +438,13 @@ def _reference_sampler_arrays(rho, phi_a, eta_a, phi_b, eta_b, grid_cells, span)
     return grid, cdf_a, _guide_table(cdf_a), coef, cum_b
 
 
+def _kernel_arrays(grid, cdf_a, guide, coef, cum_b):
+    """The sampler's ``(grid, cdf_a, guide, below, total)`` from a reference
+    table: Bob's masses below y = 0 and in all, as coefficients in x."""
+    zero = (grid.shape[0] - 1) // 2
+    return grid, cdf_a, guide, coef @ cum_b[:, zero], coef @ cum_b[:, -1]
+
+
 def _reference_mc_products(u, grid, cdf_a, coef, cum_b):
     """The sampler before the sign-only kernel: it locates y by bisection."""
     g = grid.shape[0]
@@ -485,7 +492,8 @@ def _reference_monte_carlo(state, eta_alice, eta_bob, n_samples, seed):
     children = np.random.SeedSequence(seed).spawn(4)
     means, errors = [], []
     for pair_idx, pair in enumerate(_setting_pairs(eta_alice, eta_bob)):
-        grid, cdf_a, _, coef, cum_b = _pair_sampler_arrays(rho, *pair)
+        grid, cdf_a, _, coef, cum_b = _reference_sampler_arrays(
+            rho, *pair, *_pair_grid(eta_alice, eta_bob))
         rng = np.random.Generator(np.random.Philox(children[pair_idx]))
         u = rng.random((n_samples, 2))
         mean = float(_reference_mc_products(u, grid, cdf_a, coef, cum_b).mean())
@@ -512,12 +520,30 @@ class TestSignOnlyKernel:
         rho = state_density(SinglePhotonState(np.deg2rad(theta_deg), p1))
         rng = np.random.Generator(np.random.Philox(grid_cells))
         for pair in _setting_pairs(eta_a, eta_b):
-            grid, cdf_a, guide, coef, cum_b = _sampler_arrays_on_grid(
-                monkeypatch, rho, pair, grid_cells, 6.0)
+            arrays = _sampler_arrays_on_grid(monkeypatch, rho, pair, grid_cells, 6.0)
+            reference = _reference_sampler_arrays(rho, *pair, *_pair_grid(pair[1], pair[3]))
+            for a, b in zip(arrays, _kernel_arrays(*reference), strict=True):
+                assert np.array_equal(a, b)
             u = rng.random((20000, 2))
+            grid, cdf_a, _, coef, cum_b = reference
             expected = _reference_mc_products(u, grid, cdf_a, coef, cum_b) > 0.0
-            assert np.array_equal(
-                _positive_products(u, grid, cdf_a, guide, coef, cum_b), expected)
+            assert np.array_equal(_positive_products(u, *arrays), expected)
+
+    @pytest.mark.parametrize("pair", _setting_pairs(1.0, 1.0))
+    def test_products_match_bisection_kernel_on_empty_cells(self, monkeypatch, pair):
+        # At span 12 and eta 1 the tails of cdf_a round to 0 and 1, so
+        # hundreds of cells are empty; the unguarded interpolation never
+        # lands in one, even at the edge uniforms 0 and 1 - 2^-53.
+        rho = state_density(SinglePhotonState(np.deg2rad(22.5), 1.0))
+        arrays = _sampler_arrays_on_grid(monkeypatch, rho, pair, 4096, 12.0)
+        grid, cdf_a, _, coef, cum_b = _reference_sampler_arrays(rho, *pair, 4096, 12.0)
+        assert np.count_nonzero(arrays[1][1:] == arrays[1][:-1]) > 100
+        edges = np.array([0.0, 1.0 - 2.0 ** -53])
+        u = np.concatenate([
+            np.random.Generator(np.random.Philox(12)).random((200000, 2)),
+            np.stack(np.meshgrid(edges, edges), axis=-1).reshape(-1, 2)])
+        expected = _reference_mc_products(u, grid, cdf_a, coef, cum_b) > 0.0
+        assert np.array_equal(_positive_products(u, *arrays), expected)
 
     @_GRID_CELLS
     @_STATES
@@ -542,7 +568,8 @@ class TestSignOnlyKernel:
             for pair in _setting_pairs(eta_a, eta_b):
                 cells, span = _pair_grid(eta_a, eta_b)
                 got = _pair_sampler_arrays(rho, *pair)
-                expected = _reference_sampler_arrays(rho, *pair, cells, span)
+                expected = _kernel_arrays(*_reference_sampler_arrays(rho, *pair,
+                                                                     cells, span))
                 for a, b in zip(got, expected, strict=True):
                     assert np.array_equal(a, b)
 

@@ -250,7 +250,7 @@ class TestLpMembership:
         assert [(n, b, kwargs) for _, n, b, kwargs in calls] == [
             (128, [*point, 1.0], ["tol"]) for point in points.tolist()]
 
-    def test_input_validation(self):
+    def test_input_validation(self, monkeypatch):
         with pytest.raises(ValueError):
             lp_membership_batch(np.zeros((3, 4)), grid_n=4)
         with pytest.raises(ValueError, match="at most"):
@@ -261,6 +261,14 @@ class TestLpMembership:
             with pytest.raises(ValueError, match="LP tolerance"):
                 lp_membership_batch(np.zeros((3, 4)), grid_n=64, tol=tol)
         lp_membership_batch(np.zeros((3, 4)), grid_n=64, tol=lhs_oracle.MAX_LP_TOL)
+        # A non-finite point is named as such before any LP runs; it used to
+        # fail inside lp_feasibility, which names its own argument b.
+        monkeypatch.setattr(lhs_oracle, "lp_feasibility", None)
+        for bad in (np.nan, np.inf, -np.inf):
+            points = np.zeros((3, 4))
+            points[2, 1] = bad
+            with pytest.raises(ValueError, match="points must be finite"):
+                lp_membership_batch(points, grid_n=64)
 
     def test_atom_matrix_columns(self):
         A = atom_matrix(8)

@@ -22,6 +22,9 @@ PINS = {
         "e4f52ec9212c8ff4aa375cea433228a7fefe4929330864bfb780e435b78a97a5",
     "experiment --theta 33 --p1 0.7 --eta-bob 0.2 --eta-alice 0.9 --mc 100000 --seed 5":
         "c73c344a42b260132a2f3dfc0c426243031e6adc4fc630273e406760aa4675ae",
+    # The smallest efficiency the Monte Carlo serves, on its 64-fold grid.
+    "experiment --theta 22.5 --p1 0.9 --eta-bob 0.0001220703125 --mc 20000 --seed 2":
+        "4fcea6eb2edf0758ba59b5f83bff9c6b21fd5c2dcd6c3bda7c57426bb586886a",
     "experiment --theta 33 --p1 0.7 --eta-bob 0.2 --eta-alice 0.9":
         "b39ae5d5bd23dbcf6ccd316e8a3d3c953fff457307cd07b41d921a54093bbf91",
     "experiment --reported-s 1.330 --eta-bob 0.85":

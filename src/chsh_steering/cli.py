@@ -28,10 +28,14 @@ from .steering_witness import VERDICT_TOL, full_report, steering_lhs_array
 
 
 def _read_json(path: str):
-    if path == "-":
-        return json.load(sys.stdin)
-    with open(path, encoding="utf-8") as handle:
-        return json.load(handle)
+    try:
+        if path == "-":
+            return json.load(sys.stdin)
+        with open(path, encoding="utf-8") as handle:
+            return json.load(handle)
+    except RecursionError:
+        # The decoder recurses once per nested array or object.
+        raise ValueError(f"JSON in {path} is nested too deeply") from None
 
 
 def _emit_json(obj) -> None:

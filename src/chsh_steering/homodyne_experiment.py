@@ -23,12 +23,11 @@ widened envelope exp(-eta x^2 / 2) and the coefficient polynomial used in
 from __future__ import annotations
 
 import math
-import os
-import threading
 from dataclasses import dataclass
 
 import numpy as np
 
+from . import workers
 from .correlation_model import CORRELATOR_NAMES, CorrelationSet
 from .qubit_core import (
     IDENTITY2,
@@ -357,27 +356,6 @@ def _positive_products(u, grid, cdf_a, guide, below, total):
     return (x >= 0.0) == (mass_below <= u[:, 1] * mass)
 
 
-_POOL = None
-_POOL_LOCK = threading.Lock()
-
-
-def _pair_pool():
-    """The process-wide pool that samples setting pairs, created on first use
-    with one thread per usable core, at most one per pair."""
-    global _POOL
-    with _POOL_LOCK:
-        if _POOL is None:
-            # Imported here: it would add several ms to every CLI start-up.
-            from concurrent.futures import ThreadPoolExecutor
-            try:
-                cores = len(os.sched_getaffinity(0))
-            except AttributeError:  # no affinity call on this platform
-                cores = os.cpu_count() or 1
-            _POOL = ThreadPoolExecutor(max_workers=min(4, cores),
-                                       thread_name_prefix="chsh-mc")
-        return _POOL
-
-
 def _count_positive(arrays, seed: np.random.SeedSequence, n_samples: int) -> int:
     """Number of +1 sign products in ``n_samples`` draws for one pair.
 
@@ -414,10 +392,11 @@ def monte_carlo_correlations(state: SinglePhotonState, eta_alice: float,
     Streams are counter-based (Philox) and spawned per pair, so results are
     reproducible for a fixed seed and the per-pair sampling is a pure
     elementwise map of its uniforms (shards over sample ranges merge
-    deterministically). The pairs are sampled concurrently
-    on a process-wide thread pool with one thread per core in this process's
-    CPU affinity, at most four; each pair's exact count of +1 products does
-    not depend on the scheduling, so neither does the result.
+    deterministically). The pairs are sampled concurrently on the
+    process-wide ``workers.pool()``, which ``state_scan`` shares, with one
+    thread per core in this process's CPU affinity, at most four; each pair's
+    exact count of +1 products does not depend on the scheduling, so neither
+    does the result.
     """
     if not 1 <= n_samples <= MAX_MC_SAMPLES:
         raise ValueError(f"n_samples must lie in [1, {MAX_MC_SAMPLES}], got {n_samples}")
@@ -425,7 +404,7 @@ def monte_carlo_correlations(state: SinglePhotonState, eta_alice: float,
     children = np.random.SeedSequence(seed).spawn(4)
     tables = [_pair_sampler_arrays(rho, *pair)
               for pair in _setting_pairs(eta_alice, eta_bob)]
-    counts = _pair_pool().map(_count_positive, tables, children,
+    counts = workers.pool().map(_count_positive, tables, children,
                               [n_samples] * 4)
     means = []
     errors = []

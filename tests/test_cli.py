@@ -323,6 +323,14 @@ class TestRejectedInput:
         self.assert_rejected(*run_cli(capsys, "scan", "state", "--input", str(path),
                                       "--resolution", "6"))
 
+    # json.load recurses once per nested array, so this once ended in a
+    # RecursionError traceback.
+    @pytest.mark.parametrize("argv", [("witness", "eval"), ("scan", "state", "--input")])
+    def test_deeply_nested_json(self, capsys, tmp_path, argv):
+        path = tmp_path / "deep.json"
+        path.write_text('{"correlators": ' + "[" * 100000 + "]" * 100000 + "}")
+        self.assert_rejected(*run_cli(capsys, *argv, str(path)))
+
     def test_usage_error(self, capsys):
         self.assert_rejected(*run_cli(capsys, "experiment", "--eta-bob", "abc"))
 

@@ -1,6 +1,4 @@
 import math
-import sys
-import threading
 
 import numpy as np
 import pytest
@@ -292,31 +290,6 @@ class TestMonteCarlo:
         b = monte_carlo_correlations(state, 0.85, 0.85, 20000, seed=11)
         assert a.correlations == b.correlations
         assert a.std_errors == b.std_errors
-
-    def test_concurrent_callers_share_the_pair_pool(self):
-        # More callers than cores, switching threads often, all on the one
-        # process-wide pool: each must get the result of a lone call.
-        state = SinglePhotonState(np.deg2rad(22.5), 0.9)
-        seeds = range(8)
-        expected = [monte_carlo_correlations(state, 0.85, 0.7, 3000, seed=s)
-                    for s in seeds]
-        results = {}
-
-        def call(seed):
-            results[seed] = monte_carlo_correlations(state, 0.85, 0.7, 3000, seed=seed)
-
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            threads = [threading.Thread(target=call, args=(s,)) for s in seeds]
-            for t in threads:
-                t.start()
-            for t in threads:
-                t.join(timeout=60)
-        finally:
-            sys.setswitchinterval(interval)
-        assert not any(t.is_alive() for t in threads)
-        assert [results[s] for s in seeds] == expected
 
     def test_converges_to_analytic(self):
         state = SinglePhotonState(np.deg2rad(22.5), 1.0)

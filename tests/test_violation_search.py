@@ -12,7 +12,7 @@ from chsh_steering.qubit_core import (
     quantum_correlator,
 )
 from chsh_steering.steering_witness import steering_inequality, steering_lhs_array
-from chsh_steering import violation_search
+from chsh_steering import violation_search, workers
 from chsh_steering.violation_search import (
     _PAULIS,
     _directions,
@@ -272,21 +272,62 @@ def _correlation_matrix(rho):
                      for sk in PAULIS])
 
 
-class TestBlockedCoarseScan:
-    # N = resolution**2 directions take one block (4, 5), a whole number of
-    # blocks (40: 20 rows each) or a short last block (24, 33).
-    @pytest.mark.parametrize("resolution", [4, 5, 24, 33, 40])
-    def test_bitwise_equal_to_full_scan(self, resolution):
-        for rho in _test_states():
-            _, _, coarse = state_scan(rho, bloch_resolution=resolution)
-            assert np.array_equal(coarse, _reference_coarse(rho, resolution))
+# Task counts of the coarse scan, set through the pool's thread count.
+TASKS = (1, 2, 3, 4)
 
-    @pytest.mark.parametrize("block", [1, 64, 100, 175])  # rows 1, 2, 4, 7 of N = 25
+
+class TestBlockedCoarseScan:
+    # N = resolution**2 directions. With rows = _SCAN_BLOCK // (tasks * N),
+    # one task takes one block (4, 5), a whole number of blocks (40: 20 rows
+    # each) or a short last block (24, 33); two and four tasks get a short
+    # last block at 24 and 33, three at 33 and 40.
+    @pytest.mark.parametrize("resolution", [4, 5, 24, 33, 40])
+    def test_bitwise_equal_to_full_scan(self, monkeypatch, resolution):
+        for rho in _test_states():
+            expected = _reference_coarse(rho, resolution)
+            for tasks in TASKS:
+                monkeypatch.setattr(workers, "THREADS", tasks)
+                _, _, coarse = state_scan(rho, bloch_resolution=resolution)
+                assert np.array_equal(coarse, expected), tasks
+
+    # Rows 1, 2, 4, 7 of N = 25 for one task, 1, 1, 2, 3 for two and 1
+    # throughout for four.
+    @pytest.mark.parametrize("block", [1, 64, 100, 175])
     def test_bitwise_equal_at_any_block_size(self, monkeypatch, block):
         monkeypatch.setattr(violation_search, "_SCAN_BLOCK", block)
         for rho in _test_states()[::5]:
-            _, _, coarse = state_scan(rho, bloch_resolution=5)
-            assert np.array_equal(coarse, _reference_coarse(rho, 5))
+            expected = _reference_coarse(rho, 5)
+            for tasks in TASKS:
+                monkeypatch.setattr(workers, "THREADS", tasks)
+                _, _, coarse = state_scan(rho, bloch_resolution=5)
+                assert np.array_equal(coarse, expected), tasks
+
+    @pytest.mark.parametrize("tasks", TASKS)
+    @pytest.mark.parametrize("resolution, block", [(4, 2 ** 15), (5, 100), (24, 2 ** 15),
+                                                   (33, 2 ** 15)])
+    def test_block_starts_are_dealt_round_robin(self, monkeypatch, resolution, block,
+                                                tasks):
+        # Every block start goes to exactly one task, and each task holds
+        # about _SCAN_BLOCK / tasks pairs at a time.
+        monkeypatch.setattr(violation_search, "_SCAN_BLOCK", block)
+        monkeypatch.setattr(workers, "THREADS", tasks)
+        fold = violation_search._fold_blocks
+        calls = []
+
+        def spy(x, y, starts, rows):
+            calls.append((list(starts), rows))
+            return fold(x, y, starts, rows)
+
+        monkeypatch.setattr(violation_search, "_fold_blocks", spy)
+        state_scan(maximally_entangled(), bloch_resolution=resolution)
+        n = resolution ** 2
+        rows = max(1, block // (tasks * n))
+        starts = list(range(0, n, rows))
+        dealt = min(tasks, len(starts))
+        # Tasks may run in any order; task t takes starts[t::dealt].
+        assert sorted(given for given, _ in calls) == [starts[t::dealt]
+                                                      for t in range(dealt)]
+        assert [r for _, r in calls] == [rows] * dealt
 
 
 @pytest.mark.parametrize("index", range(16))

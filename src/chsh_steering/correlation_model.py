@@ -17,6 +17,7 @@ local models trace out unit circles; most of the witness algebra lives there.
 
 from __future__ import annotations
 
+import reprlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -204,11 +205,22 @@ def extremal_correlations_array(chi: int, xi: np.ndarray) -> np.ndarray:
     return np.stack([sa * cos, sap * cos, sa * sin, sap * sin], axis=-1)
 
 
+# Characters of a rejected JSON value that an error message shows.
+_SHOWN_CHARS = 40
+
+
+def _shown(value) -> str:
+    """``value``'s repr for an error message, at most ``_SHOWN_CHARS`` long:
+    a malformed field may be arbitrarily large or deep."""
+    text = reprlib.repr(value)
+    return text if len(text) <= _SHOWN_CHARS else text[:_SHOWN_CHARS - 3] + "..."
+
+
 def json_number(value, what: str) -> float:
     """``value`` as a float if it is a JSON number: an int or a float, not a
     bool and not a numeric string; else ``ConstraintError`` naming ``what``."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConstraintError(f"{what} must be a number, got {value!r}")
+        raise ConstraintError(f"{what} must be a number, got {_shown(value)}")
     try:
         return float(value)
     except OverflowError:
@@ -218,16 +230,21 @@ def json_number(value, what: str) -> float:
 def json_number_array(value, what: str) -> np.ndarray:
     """``value``, a JSON number or nested arrays of them, as a float array;
     any other entry, a ragged array's rows included, raises
-    ``ConstraintError`` naming ``what``."""
-    entries = np.asarray(value, dtype=object)
-    return np.array([json_number(v, f"{what} entry") for v in entries.flat],
+    ``ConstraintError`` naming ``what``, as do arrays nested more than 32
+    deep, which NumPy cannot iterate."""
+    try:
+        entries = np.asarray(value, dtype=object)
+        flat = entries.flat
+    except RuntimeError:
+        raise ConstraintError(f"{what} is nested too deeply") from None
+    return np.array([json_number(v, f"{what} entry") for v in flat],
                     dtype=float).reshape(entries.shape)
 
 
 def _json_numbers(obj, names, what: str) -> list[float]:
     """The fields ``names`` of the JSON object ``obj``, as floats."""
     if not isinstance(obj, dict):
-        raise ConstraintError(f"{what} must be a JSON object, got {obj!r}")
+        raise ConstraintError(f"{what} must be a JSON object, got {_shown(obj)}")
     missing = [k for k in names if k not in obj]
     if missing:
         raise ConstraintError(f"{what} missing fields {missing}")

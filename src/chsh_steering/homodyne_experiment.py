@@ -393,10 +393,9 @@ def monte_carlo_correlations(state: SinglePhotonState, eta_alice: float,
     reproducible for a fixed seed and the per-pair sampling is a pure
     elementwise map of its uniforms (shards over sample ranges merge
     deterministically). The pairs are sampled concurrently on the
-    process-wide ``workers.pool()``, which ``state_scan`` shares, with one
-    thread per core in this process's CPU affinity, at most four; each pair's
-    exact count of +1 products does not depend on the scheduling, so neither
-    does the result.
+    process-wide ``workers.pool()``, with one thread per core in this
+    process's CPU affinity, at most four; each pair's exact count of +1
+    products does not depend on the scheduling, so neither does the result.
     """
     if not 1 <= n_samples <= MAX_MC_SAMPLES:
         raise ValueError(f"n_samples must lie in [1, {MAX_MC_SAMPLES}], got {n_samples}")

@@ -16,9 +16,10 @@ built from the singular value decomposition of M.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
-from . import workers
 from .correlation_model import CorrelationSet
 from .qubit_core import expectation_table
 
@@ -54,60 +55,198 @@ def _scan_lhs(x1, y1, x2, y2):
     """Witness value |a1 + a2| + |a1 - a2| for the correlator pairs
     a = (x, y) of two directions with Bob's (B, B'); broadcasts."""
     # Two planes, not via f_value_array: a stacked (..., 4) array slows the
-    # coarse scan by 1/3. Swapping the pairs keeps every bit, which
-    # _coarse_maxima relies on: + commutes, x2 - x1 is the exact negation of
-    # x1 - x2, and hypot ignores signs.
+    # coarse scan by 1/3.
     return np.hypot(x1 + x2, y1 + y2) + np.hypot(x1 - x2, y1 - y2)
 
 
-# Pairs in flight over all tasks of the coarse scan. Its memory is a few
-# arrays of this size (256 KiB each) whatever the number of tasks; the whole
-# pair grid at resolution 128 is 2 GiB each.
+# Pairs in flight in one block of the coarse scan: a few arrays of this size
+# (256 KiB each), where the whole pair grid at resolution 128 takes 2 GiB.
 _SCAN_BLOCK = 2 ** 15
+
+# Depth margin mu of the coarse scan's candidate rules, in units of the
+# largest |b|; the proof in _candidates needs 1.2e-7, and more costs little.
+_MARGIN = 2.0 ** -20
+# Point sets within this many largest |b| of a line through the origin are
+# scanned as a segment: up to here the segment rule keeps fewer points.
+_THIN = 2.0 ** -9
+# Directions of the inner polygon that shortlists the points near the hull.
+_DIRECTIONS = 16
 
 DEFAULT_BLOCH_RESOLUTION = 24
 MAX_BLOCH_RESOLUTION = 128
 
 
-def _fold_blocks(x, y, starts, rows):
-    """Maxima of ``_scan_lhs`` over the upper-triangle blocks of rows
-    s:s+rows and columns s: for each s in ``starts``, folded per direction
-    into a length-N vector, -inf where no block reaches.
-
-    May run on a pool thread, so it calls only NumPy and private helpers.
-    """
-    best = np.full(x.shape[0], -np.inf)
-    for s in starts:
-        block = _scan_lhs(x[s:s + rows, None], y[s:s + rows, None],
-                          x[None, s:], y[None, s:])
-        np.maximum(best[s:s + rows], block.max(axis=1), out=best[s:s + rows])
-        np.maximum(best[s:], block.max(axis=0), out=best[s:])
+def _row_maxima(rx, ry, cx, cy):
+    """Maximum of ``_scan_lhs`` over the columns (cx, cy) for each row
+    (rx, ry), in blocks of about ``_SCAN_BLOCK`` pairs."""
+    best = np.empty(rx.shape[0])
+    rows = max(1, _SCAN_BLOCK // cx.shape[0])
+    for s in range(0, rx.shape[0], rows):
+        best[s:s + rows] = _scan_lhs(rx[s:s + rows, None], ry[s:s + rows, None],
+                                     cx[None, :], cy[None, :]).max(axis=1)
     return best
+
+
+def _vertices(x, y, indices, margin):
+    """Coordinates of the polygon through the points ``indices``, in order,
+    as two lists, less each point within ``margin`` in both coordinates of
+    the last one kept or of the first: float orientation tests give the
+    edge between two near-duplicate points an arbitrary direction."""
+    vx, vy = [], []
+    for i in indices:
+        px, py = float(x[i]), float(y[i])
+        if vx and max(abs(px - vx[-1]), abs(py - vy[-1])) <= margin:
+            continue
+        vx.append(px)
+        vy.append(py)
+    while len(vx) > 1 and max(abs(vx[-1] - vx[0]), abs(vy[-1] - vy[0])) <= margin:
+        del vx[-1], vy[-1]
+    return vx, vy
+
+
+def _shallow(x, y, vx, vy, margin):
+    """Mask of the points (x, y) that lie at most ``margin`` left of the line
+    of some edge of the closed polygon through (vx, vy): every point but
+    those at least ``margin`` deep inside a counter-clockwise polygon."""
+    # Whole arrays, not the shrinking set still deep: NumPy keeps up to 7
+    # freed buffers of each size under 1 KiB, and a new size at every edge
+    # would grow that cache for good.
+    keep = np.zeros(x.shape[0], dtype=bool)
+    for k in range(len(vx)):
+        px, py = vx[k - 1], vy[k - 1]
+        ex, ey = vx[k] - px, vy[k] - py
+        keep |= ex * (y - py) - ey * (x - px) <= margin * math.hypot(ex, ey)
+    return keep
+
+
+def _monotone_chain(x, y):
+    """Positions in (x, y) of the convex hull's vertices, counter-clockwise,
+    by Andrew's monotone chain (Inf. Proc. Lett. 9, 216 (1979)) in floats."""
+    xs, ys = x.tolist(), y.tolist()
+    # Sorted in Python: with np.lexsort here, 300 scans of random states
+    # left 0.16 MB more of the heap in use.
+    order = sorted(range(len(xs)), key=lambda k: (xs[k], ys[k]))
+
+    def half(indices):
+        chain = []
+        for k in indices:
+            while len(chain) >= 2:
+                i, j = chain[-2], chain[-1]
+                if (xs[j] - xs[i]) * (ys[k] - ys[i]) > (ys[j] - ys[i]) * (xs[k] - xs[i]):
+                    break
+                chain.pop()
+            chain.append(k)
+        return chain[:-1]
+
+    return half(order) + half(order[::-1])
+
+
+def _candidates(x, y):
+    """Columns that hold every row maximum of ``_scan_lhs`` over the points
+    b = (x, y), and the rows that need every column, as index arrays.
+
+    Fix a row a and let g(b) = |a + b| + |a - b| be the exact pair value.
+    Its float value is within a relative eta = 2^-49 of it: the coordinate
+    sums (u, the unit roundoff), a hypot of 1 ulp (2u) and the final sum (u)
+    make 4u, and eta = 16u allows hypots of up to 7 ulp. Every |a| and |b|
+    is at most r, the largest |b| (to an ulp), so g <= 2 sqrt(|a|^2 + |b|^2)
+    <= 2 sqrt(2) r. A column j can go from the row when a kept column k has
+    g(b_k) (1 - eta) >= g(b_j) (1 + eta): its float value is then at least
+    as large, and ``max`` returns the same bits without j.
+
+    Hull rule. The level sets of g are ellipses with foci +-a. A unit n
+    with n.(b + a) >= 0 and n.(b - a) >= 0 always exists (along the bisector
+    of the two, or normal to both if they are opposite), and then
+    g(b + delta n) >= sqrt(|b + a|^2 + delta^2) + sqrt(|b - a|^2 + delta^2)
+    >= sqrt(g(b)^2 + 4 delta^2) by Minkowski's inequality. So if the disk
+    of radius delta about b_j lies in the convex hull of the kept columns,
+    some kept b_k has g(b_k) >= sqrt(g(b_j)^2 + 4 delta^2), since the
+    convex g takes its maximum over the hull at a vertex. That beats the
+    rounding whenever delta >= 1.0001 sqrt(eta) g(b_j), so for every
+    g(b_j) <= 2 sqrt(2) r as soon as delta >= 1.2e-7 r. The margin
+    mu = ``_MARGIN`` r = 9.5e-7 r covers that with room for the depth's own
+    rounding error, a few dozen ulps of r. A point at least mu left of the
+    line of every edge of a closed polygon through kept points is that deep
+    in their hull: each point of the disk sees every edge turn
+    counter-clockwise, so its winding number is at least 1, which no point
+    outside the hull has. That holds for any closed polygon, so an inner
+    polygon, or a float hull that is slightly off, keeps too many points but
+    never too few. The inner polygon joins the extreme points in
+    ``_DIRECTIONS`` directions, spread evenly once the point set is scaled
+    to a disk; the points within mu of it or outside it are the shortlist,
+    the monotone chain gives the shortlist's hull, and the points within mu
+    of that hull or outside it are kept, with the inner polygon's vertices.
+    A hull not much wider than mu, as of a rank-1 or near-rank-1 block,
+    would keep nearly every point; such point sets take the segment rule.
+
+    Segment rule. Let e be the direction of the farthest point, t = b.e and
+    h the largest distance of a point from the line through 0 along e. On
+    that line g = 2 max(|t_a|, |t_b|), constant for all b between -a and a,
+    and moving a or b by d changes g by at most 2 |d|. With T the largest
+    |t|, a point at the farther end gives row a at least 2 max(|t_a|, T)
+    - 4h, while a column with |t_b| < T - 4h - mu gives a row with |t_a|
+    < T - 4h - mu less than 2 (T - 4h - mu) + 4h. The gap 2 mu beats the
+    rounding, as do the computed t and h, which are off by a few ulps of r.
+    So the points within 4h + mu of an end are the columns, and the rows
+    among them take every column. Few points are that close to an end when
+    h is small, and the rule is used for h <= ``_THIN`` r.
+
+    M = 0 makes every pair value 0, so one column does. If r is not finite
+    or lies outside [2^-400, 2^400], where underflow or overflow would void
+    the bounds, every point is a column.
+    """
+    n = x.shape[0]
+    every = np.arange(n)
+    radius = np.hypot(x, y)
+    far = int(np.argmax(radius))
+    r = float(radius[far])
+    if r == 0.0:
+        return every[:1], every[:0]
+    if not 2.0 ** -400 < r < 2.0 ** 400:
+        return every, every[:0]
+    mu = _MARGIN * r
+    ex, ey = x[far] / r, y[far] / r
+    along = x * ex + y * ey
+    across = y * ex - x * ey
+    h = float(np.abs(across).max())
+    if h <= _THIN * r:
+        ends = np.flatnonzero(np.abs(along) >= np.abs(along).max() - 4.0 * h - mu)
+        return ends, ends
+    extreme = [int(np.argmax(along * (math.cos(angle) / r)
+                             + across * (math.sin(angle) / h)))
+               for angle in 2.0 * math.pi * np.arange(_DIRECTIONS) / _DIRECTIONS]
+    short = np.flatnonzero(_shallow(x, y, *_vertices(x, y, extreme, mu), mu))
+    sx, sy = x[short], y[short]
+    hull = _vertices(sx, sy, _monotone_chain(sx, sy), mu)
+    keep = np.zeros(n, dtype=bool)
+    keep[extreme] = True
+    keep[short[_shallow(sx, sy, *hull, mu)]] = True
+    return np.flatnonzero(keep), every[:0]
 
 
 def _coarse_maxima(x, y):
     """Maximum of ``_scan_lhs`` over the second direction for each first one.
 
-    The pair value is symmetric, so each block of rows s:s+r meets only the
-    columns s: of the upper triangle, and its column maxima stand in for the
-    rows of the lower triangle. The block starts are dealt round-robin into
-    one task per thread of ``workers.pool()``, at most ``workers.THREADS``;
-    each task folds its blocks into its own vector and the vectors are
-    combined with ``np.maximum``. Blocks hold ``_SCAN_BLOCK / tasks`` pairs,
-    so all tasks together hold about ``_SCAN_BLOCK``, never the N^2 pairs.
-    ``max`` is exact, so the result depends neither on the block size nor on
-    the number of tasks or their scheduling.
+    For a fixed first direction the pair value is convex in the second
+    one's correlators, so its maximum over the grid lies on the convex hull
+    of the N points (x, y). ``_candidates`` keeps the points within a proven
+    margin of that hull, or of the ends of a thin point set, whose rows then
+    meet every point: a few hundred of the 16384 at resolution 128. Each
+    row meets only those columns, in blocks of about ``_SCAN_BLOCK`` pairs
+    on the calling thread, and the result is bitwise the maximum over all N
+    columns: ``max`` is exact and each kept value is computed from the same
+    operands in the same order as in the full scan.
     """
-    n = x.shape[0]
-    rows = max(1, _SCAN_BLOCK // (workers.THREADS * n))
-    starts = range(0, n, rows)
-    tasks = min(workers.THREADS, len(starts))
-    if tasks == 1:
-        return _fold_blocks(x, y, starts, rows)
-    parts = workers.pool().map(_fold_blocks, [x] * tasks, [y] * tasks,
-                               [starts[t::tasks] for t in range(tasks)],
-                               [rows] * tasks)
-    return np.maximum.reduce(list(parts))
+    columns, full = _candidates(x, y)
+    # Equal points, such as the grid's poles, give equal values: keep one.
+    # A set, not np.unique, which imports numpy.ma (half a megabyte); sorted,
+    # since the scan ran slower over the columns in set order.
+    cx, cy = (np.array(c) for c in zip(*sorted(set(zip(x[columns].tolist(),
+                                                       y[columns].tolist())))))
+    best = _row_maxima(x, y, cx, cy)
+    if full.size:
+        best[full] = _row_maxima(x[full], y[full], x, y)
+    return best
 
 
 def state_scan(rho: np.ndarray, bloch_resolution: int = DEFAULT_BLOCH_RESOLUTION):
@@ -126,13 +265,14 @@ def state_scan(rho: np.ndarray, bloch_resolution: int = DEFAULT_BLOCH_RESOLUTION
     polar and azimuthal angle of each, in radians, and its maximum over the
     second direction on the same grid.
 
-    The grid has ``bloch_resolution``**4 direction pairs, so its time grows
-    as the fourth power: ``bloch_resolution`` must lie between 4 and
-    ``MAX_BLOCH_RESOLUTION`` (128: about 4.5 s on one x86-64 core, 2.5 s on
-    two), else ``ValueError``. The pairs are split over the process-wide
-    ``workers.pool()`` that the Monte Carlo also uses, with about
-    ``_SCAN_BLOCK`` pairs in flight over all its threads; the coarse grid is
-    bitwise the same for any number of cores.
+    The grid has ``bloch_resolution``**4 direction pairs, but each first
+    direction meets only the second ones near the hull of their correlator
+    points (see ``_coarse_maxima``), so the time grows about as the square:
+    ``bloch_resolution`` must lie between 4 and ``MAX_BLOCH_RESOLUTION``
+    (128: about 0.3 s of scan on one core of a 2-core x86-64 Xeon host,
+    where the threaded all-pairs scan took 2.5 s on two), else
+    ``ValueError``. The scan runs on the calling thread with about
+    ``_SCAN_BLOCK`` pairs in flight.
     """
     if bloch_resolution < 4:
         raise ValueError("bloch_resolution must be at least 4")

@@ -1,9 +1,11 @@
-"""The process-wide thread pool that the Monte Carlo and the state scan share.
+"""The process-wide thread pool that the Monte Carlo samples on.
 
-Both split their work into at most ``THREADS`` tasks that call only NumPy,
-which releases the interpreter lock, and private helpers, never a public
-function of the package. Results never depend on the scheduling: each caller
-combines its tasks' results in a fixed order with exact operations.
+``monte_carlo_correlations`` splits its work into at most ``THREADS`` tasks
+that call only NumPy, which releases the interpreter lock, and private
+helpers, never a public function of the package. Results never depend on the
+scheduling: the caller combines its tasks' results in a fixed order with
+exact operations. The state scan needs no pool: it reads only the few grid
+points near a convex hull, on the calling thread.
 """
 
 from __future__ import annotations

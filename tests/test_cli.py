@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import chsh_steering
+from chsh_steering import correlation_model
 from chsh_steering.cli import main
 from reference import ellipse_hull_excess
 
@@ -330,6 +331,34 @@ class TestRejectedInput:
         path = tmp_path / "deep.json"
         path.write_text('{"correlators": ' + "[" * 100000 + "]" * 100000 + "}")
         self.assert_rejected(*run_cli(capsys, *argv, str(path)))
+
+    # NumPy iterates arrays of at most 32 dimensions; one more once ended in
+    # a RuntimeError traceback. 32 is still a shape error.
+    @pytest.mark.parametrize("depth", [32, 33, 500])
+    def test_state_array_nested_beyond_numpy(self, capsys, tmp_path, depth):
+        path = tmp_path / "state.json"
+        path.write_text('{"real": ' + "[" * depth + "0" + "]" * depth + "}")
+        code, out, err = run_cli(capsys, "scan", "state", "--input", str(path))
+        self.assert_rejected(code, out, err)
+        assert ("nested too deeply" in err) == (depth > 32)
+
+    # The rejected value once went into the message whole: 900 nested arrays
+    # made an error line of 1,846 characters.
+    @pytest.mark.parametrize("data", [
+        {"correlators": json.loads("[" * 900 + "]" * 900)},
+        {"correlators": {"AB": "x" * 5000, "ApB": 0, "ABp": 0, "ApBp": 1}},
+        {"correlators": {"AB": [0.5] * 5000, "ApB": 0, "ABp": 0, "ApBp": 1}},
+        {"correlators": {"AB": 1, "ApB": 0, "ABp": 0, "ApBp": 1},
+         "marginals": [{"A": 0}] * 5000},
+    ])
+    def test_rejected_value_is_cut_short(self, capsys, tmp_path, data):
+        path = tmp_path / "corr.json"
+        path.write_text(json.dumps(data))
+        code, out, err = run_cli(capsys, "witness", "eval", str(path))
+        self.assert_rejected(code, out, err)
+        shown = err.rstrip("\n").split(", got ", 1)[1]
+        assert len(shown) <= correlation_model._SHOWN_CHARS
+        assert len(err) < 100
 
     def test_usage_error(self, capsys):
         self.assert_rejected(*run_cli(capsys, "experiment", "--eta-bob", "abc"))

@@ -12,10 +12,11 @@ from chsh_steering.qubit_core import (
     quantum_correlator,
 )
 from chsh_steering.steering_witness import steering_inequality, steering_lhs_array
-from chsh_steering import violation_search, workers
+from chsh_steering import violation_search
 from chsh_steering.violation_search import (
     _PAULIS,
     _directions,
+    _scan_lhs,
     angle_correlations_array,
     state_scan,
 )
@@ -168,16 +169,20 @@ class TestStateScan:
         with pytest.raises(ValueError, match="at most 128"):
             state_scan(maximally_entangled(), bloch_resolution=resolution)
 
-    def test_coarse_scan_memory_is_bounded(self):
-        state_scan(maximally_entangled(), bloch_resolution=40)
+    # At 40 the full (1600, 1600) pair grid alone would take 20 MB per array.
+    # At 128 the scan peaks near 1.8 MB; an (N, 16) array of the N = 16384
+    # directions would add 2 MB, and an (N, K) one over K >= 100 candidate
+    # columns 12.5 MB.
+    @pytest.mark.parametrize("resolution, limit", [(40, 16 * 2 ** 20), (128, 3 * 2 ** 20)])
+    def test_coarse_scan_memory_is_bounded(self, resolution, limit):
+        state_scan(maximally_entangled(), bloch_resolution=resolution)
         tracemalloc.start()
         try:
-            state_scan(maximally_entangled(), bloch_resolution=40)
+            state_scan(maximally_entangled(), bloch_resolution=resolution)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        # The full (1600, 1600) pair grid alone would take 20 MB per array.
-        assert peak < 16 * 2 ** 20
+        assert peak < limit
 
 
 PAULIS = np.array([[[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]])
@@ -272,62 +277,122 @@ def _correlation_matrix(rho):
                      for sk in PAULIS])
 
 
-# Task counts of the coarse scan, set through the pool's thread count.
-TASKS = (1, 2, 3, 4)
+def _planes(cols, bloch_resolution):
+    """The correlator planes x, y that ``state_scan`` builds from ``cols``."""
+    thetas = np.linspace(0.0, np.pi, bloch_resolution)
+    phis = 2.0 * np.pi * np.arange(bloch_resolution) / bloch_resolution
+    tt, pp = np.meshgrid(thetas, phis, indexing="ij")
+    return np.ascontiguousarray((_directions(tt.ravel(), pp.ravel()) @ cols).T)
+
+
+def _brute_maxima(x, y):
+    """Row maxima of ``_scan_lhs`` over every column, a few rows at a time."""
+    return np.concatenate([
+        _scan_lhs(x[s:s + 64, None], y[s:s + 64, None], x[None, :], y[None, :]).max(axis=1)
+        for s in range(0, x.shape[0], 64)])
+
+
+def _product_state(rng):
+    bloch = rng.normal(size=(2, 3))
+    bloch *= rng.uniform(0.3, 1.0, size=(2, 1)) / np.linalg.norm(bloch, axis=1, keepdims=True)
+    rho_a, rho_b = (0.5 * (np.eye(2) + np.einsum("k,kij->ij", b, PAULIS)) for b in bloch)
+    return np.kron(rho_a, rho_b)
+
+
+def _special_states():
+    zero_zero = np.zeros((4, 4))
+    zero_zero[0, 0] = 1.0
+    rng = np.random.Generator(np.random.Philox(83))
+    return [zero_zero, np.eye(4) / 4.0] + [_product_state(rng) for _ in range(4)]
+
+
+# Ratios sigma2 / sigma1 of the correlation block's singular values: exactly
+# and nearly rank 1 (the segment rule) up to well inside the hull rule.
+SIGMA_RATIOS = (0.0, 1e-14, 1e-10, 1e-8, 1e-7, 1e-6, 1e-5, 1e-3)
+
+
+def _synthetic_columns(ratio, rng):
+    """A 3 x 2 correlation block with singular values 0.9 and 0.9 ratio and
+    random singular vectors."""
+    left = np.linalg.qr(rng.normal(size=(3, 3)))[0][:, :2]
+    right = np.linalg.qr(rng.normal(size=(2, 2)))[0]
+    return (left * np.array([0.9, 0.9 * ratio])) @ right.T
 
 
 class TestBlockedCoarseScan:
-    # N = resolution**2 directions. With rows = _SCAN_BLOCK // (tasks * N),
-    # one task takes one block (4, 5), a whole number of blocks (40: 20 rows
-    # each) or a short last block (24, 33); two and four tasks get a short
-    # last block at 24 and 33, three at 33 and 40.
+    # At 4 and 5 nearly every direction is a column; from 24 on a few
+    # percent are, and the rows then fill blocks of _SCAN_BLOCK // K.
     @pytest.mark.parametrize("resolution", [4, 5, 24, 33, 40])
-    def test_bitwise_equal_to_full_scan(self, monkeypatch, resolution):
+    def test_bitwise_equal_to_full_scan(self, resolution):
         for rho in _test_states():
-            expected = _reference_coarse(rho, resolution)
-            for tasks in TASKS:
-                monkeypatch.setattr(workers, "THREADS", tasks)
-                _, _, coarse = state_scan(rho, bloch_resolution=resolution)
-                assert np.array_equal(coarse, expected), tasks
+            _, _, coarse = state_scan(rho, bloch_resolution=resolution)
+            assert np.array_equal(coarse, _reference_coarse(rho, resolution))
 
-    # Rows 1, 2, 4, 7 of N = 25 for one task, 1, 1, 2, 3 for two and 1
-    # throughout for four.
     @pytest.mark.parametrize("block", [1, 64, 100, 175])
     def test_bitwise_equal_at_any_block_size(self, monkeypatch, block):
         monkeypatch.setattr(violation_search, "_SCAN_BLOCK", block)
-        for rho in _test_states()[::5]:
-            expected = _reference_coarse(rho, 5)
-            for tasks in TASKS:
-                monkeypatch.setattr(workers, "THREADS", tasks)
-                _, _, coarse = state_scan(rho, bloch_resolution=5)
-                assert np.array_equal(coarse, expected), tasks
+        for rho in _test_states()[::5] + _special_states()[:3]:
+            _, _, coarse = state_scan(rho, bloch_resolution=5)
+            assert np.array_equal(coarse, _reference_coarse(rho, 5))
 
-    @pytest.mark.parametrize("tasks", TASKS)
-    @pytest.mark.parametrize("resolution, block", [(4, 2 ** 15), (5, 100), (24, 2 ** 15),
-                                                   (33, 2 ** 15)])
-    def test_block_starts_are_dealt_round_robin(self, monkeypatch, resolution, block,
-                                                tasks):
-        # Every block start goes to exactly one task, and each task holds
-        # about _SCAN_BLOCK / tasks pairs at a time.
-        monkeypatch.setattr(violation_search, "_SCAN_BLOCK", block)
-        monkeypatch.setattr(workers, "THREADS", tasks)
-        fold = violation_search._fold_blocks
-        calls = []
+    @pytest.mark.parametrize("resolution", [4, 5, 24, 33, 40])
+    def test_bitwise_equal_on_degenerate_states(self, resolution):
+        # |00> and the product states have rank-1 blocks, I/4 a zero one.
+        for rho in _special_states():
+            _, _, coarse = state_scan(rho, bloch_resolution=resolution)
+            assert np.array_equal(coarse, _reference_coarse(rho, resolution))
 
-        def spy(x, y, starts, rows):
-            calls.append((list(starts), rows))
-            return fold(x, y, starts, rows)
+    @pytest.mark.parametrize("ratio", SIGMA_RATIOS)
+    @pytest.mark.parametrize("resolution", [5, 24, 40])
+    def test_synthetic_planes_bitwise_equal_to_brute_force(self, resolution, ratio):
+        rng = np.random.Generator(np.random.Philox(89))
+        for _ in range(3):
+            x, y = _planes(_synthetic_columns(ratio, rng), resolution)
+            assert np.array_equal(violation_search._coarse_maxima(x, y),
+                                  _brute_maxima(x, y))
 
-        monkeypatch.setattr(violation_search, "_fold_blocks", spy)
-        state_scan(maximally_entangled(), bloch_resolution=resolution)
-        n = resolution ** 2
-        rows = max(1, block // (tasks * n))
-        starts = list(range(0, n, rows))
-        dealt = min(tasks, len(starts))
-        # Tasks may run in any order; task t takes starts[t::dealt].
-        assert sorted(given for given, _ in calls) == [starts[t::dealt]
-                                                      for t in range(dealt)]
-        assert [r for _, r in calls] == [rows] * dealt
+    def test_segment_keeps_columns_off_its_line_near_an_end(self):
+        # A thin set (height 1.9e-3 < 2^-9 of its extent) whose end (1, 0)
+        # is the farthest point, but where row (0.9, 0) peaks at a point 2.5e-6
+        # short of that end and 1.9e-3 off the line: the columns must reach
+        # 4h past the end's mu, not just mu.
+        x = np.array([1.0, 1.0 - 2.5e-6, 0.9, -1.0, 0.0, 0.3])
+        y = np.array([0.0, 1.9e-3, 0.0, 0.0, 0.0, -1e-4])
+        brute = _brute_maxima(x, y)
+        assert np.argmax(_scan_lhs(x[2], y[2], x, y)) == 1
+        columns, full = violation_search._candidates(x, y)
+        assert 1 in columns and 2 not in full
+        assert np.array_equal(violation_search._coarse_maxima(x, y), brute)
+
+    def test_zero_block_keeps_one_column(self):
+        x, y = _planes(np.zeros((3, 2)), 8)
+        columns, full = violation_search._candidates(x, y)
+        assert columns.size == 1 and full.size == 0
+
+    @pytest.mark.parametrize("index", [0, 5, 8, 15])
+    def test_full_rank_keeps_few_columns(self, index):
+        # Pruning that silently fell back to all pairs would keep them all.
+        rho = _test_states()[index]
+        x, y = _planes(expectation_table(rho, _PAULIS, _PAULIS[[2, 0]]), 128)
+        columns, full = violation_search._candidates(x, y)
+        assert full.size == 0
+        assert columns.size < 0.05 * x.shape[0]
+
+    @pytest.mark.parametrize("ratio", SIGMA_RATIOS)
+    def test_thin_blocks_keep_few_columns_and_rows(self, ratio):
+        rng = np.random.Generator(np.random.Philox(97))
+        x, y = _planes(_synthetic_columns(ratio, rng), 128)
+        columns, full = violation_search._candidates(x, y)
+        assert columns.size < 0.05 * x.shape[0]
+        assert full.size < 0.05 * x.shape[0]
+
+    def test_non_finite_points_take_every_column(self):
+        x, y = _planes(_synthetic_columns(0.5, np.random.Generator(np.random.Philox(7))), 5)
+        x[3] = np.nan
+        columns, full = violation_search._candidates(x, y)
+        assert columns.size == x.shape[0]
+        assert np.array_equal(violation_search._coarse_maxima(x, y), _brute_maxima(x, y),
+                              equal_nan=True)
 
 
 @pytest.mark.parametrize("index", range(16))

@@ -1,5 +1,6 @@
-"""The one process-wide pool that the Monte Carlo and the state scan share:
-concurrent callers, a forked child, and which thread runs what."""
+"""The one process-wide pool that the Monte Carlo samples on: concurrent
+callers, a forked child, and which thread runs what; and concurrent state
+scans, which run on their caller's thread."""
 
 import importlib
 import inspect
@@ -35,26 +36,19 @@ def _scan(p1, resolution=24):
     return best, value, coarse.tobytes()
 
 
-# Even callers sample, odd ones scan; 24 and 33 split into several tasks.
-CALLS = [(_mc, (0,)), (_scan, (0.9,)), (_mc, (1,)), (_scan, (0.6, 33)),
-         (_mc, (2,)), (_scan, (1.0,)), (_mc, (3,)), (_scan, (0.8, 33))]
-
-
-def test_concurrent_callers_share_the_pool(monkeypatch):
-    # More callers than cores, switching threads often, all on the one
-    # process-wide pool: each must get the result of a lone call.
-    monkeypatch.setattr(workers, "THREADS", max(2, workers.THREADS))
-    expected = [fn(*args) for fn, args in CALLS]
+def _run_concurrently(calls):
+    """Results of ``calls``, (function, args) pairs, each on its own thread,
+    switching threads often."""
     results = {}
 
     def call(index):
-        fn, args = CALLS[index]
+        fn, args = calls[index]
         results[index] = fn(*args)
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        threads = [threading.Thread(target=call, args=(i,)) for i in range(len(CALLS))]
+        threads = [threading.Thread(target=call, args=(i,)) for i in range(len(calls))]
         for t in threads:
             t.start()
         for t in threads:
@@ -62,7 +56,23 @@ def test_concurrent_callers_share_the_pool(monkeypatch):
     finally:
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads)
-    assert [results.get(i) for i in range(len(CALLS))] == expected
+    return [results.get(i) for i in range(len(calls))]
+
+
+def test_concurrent_callers_share_the_pool(monkeypatch):
+    # More callers than cores, all on the one process-wide pool: each must
+    # get the result of a lone call.
+    monkeypatch.setattr(workers, "THREADS", max(2, workers.THREADS))
+    calls = [(_mc, (seed,)) for seed in range(8)]
+    assert _run_concurrently(calls) == [fn(*args) for fn, args in calls]
+
+
+def test_concurrent_state_scans():
+    # Eight scans at once, each of which prunes its own candidate columns:
+    # full rank (hull rule) and p1 = 0, a rank-1 block (segment rule).
+    calls = [(_scan, (p1, resolution)) for p1 in (0.9, 0.6, 1.0, 0.0)
+             for resolution in (24, 33)]
+    assert _run_concurrently(calls) == [fn(*args) for fn, args in calls]
 
 
 def _both():
@@ -129,19 +139,9 @@ def test_no_public_function_runs_on_a_pool_thread(monkeypatch):
 
     for module, name, fn in list(_public_functions()):
         monkeypatch.setattr(module, name, recorded(fn))
-    fold = violation_search._fold_blocks
-    folders = []
-
-    def spy(*args):
-        folders.append(threading.current_thread())
-        return fold(*args)
-
-    monkeypatch.setattr(violation_search, "_fold_blocks", spy)
     # Called through their modules, where the wrappers sit.
     violation_search.state_scan(state_density(STATE), bloch_resolution=24)
     homodyne_experiment.monte_carlo_correlations(STATE, 0.85, 0.7, 3000, seed=11)
     caller = threading.current_thread()
     assert {"state_scan", "monte_carlo_correlations", "pool"} <= {n for n, _ in records}
     assert [n for n, thread in records if thread is not caller] == []
-    # The scan did run on the pool.
-    assert len(folders) >= 2 and caller not in folders

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import math
 import sys
@@ -225,7 +226,10 @@ class _ArgumentParser(argparse.ArgumentParser):
         raise ValueError(message)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on first use and kept for the process:
+    building it costs many times what a parse does."""
     parser = _ArgumentParser(
         prog="chsh-steering",
         description="Decide whether two-setting, two-outcome correlation data "

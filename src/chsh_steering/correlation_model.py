@@ -274,14 +274,14 @@ def correlation_set_from_json_dict(data: dict,
         marginals = Marginals(*_json_numbers(data["marginals"], MARGINAL_NAMES, "marginals"))
     if correlators is None and from_joint is None:
         raise ConstraintError('input needs a "correlators" object or a "joint" matrix')
+    result = from_joint
     if correlators is not None:
         values = _json_numbers(correlators, CORRELATOR_NAMES, "correlators")
         result = CorrelationSet(*values, marginals=marginals)
-        if from_joint is not None:
-            if np.abs(result.as_array() - from_joint.as_array()).max() > tol:
-                raise ConstraintError("correlators disagree with the joint matrix")
-            if marginals is not None and np.abs(
-                    marginals.as_array() - from_joint.marginals.as_array()).max() > tol:
-                raise ConstraintError("marginals disagree with the joint matrix")
-        return result
-    return from_joint
+        if from_joint is not None and np.abs(
+                result.as_array() - from_joint.as_array()).max() > tol:
+            raise ConstraintError("correlators disagree with the joint matrix")
+    if from_joint is not None and marginals is not None and np.abs(
+            marginals.as_array() - from_joint.marginals.as_array()).max() > tol:
+        raise ConstraintError("marginals disagree with the joint matrix")
+    return result

@@ -157,47 +157,29 @@ def _grid_pricer(grid_n: int):
     column summed left to right, and keeps the first index on a tie; p = q = 0
     makes the family flat and takes its index 0. A dense ``y @ A`` may round
     a reduced cost differently in its last bits, so where two columns lie
-    within a few ulps of each other it may pick the other one. Under Bland's
-    rule a column is eligible when its reduced cost is below -eps, which
-    holds on the arc within acos((y4 + eps) / hypot(p, q)) of that angle.
-    The family's lowest eligible index is then index 0 or the first index on
-    the arc, so those are evaluated too, with the neighbours of the arc's
-    start to absorb rounding. Nothing here knows the target point, let alone
-    f; no column is stored, so the cost of a pivot does not grow with
-    ``grid_n``.
+    within a few ulps of each other it may pick the other one. Nothing here
+    knows the target point, let alone f; no column is stored, so the cost of
+    a pivot does not grow with ``grid_n``.
     """
     units = grid_n / (2.0 * math.pi)  # grid steps per radian
     two_pi, cos, sin, atan2 = 2.0 * math.pi, math.cos, math.sin, math.atan2
     families = ((0, *ALICE_SIGNS[1]), (grid_n, *ALICE_SIGNS[2]))
 
-    def price(duals, eps, bland):
+    def price(duals, eps):
         y0, y1, y2, y3, y4 = duals
         best = best_reduced = None
         for offset, sa, sap in families:
             # sa, sap are +-1, so u0 * c rounds exactly like y0 * (sa * c).
             u0, u1, u2, u3 = y0 * sa, y1 * sap, y2 * sa, y3 * sap
             p, q = u0 + u1, u2 + u3
-            centre = atan2(-q, -p) * units if p or q else 0.0
-            near = round(centre)
-            indices = (near - 1, near, near + 1)
-            if bland:
-                indices = {0, *indices}
-                r = math.hypot(p, q)
-                if r > 0.0:
-                    half = math.acos(min(max((y4 + eps) / r, -1.0), 1.0)) * units
-                    start = math.floor(centre - half) + 1
-                    indices.update((start - 1, start, start + 1))
-                indices = sorted({k % grid_n for k in indices})
-            for k in indices:
+            near = round(atan2(-q, -p) * units) if p or q else 0
+            for k in (near - 1, near, near + 1):
                 k %= grid_n
                 xi = two_pi * k / grid_n
                 c, s = cos(xi), sin(xi)
                 reduced = u0 * c + u1 * c + u2 * s + u3 * s + y4
-                if bland:
-                    if reduced < -eps:
-                        return offset + k, reduced, [sa * c, sap * c, sa * s, sap * s, 1.0]
-                elif (best is None or reduced < best_reduced
-                      or (reduced == best_reduced and offset + k < best[0])):
+                if (best is None or reduced < best_reduced
+                        or (reduced == best_reduced and offset + k < best[0])):
                     best, best_reduced = (offset + k, sa, sap, c, s), reduced
         if best is None or not best_reduced < -eps:
             return None

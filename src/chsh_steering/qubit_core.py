@@ -30,11 +30,19 @@ def is_hermitian(op: np.ndarray, tol: float = HERMITIAN_TOL) -> bool:
     return np.abs(op - op.conj().T).max() <= tol
 
 
+def _check_entries(op: np.ndarray, tol: float, what: str) -> None:
+    """Reject an entry of modulus above 1 + tol, which no density matrix or
+    effect has: bounded entries keep the checks that follow from overflowing."""
+    if not np.abs(op).max() <= 1.0 + tol:
+        raise ValueError(f"{what} has an entry of modulus above 1")
+
+
 def validate_effect(op: np.ndarray) -> np.ndarray:
     """Check that ``op`` is a valid 2x2 POVM effect (0 <= op <= 1)."""
     op = np.asarray(op, dtype=complex)
     if op.shape != (2, 2):
         raise ValueError(f"effect must be a 2x2 matrix, got shape {op.shape}")
+    _check_entries(op, EFFECT_TOL, "effect")
     if not is_hermitian(op, EFFECT_TOL):
         raise ValueError("effect is not Hermitian within tolerance")
     eig = np.linalg.eigvalsh(op)
@@ -48,6 +56,7 @@ def validate_density(rho: np.ndarray, dim: int = 4) -> np.ndarray:
     rho = np.asarray(rho, dtype=complex)
     if rho.shape != (dim, dim):
         raise ValueError(f"density matrix must be {dim}x{dim}, got {rho.shape}")
+    _check_entries(rho, HERMITIAN_TOL, "density matrix")
     if not is_hermitian(rho):
         raise ValueError("density matrix is not Hermitian within tolerance")
     if abs(np.trace(rho).real - 1.0) > HERMITIAN_TOL:

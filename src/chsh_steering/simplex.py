@@ -8,16 +8,15 @@ inverse and the basic values above the negated duals and objective. At m = 5
 The artificial column of row i is ``flip_i * e_i`` with cost 1, signed to
 match b_i, and is never stored either. Each pivot asks the callback for the
 best real column at the current duals, prices the m artificial columns
-itself and rewrites only the small tableau. The entering column is the most
-negative reduced cost over the real and the artificial columns (first index
-on ties) while the objective strictly improves; after ``BLAND_AFTER`` stalled
-pivots the rule switches permanently to Bland's lowest eligible index, and
-the leaving row is always the minimum ratio with the lowest-basic-index
-tie-break. Strict-progress pivots cannot revisit a basis and the Bland phase
-cannot cycle, so the solver terminates deterministically without
-perturbation tricks. Phase 1 minimises the total artificial infeasibility;
-its per-row residuals are the feasibility certificate for the membership
-oracle.
+itself and rewrites only the small tableau. One rule serves every pivot:
+the entering column is the most negative reduced cost over the real and the
+artificial columns (first index on ties), and the leaving row is the minimum
+ratio, an exact tie going to the lexicographically least row of B^-1 divided
+by its entry in the entering column (Dantzig, Orden & Wolfe, 1955). With
+that rule no basis repeats, so the solver terminates deterministically
+without perturbation tricks or a second pivot mode. Phase 1 minimises the
+total artificial infeasibility; its per-row residuals are the feasibility
+certificate for the membership oracle.
 """
 
 from __future__ import annotations
@@ -30,9 +29,6 @@ import numpy as np
 
 PIVOT_EPS = 1e-10
 DEFAULT_MAX_ITER = 1_000_000
-# Consecutive degenerate pivots tolerated before switching the entering rule
-# from most-negative-reduced-cost to Bland's anti-cycling lowest index.
-BLAND_AFTER = 64
 DEFAULT_LP_TOL = 1e-9
 # Largest residual tolerance accepted; ``lhs_oracle`` explains the value.
 MAX_LP_TOL = 1e-6
@@ -54,33 +50,31 @@ def _revised_pivots(price, n, flip, tableau, basis):
     ``tableau`` is a list of m+1 rows of m+1 floats: the basis inverse in
     ``[:m][:m]``, the basic values in column m, the negated duals in row m
     and the negated objective in ``[m][m]``. ``basis`` is the list of the m
-    basic column indices. Uses ``PIVOT_EPS``, ``DEFAULT_MAX_ITER`` and
-    ``BLAND_AFTER``; returns at the optimum and raises ``OracleError`` on an
-    unbounded ray, on non-finite duals or objective, or at the iteration
-    limit.
+    basic column indices.
+
+    Invariant: every row of ``[x_B | B^-1]``, basic value first, is
+    lexicographically positive. The artificial start of ``lp_feasibility``
+    has it (B^-1 = diag(flip), flip = +1 wherever b_i = 0) and the leaving
+    rule keeps it, so each pivot adds a positive multiple of a positive row
+    to the bottom row ``[-z | -y]`` and no basis repeats. Entries at or below
+    ``PIVOT_EPS`` count as zero; ``DEFAULT_MAX_ITER`` guards against a float
+    failure of that argument.
+
+    Returns at the optimum and raises ``OracleError`` on an unbounded ray, on
+    non-finite duals or objective, or at the iteration limit.
     """
-    eps, bland_after = PIVOT_EPS, BLAND_AFTER
+    eps = PIVOT_EPS
     m = len(flip)
     bottom = tableau[m]
-    stall = 0
-    bland = bland_after <= 0  # BLAND_AFTER = 0 tolerates no stall at all
-    last_objective = bottom[m]
     for _ in range(DEFAULT_MAX_ITER):
         duals = bottom[:m]
-        entering = price(duals, eps, bland)
+        entering = price(duals, eps)
         artificial = [1.0 + f * y for f, y in zip(flip, duals)]
-        if bland:
-            if entering is None:
-                eligible = [i for i, r in enumerate(artificial) if r < -eps]
-                if not eligible:
-                    return
-                entering = (n + eligible[0], artificial[eligible[0]], None)
-        else:
-            least = min(artificial)
-            if least < -eps and (entering is None or least < entering[1]):
-                entering = (n + artificial.index(least), least, None)
-            elif entering is None:
-                return
+        least = min(artificial)
+        if least < -eps and (entering is None or least < entering[1]):
+            entering = (n + artificial.index(least), least, None)
+        elif entering is None:
+            return
         col, reduced, a = entering
 
         # The entering column of the full tableau: B^-1 a above its reduced cost.
@@ -93,8 +87,11 @@ def _revised_pivots(price, n, flip, tableau, basis):
         for i, entry in enumerate(column):
             if entry > eps:
                 ratio = tableau[i][m] / entry
-                if row < 0 or ratio < best or (ratio == best and basis[i] < basis[row]):
+                if row < 0 or ratio < best:
                     row, best = i, ratio
+                elif ratio == best and ([t / entry for t in tableau[i][:m]]
+                                        < [t / column[row] for t in tableau[row][:m]]):
+                    row = i
         if row < 0:
             raise OracleError("phase 1 reported unbounded; basis inverse is corrupt")
         column.append(reduced)
@@ -109,14 +106,6 @@ def _revised_pivots(price, n, flip, tableau, basis):
         # A pricer may take angles of the duals; stop before it sees a NaN.
         if not all(map(math.isfinite, bottom)):
             raise OracleError(_LOST_FINITENESS)
-
-        if bottom[m] > last_objective:
-            last_objective = bottom[m]
-            stall = 0
-        else:
-            stall += 1
-            if stall >= bland_after:
-                bland = True
     raise OracleError("simplex iteration limit reached in phase 1")
 
 
@@ -124,14 +113,12 @@ def lp_feasibility(price, n, b, *, tol: float = DEFAULT_LP_TOL):
     """Decide whether {x >= 0 : A x = b} is nonempty, within ``tol`` per row.
 
     ``A`` has ``n`` columns that only the pricing callback knows.
-    ``price(duals, eps, bland)`` prices them at the duals, a list of m
-    floats, and returns ``(col, reduced, column)``, the entering candidate's
-    index, reduced cost and column (a list of m floats), or None when no
-    column has a reduced cost below ``-eps``. The candidate is the lowest
-    index of the most negative reduced cost or, with ``bland`` true, the
-    lowest index whose reduced cost is below ``-eps``. Phase 1: one
-    artificial variable per row starts in the basis, and the pivots minimise
-    their sum.
+    ``price(duals, eps)`` prices them at the duals, a list of m floats, and
+    returns ``(col, reduced, column)``, the entering candidate's index,
+    reduced cost and column (a list of m floats), or None when no column has
+    a reduced cost below ``-eps``. The candidate is the lowest index of the
+    most negative reduced cost. Phase 1: one artificial variable per row
+    starts in the basis, and the pivots minimise their sum.
     Returns (feasible, x, residuals), where residuals[i] is the absolute
     infeasibility left in row i at the phase-1 optimum and ``x`` maps each
     basic real column to its value at the phase-1 point, whether or not the

@@ -157,24 +157,17 @@ def dense_pricer(A, cost=None):
     """A pricing callback for ``simplex`` over the columns of a dense ``A``.
 
     Every reduced cost comes from one ``duals @ A`` matvec (plus ``cost``, if
-    given): the most negative one with the first index on ties or, under
-    Bland's rule, the lowest index below ``-eps``.
+    given); the most negative one enters, first index on ties.
     """
     A = np.ascontiguousarray(A, dtype=float)
 
-    def price(duals, eps, bland):
+    def price(duals, eps):
         reduced = np.dot(duals, A)
         if cost is not None:
             reduced += cost
-        if bland:
-            negative = np.flatnonzero(reduced < -eps)
-            if negative.size == 0:
-                return None
-            col = int(negative[0])
-        else:
-            col = int(reduced.argmin())
-            if not reduced[col] < -eps:
-                return None
+        col = int(reduced.argmin())
+        if not reduced[col] < -eps:
+            return None
         return col, float(reduced[col]), A[:, col].tolist()
 
     return price

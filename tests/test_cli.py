@@ -84,6 +84,17 @@ class TestWitnessEval:
         assert json.loads(out)["steering"]["lhs"] == 0.0
 
 
+    def test_joint_with_disagreeing_marginals_rejected(self, capsys, tmp_path):
+        # The uniform joint matrix has every marginal 0.
+        path = tmp_path / "joint.json"
+        path.write_text(json.dumps({"joint": np.full((4, 4), 0.25).tolist(),
+                                    "marginals": {"A": 0.9, "Ap": 0.0, "B": 0.0, "Bp": 0.0}}))
+        code, out, err = run_cli(capsys, "witness", "eval", str(path))
+        assert code == 1
+        assert out == ""
+        assert err == "error: marginals disagree with the joint matrix\n"
+
+
 class TestOracleCheck:
     def test_small_sweep_agrees(self, capsys):
         code, out, _ = run_cli(capsys, "oracle", "check", "--grid", "64",
@@ -135,6 +146,17 @@ class TestExperiment:
         # a lossless split photon at these efficiencies does violate; only the
         # real data (p1 < 1) fell short
         assert payload["verdict"] == "steering"
+
+    def test_parser_reuse_keeps_no_flag_from_the_last_call(self, capsys):
+        # One parser serves every call; an omitted --eta-alice must still
+        # fall back to --eta-bob after a call that gave it.
+        base = ("experiment", "--theta", "22.5", "--p1", "1.0", "--eta-bob", "0.85")
+        code, out, _ = run_cli(capsys, *base, "--eta-alice", "0.3")
+        assert code == 0
+        assert json.loads(out)["inputs"]["eta_alice"] == 0.3
+        code, out, _ = run_cli(capsys, *base)
+        assert code == 0
+        assert json.loads(out)["inputs"]["eta_alice"] == 0.85
 
     def test_model_analytic_with_loss_does_not_steer(self, capsys):
         code, out, _ = run_cli(capsys, "experiment", "--theta", "22.5",

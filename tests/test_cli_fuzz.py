@@ -152,3 +152,21 @@ def test_scan_state(theta_deg, p1, resolution):
     check_run(*run_cli(argv, state),
               non_finite_input=_non_finite(theta_deg) or _non_finite(p1),
               output="csv")
+
+
+
+@FUZZ
+@given(value=st.floats(allow_nan=False, allow_infinity=False),
+       part=st.sampled_from(["real", "imag"]), i=st.integers(0, 3), j=st.integers(0, 3),
+       mirror=st.sampled_from([1.0, -1.0]))
+def test_scan_state_matrix(value, part, i, j, mirror):
+    # I/4 with one finite value, full range, at (i, j) and mirror * value
+    # at (j, i): Hermitian or not, and near the float limit an overflow
+    # for any check that subtracts the transpose.
+    state = {"real": [[0.25 * (r == c) for c in range(4)] for r in range(4)],
+             "imag": [[0.0] * 4 for _ in range(4)]}
+    state[part][i][j] = value
+    if i != j:
+        state[part][j][i] = mirror * value
+    argv = ["scan", "state", "--input", "-", "--resolution", "4"]
+    check_run(*run_cli(argv, json.dumps(state)), non_finite_input=False, output="csv")

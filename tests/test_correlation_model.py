@@ -293,6 +293,17 @@ class TestJsonParsing:
                 "correlators": {"AB": 0.0, "ApB": 1.0, "ABp": 0.0, "ApBp": 0.0},
             })
 
+    def test_joint_and_marginals_must_agree_without_correlators(self):
+        m = matrix_from_extremal(1, (1.0, 0.5))
+        given = correlations_from_matrix(m).marginals.as_array().tolist()
+        agreeing = dict(zip(("A", "Ap", "B", "Bp"), given))
+        c = correlation_set_from_json_dict({"joint": m.tolist(), "marginals": agreeing})
+        assert c.marginals.as_array().tolist() == given
+        for name in agreeing:
+            wrong = {**agreeing, name: agreeing[name] - 0.5}
+            with pytest.raises(ConstraintError, match="marginals disagree"):
+                correlation_set_from_json_dict({"joint": m.tolist(), "marginals": wrong})
+
     def test_tolerance_checked_without_joint(self):
         data = {"correlators": {"AB": 1.0, "ApB": 0.0, "ABp": 0.0, "ApBp": 1.0}}
         correlation_set_from_json_dict(data, tol=1e-2)

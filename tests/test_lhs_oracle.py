@@ -4,7 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from chsh_steering import lhs_oracle, simplex
+from chsh_steering import lhs_oracle
 from chsh_steering.correlation_model import (
     CorrelationSet,
     EBasisVector,
@@ -314,7 +314,7 @@ class TestGridPricer:
             reduced = np.dot(duals, A)
             first, second = np.argsort(reduced, kind="stable")[:2]
             # eps = -inf admits every column, so the pricer returns its minimum.
-            col, value, column = price(duals.tolist(), -np.inf, False)
+            col, value, column = price(duals.tolist(), -np.inf)
             assert np.abs(np.array(column) - A[:, col]).max() <= 1e-15
             if reduced[second] - reduced[first] > 1e-12:
                 assert col == first
@@ -336,70 +336,14 @@ class TestGridPricer:
             reduced = _scalar_reduced(duals.tolist(), grid_n)
             least = np.flatnonzero(reduced == reduced.min())
             tied += np.unique(least % grid_n).size > 1
-            assert price(duals.tolist(), -np.inf, False)[0] == least[0]
+            assert price(duals.tolist(), -np.inf)[0] == least[0]
         assert tied > 0
 
     def test_flat_family_takes_index_zero(self):
         price = lhs_oracle._grid_pricer(64)
         # p = q = 0 in both families: every column costs y4.
-        assert price([0.0, 0.0, 0.0, 0.0, -1.0], PIVOT_EPS, False)[:2] == (0, -1.0)
-        assert price([0.0, 0.0, 0.0, 0.0, -1.0], PIVOT_EPS, True)[:2] == (0, -1.0)
-        assert price([0.0, 0.0, 0.0, 0.0, 0.0], PIVOT_EPS, False) is None
-        # y0 = -y1 and y2 = -y3 flatten only the chi = 1 family; under Bland's
-        # rule its index 0 comes before every chi = 2 column.
-        assert price([0.5, -0.5, 0.25, -0.25, -1.0], PIVOT_EPS, True)[:2] == (0, -1.0)
-
-    @pytest.mark.parametrize("grid_n, count", [(8, 100), (64, 100), (2048, 100), (2 ** 20, 5)])
-    def test_bland_takes_the_lowest_eligible_index(self, grid_n, count):
-        A = oracle_matrix(grid_n)
-        price = lhs_oracle._grid_pricer(grid_n)
-        rng = np.random.Generator(np.random.Philox(43 + grid_n))
-        seen = set()
-        for duals in _random_duals(rng, count):
-            # Shift y4 so the eligible arcs range from empty to the whole circle.
-            duals[4] = rng.uniform(-1.2, 1.2) * np.abs(duals[:4]).sum()
-            reduced = np.dot(duals, A)
-            eligible = np.flatnonzero(reduced < -PIVOT_EPS)
-            got = price(duals.tolist(), PIVOT_EPS, True)
-            ulps = 4 * np.spacing(np.abs(duals).sum())
-            if got is None:
-                assert eligible.size == 0 or abs(reduced[eligible[0]] + PIVOT_EPS) <= ulps
-                seen.add("none")
-                continue
-            col, value, column = got
-            assert value < -PIVOT_EPS
-            assert np.abs(np.array(column) - A[:, col]).max() <= 1e-15
-            # Rounding may only move the answer across a column at -eps.
-            assert col == eligible[0] or abs(reduced[min(col, eligible[0])] + PIVOT_EPS) <= ulps
-            seen.add("zero" if col in (0, grid_n) else "arc")
-        assert seen == {"none", "zero", "arc"}
-
-    def test_bland_from_the_start_keeps_verdicts(self, monkeypatch):
-        # Bland's rule from the first pivot takes about 8 times the pivots of
-        # the default rule at grid 64 (and 50 times at grid 256), so a coarse
-        # grid keeps this test short.
-        rng = np.random.Generator(np.random.Philox(47))
-        targets = 1.0 + rng.choice([-1.0, 1.0], 150) * 10.0 ** rng.uniform(-2.5, -1.0, 150)
-        points = np.concatenate([rng.uniform(-1.0, 1.0, (150, 4)), _points_at(rng, targets)])
-        default = lp_membership_batch(points, grid_n=64)
-        rules = []
-        grid_pricer = lhs_oracle._grid_pricer
-
-        def recording(grid_n):
-            price = grid_pricer(grid_n)
-
-            def recorded(duals, eps, bland):
-                rules.append(bland)
-                return price(duals, eps, bland)
-
-            return recorded
-
-        monkeypatch.setattr(simplex, "BLAND_AFTER", 0)
-        monkeypatch.setattr(lhs_oracle, "_grid_pricer", recording)
-        bland = lp_membership_batch(points, grid_n=64)
-        assert rules and all(rules)
-        assert [r.verdict for r in bland] == [r.verdict for r in default]
-        assert [r.lp_feasible for r in bland] == [r.lp_feasible for r in default]
+        assert price([0.0, 0.0, 0.0, 0.0, -1.0], PIVOT_EPS)[:2] == (0, -1.0)
+        assert price([0.0, 0.0, 0.0, 0.0, 0.0], PIVOT_EPS) is None
 
     def test_grid_is_free(self):
         # At the largest grid the atom matrix alone would take 84 MB, and

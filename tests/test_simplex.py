@@ -3,7 +3,7 @@ import pytest
 
 from chsh_steering import lhs_oracle, simplex
 from chsh_steering.simplex import (
-    BLAND_AFTER,
+    DEFAULT_LP_TOL,
     MAX_LP_TOL,
     PIVOT_EPS,
     OracleError,
@@ -55,20 +55,22 @@ def _beale_problem():
     return dense_pricer(A, c), A.shape[1], tableau, [4, 5, 6]
 
 
-def test_bland_terminates_on_cycling_example(monkeypatch):
+def test_lexicographic_rule_terminates_on_cycling_example(monkeypatch):
     monkeypatch.setattr(simplex, "DEFAULT_MAX_ITER", 1000)
     price, n, tableau, basis = _beale_problem()
-    _revised_pivots(price, n, [1.0] * 3, tableau, basis)
+    calls = []
+
+    def counted(duals, eps):
+        calls.append(duals)
+        return price(duals, eps)
+
+    _revised_pivots(counted, n, [1.0] * 3, tableau, basis)
     # The bottom-right entry is -z; the optimum of Beale's LP is z = -1/20.
+    # The first pivot ties rows 0 and 1 at ratio 0; a lowest-basic-index
+    # tie-break takes row 0 there and cycles to the iteration limit.
     assert tableau[3][3] == pytest.approx(0.05, abs=1e-10)
-
-
-def test_cycling_example_hits_limit_without_bland(monkeypatch):
-    monkeypatch.setattr(simplex, "DEFAULT_MAX_ITER", 1000)
-    monkeypatch.setattr(simplex, "BLAND_AFTER", 10**9)
-    price, n, tableau, basis = _beale_problem()
-    with pytest.raises(OracleError, match="iteration limit"):
-        _revised_pivots(price, n, [1.0] * 3, tableau, basis)
+    # Two pivots, then the pricing call that finds no entering column.
+    assert len(calls) == 3
 
 
 def test_unbounded_ray_raises_oracle_error():
@@ -154,7 +156,11 @@ def _dense_phase1(A, b):
     """The dense-tableau phase 1 the revised kernel replaced, kept as reference.
 
     Returns (feasible at tol 1e-9, residuals) from an explicit
-    (m+1) x (n+m+1) tableau with the same entering, Bland and leaving rules.
+    (m+1) x (n+m+1) tableau over the sign-flipped rows ``flip * A``, whose
+    artificial basis starts as the identity. It breaks a ratio tie by the
+    least row of that tableau's artificial block, which is B^-1 with its
+    columns scaled by ``flip``: another lexicographic order than the
+    kernel's wherever some b_i < 0, and anti-cycling on its own.
     """
     m, n = A.shape
     flip = np.where(b < 0.0, -1.0, 1.0)
@@ -166,35 +172,19 @@ def _dense_phase1(A, b):
     tableau[m, :n] = -A1.sum(axis=0)
     tableau[m, -1] = -tableau[:m, -1].sum()
     basis = np.arange(n, n + m)
-    width = n + m
-    stall, bland = 0, False
-    last_objective = tableau[m, -1]
     while True:
-        reduced = tableau[m, :width]
-        if bland:
-            negative = np.nonzero(reduced < -PIVOT_EPS)[0]
-            if negative.size == 0:
-                break
-            col = int(negative[0])
-        else:
-            col = int(np.argmin(reduced))
-            if reduced[col] >= -PIVOT_EPS:
-                break
+        col = int(np.argmin(tableau[m, :n + m]))
+        if tableau[m, col] >= -PIVOT_EPS:
+            break
         column = tableau[:m, col]
         rows = np.nonzero(column > PIVOT_EPS)[0]
-        ratios = tableau[rows, -1] / column[rows]
-        tied = rows[ratios == ratios.min()]
-        row = int(tied[np.argmin(basis[tied])])
+        keys = (tableau[rows][:, [-1, *range(n, n + m)]] / column[rows, None]).tolist()
+        row = int(rows[keys.index(min(keys))])
         tableau[row, :] /= tableau[row, col]
         factors = tableau[:, col].copy()
         factors[row] = 0.0
         tableau -= np.outer(factors, tableau[row, :])
         basis[row] = col
-        if tableau[m, -1] > last_objective:
-            last_objective, stall = tableau[m, -1], 0
-        else:
-            stall += 1
-            bland = bland or stall >= BLAND_AFTER
     residuals = np.zeros(m)
     artificial = basis >= n
     residuals[basis[artificial] - n] = tableau[:m, -1][artificial]
@@ -215,3 +205,29 @@ def test_matches_dense_tableau_reference(grid_n):
         assert feasible == ref_feasible
         assert abs(residuals.sum() - ref_residuals.sum()) <= 1e-9
         assert all(value >= 0.0 for value in x.values())
+
+
+@pytest.mark.parametrize("grid_n", [8, 64])
+def test_degenerate_points_match_dense_reference(grid_n):
+    # Dyadic points (quarters and eighths) and points with two zero
+    # coordinates tie the minimum ratio, so the lexicographic tie-break
+    # chooses many of their pivots.
+    A = oracle_matrix(grid_n)
+    price = lhs_oracle._grid_pricer(grid_n)
+    rng = np.random.Generator(np.random.Philox(59 + grid_n))
+    half_zero = rng.uniform(-1.0, 1.0, (40, 4))
+    half_zero[np.arange(40)[:, None], rng.permuted(np.tile(np.arange(4), (40, 1)), axis=1)[:, :2]] = 0.0
+    points = np.concatenate([rng.integers(-4, 5, (40, 4)) / 4.0,
+                             rng.integers(-8, 9, (40, 4)) / 8.0, half_zero])
+    for point in points:
+        b = np.append(point, 1.0)
+        feasible, x, residuals = lp_feasibility(price, 2 * grid_n, b)
+        ref_feasible, ref_residuals = _dense_phase1(A, b)
+        assert feasible == ref_feasible
+        assert abs(residuals.sum() - ref_residuals.sum()) <= 1e-9
+        # A basic value that is zero in exact arithmetic may round to -1e-17.
+        assert all(value >= -DEFAULT_LP_TOL for value in x.values())
+        if feasible:
+            dense = np.zeros(2 * grid_n)
+            dense[list(x)] = list(x.values())
+            assert np.abs(A @ dense - b).max() <= DEFAULT_LP_TOL

@@ -23,11 +23,12 @@ widened envelope exp(-eta x^2 / 2) and the coefficient polynomial used in
 from __future__ import annotations
 
 import math
+import os
+import threading
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import workers
 from .correlation_model import CORRELATOR_NAMES, CorrelationSet
 from .qubit_core import (
     IDENTITY2,
@@ -50,8 +51,8 @@ NO_STEERING = "no_steering"
 
 DEFAULT_GRID_CELLS = 4096
 DEFAULT_SPAN = 6.0
-# Smallest efficiency the Monte Carlo serves (1/8192): there a pair's grid
-# widens to 64 * DEFAULT_GRID_CELLS cells, 4.3 MB of tables per pair.
+# Smallest efficiency the Monte Carlo serves (1/8192): there its grid widens
+# to 64 * DEFAULT_GRID_CELLS cells, 6.6 MB of tables per call.
 MIN_MC_ETA = 0.5 / 64 ** 2
 # Largest Monte Carlo sample count per setting pair: about 4 minutes at the
 # measured 0.24 s per 1e6 samples (2-core x86-64). A larger count would run
@@ -130,22 +131,15 @@ def homodyne_effects(phi: float, eta: float):
     return eye + half, eye - half
 
 
-def _setting_pairs(eta_alice: float, eta_bob: float):
-    """(phi_a, eta_a, phi_b, eta_b) of the four setting pairs in correlator
-    order (AB, A'B, AB', A'B')."""
-    return [(phi_a, eta_alice, phi_b, eta_bob)
-            for phi_b in BOB_PHASES for phi_a in ALICE_PHASES]
-
-
 def experiment_correlations(state: SinglePhotonState, eta_alice: float,
                             eta_bob: float) -> CorrelationSet:
     """Exact sign-binned correlators of the split photon at the experiment's
     phases."""
     rho = state_density(state)
-    return CorrelationSet(*(
-        quantum_correlator(rho, homodyne_effects(phi_a, eta_a)[0],
-                           homodyne_effects(phi_b, eta_b)[0])
-        for phi_a, eta_a, phi_b, eta_b in _setting_pairs(eta_alice, eta_bob)))
+    alice = [homodyne_effects(phi, eta_alice)[0] for phi in ALICE_PHASES]
+    bob = [homodyne_effects(phi, eta_bob)[0] for phi in BOB_PHASES]
+    # Correlator order (AB, A'B, AB', A'B'): Alice's setting varies fastest.
+    return CorrelationSet(*(quantum_correlator(rho, a, b) for b in bob for a in alice))
 
 
 @dataclass(frozen=True)
@@ -262,40 +256,50 @@ class MonteCarloCorrelations:
         return out
 
 
-def _pair_sampler_arrays(rho: np.ndarray, phi_a: float, eta_a: float,
-                         phi_b: float, eta_b: float):
-    """Precompute the arrays ``_positive_products`` takes after ``u`` for
-    sampling one setting pair on its ``_pair_grid``."""
+def _sampler_tables(rho: np.ndarray, eta_alice: float, eta_bob: float):
+    """The arrays ``_positive_products`` takes after ``u``, one tuple per
+    setting pair in correlator order (AB, A'B, AB', A'B').
+
+    The efficiencies belong to the parties, so all four pairs share one grid
+    and the two pairs at each Alice phase share its ``cdf_a`` and ``guide``;
+    only ``below`` and ``total`` are per pair.
+    """
     # The operators come first, so an efficiency outside (0, 1] is reported
     # as such rather than as below the grid's MIN_MC_ETA. Bob's identity in
-    # the last column gives the first party's marginal.
-    table = expectation_table(rho, _g_operators(phi_a, eta_a),
-                              (*_g_operators(phi_b, eta_b), IDENTITY2))
-    coef, marginal = table[:, :3], table[:, 3]
+    # the last column gives Alice's marginal, the same bits at either Bob
+    # phase.
+    alice_ops = [_g_operators(phi, eta_alice) for phi in ALICE_PHASES]
+    bob_ops = [(*_g_operators(phi, eta_bob), IDENTITY2) for phi in BOB_PHASES]
+    tables = [expectation_table(rho, a, b) for b in bob_ops for a in alice_ops]
 
-    grid_cells, span = _pair_grid(eta_a, eta_b)
+    grid_cells, span = _pair_grid(eta_alice, eta_bob)
     grid = np.linspace(-span, span, grid_cells + 1)
     # Even cell count: the middle knot is 0, which the sign-only sampler
     # relies on. linspace can leave it a few ulps off, so pin it.
     grid[grid_cells // 2] = 0.0
     dx = grid[1] - grid[0]
-
     powers = np.stack([np.ones_like(grid), grid, grid * grid])
-    pdf_a = np.maximum(_envelope(grid, eta_a) * (marginal @ powers), 0.0)
-    cdf_a = _cumtrapz(pdf_a, dx)
-    if cdf_a[-1] <= 0.0:
-        raise ValueError("degenerate marginal density on the sampling grid")
-    cdf_a /= cdf_a[-1]
+
+    env_a = _envelope(grid, eta_alice)
+    alice = []
+    for table in tables[:len(ALICE_PHASES)]:
+        pdf_a = np.maximum(env_a * (table[:, 3] @ powers), 0.0)
+        cdf_a = _cumtrapz(pdf_a, dx)
+        if cdf_a[-1] <= 0.0:
+            raise ValueError("degenerate marginal density on the sampling grid")
+        cdf_a /= cdf_a[-1]
+        alice.append((cdf_a, _guide_table(cdf_a)))
 
     # Bob's masses up to the 0 knot and over the grid, from the trapezoid sums.
-    env_b = _envelope(grid, eta_b)
+    env_b = _envelope(grid, eta_bob)
     cum_b = np.stack([_cumtrapz(env_b * p, dx) for p in powers])
-    return (grid, cdf_a, _guide_table(cdf_a),
-            coef @ cum_b[:, grid_cells // 2], coef @ cum_b[:, -1])
+    return [(grid, *alice[i % len(ALICE_PHASES)],
+             table[:, :3] @ cum_b[:, grid_cells // 2], table[:, :3] @ cum_b[:, -1])
+            for i, table in enumerate(tables)]
 
 
 def _pair_grid(eta_a: float, eta_b: float) -> tuple[int, float]:
-    """Cell count and span of one pair's grid, by the rule that
+    """Cell count and span of the sampling grid, by the rule that
     ``monte_carlo_correlations`` states; exactly the defaults at eta >= 0.5."""
     eta = min(eta_a, eta_b)
     if eta < MIN_MC_ETA:
@@ -356,10 +360,50 @@ def _positive_products(u, grid, cdf_a, guide, below, total):
     return (x >= 0.0) == (mass_below <= u[:, 1] * mass)
 
 
+def _usable_cores() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+# Threads of the process-wide pool that the Monte Carlo samples on: one per
+# core in this process's CPU affinity, at most four. It only sizes the pool;
+# each call submits its four setting pairs as four tasks whatever its value.
+_THREADS = min(4, _usable_cores())
+_POOL = None
+_POOL_LOCK = threading.Lock()
+
+
+def _pool():
+    """The shared ``ThreadPoolExecutor``, created on first use."""
+    global _POOL
+    with _POOL_LOCK:
+        if _POOL is None:
+            # Imported here: it would add several ms to every CLI start-up.
+            from concurrent.futures import ThreadPoolExecutor
+            _POOL = ThreadPoolExecutor(_THREADS, thread_name_prefix="chsh-worker")
+        return _POOL
+
+
+def _forget_pool() -> None:
+    """Drop the parent's pool in a forked child, which inherits the executor
+    but none of its threads, so its first task would wait forever."""
+    global _POOL, _POOL_LOCK
+    _POOL = None
+    _POOL_LOCK = threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):  # absent where there is no fork
+    os.register_at_fork(after_in_child=_forget_pool)
+
+
 def _count_positive(arrays, seed: np.random.SeedSequence, n_samples: int) -> int:
     """Number of +1 sign products in ``n_samples`` draws for one pair.
 
-    Runs on a pool thread, so it calls only NumPy and private helpers.
+    Runs on a ``_pool`` thread, so it calls only NumPy, which releases the
+    interpreter lock, and private helpers, never a public function of the
+    package.
     Consecutive draws continue one stream, so blocks reproduce a single
     (n_samples, 2) draw.
     """
@@ -392,8 +436,9 @@ def monte_carlo_correlations(state: SinglePhotonState, eta_alice: float,
     Streams are counter-based (Philox) and spawned per pair, so results are
     reproducible for a fixed seed and the per-pair sampling is a pure
     elementwise map of its uniforms (shards over sample ranges merge
-    deterministically). The pairs are sampled concurrently on the
-    process-wide ``workers.pool()``, with one thread per core in this
+    deterministically). The tables are built once per call: one grid, and
+    one x inverse CDF per Alice phase. The four pairs are sampled
+    concurrently on a process-wide pool with one thread per core in this
     process's CPU affinity, at most four; each pair's exact count of +1
     products does not depend on the scheduling, so neither does the result.
     """
@@ -401,10 +446,8 @@ def monte_carlo_correlations(state: SinglePhotonState, eta_alice: float,
         raise ValueError(f"n_samples must lie in [1, {MAX_MC_SAMPLES}], got {n_samples}")
     rho = state_density(state)
     children = np.random.SeedSequence(seed).spawn(4)
-    tables = [_pair_sampler_arrays(rho, *pair)
-              for pair in _setting_pairs(eta_alice, eta_bob)]
-    counts = workers.pool().map(_count_positive, tables, children,
-                              [n_samples] * 4)
+    counts = _pool().map(_count_positive, _sampler_tables(rho, eta_alice, eta_bob),
+                         children, [n_samples] * 4)
     means = []
     errors = []
     for plus in counts:

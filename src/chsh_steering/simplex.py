@@ -122,7 +122,9 @@ def lp_feasibility(price, n, b, *, tol: float = DEFAULT_LP_TOL):
     Returns (feasible, x, residuals), where residuals[i] is the absolute
     infeasibility left in row i at the phase-1 optimum and ``x`` maps each
     basic real column to its value at the phase-1 point, whether or not the
-    tolerance test passes; every other real variable is 0. A malformed or
+    tolerance test passes; every other real variable is 0. A basic value
+    that is zero in exact arithmetic may round to about -1e-16, so each is
+    reported as ``max(value, 0.0)``. A malformed or
     non-finite ``b``, or a ``tol`` outside [0, ``MAX_LP_TOL``], raises
     ``ValueError``.
     """
@@ -155,5 +157,5 @@ def lp_feasibility(price, n, b, *, tol: float = DEFAULT_LP_TOL):
         if var >= n:
             residuals[var - n] = row[m]
         else:
-            x[var] = row[m]
+            x[var] = max(row[m], 0.0)
     return max(residuals, default=0.0) <= tol, x, np.array(residuals)

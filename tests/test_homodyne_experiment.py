@@ -1,11 +1,20 @@
+import importlib
+import inspect
 import math
+import multiprocessing
+import pkgutil
+import queue
+import threading
+import warnings
 
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from chsh_steering import homodyne_experiment
+import chsh_steering
+from chsh_steering import homodyne_experiment, violation_search
 from chsh_steering.homodyne_experiment import (
+    ALICE_PHASES,
     BOB_PHASES,
     DEFAULT_GRID_CELLS,
     DEFAULT_SPAN,
@@ -29,13 +38,13 @@ from chsh_steering.homodyne_experiment import (
     _g_operators,
     _guide_table,
     _pair_grid,
-    _pair_sampler_arrays,
     _positive_products,
-    _setting_pairs,
+    _sampler_tables,
 )
 from chsh_steering.correlation_model import CorrelationSet
 from chsh_steering.qubit_core import projector_from_params, quantum_correlator
 from chsh_steering.steering_witness import steering_inequality
+from concurrency import run_concurrently
 from reference import maximally_entangled
 
 
@@ -189,6 +198,9 @@ _OUT_OF_RANGE_CALLS = {
         SinglePhotonState(np.deg2rad(22.5), 1.0), 0.85, 0.0),
     "monte_carlo_correlations": lambda: monte_carlo_correlations(
         SinglePhotonState(np.deg2rad(22.5), 1.0), 1.5, 0.85, 10, seed=0),
+    # Alice's efficiency is checked before the grid that eta_bob would refuse.
+    "monte_carlo_correlations eta_bob below MIN_MC_ETA": lambda: monte_carlo_correlations(
+        SinglePhotonState(np.deg2rad(22.5), 1.0), 1.5, 1e-5, 10, seed=0),
 }
 
 
@@ -326,8 +338,7 @@ class TestMonteCarlo:
                                                     (0.5, 1.0), (0.85, 0.85)])
     def test_default_grid_from_eta_one_half(self, eta_alice, eta_bob):
         # The span only widens below eta 0.5, so results there keep their bytes.
-        for _, eta_a, _, eta_b in _setting_pairs(eta_alice, eta_bob):
-            assert _pair_grid(eta_a, eta_b) == (DEFAULT_GRID_CELLS, DEFAULT_SPAN)
+        assert _pair_grid(eta_alice, eta_bob) == (DEFAULT_GRID_CELLS, DEFAULT_SPAN)
 
     @pytest.mark.parametrize("eta", [0.49, 0.3, 0.1, 0.05, 0.02, 1e-3, MIN_MC_ETA])
     def test_grid_widens_with_the_envelope(self, eta):
@@ -365,7 +376,7 @@ class TestMonteCarlo:
         # The kernel maps each uniform pair independently, so splitting the
         # sample range into shards and concatenating reproduces the full run.
         rho = state_density(SinglePhotonState(np.deg2rad(22.5), 0.9))
-        arrays = _pair_sampler_arrays(rho, *_setting_pairs(0.85, 0.85)[0])
+        arrays = _sampler_tables(rho, 0.85, 0.85)[0]
         u = np.random.Generator(np.random.Philox(31)).random((10000, 2))
         whole = _positive_products(u, *arrays)
         shards = [_positive_products(np.ascontiguousarray(u[a:b]), *arrays)
@@ -373,18 +384,21 @@ class TestMonteCarlo:
         assert np.array_equal(whole, np.concatenate(shards))
 
 
-def _sampler_arrays_on_grid(monkeypatch, rho, pair, grid_cells, span):
-    """``_pair_sampler_arrays`` for ``pair`` (phi_a, eta_a, phi_b, eta_b) with
-    the default grid set to ``grid_cells`` cells over [-span, span];
-    ``_pair_grid`` still widens it below eta 0.5."""
+# (phi_a, phi_b) of the four setting pairs in correlator order.
+_PHASE_PAIRS = [(phi_a, phi_b) for phi_b in BOB_PHASES for phi_a in ALICE_PHASES]
+
+
+def _sampler_tables_on_grid(monkeypatch, rho, eta_a, eta_b, grid_cells, span):
+    """``_sampler_tables`` with the default grid set to ``grid_cells`` cells
+    over [-span, span]; ``_pair_grid`` still widens it below eta 0.5."""
     monkeypatch.setattr(homodyne_experiment, "DEFAULT_GRID_CELLS", grid_cells)
     monkeypatch.setattr(homodyne_experiment, "DEFAULT_SPAN", span)
-    return _pair_sampler_arrays(rho, *pair)
+    return _sampler_tables(rho, eta_a, eta_b)
 
 
 def _reference_sampler_arrays(rho, phi_a, eta_a, phi_b, eta_b, grid_cells, span):
-    """``_pair_sampler_arrays`` with one scalar einsum per expectation, as it
-    was before it called ``expectation_table``."""
+    """One setting pair's sampler tables, built for that pair alone with one
+    scalar einsum per expectation, as before ``expectation_table``."""
     grid = np.linspace(-span, span, grid_cells + 1)
     grid[grid_cells // 2] = 0.0
     dx = grid[1] - grid[0]
@@ -464,9 +478,9 @@ def _reference_monte_carlo(state, eta_alice, eta_bob, n_samples, seed):
     rho = state_density(state)
     children = np.random.SeedSequence(seed).spawn(4)
     means, errors = [], []
-    for pair_idx, pair in enumerate(_setting_pairs(eta_alice, eta_bob)):
+    for pair_idx, (phi_a, phi_b) in enumerate(_PHASE_PAIRS):
         grid, cdf_a, _, coef, cum_b = _reference_sampler_arrays(
-            rho, *pair, *_pair_grid(eta_alice, eta_bob))
+            rho, phi_a, eta_alice, phi_b, eta_bob, *_pair_grid(eta_alice, eta_bob))
         rng = np.random.Generator(np.random.Philox(children[pair_idx]))
         u = rng.random((n_samples, 2))
         mean = float(_reference_mc_products(u, grid, cdf_a, coef, cum_b).mean())
@@ -492,9 +506,10 @@ class TestSignOnlyKernel:
                                              p1, eta_a, eta_b):
         rho = state_density(SinglePhotonState(np.deg2rad(theta_deg), p1))
         rng = np.random.Generator(np.random.Philox(grid_cells))
-        for pair in _setting_pairs(eta_a, eta_b):
-            arrays = _sampler_arrays_on_grid(monkeypatch, rho, pair, grid_cells, 6.0)
-            reference = _reference_sampler_arrays(rho, *pair, *_pair_grid(pair[1], pair[3]))
+        tables = _sampler_tables_on_grid(monkeypatch, rho, eta_a, eta_b, grid_cells, 6.0)
+        for (phi_a, phi_b), arrays in zip(_PHASE_PAIRS, tables, strict=True):
+            reference = _reference_sampler_arrays(rho, phi_a, eta_a, phi_b, eta_b,
+                                                  *_pair_grid(eta_a, eta_b))
             for a, b in zip(arrays, _kernel_arrays(*reference), strict=True):
                 assert np.array_equal(a, b)
             u = rng.random((20000, 2))
@@ -502,14 +517,16 @@ class TestSignOnlyKernel:
             expected = _reference_mc_products(u, grid, cdf_a, coef, cum_b) > 0.0
             assert np.array_equal(_positive_products(u, *arrays), expected)
 
-    @pytest.mark.parametrize("pair", _setting_pairs(1.0, 1.0))
+    @pytest.mark.parametrize("pair", list(enumerate(_PHASE_PAIRS)))
     def test_products_match_bisection_kernel_on_empty_cells(self, monkeypatch, pair):
         # At span 12 and eta 1 the tails of cdf_a round to 0 and 1, so
         # hundreds of cells are empty; the unguarded interpolation never
         # lands in one, even at the edge uniforms 0 and 1 - 2^-53.
         rho = state_density(SinglePhotonState(np.deg2rad(22.5), 1.0))
-        arrays = _sampler_arrays_on_grid(monkeypatch, rho, pair, 4096, 12.0)
-        grid, cdf_a, _, coef, cum_b = _reference_sampler_arrays(rho, *pair, 4096, 12.0)
+        index, (phi_a, phi_b) = pair
+        arrays = _sampler_tables_on_grid(monkeypatch, rho, 1.0, 1.0, 4096, 12.0)[index]
+        grid, cdf_a, _, coef, cum_b = _reference_sampler_arrays(rho, phi_a, 1.0, phi_b,
+                                                                1.0, 4096, 12.0)
         assert np.count_nonzero(arrays[1][1:] == arrays[1][:-1]) > 100
         edges = np.array([0.0, 1.0 - 2.0 ** -53])
         u = np.concatenate([
@@ -524,27 +541,45 @@ class TestSignOnlyKernel:
                                                      theta_deg, p1, eta_a, eta_b):
         rho = state_density(SinglePhotonState(np.deg2rad(theta_deg), p1))
         edges = np.arange(_GUIDE_BUCKETS + 1) / _GUIDE_BUCKETS
-        for pair in _setting_pairs(eta_a, eta_b):
-            _, cdf_a, guide, _, _ = _sampler_arrays_on_grid(
-                monkeypatch, rho, pair, grid_cells, 6.0)
+        for _, cdf_a, guide, _, _ in _sampler_tables_on_grid(
+                monkeypatch, rho, eta_a, eta_b, grid_cells, 6.0):
             expected = np.searchsorted(cdf_a, edges, side="right") - 1
             assert np.array_equal(guide, expected)
 
-    @pytest.mark.parametrize("eta_a, eta_b", [(1.0, 1.0), (0.85, 0.85), (0.9, 0.3)])
+    @pytest.mark.parametrize("eta_a, eta_b", [(1.0, 1.0), (0.85, 0.85), (0.9, 0.3),
+                                              (0.9, 0.2), (MIN_MC_ETA, MIN_MC_ETA)])
     def test_sampler_arrays_match_scalar_loops(self, eta_a, eta_b):
         rng = np.random.Generator(np.random.Philox(83))
         states = ([_random_density(rng, 4) for _ in range(4)]
                   + [state_density(SinglePhotonState(rng.uniform(0.0, np.pi / 4.0),
                                                      rng.uniform(0.5, 1.0)))
                      for _ in range(4)])
+        cells, span = _pair_grid(eta_a, eta_b)
         for rho in states:
-            for pair in _setting_pairs(eta_a, eta_b):
-                cells, span = _pair_grid(eta_a, eta_b)
-                got = _pair_sampler_arrays(rho, *pair)
-                expected = _kernel_arrays(*_reference_sampler_arrays(rho, *pair,
-                                                                     cells, span))
+            tables = _sampler_tables(rho, eta_a, eta_b)
+            # The efficiencies belong to the parties: one grid for all four
+            # pairs and one inverse CDF per Alice phase (AB and AB', A'B and
+            # A'B'), yet each pair's tuple is the bits of building it alone.
+            assert all(t[0] is tables[0][0] for t in tables)
+            for i, j in ((0, 2), (1, 3)):
+                assert tables[i][1] is tables[j][1] and tables[i][2] is tables[j][2]
+            for (phi_a, phi_b), got in zip(_PHASE_PAIRS, tables, strict=True):
+                expected = _kernel_arrays(*_reference_sampler_arrays(
+                    rho, phi_a, eta_a, phi_b, eta_b, cells, span))
                 for a, b in zip(got, expected, strict=True):
                     assert np.array_equal(a, b)
+
+    def test_table_bytes_at_the_efficiency_floor(self):
+        # One grid and two inverse CDFs of 64 * 4096 + 1 knots, two guide
+        # tables and the pairs' coefficients: 6.6 MB, where building each
+        # pair's tables on its own kept 17.3 MB.
+        rho = state_density(SinglePhotonState(np.deg2rad(22.5), 0.9))
+        tables = _sampler_tables(rho, MIN_MC_ETA, MIN_MC_ETA)
+        distinct = {id(a): a for t in tables for a in t}.values()
+        knots = 64 * DEFAULT_GRID_CELLS + 1
+        coefficients = 8 * 3 * 8
+        assert (sum(a.nbytes for a in distinct)
+                <= 3 * knots * 8 + 2 * (_GUIDE_BUCKETS + 1) * 8 + coefficients)
 
     @pytest.mark.parametrize("n", [1, _MC_BLOCK - 1, _MC_BLOCK, _MC_BLOCK + 1,
                                    3 * _MC_BLOCK + 7])
@@ -558,8 +593,7 @@ class TestSignOnlyKernel:
     @pytest.mark.parametrize("span, grid_cells", [(6.0, 5000), (3.3, 100), (3.3, 3000)])
     def test_middle_knot_is_exactly_zero(self, monkeypatch, span, grid_cells):
         rho = state_density(SinglePhotonState(np.deg2rad(22.5), 1.0))
-        pair = _setting_pairs(1.0, 1.0)[0]
-        grid = _sampler_arrays_on_grid(monkeypatch, rho, pair, grid_cells, span)[0]
+        grid = _sampler_tables_on_grid(monkeypatch, rho, 1.0, 1.0, grid_cells, span)[0][0]
         assert grid[grid_cells // 2] == 0.0
         spaced = np.linspace(-span, span, grid_cells + 1)
         spaced[grid_cells // 2] = 0.0
@@ -567,7 +601,7 @@ class TestSignOnlyKernel:
 
     def test_default_grid_is_plain_linspace(self):
         rho = state_density(SinglePhotonState(np.deg2rad(22.5), 1.0))
-        grid = _pair_sampler_arrays(rho, *_setting_pairs(1.0, 1.0)[0])[0]
+        grid = _sampler_tables(rho, 1.0, 1.0)[0][0]
         assert np.array_equal(grid, np.linspace(-6.0, 6.0, 4097))
 
 
@@ -594,3 +628,94 @@ def test_maximally_entangled_state_matches_fock_form():
     expected = 2.0 / np.pi * np.sqrt(0.5)
     assert np.abs(np.abs(c.as_array()) - expected).max() <= 1e-12
     assert maximally_entangled().shape == (4, 4)
+
+
+# ---------------------------------------------------------------------------
+# The process-wide pool the Monte Carlo samples on
+# ---------------------------------------------------------------------------
+
+_POOL_STATE = SinglePhotonState(np.deg2rad(22.5), 0.9)
+
+
+def _mc(seed):
+    return monte_carlo_correlations(_POOL_STATE, 0.85, 0.7, 3000, seed=seed)
+
+
+def test_concurrent_callers_share_the_pool():
+    # More callers than the pool has threads, all on the one process-wide
+    # pool: each must get the result of a lone call.
+    calls = [(_mc, (seed,)) for seed in range(8)]
+    assert run_concurrently(calls) == [fn(*args) for fn, args in calls]
+
+
+def _both():
+    coarse = violation_search.state_scan(state_density(_POOL_STATE),
+                                         bloch_resolution=24)[2]
+    return _mc(7), coarse.tobytes()
+
+
+def _child(results):
+    results.put(_both())
+
+
+@pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
+                    reason="this platform cannot fork")
+def test_forked_child_gets_a_pool_of_its_own():
+    # The child inherits the parent's pool object but none of its threads;
+    # without a fresh pool its first task would wait forever.
+    expected = _both()
+    context = multiprocessing.get_context("fork")
+    results = context.Queue()
+    child = context.Process(target=_child, args=(results,))
+    with warnings.catch_warnings():
+        # Newer Pythons warn that forking a threaded process may deadlock,
+        # which is the case under test.
+        warnings.simplefilter("ignore", DeprecationWarning)
+        child.start()
+    try:
+        got = results.get(timeout=30)
+    except queue.Empty:
+        got = None
+    finally:
+        child.join(timeout=10)
+        if child.is_alive():
+            child.kill()
+            child.join()
+    assert got is not None, "the forked child did not finish within 30 s"
+    assert got == expected
+    assert child.exitcode == 0
+
+
+def _public_functions():
+    """(module, name, function) of every public function defined in a package
+    module, for each package namespace that holds it under that name."""
+    modules = [chsh_steering] + [importlib.import_module(f"chsh_steering.{info.name}")
+                                 for info in pkgutil.iter_modules(chsh_steering.__path__)]
+    for home in modules[1:]:
+        for name, fn in vars(home).items():
+            if (inspect.isfunction(fn) and not name.startswith("_")
+                    and fn.__module__ == home.__name__):
+                for module in modules:
+                    if vars(module).get(name) is fn:
+                        yield module, name, fn
+
+
+def test_no_public_function_runs_on_a_pool_thread(monkeypatch):
+    # A benchmark tracer that wraps public functions keeps one span stack,
+    # which a call from a pool thread would corrupt.
+    records = []
+
+    def recorded(fn):
+        def wrapper(*args, **kwargs):
+            records.append((fn.__qualname__, threading.current_thread()))
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for module, name, fn in list(_public_functions()):
+        monkeypatch.setattr(module, name, recorded(fn))
+    # Called through their modules, where the wrappers sit.
+    violation_search.state_scan(state_density(_POOL_STATE), bloch_resolution=24)
+    homodyne_experiment.monte_carlo_correlations(_POOL_STATE, 0.85, 0.7, 3000, seed=11)
+    caller = threading.current_thread()
+    assert {"state_scan", "monte_carlo_correlations"} <= {n for n, _ in records}
+    assert [n for n, thread in records if thread is not caller] == []

@@ -20,6 +20,7 @@ from chsh_steering.violation_search import (
     angle_correlations_array,
     state_scan,
 )
+from concurrency import run_concurrently
 from reference import alice_projector, maximally_entangled
 
 
@@ -183,6 +184,20 @@ class TestStateScan:
         finally:
             tracemalloc.stop()
         assert peak < limit
+
+
+def _scan(p1, resolution):
+    best, value, coarse = state_scan(state_density(SinglePhotonState(0.3, p1)),
+                                     bloch_resolution=resolution)
+    return best, value, coarse.tobytes()
+
+
+def test_concurrent_state_scans():
+    # Eight scans at once, each of which prunes its own candidate columns:
+    # full rank (hull rule) and p1 = 0, a rank-1 block (segment rule).
+    calls = [(_scan, (p1, resolution)) for p1 in (0.9, 0.6, 1.0, 0.0)
+             for resolution in (24, 33)]
+    assert run_concurrently(calls) == [fn(*args) for fn, args in calls]
 
 
 PAULIS = np.array([[[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]])

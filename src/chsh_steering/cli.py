@@ -108,6 +108,8 @@ def _render_experiment_table(report) -> None:
 
 
 def cmd_experiment(args) -> int:
+    if args.seed is not None and args.mc is None:
+        raise ValueError("--seed needs --mc")
     if args.reported_s is not None:
         state_flags = [flag for flag, value in (
             ("--theta", args.theta), ("--p1", args.p1),
@@ -125,7 +127,7 @@ def cmd_experiment(args) -> int:
         state = SinglePhotonState(theta=np.deg2rad(args.theta), p1=args.p1)
         if args.mc is not None:
             mc = monte_carlo_correlations(state, eta_alice, args.eta_bob,
-                                          n_samples=args.mc, seed=args.seed)
+                                          n_samples=args.mc, seed=args.seed or 0)
             correlations = mc.correlations
         else:
             mc = None
@@ -269,7 +271,8 @@ def build_parser() -> argparse.ArgumentParser:
     experiment.add_argument("--eta-alice", type=_finite_float, default=None)
     experiment.add_argument("--mc", type=_mc_count, default=None,
                             help="Monte Carlo sample count (analytic if omitted)")
-    experiment.add_argument("--seed", type=_nonnegative_int, default=0)
+    experiment.add_argument("--seed", type=_nonnegative_int, default=None,
+                            help="Monte Carlo seed (default 0; needs --mc)")
     experiment.add_argument("--tol", type=_finite_float, default=VERDICT_TOL)
     experiment.add_argument("--format", choices=("json", "table"), default="json")
     experiment.set_defaults(func=cmd_experiment)

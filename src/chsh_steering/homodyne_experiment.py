@@ -162,28 +162,26 @@ class ExperimentReport:
         }
 
 
-def _experiment_verdict(lhs: float, bound: float, tol: float) -> str:
-    v = verdict(lhs, bound, tol)
-    if v == VIOLATED:
-        return STEERING
-    if v == BOUNDARY:
-        return BOUNDARY
-    return NO_STEERING
+def _report(lhs: float, chsh_s: float, eta_bob: float, tol: float) -> ExperimentReport:
+    """The report on a steering left-hand side ``lhs`` against the
+    efficiency-corrected bound 2*gamma(eta_bob)."""
+    g = gamma(eta_bob)
+    v = verdict(lhs, 2.0 * g, tol)
+    return ExperimentReport(
+        gamma=g,
+        corrected_bound=2.0 * g,
+        steering_lhs=lhs,
+        chsh_s=chsh_s,
+        verdict={VIOLATED: STEERING, BOUNDARY: BOUNDARY}.get(v, NO_STEERING),
+    )
 
 
 def adjudicate(c: CorrelationSet, eta_bob: float,
                tol: float = VERDICT_TOL) -> ExperimentReport:
     """Compare the steering left-hand side against the efficiency-corrected
     bound 2*gamma(eta_bob)."""
-    g = gamma(eta_bob)
     lhs, _ = steering_inequality(c)
-    return ExperimentReport(
-        gamma=g,
-        corrected_bound=2.0 * g,
-        steering_lhs=lhs,
-        chsh_s=chsh_values(c)[CANONICAL_CHSH_INDEX],
-        verdict=_experiment_verdict(lhs, 2.0 * g, tol),
-    )
+    return _report(lhs, chsh_values(c)[CANONICAL_CHSH_INDEX], eta_bob, tol)
 
 
 def adjudicate_reported(s_max: float, eta_bob: float,
@@ -196,14 +194,7 @@ def adjudicate_reported(s_max: float, eta_bob: float,
     """
     if not 0.0 <= s_max <= 2.0 * np.sqrt(2.0):
         raise ValueError(f"s_max must lie in [0, 2*sqrt(2)], got {s_max}")
-    g = gamma(eta_bob)
-    return ExperimentReport(
-        gamma=g,
-        corrected_bound=2.0 * g,
-        steering_lhs=float(s_max),
-        chsh_s=float(s_max),
-        verdict=_experiment_verdict(float(s_max), 2.0 * g, tol),
-    )
+    return _report(float(s_max), float(s_max), eta_bob, tol)
 
 
 # ---------------------------------------------------------------------------

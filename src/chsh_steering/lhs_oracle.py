@@ -89,12 +89,12 @@ def model_correlations(model: LhsModel) -> CorrelationSet:
 
 
 def decompose(v: EBasisVector, tol: float = MEMBER_TOL) -> LhsModel:
-    """Write a member point as a mixture of at most four extremal atoms.
+    """Write a member point as a mixture of at most three extremal atoms.
 
     The radial parts of the two planes fix one atom each; whatever weight is
     left is split between an antipodal pair in the first plane, which cancels
-    and keeps the correlators unchanged. Raises ``NotAMemberError`` when
-    f(v) > 1 + tol.
+    and keeps the correlators unchanged. Atoms of zero weight are left out.
+    Raises ``NotAMemberError`` when f(v) > 1 + tol.
     """
     r1 = float(np.hypot(v.v1, v.v2))
     r2 = float(np.hypot(v.v3, v.v4))
@@ -103,21 +103,10 @@ def decompose(v: EBasisVector, tol: float = MEMBER_TOL) -> LhsModel:
             f"f={r1 + r2!r} exceeds 1; no local model exists for this point")
     xi_a = float(np.arctan2(v.v2, v.v1))
     xi_b = float(np.arctan2(v.v4, v.v3))
-    residual = max(1.0 - r1 - r2, 0.0)
-
-    weights: dict[tuple[int, float], float] = {}
-
-    def add(chi, xi, w):
-        if w > 0.0:
-            key = (chi, xi)
-            weights[key] = weights.get(key, 0.0) + w
-
-    add(1, xi_a, r1)
-    add(2, xi_b, r2)
-    add(1, xi_a, 0.5 * residual)
-    add(1, xi_a + np.pi, 0.5 * residual)
-    atoms = tuple((LhsAtom(chi, xi), w) for (chi, xi), w in weights.items())
-    return LhsModel(atoms)
+    half = 0.5 * max(1.0 - r1 - r2, 0.0)
+    atoms = ((LhsAtom(1, xi_a), r1 + half), (LhsAtom(2, xi_b), r2),
+             (LhsAtom(1, xi_a + np.pi), half))
+    return LhsModel(tuple((atom, w) for atom, w in atoms if w > 0.0))
 
 
 def boundary_band(grid_n: int, tol: float = DEFAULT_LP_TOL) -> float:
@@ -152,17 +141,21 @@ def _grid_pricer(grid_n: int):
     (sa c, sap c, sa s, sap s), c = cos xi, s = sin xi, so at duals y the
     reduced cost is y4 + p c + q s with p = y0 sa + y1 sap and
     q = y2 sa + y3 sap: a cosine over the circle, lowest at
-    xi = atan2(-q, -p). Each family evaluates only the grid index nearest
-    that angle and its two neighbours, each as the dot product of y with the
-    column summed left to right, and keeps the first index on a tie; p = q = 0
-    makes the family flat and takes its index 0. A dense ``y @ A`` may round
+    xi = atan2(-q, -p). The cosine grows with the distance from that angle,
+    so the family's grid minimum is one of the two grid angles that bracket
+    it, indices ``floor(atan2(-q, -p) * grid_n / 2 pi)`` and the next one
+    (mod ``grid_n``). Only those two are evaluated, each as the dot product
+    of y with the column summed left to right, in increasing column order so
+    that a strict ``<`` keeps the first index on a tie; p = q = 0 makes the
+    family flat and takes its index 0. A dense ``y @ A`` may round
     a reduced cost differently in its last bits, so where two columns lie
     within a few ulps of each other it may pick the other one. Nothing here
     knows the target point, let alone f; no column is stored, so the cost of
     a pivot does not grow with ``grid_n``.
     """
     units = grid_n / (2.0 * math.pi)  # grid steps per radian
-    two_pi, cos, sin, atan2 = 2.0 * math.pi, math.cos, math.sin, math.atan2
+    two_pi, cos, sin, atan2, floor = (
+        2.0 * math.pi, math.cos, math.sin, math.atan2, math.floor)
     families = ((0, *ALICE_SIGNS[1]), (grid_n, *ALICE_SIGNS[2]))
 
     def price(duals, eps):
@@ -172,14 +165,12 @@ def _grid_pricer(grid_n: int):
             # sa, sap are +-1, so u0 * c rounds exactly like y0 * (sa * c).
             u0, u1, u2, u3 = y0 * sa, y1 * sap, y2 * sa, y3 * sap
             p, q = u0 + u1, u2 + u3
-            near = round(atan2(-q, -p) * units) if p or q else 0
-            for k in (near - 1, near, near + 1):
-                k %= grid_n
+            low = floor(atan2(-q, -p) * units) % grid_n if p or q else 0
+            for k in (low, low + 1) if low + 1 < grid_n else (0, low):
                 xi = two_pi * k / grid_n
                 c, s = cos(xi), sin(xi)
                 reduced = u0 * c + u1 * c + u2 * s + u3 * s + y4
-                if (best is None or reduced < best_reduced
-                        or (reduced == best_reduced and offset + k < best[0])):
+                if best is None or reduced < best_reduced:
                     best, best_reduced = (offset + k, sa, sap, c, s), reduced
         if best is None or not best_reduced < -eps:
             return None

@@ -269,9 +269,8 @@ def state_scan(rho: np.ndarray, bloch_resolution: int = DEFAULT_BLOCH_RESOLUTION
     direction meets only the second ones near the hull of their correlator
     points (see ``_coarse_maxima``), so the time grows about as the square:
     ``bloch_resolution`` must lie between 4 and ``MAX_BLOCH_RESOLUTION``
-    (128: about 0.3 s of scan on one core of a 2-core x86-64 Xeon host,
-    where the threaded all-pairs scan took 2.5 s on two), else
-    ``ValueError``. The scan runs on the calling thread with about
+    (128: about 0.3 s of scan on one core of a 2-core x86-64 Xeon host),
+    else ``ValueError``. The scan runs on the calling thread with about
     ``_SCAN_BLOCK`` pairs in flight.
     """
     if bloch_resolution < 4:

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import os
@@ -8,8 +9,9 @@ import numpy as np
 import pytest
 
 import chsh_steering
-from chsh_steering import correlation_model
+from chsh_steering import correlation_model, lhs_oracle
 from chsh_steering.cli import main
+from chsh_steering.homodyne_experiment import gamma
 from reference import ellipse_hull_excess
 
 
@@ -114,6 +116,23 @@ class TestOracleCheck:
                                "--samples", "20", "--seed", "9")
         assert first == second
 
+    def test_disagreement_exits_one(self, capsys, monkeypatch):
+        batch = lhs_oracle.lp_membership_batch
+
+        def flip_first_decided(*args, **kwargs):
+            results = batch(*args, **kwargs)
+            i = next(i for i, r in enumerate(results) if r.verdict != lhs_oracle.BOUNDARY_BAND)
+            flipped = lhs_oracle.NON_MEMBER if results[i].verdict == lhs_oracle.MEMBER \
+                else lhs_oracle.MEMBER
+            results[i] = dataclasses.replace(results[i], verdict=flipped)
+            return results
+
+        monkeypatch.setattr(lhs_oracle, "lp_membership_batch", flip_first_decided)
+        code, out, _ = run_cli(capsys, "oracle", "check", "--grid", "64",
+                               "--samples", "20", "--seed", "1")
+        assert code == 1
+        assert json.loads(out)["disagreements"] == 1
+
 
 class TestExperiment:
     def test_reported_verdict(self, capsys):
@@ -125,6 +144,12 @@ class TestExperiment:
         assert payload["corrected_bound"] == pytest.approx(
             2.0 * math.sqrt(2.0 * 0.85 / math.pi), abs=1e-12)
         assert payload["verdict"] == "no_steering"
+
+    def test_reported_at_the_bound_is_boundary(self, capsys):
+        code, out, _ = run_cli(capsys, "experiment", "--reported-s",
+                               repr(2.0 * gamma(0.85)), "--eta-bob", "0.85")
+        assert code == 0
+        assert json.loads(out)["verdict"] == "boundary"
 
     def test_reported_table_shows_left_right(self, capsys):
         code, out, _ = run_cli(capsys, "experiment", "--reported-s", "1.330",
@@ -294,6 +319,24 @@ class TestRejectedInput:
         self.assert_rejected(*run_cli(capsys, "scan", "state", "--input", str(path),
                                       "--resolution", resolution))
 
+    @pytest.mark.parametrize("real", [
+        [[0.25, 0.5, 0.0, 0.0], [0.0, 0.25, 0.0, 0.0],
+         [0.0, 0.0, 0.25, 0.0], [0.0, 0.0, 0.0, 0.25]],  # not Hermitian
+        np.diag([0.5, 0.5, 0.5, -0.5]).tolist(),  # a negative eigenvalue
+    ])
+    def test_scan_state_rejects_a_non_density(self, capsys, tmp_path, real):
+        path = tmp_path / "state.json"
+        path.write_text(json.dumps({"real": real}))
+        self.assert_rejected(*run_cli(capsys, "scan", "state", "--input", str(path),
+                                      "--resolution", "6"))
+
+    def test_joint_matrix_of_the_wrong_shape(self, capsys, tmp_path):
+        path = tmp_path / "joint.json"
+        path.write_text(json.dumps({"joint": np.full((3, 3), 1.0 / 9.0).tolist()}))
+        code, out, err = run_cli(capsys, "witness", "eval", str(path))
+        self.assert_rejected(code, out, err)
+        assert "must be 4x4" in err
+
     @pytest.mark.parametrize("eta", ["nan", "inf", "5"])
     def test_reported_eta_bob_out_of_range(self, capsys, eta):
         self.assert_rejected(*run_cli(capsys, "experiment", "--reported-s", "1.33",
@@ -425,6 +468,10 @@ class TestRejectedInput:
         ("experiment", "--reported-s", "1.33", "--eta-bob", "0.85",
          "--eta-alice", "0.3"),
         ("experiment", "--reported-s", "1.33", "--eta-bob", "0.85", "--mc", "1000"),
+        # A seed means nothing without a Monte Carlo to seed.
+        ("experiment", "--reported-s", "1.33", "--eta-bob", "0.85", "--seed", "3"),
+        ("experiment", "--theta", "22.5", "--p1", "0.9", "--eta-bob", "0.85",
+         "--seed", "3"),
         ("experiment", "--theta", "22.5", "--p1", "0.9", "--eta-bob", "0.85",
          "--mc", str(2 ** 30 + 1)),
         # Each efficiency outside (0, 1], on the analytic and the sampled path.

@@ -1,3 +1,4 @@
+import itertools
 import math
 import tracemalloc
 
@@ -102,6 +103,7 @@ class TestDecompose:
         for v in random_members(rng, 1000):
             vec = EBasisVector(*v)
             model = decompose(vec)
+            assert len(model.atoms) <= 3
             back = model_correlations(model)
             assert np.abs(back.as_array() - from_e_basis(vec).as_array()).max() <= 1e-12
 
@@ -338,6 +340,33 @@ class TestGridPricer:
             tied += np.unique(least % grid_n).size > 1
             assert price(duals.tolist(), -np.inf)[0] == least[0]
         assert tied > 0
+
+    @pytest.mark.parametrize("grid_n", [8, 64, 2048])
+    def test_minimum_just_off_a_grid_angle(self, grid_n):
+        # Aim one family within 1e-9 of a step below or above grid angle k,
+        # the other family at half the radius so it cannot win. Below k the
+        # floor of the angle is k - 1, so the pricer must also price the
+        # index above it to find k.
+        price = lhs_oracle._grid_pricer(grid_n)
+        rng = np.random.Generator(np.random.Philox(43))
+        ks = np.concatenate([[0, grid_n // 2, grid_n - 1], rng.integers(0, grid_n, 27)])
+        below = 0
+        for k, side, aimed in itertools.product(ks.tolist(), (-1e-9, 1e-9), (0, 1)):
+            aim = 2.0 * math.pi * (k + side) / grid_n
+            other = rng.uniform(-math.pi, math.pi)
+            # Each family's (p, q); the duals below reproduce them.
+            pq = [(-math.cos(aim), -math.sin(aim)), (-0.5 * math.cos(other), -0.5 * math.sin(other))]
+            if aimed:
+                pq.reverse()
+            (p1, q1), (p2, q2) = pq
+            duals = [(p1 + p2) / 2, (p1 - p2) / 2, (q1 + q2) / 2, (q1 - q2) / 2, 0.25]
+            reduced = _scalar_reduced(duals, grid_n)
+            least = int(np.flatnonzero(reduced == reduced.min())[0])
+            assert least == aimed * grid_n + k
+            assert price(duals, -np.inf)[0] == least
+            p, q = pq[aimed]
+            below += math.floor(math.atan2(-q, -p) * grid_n / (2.0 * math.pi)) % grid_n != k
+        assert below > 0
 
     def test_flat_family_takes_index_zero(self):
         price = lhs_oracle._grid_pricer(64)

@@ -194,3 +194,9 @@ class TestQuantumCorrelator:
             validate_effect(2.0 * np.eye(2))
         with pytest.raises(ValueError):
             validate_effect(np.array([[0.0, 1.0], [0.0, 0.0]]))
+
+    def test_correlator_rejects_an_effect_above_one(self):
+        # Hermitian, entries within [0, 1], but eigenvalue 1.5.
+        with pytest.raises(ValueError, match="outside"):
+            quantum_correlator(maximally_entangled(), np.array([[1.0, 0.5], [0.5, 1.0]]),
+                               np.eye(2))

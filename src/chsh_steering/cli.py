@@ -162,6 +162,9 @@ def _state_from_json(data) -> np.ndarray:
     if isinstance(data, dict) and "real" in data:
         real = correlation_model.json_number_array(data["real"], 'state "real"')
         imag = correlation_model.json_number_array(data.get("imag", 0.0), 'state "imag"')
+        # Broadcasting would read [[...]] + 1j * [[0], [0], ...] as a matrix.
+        if imag.ndim and imag.shape != real.shape:
+            raise ValueError(f'state "imag" has shape {imag.shape}, "real" {real.shape}')
         return validate_density(real + 1j * imag)
     if isinstance(data, dict) and "theta_deg" in data:
         theta_deg = correlation_model.json_number(data["theta_deg"], 'state "theta_deg"')

@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import math
 import os
-import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -358,43 +357,18 @@ def _usable_cores() -> int:
         return os.cpu_count() or 1
 
 
-# Threads of the process-wide pool that the Monte Carlo samples on: one per
-# core in this process's CPU affinity, at most four. It only sizes the pool;
-# each call submits its four setting pairs as four tasks whatever its value.
+# Threads each Monte Carlo call samples on: one per core in this process's
+# CPU affinity, at most four. It caps the sampling blocks in flight; each call
+# opens its own pool of this size and closes it before it returns.
 _THREADS = min(4, _usable_cores())
-_POOL = None
-_POOL_LOCK = threading.Lock()
-
-
-def _pool():
-    """The shared ``ThreadPoolExecutor``, created on first use."""
-    global _POOL
-    with _POOL_LOCK:
-        if _POOL is None:
-            # Imported here: it would add several ms to every CLI start-up.
-            from concurrent.futures import ThreadPoolExecutor
-            _POOL = ThreadPoolExecutor(_THREADS, thread_name_prefix="chsh-worker")
-        return _POOL
-
-
-def _forget_pool() -> None:
-    """Drop the parent's pool in a forked child, which inherits the executor
-    but none of its threads, so its first task would wait forever."""
-    global _POOL, _POOL_LOCK
-    _POOL = None
-    _POOL_LOCK = threading.Lock()
-
-
-if hasattr(os, "register_at_fork"):  # absent where there is no fork
-    os.register_at_fork(after_in_child=_forget_pool)
 
 
 def _count_positive(arrays, seed: np.random.SeedSequence, n_samples: int) -> int:
     """Number of +1 sign products in ``n_samples`` draws for one pair.
 
-    Runs on a ``_pool`` thread, so it calls only NumPy, which releases the
-    interpreter lock, and private helpers, never a public function of the
-    package.
+    Runs on a worker thread of ``monte_carlo_correlations``, so it calls only
+    NumPy, which releases the interpreter lock, and private helpers, never a
+    public function of the package.
     Consecutive draws continue one stream, so blocks reproduce a single
     (n_samples, 2) draw.
     """
@@ -429,16 +403,20 @@ def monte_carlo_correlations(state: SinglePhotonState, eta_alice: float,
     elementwise map of its uniforms (shards over sample ranges merge
     deterministically). The tables are built once per call: one grid, and
     one x inverse CDF per Alice phase. The four pairs are sampled
-    concurrently on a process-wide pool with one thread per core in this
-    process's CPU affinity, at most four; each pair's exact count of +1
-    products does not depend on the scheduling, so neither does the result.
+    concurrently on a pool that the call opens with one thread per core in
+    this process's CPU affinity, at most four, and closes before it returns;
+    each pair's exact count of +1 products does not depend on the
+    scheduling, so neither does the result.
     """
     if not 1 <= n_samples <= MAX_MC_SAMPLES:
         raise ValueError(f"n_samples must lie in [1, {MAX_MC_SAMPLES}], got {n_samples}")
     rho = state_density(state)
     children = np.random.SeedSequence(seed).spawn(4)
-    counts = _pool().map(_count_positive, _sampler_tables(rho, eta_alice, eta_bob),
-                         children, [n_samples] * 4)
+    tables = _sampler_tables(rho, eta_alice, eta_bob)
+    # Imported here: it would add several ms to every CLI start-up.
+    from concurrent.futures import ThreadPoolExecutor
+    with ThreadPoolExecutor(_THREADS, thread_name_prefix="chsh-worker") as pool:
+        counts = list(pool.map(_count_positive, tables, children, [n_samples] * 4))
     means = []
     errors = []
     for plus in counts:

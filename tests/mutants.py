@@ -1,0 +1,122 @@
+"""Mutant catalogue for the package's guard code, run by hand:
+
+    python tests/mutants.py [NAME ...]
+
+Each mutant replaces one exact source fragment with another. The runner
+copies ``src/``, ``tests/`` and ``pyproject.toml`` (the pytest settings) to a
+temporary directory per mutant, applies the replacement there and runs the
+test files that must kill it; a failing run kills the mutant. It prints one
+line per mutant and then killed/total over the mutants that are not
+equivalent. An equivalent mutant is not run; its fragment is still checked,
+so the catalogue cannot go stale unnoticed. Exit status 1 when a mutant
+survives or a fragment no longer occurs exactly once. pytest does not collect
+this file.
+"""
+
+from __future__ import annotations
+
+import shutil
+import subprocess
+import sys
+import tempfile
+from dataclasses import dataclass
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+@dataclass(frozen=True)
+class Mutant:
+    name: str
+    file: str          # relative to the repository root
+    fragment: str      # must occur exactly once in ``file``
+    replacement: str
+    tests: tuple[str, ...]
+    equivalent: str = ""  # why no test can kill it; empty for a real mutant
+
+
+CATALOGUE = (
+    Mutant("verdict-upper-edge-open", "src/chsh_steering/steering_witness.py",
+           "if value > bound + tol:", "if value >= bound + tol:",
+           ("tests/test_steering_witness.py",)),
+    Mutant("verdict-lower-edge-open", "src/chsh_steering/steering_witness.py",
+           "if value >= bound - tol:", "if value > bound - tol:",
+           ("tests/test_steering_witness.py",)),
+    Mutant("classify-band-open", "src/chsh_steering/lhs_oracle.py",
+           "if abs(f - 1.0) <= band:", "if abs(f - 1.0) < band:",
+           ("tests/test_lhs_oracle.py",)),
+    Mutant("lp-feasibility-tol-open", "src/chsh_steering/simplex.py",
+           "max(residuals, default=0.0) <= tol", "max(residuals, default=0.0) < tol",
+           ("tests/test_simplex.py",)),
+    Mutant("decompose-tol-10x", "src/chsh_steering/lhs_oracle.py",
+           "if r1 + r2 > 1.0 + tol:", "if r1 + r2 > 1.0 + 10.0 * tol:",
+           ("tests/test_lhs_oracle.py",)),
+    Mutant("density-psd-tol-10x", "src/chsh_steering/qubit_core.py",
+           "DENSITY_PSD_TOL = 1e-10", "DENSITY_PSD_TOL = 1e-9",
+           ("tests/test_cli.py",)),
+    Mutant("scan-margin-zero", "src/chsh_steering/violation_search.py",
+           "_MARGIN = 2.0 ** -20", "_MARGIN = 0.0",
+           ("tests/test_violation_search.py",)),
+    Mutant("scan-margin-2-60", "src/chsh_steering/violation_search.py",
+           "_MARGIN = 2.0 ** -20", "_MARGIN = 2.0 ** -60",
+           ("tests/test_violation_search.py",)),
+    Mutant("check-entries-negated", "src/chsh_steering/qubit_core.py",
+           "if not np.abs(op).max() <= 1.0 + tol:", "if np.abs(op).max() > 1.0 + tol:",
+           ("tests/test_qubit_core.py", "tests/test_cli.py"),
+           equivalent="the two differ only on NaN, which is_hermitian then rejects"
+                      " with another message"),
+)
+
+
+def tests_fail(tests, mutant: Mutant | None = None) -> bool:
+    """Whether ``tests`` fail on a copy of the tree, carrying ``mutant`` if
+    one is given."""
+    with tempfile.TemporaryDirectory(prefix="mutant-") as tmp:
+        tree = Path(tmp)
+        ignore = shutil.ignore_patterns("__pycache__", ".hypothesis", ".pytest_cache")
+        for part in ("src", "tests"):
+            shutil.copytree(ROOT / part, tree / part, ignore=ignore)
+        shutil.copy2(ROOT / "pyproject.toml", tree / "pyproject.toml")
+        if mutant is not None:
+            target = tree / mutant.file
+            target.write_text(target.read_text().replace(mutant.fragment,
+                                                         mutant.replacement))
+        result = subprocess.run(
+            [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", *tests],
+            cwd=tree, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
+    return result.returncode != 0
+
+
+def main(names) -> int:
+    chosen = [m for m in CATALOGUE if not names or m.name in names]
+    unknown = set(names) - {m.name for m in CATALOGUE}
+    if unknown:
+        print(f"unknown mutant(s): {', '.join(sorted(unknown))}", file=sys.stderr)
+        return 2
+    # A test that fails without any mutant would count every mutant killed.
+    control = sorted({t for m in chosen if not m.equivalent for t in m.tests})
+    if control and tests_fail(control):
+        print(f"the unmutated tree fails {' '.join(control)}; nothing to measure")
+        return 1
+    killed = total = 0
+    ok = True
+    for mutant in chosen:
+        count = (ROOT / mutant.file).read_text().count(mutant.fragment)
+        if count != 1:
+            outcome = f"STALE: the fragment occurs {count} times in {mutant.file}"
+            ok = False
+        elif mutant.equivalent:
+            outcome = f"EQUIVALENT: {mutant.equivalent}"
+        else:
+            total += 1
+            dead = tests_fail(mutant.tests, mutant)
+            killed += dead
+            ok &= dead
+            outcome = "KILLED" if dead else "SURVIVED"
+        print(f"{mutant.name}: {outcome}", flush=True)
+    print(f"killed {killed}/{total}")
+    return 0 if ok else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

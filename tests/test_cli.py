@@ -323,6 +323,8 @@ class TestRejectedInput:
         [[0.25, 0.5, 0.0, 0.0], [0.0, 0.25, 0.0, 0.0],
          [0.0, 0.0, 0.25, 0.0], [0.0, 0.0, 0.0, 0.25]],  # not Hermitian
         np.diag([0.5, 0.5, 0.5, -0.5]).tolist(),  # a negative eigenvalue
+        # An eigenvalue 5 DENSITY_PSD_TOL below 0.
+        np.diag([0.5 + 5e-10, 0.5, 0.0, -5e-10]).tolist(),
     ])
     def test_scan_state_rejects_a_non_density(self, capsys, tmp_path, real):
         path = tmp_path / "state.json"
@@ -382,7 +384,10 @@ class TestRejectedInput:
                                        {"real": [["1", 0, 0, 0]] + [[0] * 4] * 3},
                                        {"real": [[1, 0, 0, 0]] + [[0] * 4] * 3,
                                         "imag": [[False] * 4] * 4},
-                                       {"real": [[1, 0, 0, 0], [0, 0]]}])
+                                       {"real": [[1, 0, 0, 0], [0, 0]]},
+                                       # "imag" once broadcast against "real".
+                                       {"real": [[0.25] * 4], "imag": [[0]] * 4},
+                                       {"real": [[0.25] * 4] * 4, "imag": [0] * 4}])
     def test_malformed_state_json(self, capsys, tmp_path, state):
         path = tmp_path / "state.json"
         path.write_text(json.dumps(state))

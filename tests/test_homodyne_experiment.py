@@ -631,7 +631,7 @@ def test_maximally_entangled_state_matches_fock_form():
 
 
 # ---------------------------------------------------------------------------
-# The process-wide pool the Monte Carlo samples on
+# The worker threads each Monte Carlo call samples on
 # ---------------------------------------------------------------------------
 
 _POOL_STATE = SinglePhotonState(np.deg2rad(22.5), 0.9)
@@ -641,11 +641,17 @@ def _mc(seed):
     return monte_carlo_correlations(_POOL_STATE, 0.85, 0.7, 3000, seed=seed)
 
 
-def test_concurrent_callers_share_the_pool():
-    # More callers than the pool has threads, all on the one process-wide
-    # pool: each must get the result of a lone call.
+def test_concurrent_callers_get_lone_results():
+    # Eight callers at once, each with a pool of its own: each must get the
+    # result of a lone call.
     calls = [(_mc, (seed,)) for seed in range(8)]
     assert run_concurrently(calls) == [fn(*args) for fn, args in calls]
+
+
+def test_no_worker_thread_outlives_the_call():
+    _mc(5)
+    alive = [t.name for t in threading.enumerate() if t.name.startswith("chsh-worker")]
+    assert alive == []
 
 
 def _both():
@@ -661,8 +667,8 @@ def _child(results):
 @pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
                     reason="this platform cannot fork")
 def test_forked_child_gets_a_pool_of_its_own():
-    # The child inherits the parent's pool object but none of its threads;
-    # without a fresh pool its first task would wait forever.
+    # A forked child inherits none of the parent's threads; a pool object
+    # shared with the parent would leave its first task waiting forever.
     expected = _both()
     context = multiprocessing.get_context("fork")
     results = context.Queue()

@@ -15,6 +15,7 @@ from chsh_steering.correlation_model import (
 from chsh_steering.lhs_oracle import (
     BOUNDARY_BAND,
     MEMBER,
+    MEMBER_TOL,
     NON_MEMBER,
     LhsAtom,
     LhsModel,
@@ -87,6 +88,9 @@ class TestDecompose:
     def test_non_member_raises(self):
         with pytest.raises(NotAMemberError):
             decompose(EBasisVector(0.5, 0.5, 0.5, -0.5))
+        # Just outside the tolerance that decompose documents.
+        with pytest.raises(NotAMemberError):
+            decompose(EBasisVector(1.0 + 5.0 * MEMBER_TOL, 0.0, 0.0, 0.0))
 
     def test_documented_split(self):
         model = decompose(EBasisVector(0.3, 0.0, 0.4, 0.0))
@@ -136,6 +140,8 @@ class TestLpMembership:
         c = CorrelationSet(1.0, 1.0, 0.0, 0.0)  # exactly on the boundary
         res = lp_membership(c, grid_n=64)
         assert res.verdict == BOUNDARY_BAND
+        # The band is closed: f exactly at its edge is still in it.
+        assert lhs_oracle._classify(True, 1.0 + 2.0 ** -10, 2.0 ** -10) == BOUNDARY_BAND
 
     def test_band_formula(self):
         assert boundary_band(2048) == pytest.approx(1.0 - np.cos(np.pi / 2048), abs=1e-18)

@@ -117,6 +117,11 @@ class TestFeasibility:
         assert feasible
         feasible, _, _ = dense_lp_feasibility(A, np.array([-1e-6]), tol=1e-9)
         assert not feasible
+        # The band is closed: a residual of exactly tol passes.
+        feasible, _, residuals = dense_lp_feasibility(A, np.array([-2.0 ** -20]),
+                                                      tol=2.0 ** -20)
+        assert feasible
+        assert residuals.max() == 2.0 ** -20
         # A negative or non-finite tolerance would call this feasible system
         # infeasible; one above MAX_LP_TOL called [[1]] x = 5 feasible at 1e300.
         for tol in (-1.0, -1e-12, np.nan, np.inf, 1e300, np.nextafter(MAX_LP_TOL, 1.0)):

@@ -234,6 +234,10 @@ class TestFullReport:
         boundary = full_report(CorrelationSet(1, 1, 0, 0))
         assert boundary.steering_verdict == BOUNDARY
 
+        # Both edges of the tie band belong to it (exact dyadic values).
+        assert verdict(2.0 + 2.0 ** -10, 2.0, 2.0 ** -10) == BOUNDARY
+        assert verdict(2.0 - 2.0 ** -10, 2.0, 2.0 ** -10) == BOUNDARY
+
     def test_no_verdict_from_non_finite_input(self):
         for value, bound, tol in ((float("nan"), 2.0, 1e-9), (1.0, float("inf"), 1e-9),
                                   (1.0, 2.0, float("nan")), (1.0, 2.0, -1.0),

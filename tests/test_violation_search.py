@@ -214,10 +214,21 @@ def _lossy_split_photon(rng):
     return state_density(SinglePhotonState(theta, rng.uniform(0.5, 1.0)))
 
 
+def _margin_state():
+    """The fourth of the states drawn at ranks 1, 2, 4, 1, ... from
+    ``default_rng(2)``: a rank-1 state whose scan at resolutions 24 and 40
+    is off by an ulp when ``_candidates`` keeps no margin around the hull."""
+    rng = np.random.default_rng(2)
+    for rank in (1, 2, 4, 1):
+        g = rng.normal(size=(4, rank)) + 1j * rng.normal(size=(4, rank))
+    rho = g @ g.conj().T
+    return rho / np.trace(rho).real
+
+
 def _test_states():
     rng = np.random.Generator(np.random.Philox(71))
     return ([_random_mixed_state(rng) for _ in range(8)]
-            + [_lossy_split_photon(rng) for _ in range(8)])
+            + [_lossy_split_photon(rng) for _ in range(8)] + [_margin_state()])
 
 
 def _reference_tensor_columns(rho):

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import functools
 import json
 import math
@@ -23,7 +24,7 @@ from .homodyne_experiment import (
     monte_carlo_correlations,
     state_density,
 )
-from .qubit_core import ellipse_point, validate_density
+from .qubit_core import ellipse_point
 from .simplex import DEFAULT_LP_TOL, OracleError
 from .steering_witness import VERDICT_TOL, full_report, steering_lhs_array
 
@@ -41,6 +42,15 @@ def _read_json(path: str):
 
 def _emit_json(obj) -> None:
     print(json.dumps(obj, indent=2, allow_nan=False))
+
+
+def _write_csv(header, *columns) -> None:
+    """Print ``header``, then one row per index of the equal-length
+    ``columns``, each entry as a Python float. The rows stream to stdout:
+    no list of them is built."""
+    writer = csv.writer(sys.stdout)
+    writer.writerow(header)
+    writer.writerows(zip(*(map(float, c) for c in columns)))
 
 
 def _render_witness_table(report) -> None:
@@ -89,7 +99,7 @@ def cmd_oracle_check(args) -> int:
         "grid_n": args.grid,
         "samples": args.samples,
         "lp_tol": args.lp_tol,
-        "band": float(lhs_oracle.boundary_band(args.grid, args.lp_tol)),
+        "band": results[0].band,
         "disagreements": disagreements,
         "within_band": within_band,
         "verdicts": verdicts,
@@ -118,7 +128,7 @@ def cmd_experiment(args) -> int:
             raise ValueError(f"--reported-s cannot be combined with "
                              f"{', '.join(state_flags)}")
         report = adjudicate_reported(args.reported_s, args.eta_bob, tol=args.tol)
-        payload = report.to_json_dict()
+        payload = dataclasses.asdict(report)
         payload["inputs"] = {"reported_s": args.reported_s, "eta_bob": args.eta_bob}
     else:
         if args.theta is None or args.p1 is None:
@@ -133,13 +143,14 @@ def cmd_experiment(args) -> int:
             mc = None
             correlations = experiment_correlations(state, eta_alice, args.eta_bob)
         report = adjudicate(correlations, args.eta_bob, tol=args.tol)
-        payload = report.to_json_dict()
+        payload = dataclasses.asdict(report)
         payload["correlators"] = correlations.to_json_dict()["correlators"]
         payload["inputs"] = {"theta_deg": args.theta, "p1": args.p1,
                              "eta_alice": eta_alice, "eta_bob": args.eta_bob}
         if mc is not None:
-            payload["mc"] = mc.to_json_dict()
-            payload["mc"].pop("correlators", None)
+            names = correlation_model.CORRELATOR_NAMES
+            payload["mc"] = {"std_errors": dict(zip(names, mc.std_errors)),
+                             "n_samples": mc.n_samples, "seed": mc.seed}
     if args.format == "table":
         _render_experiment_table(report)
     else:
@@ -151,10 +162,7 @@ def cmd_scan_angles(args) -> int:
     deltas = 2.0 * np.pi * np.arange(args.resolution) / args.resolution
     values = steering_lhs_array(
         violation_search.angle_correlations_array(deltas, np.zeros_like(deltas)))
-    writer = csv.writer(sys.stdout)
-    writer.writerow(["delta", "lhs"])
-    for delta, value in zip(deltas, values):
-        writer.writerow([float(delta), float(value)])
+    _write_csv(["delta", "lhs"], deltas, values)
     return 0
 
 
@@ -165,7 +173,7 @@ def _state_from_json(data) -> np.ndarray:
         # Broadcasting would read [[...]] + 1j * [[0], [0], ...] as a matrix.
         if imag.ndim and imag.shape != real.shape:
             raise ValueError(f'state "imag" has shape {imag.shape}, "real" {real.shape}')
-        return validate_density(real + 1j * imag)
+        return real + 1j * imag
     if isinstance(data, dict) and "theta_deg" in data:
         theta_deg = correlation_model.json_number(data["theta_deg"], 'state "theta_deg"')
         p1 = correlation_model.json_number(data.get("p1", 1.0), 'state "p1"')
@@ -176,9 +184,8 @@ def _state_from_json(data) -> np.ndarray:
 def cmd_scan_state(args) -> int:
     rho = _state_from_json(_read_json(args.input))
     _, best, coarse = violation_search.state_scan(rho, bloch_resolution=args.resolution)
-    writer = csv.writer(sys.stdout)
-    writer.writerow(["theta_deg", "phi_deg", "max_lhs"])
-    writer.writerows(np.column_stack([np.rad2deg(coarse[:, :2]), coarse[:, 2]]).tolist())
+    _write_csv(["theta_deg", "phi_deg", "max_lhs"],
+               *np.rad2deg(coarse[:, :2]).T, coarse[:, 2])
     # Scripts parse this stderr label.
     print(f"refined best lhs: {best!r}", file=sys.stderr)
     return 0
@@ -186,12 +193,7 @@ def cmd_scan_state(args) -> int:
 
 def cmd_ellipse(args) -> int:
     xis = 2.0 * np.pi * np.arange(args.n) / args.n
-    # Every point first: ellipse_point rejects mu, and nothing may print then.
-    points = [ellipse_point(args.mu, float(xi)) for xi in xis]
-    writer = csv.writer(sys.stdout)
-    writer.writerow(["xi", "p_b", "p_bp"])
-    for xi, (p, pp) in zip(xis, points):
-        writer.writerow([float(xi), float(p), float(pp)])
+    _write_csv(["xi", "p_b", "p_bp"], xis, *ellipse_point(args.mu, xis))
     return 0
 
 

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .correlation_model import CORRELATOR_NAMES, CorrelationSet
+from .correlation_model import CorrelationSet
 from .qubit_core import (
     IDENTITY2,
     expectation_table,
@@ -151,15 +151,6 @@ class ExperimentReport:
     chsh_s: float
     verdict: str
 
-    def to_json_dict(self) -> dict:
-        return {
-            "gamma": self.gamma,
-            "corrected_bound": self.corrected_bound,
-            "steering_lhs": self.steering_lhs,
-            "chsh_s": self.chsh_s,
-            "verdict": self.verdict,
-        }
-
 
 def _report(lhs: float, chsh_s: float, eta_bob: float, tol: float) -> ExperimentReport:
     """The report on a steering left-hand side ``lhs`` against the
@@ -237,13 +228,6 @@ class MonteCarloCorrelations:
     std_errors: tuple[float, float, float, float]
     n_samples: int
     seed: int
-
-    def to_json_dict(self) -> dict:
-        out = self.correlations.to_json_dict()
-        out["std_errors"] = dict(zip(CORRELATOR_NAMES, map(float, self.std_errors)))
-        out["n_samples"] = self.n_samples
-        out["seed"] = self.seed
-        return out
 
 
 def _sampler_tables(rho: np.ndarray, eta_alice: float, eta_bob: float):

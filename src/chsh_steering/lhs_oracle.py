@@ -47,7 +47,8 @@ class NotAMemberError(ValueError):
 
 @dataclass(frozen=True)
 class LhsAtom:
-    """One extremal strategy: deterministic Alice (chi) and Bob angle xi."""
+    """One extremal strategy: deterministic Alice (chi) and a finite Bob
+    angle xi."""
 
     chi: int
     xi: float
@@ -55,6 +56,8 @@ class LhsAtom:
     def __post_init__(self):
         if self.chi not in (1, 2):
             raise ValueError(f"atom chi must be 1 or 2, got {self.chi}")
+        if not math.isfinite(self.xi):
+            raise ValueError(f"atom angle xi must be finite, got {self.xi}")
 
     def correlations(self) -> CorrelationSet:
         return correlation_model.extremal_correlations(self.chi, self.xi)
@@ -62,7 +65,8 @@ class LhsAtom:
 
 @dataclass(frozen=True)
 class LhsModel:
-    """Finite weighted mixture of extremal atoms; weights sum to one."""
+    """Finite weighted mixture of extremal atoms. The weights must be finite
+    and sum to one; a weight down to -``WEIGHT_NEG_TOL`` is taken as 0."""
 
     atoms: tuple[tuple[LhsAtom, float], ...]
 
@@ -70,8 +74,9 @@ class LhsModel:
         cleaned = []
         total = 0.0
         for atom, weight in self.atoms:
-            if weight < -WEIGHT_NEG_TOL:
-                raise ValueError(f"negative weight {weight} on atom {atom}")
+            if not weight >= -WEIGHT_NEG_TOL:
+                raise ValueError(f"weight {weight} on atom {atom} is not a"
+                                 " non-negative number")
             weight = max(float(weight), 0.0)
             total += weight
             cleaned.append((atom, weight))

@@ -74,8 +74,9 @@ def projector_from_params(mu: float, phi: float) -> np.ndarray:
     return np.outer(u, u.conj())
 
 
-def ellipse_point(mu: float, xi: float):
-    """Boundary point (p, p') of the allowed probability region at overlap mu.
+def ellipse_point(mu: float, xi):
+    """Boundary point (p, p') of the allowed probability region at overlap mu;
+    ``xi`` may be an array, and then p and p' are arrays of its shape.
 
     The boundary is traced by the curve
 

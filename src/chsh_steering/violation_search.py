@@ -21,7 +21,7 @@ import math
 import numpy as np
 
 from .correlation_model import CorrelationSet
-from .qubit_core import expectation_table
+from .qubit_core import expectation_table, validate_density
 
 
 def angle_correlations_array(alpha: np.ndarray, alpha_prime: np.ndarray) -> np.ndarray:
@@ -250,7 +250,8 @@ def _coarse_maxima(x, y):
 
 
 def state_scan(rho: np.ndarray, bloch_resolution: int = DEFAULT_BLOCH_RESOLUTION):
-    """Maximise the witness over Alice's two Bloch directions.
+    """Maximise the witness over Alice's two Bloch directions of the
+    two-qubit state ``rho``, which ``validate_density`` checks first.
 
     Bob is fixed to the mutually unbiased z/x pair, so for Alice's unit
     directions n1, n2 the witness is |M(n1 + n2)| + |M(n1 - n2)| with M the
@@ -273,6 +274,7 @@ def state_scan(rho: np.ndarray, bloch_resolution: int = DEFAULT_BLOCH_RESOLUTION
     else ``ValueError``. The scan runs on the calling thread with about
     ``_SCAN_BLOCK`` pairs in flight.
     """
+    rho = validate_density(rho)
     if bloch_resolution < 4:
         raise ValueError("bloch_resolution must be at least 4")
     if bloch_resolution > MAX_BLOCH_RESOLUTION:

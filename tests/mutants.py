@@ -60,6 +60,15 @@ CATALOGUE = (
     Mutant("scan-margin-2-60", "src/chsh_steering/violation_search.py",
            "_MARGIN = 2.0 ** -20", "_MARGIN = 2.0 ** -60",
            ("tests/test_violation_search.py",)),
+    Mutant("weight-check-nan-blind", "src/chsh_steering/lhs_oracle.py",
+           "if not weight >= -WEIGHT_NEG_TOL:", "if weight < -WEIGHT_NEG_TOL:",
+           ("tests/test_lhs_oracle.py",)),
+    Mutant("atom-angle-unchecked", "src/chsh_steering/lhs_oracle.py",
+           "if not math.isfinite(self.xi):", "if False:",
+           ("tests/test_lhs_oracle.py",)),
+    Mutant("state-scan-unvalidated", "src/chsh_steering/violation_search.py",
+           "    rho = validate_density(rho)\n", "",
+           ("tests/test_violation_search.py",)),
     Mutant("check-entries-negated", "src/chsh_steering/qubit_core.py",
            "if not np.abs(op).max() <= 1.0 + tol:", "if np.abs(op).max() > 1.0 + tol:",
            ("tests/test_qubit_core.py", "tests/test_cli.py"),

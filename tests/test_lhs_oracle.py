@@ -69,6 +69,12 @@ class TestModel:
             LhsModel(((LhsAtom(1, 0.0), 0.5),))
         with pytest.raises(ValueError, match="negative"):
             LhsModel(((LhsAtom(1, 0.0), 1.5), (LhsAtom(2, 0.0), -0.5)))
+        # NaN fails every comparison, so it must fail the weight check, not
+        # slip past it as a weight that is not below zero.
+        for atoms in (((LhsAtom(1, 0.0), float("nan")),),
+                      ((LhsAtom(1, 0.0), 1.0), (LhsAtom(2, 0.0), float("nan")))):
+            with pytest.raises(ValueError, match="weight nan on atom"):
+                LhsModel(atoms)
         # dust below zero is clamped
         model = LhsModel(((LhsAtom(1, 0.0), 1.0), (LhsAtom(2, 0.0), -5e-15)))
         assert model.atoms[1][1] == 0.0
@@ -76,6 +82,9 @@ class TestModel:
     def test_atom_chi_restricted(self):
         with pytest.raises(ValueError):
             LhsAtom(3, 0.0)
+        for xi in (float("nan"), float("inf"), -float("inf")):
+            with pytest.raises(ValueError, match="xi must be finite"):
+                LhsAtom(1, xi)
 
 
 class TestDecompose:
@@ -91,6 +100,12 @@ class TestDecompose:
         # Just outside the tolerance that decompose documents.
         with pytest.raises(NotAMemberError):
             decompose(EBasisVector(1.0 + 5.0 * MEMBER_TOL, 0.0, 0.0, 0.0))
+
+    def test_nan_coordinate_names_the_angle(self):
+        # Not "weights sum to 0.1": the NaN radius passes the member test
+        # and reaches the atoms through arctan2.
+        with pytest.raises(ValueError, match="xi must be finite"):
+            decompose(EBasisVector(float("nan"), 0.2, 0.1, 0.0))
 
     def test_documented_split(self):
         model = decompose(EBasisVector(0.3, 0.0, 0.4, 0.0))

@@ -37,6 +37,18 @@ PINS = {
         "7bba821ea2eaa89ce025ac59243e78d817f77b5759bf9100a120745eea140c72",
     "witness eval {correlators}":
         "888339917a59a88d17e21b070d09f7f35645bbc9aa83b6d5096030f91530ca91",
+    "witness eval {correlators} --format table":
+        "e06e77b60a95ac40c3c624e380f9d85da22913b63603ddc518aa0d59e17bc516",
+    "experiment --theta 22.5 --p1 0.9 --eta-bob 0.85 --format table":
+        "9801a3c4680f2074daaba2dd23b9d78e0ff669bfc33daee567414016066f8861",
+    "experiment --reported-s 1.330 --eta-bob 0.85 --format table":
+        "0cb3b74361940fd6c9cb14ede8ab9d4cca92c51a0bda7a0108a6f8afcd6cb9d5",
+    "scan angles --resolution 360":
+        "496fc8b43cc89f429b8cb10f48446d4ce188e1b92dcf6b945a9367069a70c00b",
+    "ellipse --mu 0.3 --n 64":
+        "d690ccb3d423a5b123b046a260e7c3808b3d4dea247ef908bbee9adc1f102139",
+    "ellipse --mu 0.5 --n 1000":
+        "9f856ba6cd96ffef05305e0d466c549dccd3c22e633407cd99827b24ccc76e8f",
 }
 
 

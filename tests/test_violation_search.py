@@ -165,6 +165,22 @@ class TestStateScan:
         with pytest.raises(ValueError):
             state_scan(maximally_entangled(), bloch_resolution=2)
 
+    # Without the check these scaled states would scan as a false violation
+    # (2.206 for the Werner state, which gives 1.697), above 2 sqrt(2)
+    # (3.68) and as 0, or fail on a correlator out of range.
+    @pytest.mark.parametrize("rho", [
+        1.3 * (0.6 * maximally_entangled() + 0.1 * np.eye(4)),
+        1.3 * maximally_entangled(),
+        np.eye(4),
+        2.0 * maximally_entangled(),
+    ], ids=["werner-1.3", "bell-1.3", "identity", "bell-2"])
+    def test_rejects_a_non_density(self, rho):
+        with pytest.raises(ValueError, match="trace"):
+            state_scan(rho)
+        # The state is checked before the resolution.
+        with pytest.raises(ValueError, match="trace"):
+            state_scan(rho, bloch_resolution=2)
+
     @pytest.mark.parametrize("resolution", [129, 100000])
     def test_resolution_upper_limit(self, resolution):
         with pytest.raises(ValueError, match="at most 128"):

@@ -7,6 +7,7 @@ import argparse
 import csv
 import dataclasses
 import functools
+import itertools
 import json
 import math
 import sys
@@ -26,7 +27,7 @@ from .homodyne_experiment import (
 )
 from .qubit_core import ellipse_point
 from .simplex import DEFAULT_LP_TOL, OracleError
-from .steering_witness import VERDICT_TOL, full_report, steering_lhs_array
+from .steering_witness import MAX_VERDICT_TOL, VERDICT_TOL, full_report, steering_lhs_array
 
 
 def _read_json(path: str):
@@ -160,8 +161,11 @@ def cmd_experiment(args) -> int:
 
 def cmd_scan_angles(args) -> int:
     deltas = 2.0 * np.pi * np.arange(args.resolution) / args.resolution
-    values = steering_lhs_array(
-        violation_search.angle_correlations_array(deltas, np.zeros_like(deltas)))
+    # Blocks of 2^15 angles keep each (N, 4) temporary of the witness near
+    # 1 MiB; every value depends on its angle alone, so they keep the bytes.
+    values = itertools.chain.from_iterable(
+        steering_lhs_array(violation_search.angle_correlations_array(block, 0.0))
+        for block in np.split(deltas, range(2 ** 15, deltas.size, 2 ** 15)))
     _write_csv(["delta", "lhs"], deltas, values)
     return 0
 
@@ -223,6 +227,9 @@ _count = _flag_type(int, lambda n: 1 <= n <= MAX_COUNT,
 _nonnegative_int = _flag_type(int, lambda n: n >= 0, "a non-negative integer")
 _mc_count = _flag_type(int, lambda n: 1 <= n <= MAX_MC_SAMPLES,
                        f"an integer from 1 to {MAX_MC_SAMPLES}")
+# As ``verdict`` checks it, but before a Monte Carlo rather than after.
+_verdict_tol = _flag_type(float, lambda t: 0.0 <= t <= MAX_VERDICT_TOL,
+                          f"a number from 0 to {MAX_VERDICT_TOL:g}")
 
 
 class _ArgumentParser(argparse.ArgumentParser):
@@ -248,7 +255,7 @@ def build_parser() -> argparse.ArgumentParser:
     witness_sub = witness.add_subparsers(dest="subcommand", required=True)
     weval = witness_sub.add_parser("eval", help="evaluate a correlation JSON file")
     weval.add_argument("input", help="path to correlation JSON ('-' for stdin)")
-    weval.add_argument("--tol", type=_finite_float, default=VERDICT_TOL,
+    weval.add_argument("--tol", type=_verdict_tol, default=VERDICT_TOL,
                        help="verdict tolerance around each bound")
     weval.add_argument("--prob-tol", type=_finite_float, default=PROBABILITY_TOL,
                        help="probability-constraint tolerance for joint matrices")
@@ -278,7 +285,7 @@ def build_parser() -> argparse.ArgumentParser:
                             help="Monte Carlo sample count (analytic if omitted)")
     experiment.add_argument("--seed", type=_nonnegative_int, default=None,
                             help="Monte Carlo seed (default 0; needs --mc)")
-    experiment.add_argument("--tol", type=_finite_float, default=VERDICT_TOL)
+    experiment.add_argument("--tol", type=_verdict_tol, default=VERDICT_TOL)
     experiment.add_argument("--format", choices=("json", "table"), default="json")
     experiment.set_defaults(func=cmd_experiment)
 

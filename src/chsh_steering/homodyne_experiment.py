@@ -53,9 +53,8 @@ DEFAULT_SPAN = 6.0
 # Smallest efficiency the Monte Carlo serves (1/8192): there its grid widens
 # to 64 * DEFAULT_GRID_CELLS cells, 6.6 MB of tables per call.
 MIN_MC_ETA = 0.5 / 64 ** 2
-# Largest Monte Carlo sample count per setting pair: about 4 minutes at the
-# measured 0.24 s per 1e6 samples (2-core x86-64). A larger count would run
-# for hours without a word.
+# Largest Monte Carlo sample count per setting pair: about 3 minutes at 0.17 s
+# per 1e6 per pair (measured on a 2-core x86-64 Xeon); more would run for hours.
 MAX_MC_SAMPLES = 2 ** 30
 # Rows of uniforms drawn and mapped per step of the Monte Carlo loop; bounds
 # the working set (one block per setting pair in flight) without changing the

@@ -7,11 +7,11 @@ convex-hull membership directly: it discretises the two extremal circles on a
 uniform angle grid and asks a phase-1 simplex whether the target correlators
 are a convex combination of grid atoms. The atoms are never stored: on each
 circle an atom's reduced cost is a cosine of its angle, so the simplex's
-pricing callback (``_grid_pricer``) finds the best atom in closed form and
-the cost of a point does not grow with the grid. The only use of f there is
-to flag points within the band of the boundary set by the grid's chord sag
-and the LP's residual tolerance, where the oracle cannot be trusted either
-way.
+pricing callback (``_grid_pricer``) names the best atom in closed form, the
+simplex decides whether it enters, and a point's cost does not grow with the
+grid. The only use of f there is to flag points within the band of the
+boundary set by the grid's chord sag and the LP's residual tolerance, where
+the oracle cannot be trusted either way.
 """
 
 from __future__ import annotations
@@ -152,18 +152,20 @@ def _grid_pricer(grid_n: int):
     (mod ``grid_n``). Only those two are evaluated, each as the dot product
     of y with the column summed left to right, in increasing column order so
     that a strict ``<`` keeps the first index on a tie; p = q = 0 makes the
-    family flat and takes its index 0. A dense ``y @ A`` may round
-    a reduced cost differently in its last bits, so where two columns lie
-    within a few ulps of each other it may pick the other one. Nothing here
-    knows the target point, let alone f; no column is stored, so the cost of
-    a pivot does not grow with ``grid_n``.
+    family flat and takes its index 0. ``price(duals)`` returns the better
+    family's column whatever its reduced cost; the simplex decides whether
+    it enters. A dense ``y @ A`` may round a reduced cost differently in its
+    last bits, so where two columns lie within a few ulps of each other it
+    may pick the other one. Nothing here knows the target point, let alone
+    f; no column is stored, so the cost of a pivot does not grow with
+    ``grid_n``.
     """
     units = grid_n / (2.0 * math.pi)  # grid steps per radian
     two_pi, cos, sin, atan2, floor = (
         2.0 * math.pi, math.cos, math.sin, math.atan2, math.floor)
     families = ((0, *ALICE_SIGNS[1]), (grid_n, *ALICE_SIGNS[2]))
 
-    def price(duals, eps):
+    def price(duals):
         y0, y1, y2, y3, y4 = duals
         best = best_reduced = None
         for offset, sa, sap in families:
@@ -177,8 +179,6 @@ def _grid_pricer(grid_n: int):
                 reduced = u0 * c + u1 * c + u2 * s + u3 * s + y4
                 if best is None or reduced < best_reduced:
                     best, best_reduced = (offset + k, sa, sap, c, s), reduced
-        if best is None or not best_reduced < -eps:
-            return None
         col, sa, sap, c, s = best
         return col, best_reduced, [sa * c, sap * c, sa * s, sap * s, 1.0]
 
@@ -221,9 +221,9 @@ def lp_membership_batch(points: np.ndarray, grid_n: int = DEFAULT_GRID_N,
     """``lp_membership`` for an (N, 4) batch, sharing one pricer.
 
     Each point is one ``lp_feasibility`` call on b = (point, 1) over the
-    2 * ``grid_n`` implicit atom columns, whose last row (all ones) makes the
-    weights sum to 1. ``grid_n`` must lie between 8 and ``MAX_GRID_N``, and
-    every point must be finite, else ``ValueError``.
+    implicit atom columns of ``_grid_pricer``, whose last row (all ones)
+    makes the weights sum to 1. ``grid_n`` must lie between 8 and
+    ``MAX_GRID_N``, and every point must be finite, else ``ValueError``.
     """
     points = np.asarray(points, dtype=float)
     if points.ndim != 2 or points.shape[1] != 4:
@@ -241,7 +241,7 @@ def lp_membership_batch(points: np.ndarray, grid_n: int = DEFAULT_GRID_N,
     f_values = f_value_array(correlation_model.to_e_basis_array(points))
     results = []
     for point, f in zip(points.tolist(), f_values.tolist()):
-        feasible, _, residuals = lp_feasibility(price, 2 * grid_n, [*point, 1.0], tol=tol)
+        feasible, _, residuals = lp_feasibility(price, [*point, 1.0], tol=tol)
         max_residual = float(residuals.max())
         results.append(MembershipResult(
             verdict=_classify(feasible, f, band),

@@ -6,14 +6,14 @@ pricing callback supplies the real columns. The solver keeps only an
 inverse and the basic values above the negated duals and objective. At m = 5
 (the oracle) a NumPy call costs more than the arithmetic it would vectorise.
 The artificial column of row i is ``flip_i * e_i`` with cost 1, signed to
-match b_i, and is never stored either. Each pivot asks the callback for the
-best real column at the current duals, prices the m artificial columns
-itself and rewrites only the small tableau. One rule serves every pivot:
-the entering column is the most negative reduced cost over the real and the
-artificial columns (first index on ties), and the leaving row is the minimum
-ratio, an exact tie going to the lexicographically least row of B^-1 divided
-by its entry in the entering column (Dantzig, Orden & Wolfe, 1955). With
-that rule no basis repeats, so the solver terminates deterministically
+match b_i, is never stored either and is named ``~i``. Each pivot asks the
+callback for the best real column at the duals, prices the m artificial
+columns itself and rewrites only the small tableau. One rule, the solver's
+alone, serves every pivot: the most negative reduced cost below
+``-PIVOT_EPS`` enters (real columns first on ties), and the minimum ratio
+leaves, an exact tie going to the lexicographically least row of B^-1
+divided by its entry in the entering column (Dantzig, Orden & Wolfe, 1955).
+With that rule no basis repeats, so the solver terminates deterministically
 without perturbation tricks or a second pivot mode. Phase 1 minimises the
 total artificial infeasibility; its per-row residuals are the feasibility
 certificate for the membership oracle.
@@ -40,13 +40,15 @@ class OracleError(RuntimeError):
     """The LP solver failed numerically; no verdict should be derived."""
 
 
-def _revised_pivots(price, n, flip, tableau, basis):
+def _revised_pivots(price, flip, tableau, basis):
     """Run revised simplex pivots for min cost.x + sum(artificials), in place.
 
-    Columns 0..n-1 are the real columns, known only to ``price`` (see
+    Columns k >= 0 are the real columns, known only to ``price`` (see
     ``lp_feasibility``); a real column's cost is the pricer's business, zero
-    for phase 1. Column n+i is the implicit artificial ``flip[i] * e_i`` with
-    cost 1.
+    for phase 1. Column ``~i`` is the implicit artificial ``flip[i] * e_i``
+    with cost 1. Artificial ``i``, the first of the least reduced cost
+    ``least``, enters iff ``least < -PIVOT_EPS and not reduced <= least``;
+    otherwise the pivots stop iff ``not reduced < -PIVOT_EPS``.
     ``tableau`` is a list of m+1 rows of m+1 floats: the basis inverse in
     ``[:m][:m]``, the basic values in column m, the negated duals in row m
     and the negated objective in ``[m][m]``. ``basis`` is the list of the m
@@ -68,19 +70,18 @@ def _revised_pivots(price, n, flip, tableau, basis):
     bottom = tableau[m]
     for _ in range(DEFAULT_MAX_ITER):
         duals = bottom[:m]
-        entering = price(duals, eps)
+        col, reduced, a = price(duals)
         artificial = [1.0 + f * y for f, y in zip(flip, duals)]
         least = min(artificial)
-        if least < -eps and (entering is None or least < entering[1]):
-            entering = (n + artificial.index(least), least, None)
-        elif entering is None:
+        if least < -eps and not reduced <= least:
+            col, reduced, a = ~artificial.index(least), least, None
+        elif not reduced < -eps:
             return
-        col, reduced, a = entering
 
         # The entering column of the full tableau: B^-1 a above its reduced cost.
         if a is None:
-            f = flip[col - n]
-            column = [tableau[i][col - n] * f for i in range(m)]
+            f = flip[~col]
+            column = [tableau[i][~col] * f for i in range(m)]
         else:
             column = [sum(map(mul, tableau[i], a)) for i in range(m)]
         row = -1
@@ -109,24 +110,22 @@ def _revised_pivots(price, n, flip, tableau, basis):
     raise OracleError("simplex iteration limit reached in phase 1")
 
 
-def lp_feasibility(price, n, b, *, tol: float = DEFAULT_LP_TOL):
+def lp_feasibility(price, b, *, tol: float = DEFAULT_LP_TOL):
     """Decide whether {x >= 0 : A x = b} is nonempty, within ``tol`` per row.
 
-    ``A`` has ``n`` columns that only the pricing callback knows.
-    ``price(duals, eps)`` prices them at the duals, a list of m floats, and
-    returns ``(col, reduced, column)``, the entering candidate's index,
-    reduced cost and column (a list of m floats), or None when no column has
-    a reduced cost below ``-eps``. The candidate is the lowest index of the
-    most negative reduced cost. Phase 1: one artificial variable per row
-    starts in the basis, and the pivots minimise their sum.
+    Only the pricing callback knows the columns of ``A``: ``price(duals)``
+    takes the duals, a list of m floats, and always returns ``(col, reduced,
+    column)`` for the lowest index of the most negative reduced cost, the
+    column a list of m floats; ``_revised_pivots`` decides whether it
+    enters. Phase 1: one artificial variable per row starts in the basis,
+    and the pivots minimise their sum.
     Returns (feasible, x, residuals), where residuals[i] is the absolute
     infeasibility left in row i at the phase-1 optimum and ``x`` maps each
     basic real column to its value at the phase-1 point, whether or not the
     tolerance test passes; every other real variable is 0. A basic value
     that is zero in exact arithmetic may round to about -1e-16, so each is
-    reported as ``max(value, 0.0)``. A malformed or
-    non-finite ``b``, or a ``tol`` outside [0, ``MAX_LP_TOL``], raises
-    ``ValueError``.
+    reported as ``max(value, 0.0)``. A malformed or non-finite ``b``, or a
+    ``tol`` outside [0, ``MAX_LP_TOL``], raises ``ValueError``.
     """
     if not 0.0 <= tol <= MAX_LP_TOL:
         raise ValueError(f"tol must lie in [0, {MAX_LP_TOL:g}], got {tol}")
@@ -145,17 +144,17 @@ def lp_feasibility(price, n, b, *, tol: float = DEFAULT_LP_TOL):
     for i, f in enumerate(flip):
         tableau[i][i] = f
     tableau.append([-f for f in flip] + [-sum(values)])
-    basis = list(range(n, n + m))
+    basis = [~i for i in range(m)]
 
-    _revised_pivots(price, n, flip, tableau, basis)
+    _revised_pivots(price, flip, tableau, basis)
     if not all(map(math.isfinite, chain.from_iterable(tableau))):
         raise OracleError(_LOST_FINITENESS)
 
     residuals = [0.0] * m
     x = {}
     for var, row in zip(basis, tableau):
-        if var >= n:
-            residuals[var - n] = row[m]
+        if var < 0:
+            residuals[~var] = row[m]
         else:
             x[var] = max(row[m], 0.0)
     return max(residuals, default=0.0) <= tol, x, np.array(residuals)

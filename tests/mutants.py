@@ -48,6 +48,16 @@ CATALOGUE = (
     Mutant("lp-feasibility-tol-open", "src/chsh_steering/simplex.py",
            "max(residuals, default=0.0) <= tol", "max(residuals, default=0.0) < tol",
            ("tests/test_simplex.py",)),
+    Mutant("tie-goes-to-artificial", "src/chsh_steering/simplex.py",
+           "if least < -eps and not reduced <= least:",
+           "if least < -eps and not reduced < least:",
+           ("tests/test_simplex.py",)),
+    Mutant("entry-threshold-closed", "src/chsh_steering/simplex.py",
+           "elif not reduced < -eps:", "elif not reduced <= -eps:",
+           ("tests/test_simplex.py",)),
+    Mutant("residual-row-misnamed", "src/chsh_steering/simplex.py",
+           "residuals[~var] = row[m]", "residuals[var] = row[m]",
+           ("tests/test_simplex.py",)),
     Mutant("decompose-tol-10x", "src/chsh_steering/lhs_oracle.py",
            "if r1 + r2 > 1.0 + tol:", "if r1 + r2 > 1.0 + 10.0 * tol:",
            ("tests/test_lhs_oracle.py",)),

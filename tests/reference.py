@@ -157,17 +157,16 @@ def dense_pricer(A, cost=None):
     """A pricing callback for ``simplex`` over the columns of a dense ``A``.
 
     Every reduced cost comes from one ``duals @ A`` matvec (plus ``cost``, if
-    given); the most negative one enters, first index on ties.
+    given); it returns the most negative one, first index on ties, and the
+    simplex decides whether it enters.
     """
     A = np.ascontiguousarray(A, dtype=float)
 
-    def price(duals, eps):
+    def price(duals):
         reduced = np.dot(duals, A)
         if cost is not None:
             reduced += cost
         col = int(reduced.argmin())
-        if not reduced[col] < -eps:
-            return None
         return col, float(reduced[col]), A[:, col].tolist()
 
     return price
@@ -186,7 +185,7 @@ def dense_lp_feasibility(A, b, *, tol: float = DEFAULT_LP_TOL):
         raise ValueError(f"b must have shape ({A.shape[0]},), got {np.shape(b)}")
     if not np.isfinite(A).all():
         raise ValueError("A must be finite")
-    feasible, basic, residuals = lp_feasibility(dense_pricer(A), A.shape[1], b, tol=tol)
+    feasible, basic, residuals = lp_feasibility(dense_pricer(A), b, tol=tol)
     x = np.zeros(A.shape[1])
     for col, value in basic.items():
         x[col] = value

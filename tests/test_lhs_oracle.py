@@ -26,7 +26,7 @@ from chsh_steering.lhs_oracle import (
     lp_membership_batch,
     model_correlations,
 )
-from chsh_steering.simplex import PIVOT_EPS, lp_feasibility
+from chsh_steering.simplex import DEFAULT_LP_TOL, lp_feasibility
 from chsh_steering.steering_witness import f_value, f_value_array
 from reference import atom_matrix, from_e_basis, from_e_basis_array, oracle_matrix
 
@@ -261,17 +261,31 @@ class TestLpMembership:
         # can reach the membership decision.
         calls = []
 
-        def counting(price, n, b, **kwargs):
-            calls.append((price, n, list(b), sorted(kwargs)))
-            return lp_feasibility(price, n, b, **kwargs)
+        def counting(price, b, **kwargs):
+            calls.append((price, list(b), sorted(kwargs)))
+            return lp_feasibility(price, b, **kwargs)
 
         monkeypatch.setattr(lhs_oracle, "lp_feasibility", counting)
         points = np.random.Generator(np.random.Philox(27)).uniform(-1.0, 1.0, (7, 4))
         assert len(lp_membership_batch(points, grid_n=64)) == 7
         assert len(calls) == 7
-        assert len({id(price) for price, _, _, _ in calls}) == 1
-        assert [(n, b, kwargs) for _, n, b, kwargs in calls] == [
-            (128, [*point, 1.0], ["tol"]) for point in points.tolist()]
+        assert len({id(price) for price, _, _ in calls}) == 1
+        assert [(b, kwargs) for _, b, kwargs in calls] == [
+            ([*point, 1.0], ["tol"]) for point in points.tolist()]
+
+    def test_max_residual_is_the_lp_certificate(self):
+        # max_residual is bitwise the largest per-row residual of the point's
+        # phase-1 optimum, and it lies within tol exactly when lp_feasible.
+        price = lhs_oracle._grid_pricer(64)
+        rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(201)))
+        points = rng.uniform(-1.0, 1.0, (300, 4))
+        results = lp_membership_batch(points, grid_n=64)
+        for point, res in zip(points.tolist(), results):
+            residuals = lp_feasibility(price, [*point, 1.0])[2]
+            assert res.max_residual.hex() == float(max(residuals)).hex()
+            assert (res.max_residual <= DEFAULT_LP_TOL) == res.lp_feasible
+        feasible = sum(res.lp_feasible for res in results)
+        assert 0 < feasible < len(results)
 
     def test_input_validation(self, monkeypatch):
         with pytest.raises(ValueError):
@@ -336,8 +350,7 @@ class TestGridPricer:
         for duals in _random_duals(rng, count):
             reduced = np.dot(duals, A)
             first, second = np.argsort(reduced, kind="stable")[:2]
-            # eps = -inf admits every column, so the pricer returns its minimum.
-            col, value, column = price(duals.tolist(), -np.inf)
+            col, value, column = price(duals.tolist())
             assert np.abs(np.array(column) - A[:, col]).max() <= 1e-15
             if reduced[second] - reduced[first] > 1e-12:
                 assert col == first
@@ -359,7 +372,7 @@ class TestGridPricer:
             reduced = _scalar_reduced(duals.tolist(), grid_n)
             least = np.flatnonzero(reduced == reduced.min())
             tied += np.unique(least % grid_n).size > 1
-            assert price(duals.tolist(), -np.inf)[0] == least[0]
+            assert price(duals.tolist())[0] == least[0]
         assert tied > 0
 
     @pytest.mark.parametrize("grid_n", [8, 64, 2048])
@@ -384,7 +397,7 @@ class TestGridPricer:
             reduced = _scalar_reduced(duals, grid_n)
             least = int(np.flatnonzero(reduced == reduced.min())[0])
             assert least == aimed * grid_n + k
-            assert price(duals, -np.inf)[0] == least
+            assert price(duals)[0] == least
             p, q = pq[aimed]
             below += math.floor(math.atan2(-q, -p) * grid_n / (2.0 * math.pi)) % grid_n != k
         assert below > 0
@@ -392,8 +405,9 @@ class TestGridPricer:
     def test_flat_family_takes_index_zero(self):
         price = lhs_oracle._grid_pricer(64)
         # p = q = 0 in both families: every column costs y4.
-        assert price([0.0, 0.0, 0.0, 0.0, -1.0], PIVOT_EPS)[:2] == (0, -1.0)
-        assert price([0.0, 0.0, 0.0, 0.0, 0.0], PIVOT_EPS) is None
+        assert price([0.0, 0.0, 0.0, 0.0, -1.0])[:2] == (0, -1.0)
+        # The pricer names its best column even when it would not enter.
+        assert price([0.0] * 5)[:2] == (0, 0.0)
 
     def test_grid_is_free(self):
         # At the largest grid the atom matrix alone would take 84 MB, and

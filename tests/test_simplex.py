@@ -52,24 +52,24 @@ def _beale_problem():
     # costs live in the pricer, which is the only place the loop sees them.
     tableau = [[1.0, 0.0, 0.0, 0.0], [0.0, 1.0, 0.0, 0.0], [0.0, 0.0, 1.0, 1.0],
                [0.0, 0.0, 0.0, 0.0]]
-    return dense_pricer(A, c), A.shape[1], tableau, [4, 5, 6]
+    return dense_pricer(A, c), tableau, [4, 5, 6]
 
 
 def test_lexicographic_rule_terminates_on_cycling_example(monkeypatch):
     monkeypatch.setattr(simplex, "DEFAULT_MAX_ITER", 1000)
-    price, n, tableau, basis = _beale_problem()
+    price, tableau, basis = _beale_problem()
     calls = []
 
-    def counted(duals, eps):
+    def counted(duals):
         calls.append(duals)
-        return price(duals, eps)
+        return price(duals)
 
-    _revised_pivots(counted, n, [1.0] * 3, tableau, basis)
+    _revised_pivots(counted, [1.0] * 3, tableau, basis)
     # The bottom-right entry is -z; the optimum of Beale's LP is z = -1/20.
     # The first pivot ties rows 0 and 1 at ratio 0; a lowest-basic-index
     # tie-break takes row 0 there and cycles to the iteration limit.
     assert tableau[3][3] == pytest.approx(0.05, abs=1e-10)
-    # Two pivots, then the pricing call that finds no entering column.
+    # Two pivots, then the pricing call whose column does not enter.
     assert len(calls) == 3
 
 
@@ -79,7 +79,19 @@ def test_unbounded_ray_raises_oracle_error():
     price = dense_pricer(np.array([[1.0, -1.0, 1.0]]), np.array([-1.0, 0.0, 0.0]))
     tableau = [[1.0, 1.0], [0.0, 0.0]]
     with pytest.raises(OracleError, match="unbounded"):
-        _revised_pivots(price, 3, [1.0], tableau, [2])
+        _revised_pivots(price, [1.0], tableau, [2])
+
+
+def test_real_column_wins_a_tie_with_an_artificial():
+    # min 2 x0 + x1 + a s.t. x0 + x1 + a = 1 from the basis {x0}: the duals
+    # are y = 2, so x1 and the artificial a both price at 1 - 2 = -1. The
+    # real column comes first, so x1 enters; either choice is optimal.
+    price = dense_pricer(np.array([[1.0, 1.0]]), np.array([2.0, 1.0]))
+    tableau = [[1.0, 1.0], [-2.0, -2.0]]
+    basis = [0]
+    _revised_pivots(price, [1.0], tableau, basis)
+    assert basis == [1]
+    assert tableau == [[1.0, 1.0], [-1.0, -1.0]]
 
 
 def test_iteration_limit_raises_oracle_error(monkeypatch):
@@ -110,6 +122,23 @@ class TestFeasibility:
         feasible, _, residuals = dense_lp_feasibility(A, np.array([1.0, 1.0, 5.0]))
         assert not feasible
         assert residuals.shape == (3,)
+        # Row 0 is met by x0 = 1; row 1 cannot be, and its artificial stays
+        # basic with the whole of b1 (the artificial of row i is ~i).
+        feasible, x, residuals = dense_lp_feasibility(np.array([[1.0], [0.0]]),
+                                                      np.array([1.0, 2.0]))
+        assert not feasible
+        assert residuals.tolist() == [0.0, 2.0]
+        assert x.tolist() == [1.0]
+
+    def test_reduced_cost_of_minus_pivot_eps_does_not_enter(self):
+        # Entries at or below PIVOT_EPS count as zero, reduced costs too: the
+        # column's reduced cost is exactly -PIVOT_EPS at the artificial start,
+        # so phase 1 ends at once with the whole of b as the residual.
+        feasible, x, residuals = dense_lp_feasibility(np.array([[PIVOT_EPS]]),
+                                                      np.array([1.0]))
+        assert not feasible
+        assert residuals.tolist() == [1.0]
+        assert x.tolist() == [0.0]
 
     def test_tolerance_controls_verdict(self):
         A = np.array([[1.0]])
@@ -137,7 +166,7 @@ class TestFeasibility:
             dense_lp_feasibility(np.ones(3), np.ones(3))
         # The solver itself sees only b: it must be a vector.
         with pytest.raises(ValueError, match="vector"):
-            lp_feasibility(dense_pricer(np.ones((2, 3))), 3, np.ones((2, 1)))
+            lp_feasibility(dense_pricer(np.ones((2, 3))), np.ones((2, 1)))
 
     @pytest.mark.parametrize("A, b", [
         ([[1.0, np.nan]], [1.0]),
@@ -205,7 +234,7 @@ def test_matches_dense_tableau_reference(grid_n):
     rng = np.random.Generator(np.random.Philox(grid_n))
     for point in rng.uniform(-1.0, 1.0, (300, 4)):
         b = np.append(point, 1.0)
-        feasible, x, residuals = lp_feasibility(price, 2 * grid_n, b)
+        feasible, x, residuals = lp_feasibility(price, b)
         ref_feasible, ref_residuals = _dense_phase1(A, b)
         assert feasible == ref_feasible
         assert abs(residuals.sum() - ref_residuals.sum()) <= 1e-9
@@ -226,7 +255,7 @@ def test_degenerate_points_match_dense_reference(grid_n):
                              rng.integers(-8, 9, (40, 4)) / 8.0, half_zero])
     for point in points:
         b = np.append(point, 1.0)
-        feasible, x, residuals = lp_feasibility(price, 2 * grid_n, b)
+        feasible, x, residuals = lp_feasibility(price, b)
         ref_feasible, ref_residuals = _dense_phase1(A, b)
         assert feasible == ref_feasible
         assert abs(residuals.sum() - ref_residuals.sum()) <= 1e-9

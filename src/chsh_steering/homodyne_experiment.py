@@ -207,7 +207,8 @@ def homodyne_pdf(rho: np.ndarray, phi: float, eta: float, x):
     """Outcome density of one inefficient homodyne on a single-mode state.
 
     Accepts scalar or array ``x``; integrates to 1 over the real line. A
-    non-finite phase or outcome raises ``ValueError``.
+    non-finite phase or outcome raises ``ValueError``; every finite outcome
+    has a finite density, 0 where the envelope underflows.
     """
     rho = validate_density(rho, dim=2)
     _check_phase(phi)
@@ -215,7 +216,14 @@ def homodyne_pdf(rho: np.ndarray, phi: float, eta: float, x):
     if not np.isfinite(x).all():
         raise ValueError("homodyne outcome x must be finite")
     c0, c1, c2 = (float(np.trace(rho @ g).real) for g in _g_operators(phi, eta))
-    result = _envelope(x, eta) * (c0 + c1 * x + c2 * x * x)
+    # x * x overflows above |x| = 1.3e154, so beyond |x| = 1e150 the density
+    # is written in u = sqrt(eta) x, capped at |u| = 64 where exp(-u^2 / 2)
+    # is already 0 and the polynomial still finite.
+    far = np.abs(x) > 1e150
+    near = np.where(far, 0.0, x)
+    u = np.clip(math.sqrt(eta) * x, -64.0, 64.0)
+    tail = _envelope(u, 1.0) * (math.sqrt(eta) * c0 + c1 * u + c2 / math.sqrt(eta) * u * u)
+    result = np.where(far, tail, _envelope(near, eta) * (c0 + c1 * near + c2 * near * near))
     return result if result.ndim else float(result)
 
 

@@ -28,7 +28,6 @@ from . import correlation_model
 
 WEIGHT_SUM_TOL = 1e-12
 WEIGHT_NEG_TOL = 1e-14
-MEMBER_TOL = 1e-12
 DEFAULT_GRID_N = 2048
 MAX_GRID_N = 2 ** 20
 # The LP's residual tolerance widens the band by KAPPA * tol (see
@@ -93,17 +92,18 @@ def model_correlations(model: LhsModel) -> CorrelationSet:
     return CorrelationSet(*total)
 
 
-def decompose(v: EBasisVector, tol: float = MEMBER_TOL) -> LhsModel:
+def decompose(v: EBasisVector) -> LhsModel:
     """Write a member point as a mixture of at most three extremal atoms.
 
     The radial parts of the two planes fix one atom each; whatever weight is
     left is split between an antipodal pair in the first plane, which cancels
     and keeps the correlators unchanged. Atoms of zero weight are left out.
-    Raises ``NotAMemberError`` when f(v) > 1 + tol.
+    Raises ``NotAMemberError`` when f(v) - 1 > ``WEIGHT_SUM_TOL``: the
+    atoms' weights sum to f(v) there, which ``LhsModel`` would refuse.
     """
     r1 = float(np.hypot(v.v1, v.v2))
     r2 = float(np.hypot(v.v3, v.v4))
-    if r1 + r2 > 1.0 + tol:
+    if r1 + r2 - 1.0 > WEIGHT_SUM_TOL:
         raise NotAMemberError(
             f"f={r1 + r2!r} exceeds 1; no local model exists for this point")
     xi_a = float(np.arctan2(v.v2, v.v1))
@@ -133,8 +133,16 @@ def boundary_band(grid_n: int, tol: float = DEFAULT_LP_TOL) -> float:
       inequality f(c) <= 1 + (1 + 2 sqrt(2)) tol = 1 + KAPPA * tol.
 
     At the default tolerance the sag is the larger term up to grid 2^15.
+    ``tol`` must lie in [0, ``MAX_LP_TOL``] and ``grid_n`` between 8 and
+    ``MAX_GRID_N``, the ranges the oracle accepts, else ``ValueError``.
     """
-    return max(1.0 - np.cos(np.pi / grid_n), KAPPA * tol)
+    if not 0.0 <= tol <= MAX_LP_TOL:
+        raise ValueError(f"LP tolerance must lie in [0, {MAX_LP_TOL:g}], got {tol}")
+    if not grid_n >= 8:
+        raise ValueError(f"grid_n must be at least 8, got {grid_n}")
+    if grid_n > MAX_GRID_N:
+        raise ValueError(f"grid_n must be at most {MAX_GRID_N}, got {grid_n}")
+    return float(max(1.0 - np.cos(np.pi / grid_n), KAPPA * tol))
 
 
 def _grid_pricer(grid_n: int):
@@ -222,22 +230,16 @@ def lp_membership_batch(points: np.ndarray, grid_n: int = DEFAULT_GRID_N,
 
     Each point is one ``lp_feasibility`` call on b = (point, 1) over the
     implicit atom columns of ``_grid_pricer``, whose last row (all ones)
-    makes the weights sum to 1. ``grid_n`` must lie between 8 and
-    ``MAX_GRID_N``, and every point must be finite, else ``ValueError``.
+    makes the weights sum to 1. Every point must be finite, else
+    ``ValueError``; ``boundary_band`` checks ``grid_n`` and ``tol``.
     """
     points = np.asarray(points, dtype=float)
     if points.ndim != 2 or points.shape[1] != 4:
         raise ValueError(f"points must have shape (N, 4), got {points.shape}")
     if not np.isfinite(points).all():
         raise ValueError("points must be finite")
-    if not 0.0 <= tol <= MAX_LP_TOL:
-        raise ValueError(f"LP tolerance must lie in [0, {MAX_LP_TOL:g}], got {tol}")
-    if grid_n < 8:
-        raise ValueError(f"grid_n must be at least 8, got {grid_n}")
-    if grid_n > MAX_GRID_N:
-        raise ValueError(f"grid_n must be at most {MAX_GRID_N}, got {grid_n}")
+    band = boundary_band(grid_n, tol)
     price = _grid_pricer(grid_n)
-    band = float(boundary_band(grid_n, tol))
     f_values = f_value_array(correlation_model.to_e_basis_array(points))
     results = []
     for point, f in zip(points.tolist(), f_values.tolist()):

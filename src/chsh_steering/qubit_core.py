@@ -19,47 +19,47 @@ import numpy as np
 
 from .correlation_model import CORRELATOR_RANGE_TOL
 
-HERMITIAN_TOL = 1e-12
-EFFECT_TOL = 1e-12
+OPERATOR_TOL = 1e-12
 DENSITY_PSD_TOL = 1e-10
 
 IDENTITY2 = np.eye(2, dtype=complex)
 
 
-def is_hermitian(op: np.ndarray, tol: float = HERMITIAN_TOL) -> bool:
-    return np.abs(op - op.conj().T).max() <= tol
-
-
-def _check_entries(op: np.ndarray, tol: float, what: str) -> None:
-    """Reject an entry of modulus above 1 + tol, which no density matrix or
-    effect has: bounded entries keep the checks that follow from overflowing."""
-    if not np.abs(op).max() <= 1.0 + tol:
+def _hermitian(op: np.ndarray, dim: int, what: str) -> np.ndarray:
+    """``op`` as a complex ``dim`` x ``dim`` array, else ``ValueError`` naming
+    ``what``. The checks run in this order: the shape, finite entries, no
+    entry of modulus above 1 + ``OPERATOR_TOL`` (no density matrix or effect
+    has one, and bounded entries keep the checks that follow from
+    overflowing), and Hermiticity within ``OPERATOR_TOL``."""
+    op = np.asarray(op, dtype=complex)
+    if op.shape != (dim, dim):
+        raise ValueError(f"{what} must be {dim}x{dim}, got {op.shape}")
+    if not np.isfinite(op).all():
+        raise ValueError(f"{what} has a non-finite entry")
+    if not np.abs(op).max() <= 1.0 + OPERATOR_TOL:
         raise ValueError(f"{what} has an entry of modulus above 1")
+    if not np.abs(op - op.conj().T).max() <= OPERATOR_TOL:
+        raise ValueError(f"{what} is not Hermitian within tolerance")
+    return op
 
 
 def validate_effect(op: np.ndarray) -> np.ndarray:
-    """Check that ``op`` is a valid 2x2 POVM effect (0 <= op <= 1)."""
-    op = np.asarray(op, dtype=complex)
-    if op.shape != (2, 2):
-        raise ValueError(f"effect must be a 2x2 matrix, got shape {op.shape}")
-    _check_entries(op, EFFECT_TOL, "effect")
-    if not is_hermitian(op, EFFECT_TOL):
-        raise ValueError("effect is not Hermitian within tolerance")
+    """Check that ``op`` is a valid 2x2 POVM effect (0 <= op <= 1): the
+    checks of ``_hermitian``, then eigenvalues in [0, 1] within
+    ``OPERATOR_TOL``."""
+    op = _hermitian(op, 2, "effect")
     eig = np.linalg.eigvalsh(op)
-    if eig.min() < -EFFECT_TOL or eig.max() > 1.0 + EFFECT_TOL:
+    if eig.min() < -OPERATOR_TOL or eig.max() > 1.0 + OPERATOR_TOL:
         raise ValueError(f"effect eigenvalues {eig} outside [0, 1]")
     return op
 
 
 def validate_density(rho: np.ndarray, dim: int = 4) -> np.ndarray:
-    """Check Hermiticity, unit trace and positivity of a density matrix."""
-    rho = np.asarray(rho, dtype=complex)
-    if rho.shape != (dim, dim):
-        raise ValueError(f"density matrix must be {dim}x{dim}, got {rho.shape}")
-    _check_entries(rho, HERMITIAN_TOL, "density matrix")
-    if not is_hermitian(rho):
-        raise ValueError("density matrix is not Hermitian within tolerance")
-    if abs(np.trace(rho).real - 1.0) > HERMITIAN_TOL:
+    """Check a ``dim`` x ``dim`` density matrix: the checks of
+    ``_hermitian``, then unit trace within ``OPERATOR_TOL`` and no
+    eigenvalue below -``DENSITY_PSD_TOL``."""
+    rho = _hermitian(rho, dim, "density matrix")
+    if abs(np.trace(rho).real - 1.0) > OPERATOR_TOL:
         raise ValueError(f"density matrix trace {np.trace(rho)} differs from 1")
     if np.linalg.eigvalsh(rho).min() < -DENSITY_PSD_TOL:
         raise ValueError("density matrix has a negative eigenvalue beyond tolerance")

@@ -124,14 +124,15 @@ def lp_feasibility(price, b, *, tol: float = DEFAULT_LP_TOL):
     basic real column to its value at the phase-1 point, whether or not the
     tolerance test passes; every other real variable is 0. A basic value
     that is zero in exact arithmetic may round to about -1e-16, so each is
-    reported as ``max(value, 0.0)``. A malformed or non-finite ``b``, or a
-    ``tol`` outside [0, ``MAX_LP_TOL``], raises ``ValueError``.
+    reported as ``max(value, 0.0)``. A malformed, empty or non-finite ``b``,
+    or a ``tol`` outside [0, ``MAX_LP_TOL``], raises ``ValueError`` before
+    ``price`` is called.
     """
     if not 0.0 <= tol <= MAX_LP_TOL:
         raise ValueError(f"tol must lie in [0, {MAX_LP_TOL:g}], got {tol}")
     b = np.asarray(b, dtype=float)
-    if b.ndim != 1:
-        raise ValueError(f"b must be a vector, got shape {b.shape}")
+    if b.ndim != 1 or not b.size:
+        raise ValueError(f"b must be a non-empty vector, got shape {b.shape}")
     b = b.tolist()
     if not all(map(math.isfinite, b)):
         raise ValueError("b must be finite")
@@ -157,4 +158,4 @@ def lp_feasibility(price, b, *, tol: float = DEFAULT_LP_TOL):
             residuals[~var] = row[m]
         else:
             x[var] = max(row[m], 0.0)
-    return max(residuals, default=0.0) <= tol, x, np.array(residuals)
+    return max(residuals) <= tol, x, np.array(residuals)

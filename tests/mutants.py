@@ -8,7 +8,8 @@ temporary directory per mutant, applies the replacement there and runs the
 test files that must kill it; a failing run kills the mutant. It prints one
 line per mutant and then killed/total over the mutants that are not
 equivalent. An equivalent mutant is not run; its fragment is still checked,
-so the catalogue cannot go stale unnoticed. Exit status 1 when a mutant
+so the catalogue cannot go stale unnoticed; ``tests/test_mutants.py`` checks
+the fragments in every test run too. Exit status 1 when a mutant
 survives or a fragment no longer occurs exactly once. pytest does not collect
 this file.
 """
@@ -34,6 +35,10 @@ class Mutant:
     tests: tuple[str, ...]
     equivalent: str = ""  # why no test can kill it; empty for a real mutant
 
+    def occurrences(self) -> int:
+        """How often ``fragment`` occurs in ``file``: once, unless stale."""
+        return (ROOT / self.file).read_text().count(self.fragment)
+
 
 CATALOGUE = (
     Mutant("verdict-upper-edge-open", "src/chsh_steering/steering_witness.py",
@@ -46,7 +51,7 @@ CATALOGUE = (
            "if abs(f - 1.0) <= band:", "if abs(f - 1.0) < band:",
            ("tests/test_lhs_oracle.py",)),
     Mutant("lp-feasibility-tol-open", "src/chsh_steering/simplex.py",
-           "max(residuals, default=0.0) <= tol", "max(residuals, default=0.0) < tol",
+           "max(residuals) <= tol", "max(residuals) < tol",
            ("tests/test_simplex.py",)),
     Mutant("tie-goes-to-artificial", "src/chsh_steering/simplex.py",
            "if least < -eps and not reduced <= least:",
@@ -55,11 +60,15 @@ CATALOGUE = (
     Mutant("entry-threshold-closed", "src/chsh_steering/simplex.py",
            "elif not reduced < -eps:", "elif not reduced <= -eps:",
            ("tests/test_simplex.py",)),
+    Mutant("empty-b-accepted", "src/chsh_steering/simplex.py",
+           "if b.ndim != 1 or not b.size:", "if b.ndim != 1:",
+           ("tests/test_simplex.py",)),
     Mutant("residual-row-misnamed", "src/chsh_steering/simplex.py",
            "residuals[~var] = row[m]", "residuals[var] = row[m]",
            ("tests/test_simplex.py",)),
     Mutant("decompose-tol-10x", "src/chsh_steering/lhs_oracle.py",
-           "if r1 + r2 > 1.0 + tol:", "if r1 + r2 > 1.0 + 10.0 * tol:",
+           "if r1 + r2 - 1.0 > WEIGHT_SUM_TOL:",
+           "if r1 + r2 - 1.0 > 10.0 * WEIGHT_SUM_TOL:",
            ("tests/test_lhs_oracle.py",)),
     Mutant("density-psd-tol-10x", "src/chsh_steering/qubit_core.py",
            "DENSITY_PSD_TOL = 1e-10", "DENSITY_PSD_TOL = 1e-9",
@@ -70,6 +79,9 @@ CATALOGUE = (
     Mutant("scan-margin-2-60", "src/chsh_steering/violation_search.py",
            "_MARGIN = 2.0 ** -20", "_MARGIN = 2.0 ** -60",
            ("tests/test_violation_search.py",)),
+    Mutant("band-grid-floor-unchecked", "src/chsh_steering/lhs_oracle.py",
+           "if not grid_n >= 8:", "if False:",
+           ("tests/test_lhs_oracle.py",)),
     Mutant("weight-check-nan-blind", "src/chsh_steering/lhs_oracle.py",
            "if not weight >= -WEIGHT_NEG_TOL:", "if weight < -WEIGHT_NEG_TOL:",
            ("tests/test_lhs_oracle.py",)),
@@ -79,11 +91,16 @@ CATALOGUE = (
     Mutant("state-scan-unvalidated", "src/chsh_steering/violation_search.py",
            "    rho = validate_density(rho)\n", "",
            ("tests/test_violation_search.py",)),
+    Mutant("finiteness-unchecked", "src/chsh_steering/qubit_core.py",
+           "if not np.isfinite(op).all():", "if False:",
+           ("tests/test_qubit_core.py", "tests/test_cli.py")),
     Mutant("check-entries-negated", "src/chsh_steering/qubit_core.py",
-           "if not np.abs(op).max() <= 1.0 + tol:", "if np.abs(op).max() > 1.0 + tol:",
+           "if not np.abs(op).max() <= 1.0 + OPERATOR_TOL:",
+           "if np.abs(op).max() > 1.0 + OPERATOR_TOL:",
            ("tests/test_qubit_core.py", "tests/test_cli.py"),
-           equivalent="the two differ only on NaN, which is_hermitian then rejects"
-                      " with another message"),
+           equivalent="the two differ only on NaN, and the finiteness check before"
+                      " it has already rejected every NaN entry; the modulus of a"
+                      " finite complex entry is never NaN"),
 )
 
 
@@ -120,7 +137,7 @@ def main(names) -> int:
     killed = total = 0
     ok = True
     for mutant in chosen:
-        count = (ROOT / mutant.file).read_text().count(mutant.fragment)
+        count = mutant.occurrences()
         if count != 1:
             outcome = f"STALE: the fragment occurs {count} times in {mutant.file}"
             ok = False

@@ -361,6 +361,18 @@ class TestRejectedInput:
         self.assert_rejected(*run_cli(capsys, "scan", "state", "--input", str(path),
                                       "--resolution", "6"))
 
+    @pytest.mark.parametrize("bad", ["NaN", "Infinity"])
+    def test_scan_state_names_a_non_finite_entry(self, capsys, tmp_path, bad):
+        # Python's json reads NaN and Infinity; the entry was reported as
+        # "an entry of modulus above 1".
+        path = tmp_path / "state.json"
+        path.write_text('{"real": [[%s, 0, 0, 0], [0, 0.25, 0, 0],'
+                        ' [0, 0, 0.25, 0], [0, 0, 0, 0.25]]}' % bad)
+        code, out, err = run_cli(capsys, "scan", "state", "--input", str(path),
+                                 "--resolution", "6")
+        self.assert_rejected(code, out, err)
+        assert err == "error: density matrix has a non-finite entry\n"
+
     def test_joint_matrix_of_the_wrong_shape(self, capsys, tmp_path):
         path = tmp_path / "joint.json"
         path.write_text(json.dumps({"joint": np.full((3, 3), 1.0 / 9.0).tolist()}))

@@ -257,6 +257,30 @@ class TestPdf:
             got = homodyne_pdf(rho, phi, eta, x)
             assert np.abs(got - _reference_pdf(rho, phi, eta, x)).max() <= 4e-16
 
+    def test_far_outcomes_have_density_zero(self):
+        # x * x overflowed above |x| = 1.3e154: NaN and two RuntimeWarnings.
+        rho = np.diag([0.5, 0.5]).astype(complex)
+        x = [1e200, -1e200, 3.0, 1e150, np.finfo(float).max]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = homodyne_pdf(rho, 0.0, 1.0, x)
+            assert homodyne_pdf(rho, 0.0, 1.0, -1e200) == 0.0
+        assert got.tolist() == [0.0, 0.0, _reference_pdf(rho, 0.0, 1.0, 3.0), 0.0, 0.0]
+
+    def test_far_outcomes_at_tiny_efficiency(self):
+        # At eta = 1e-300 the envelope is still e^-2 at |x| = 2e150, past
+        # where x * x is taken: u = sqrt(eta) x = 2 there. The polynomial is
+        # p0 + (1 - eta) p1 = 1, plus the coherence term; its x^2 term,
+        # rho11 eta u^2, is below 1e-299.
+        rho = np.array([[0.5, 0.35 - 0.1j], [0.35 + 0.1j, 0.5]])
+        eta, x = 1e-300, np.array([-2e150, 2e150])
+        coherence = 2.0 * float(np.real(np.exp(-0.3j) * rho[0, 1]))
+        u = math.sqrt(eta) * x
+        expected = (math.sqrt(eta / (2.0 * math.pi)) * np.exp(-0.5 * u * u)
+                    * (1.0 + math.sqrt(eta) * coherence * u))
+        got = homodyne_pdf(rho, 0.3, eta, x)
+        assert np.abs(got - expected).max() <= 1e-15 * expected.max()
+
     def test_vacuum_full_efficiency_is_standard_normal(self):
         rho = np.diag([1.0, 0.0]).astype(complex)
         x = np.linspace(-5, 5, 101)

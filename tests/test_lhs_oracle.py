@@ -15,8 +15,8 @@ from chsh_steering.correlation_model import (
 from chsh_steering.lhs_oracle import (
     BOUNDARY_BAND,
     MEMBER,
-    MEMBER_TOL,
     NON_MEMBER,
+    WEIGHT_SUM_TOL,
     LhsAtom,
     LhsModel,
     NotAMemberError,
@@ -99,7 +99,16 @@ class TestDecompose:
             decompose(EBasisVector(0.5, 0.5, 0.5, -0.5))
         # Just outside the tolerance that decompose documents.
         with pytest.raises(NotAMemberError):
-            decompose(EBasisVector(1.0 + 5.0 * MEMBER_TOL, 0.0, 0.0, 0.0))
+            decompose(EBasisVector(1.0 + 5.0 * WEIGHT_SUM_TOL, 0.0, 0.0, 0.0))
+
+    def test_threshold_is_the_models_weight_sum(self):
+        # f = fl(1 + 1e-12) is 1 + 1.00009e-12: it passed f <= 1 + tol and
+        # then failed in LhsModel with "weights sum to ...".
+        with pytest.raises(NotAMemberError):
+            decompose(EBasisVector(1.0 + 1e-12, 0.0, 0.0, 0.0))
+        # The float just below it is accepted by both.
+        f = np.nextafter(1.0 + 1e-12, 0.0)
+        assert decompose(EBasisVector(f, 0.0, 0.0, 0.0)).atoms[0][1] == f
 
     def test_nan_coordinate_names_the_angle(self):
         # Not "weights sum to 0.1": the NaN radius passes the member test
@@ -165,6 +174,22 @@ class TestLpMembership:
         assert boundary_band(2 ** 15) == 1.0 - np.cos(np.pi / 2 ** 15)
         assert boundary_band(2 ** 16) == (1.0 + 2.0 * np.sqrt(2.0)) * 1e-9
         assert boundary_band(2048, tol=1e-6) == lhs_oracle.KAPPA * 1e-6
+
+    @pytest.mark.parametrize("grid_n, tol, message", [
+        (0, DEFAULT_LP_TOL, "grid_n must be at least 8, got 0"),
+        (7, DEFAULT_LP_TOL, "grid_n must be at least 8, got 7"),
+        (2 ** 20 + 1, DEFAULT_LP_TOL, "grid_n must be at most 1048576, got 1048577"),
+        (64, -1e-12, r"LP tolerance must lie in \[0, 1e-06\], got -1e-12"),
+        (64, math.nan, r"LP tolerance must lie in \[0, 1e-06\], got nan"),
+        (64, 2e-6, r"LP tolerance must lie in \[0, 1e-06\], got 2e-06"),
+    ])
+    def test_band_checks_the_oracle_ranges(self, grid_n, tol, message):
+        # boundary_band(0) divided by zero; grids the oracle refuses and a
+        # negative or NaN tolerance got a band. The messages are the oracle's.
+        for call in (lambda: boundary_band(grid_n, tol),
+                     lambda: lp_membership_batch(np.zeros((1, 4)), grid_n, tol)):
+            with pytest.raises(ValueError, match=f"^{message}$"):
+                call()
 
     def test_fine_grid_band_covers_lp_tolerance(self):
         # At grid 2^17 the sag (2.9e-10) is below the LP tolerance, and phase

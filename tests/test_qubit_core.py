@@ -7,6 +7,7 @@ from chsh_steering.qubit_core import (
     expectation_table,
     projector_from_params,
     quantum_correlator,
+    validate_density,
     validate_effect,
 )
 from reference import (
@@ -200,3 +201,16 @@ class TestQuantumCorrelator:
         with pytest.raises(ValueError, match="outside"):
             quantum_correlator(maximally_entangled(), np.array([[1.0, 0.5], [0.5, 1.0]]),
                                np.eye(2))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0.0, np.nan)])
+@pytest.mark.parametrize("validate, good, what", [
+    (validate_density, np.eye(4) / 4.0, "density matrix"),
+    (validate_effect, np.eye(2) / 2.0, "effect"),
+])
+def test_non_finite_entry_is_named(validate, good, what, bad):
+    # It was reported as "an entry of modulus above 1".
+    op = good.astype(complex)
+    op[0, 1] = bad
+    with pytest.raises(ValueError, match=f"^{what} has a non-finite entry$"):
+        validate(op)

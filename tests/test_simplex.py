@@ -168,6 +168,19 @@ class TestFeasibility:
         with pytest.raises(ValueError, match="vector"):
             lp_feasibility(dense_pricer(np.ones((2, 3))), np.ones((2, 1)))
 
+    def test_empty_b_rejected_before_pricing(self):
+        # It used to call the pricer with no duals and then fail inside
+        # max() on an empty sequence.
+        calls = []
+
+        def price(duals):
+            calls.append(duals)
+            raise AssertionError("priced an empty system")
+
+        with pytest.raises(ValueError, match=r"non-empty vector, got shape \(0,\)"):
+            lp_feasibility(price, [])
+        assert calls == []
+
     @pytest.mark.parametrize("A, b", [
         ([[1.0, np.nan]], [1.0]),
         ([[1.0, np.inf]], [1.0]),

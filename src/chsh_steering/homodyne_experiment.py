@@ -16,8 +16,10 @@ steering bound for the raw data is 2*gamma instead of 2.
 
 Efficiency enters the continuous outcome as Gaussian smoothing; convolving
 the ideal single-photon measurement density with that noise kernel gives the
-widened envelope exp(-eta x^2 / 2) and the coefficient polynomial used in
-``homodyne_pdf`` and the Monte Carlo sampler below.
+widened envelope exp(-eta x^2 / 2). In the scaled quadrature u = sqrt(eta) x
+that envelope is the standard normal phi(u) at every efficiency, so
+``homodyne_pdf`` and the Monte Carlo sampler below write the density as
+phi(u) times one quadratic operator polynomial in u.
 """
 
 from __future__ import annotations
@@ -50,9 +52,6 @@ NO_STEERING = "no_steering"
 
 DEFAULT_GRID_CELLS = 4096
 DEFAULT_SPAN = 6.0
-# Smallest efficiency the Monte Carlo serves (1/8192): there its grid widens
-# to 64 * DEFAULT_GRID_CELLS cells, 6.6 MB of tables per call.
-MIN_MC_ETA = 0.5 / 64 ** 2
 # Largest Monte Carlo sample count per setting pair: about 3 minutes at 0.17 s
 # per 1e6 per pair (measured on a 2-core x86-64 Xeon); more would run for hours.
 MAX_MC_SAMPLES = 2 ** 30
@@ -190,16 +189,24 @@ def adjudicate_reported(s_max: float, eta_bob: float,
 # Continuous-outcome model and Monte Carlo sampling
 # ---------------------------------------------------------------------------
 
-def _envelope(x, eta):
-    return np.sqrt(eta / (2.0 * np.pi)) * np.exp(-0.5 * eta * np.asarray(x) ** 2)
+# Moments of the standard normal density phi(v) against (1, v, v^2), over
+# v < 0 and over the whole line: Bob's masses below 0 and in all.
+_MOMENTS_BELOW_0 = np.array([0.5, -1.0 / math.sqrt(2.0 * math.pi), 0.5])
+_MOMENTS = np.array([1.0, 0.0, 1.0])
 
 
-def _g_operators(phi: float, eta: float):
-    """Operator coefficients of (1, x, x^2) in the smoothed outcome density."""
+def _envelope(u):
+    """The standard normal density phi(u)."""
+    return np.exp(-0.5 * np.asarray(u) ** 2) / math.sqrt(2.0 * math.pi)
+
+
+def _u_operators(phi: float, eta: float):
+    """Operator coefficients of (1, u, u^2) in the outcome density of the
+    scaled quadrature u = sqrt(eta) x, which is phi(u) times their traces."""
     _check_eta(eta)
     g0 = np.array([[1.0, 0.0], [0.0, 1.0 - eta]], dtype=complex)
-    g1 = eta * sigma_phi(phi)
-    g2 = np.array([[0.0, 0.0], [0.0, eta * eta]], dtype=complex)
+    g1 = math.sqrt(eta) * sigma_phi(phi)
+    g2 = np.array([[0.0, 0.0], [0.0, eta]], dtype=complex)
     return g0, g1, g2
 
 
@@ -215,15 +222,11 @@ def homodyne_pdf(rho: np.ndarray, phi: float, eta: float, x):
     x = np.asarray(x, dtype=float)
     if not np.isfinite(x).all():
         raise ValueError("homodyne outcome x must be finite")
-    c0, c1, c2 = (float(np.trace(rho @ g).real) for g in _g_operators(phi, eta))
-    # x * x overflows above |x| = 1.3e154, so beyond |x| = 1e150 the density
-    # is written in u = sqrt(eta) x, capped at |u| = 64 where exp(-u^2 / 2)
-    # is already 0 and the polynomial still finite.
-    far = np.abs(x) > 1e150
-    near = np.where(far, 0.0, x)
-    u = np.clip(math.sqrt(eta) * x, -64.0, 64.0)
-    tail = _envelope(u, 1.0) * (math.sqrt(eta) * c0 + c1 * u + c2 / math.sqrt(eta) * u * u)
-    result = np.where(far, tail, _envelope(near, eta) * (c0 + c1 * near + c2 * near * near))
+    c0, c1, c2 = (float(np.trace(rho @ g).real) for g in _u_operators(phi, eta))
+    # phi(u) is already 0 at |u| = 64, where u * u is still finite.
+    root = math.sqrt(eta)
+    u = np.clip(root * x, -64.0, 64.0)
+    result = root * _envelope(u) * (c0 + c1 * u + c2 * u * u)
     return result if result.ndim else float(result)
 
 
@@ -241,53 +244,36 @@ def _sampler_tables(rho: np.ndarray, eta_alice: float, eta_bob: float):
     """The arrays ``_positive_products`` takes after ``u``, one tuple per
     setting pair in correlator order (AB, A'B, AB', A'B').
 
-    The efficiencies belong to the parties, so all four pairs share one grid
-    and the two pairs at each Alice phase share its ``cdf_a`` and ``guide``;
-    only ``below`` and ``total`` are per pair.
+    Both outcomes are taken in their scaled quadratures, where the envelope
+    is phi at every efficiency, so one grid of ``DEFAULT_GRID_CELLS`` cells
+    over [-``DEFAULT_SPAN``, ``DEFAULT_SPAN``] serves every efficiency. The
+    two pairs at each Alice phase share its ``cdf_a`` and ``guide``; only
+    ``below`` and ``total`` are per pair.
     """
-    # The operators come first, so an efficiency outside (0, 1] is reported
-    # as such rather than as below the grid's MIN_MC_ETA. Bob's identity in
-    # the last column gives Alice's marginal, the same bits at either Bob
-    # phase.
-    alice_ops = [_g_operators(phi, eta_alice) for phi in ALICE_PHASES]
-    bob_ops = [(*_g_operators(phi, eta_bob), IDENTITY2) for phi in BOB_PHASES]
+    # Bob's identity in the last column gives Alice's marginal, the same
+    # bits at either Bob phase.
+    alice_ops = [_u_operators(phi, eta_alice) for phi in ALICE_PHASES]
+    bob_ops = [(*_u_operators(phi, eta_bob), IDENTITY2) for phi in BOB_PHASES]
     tables = [expectation_table(rho, a, b) for b in bob_ops for a in alice_ops]
 
-    grid_cells, span = _pair_grid(eta_alice, eta_bob)
-    grid = np.linspace(-span, span, grid_cells + 1)
+    grid = np.linspace(-DEFAULT_SPAN, DEFAULT_SPAN, DEFAULT_GRID_CELLS + 1)
     # Even cell count: the middle knot is 0, which the sign-only sampler
     # relies on. linspace can leave it a few ulps off, so pin it.
-    grid[grid_cells // 2] = 0.0
-    dx = grid[1] - grid[0]
+    grid[DEFAULT_GRID_CELLS // 2] = 0.0
     powers = np.stack([np.ones_like(grid), grid, grid * grid])
 
-    env_a = _envelope(grid, eta_alice)
+    env = _envelope(grid)
     alice = []
     for table in tables[:len(ALICE_PHASES)]:
-        pdf_a = np.maximum(env_a * (table[:, 3] @ powers), 0.0)
-        cdf_a = _cumtrapz(pdf_a, dx)
+        pdf_a = np.maximum(env * (table[:, 3] @ powers), 0.0)
+        cdf_a = _cumtrapz(pdf_a, grid[1] - grid[0])
         if cdf_a[-1] <= 0.0:
             raise ValueError("degenerate marginal density on the sampling grid")
         cdf_a /= cdf_a[-1]
         alice.append((cdf_a, _guide_table(cdf_a)))
-
-    # Bob's masses up to the 0 knot and over the grid, from the trapezoid sums.
-    env_b = _envelope(grid, eta_bob)
-    cum_b = np.stack([_cumtrapz(env_b * p, dx) for p in powers])
     return [(grid, *alice[i % len(ALICE_PHASES)],
-             table[:, :3] @ cum_b[:, grid_cells // 2], table[:, :3] @ cum_b[:, -1])
+             table[:, :3] @ _MOMENTS_BELOW_0, table[:, :3] @ _MOMENTS)
             for i, table in enumerate(tables)]
-
-
-def _pair_grid(eta_a: float, eta_b: float) -> tuple[int, float]:
-    """Cell count and span of the sampling grid, by the rule that
-    ``monte_carlo_correlations`` states; exactly the defaults at eta >= 0.5."""
-    eta = min(eta_a, eta_b)
-    if eta < MIN_MC_ETA:
-        raise ValueError(f"Monte Carlo needs eta >= {MIN_MC_ETA:g}, got {eta:g};"
-                         " the analytic correlators take any eta")
-    scale = math.sqrt(max(1.0, 0.5 / eta))
-    return 2 * math.ceil(DEFAULT_GRID_CELLS * scale / 2), DEFAULT_SPAN * scale
 
 
 def _guide_table(cdf: np.ndarray) -> np.ndarray:
@@ -312,7 +298,8 @@ def _cumtrapz(f: np.ndarray, dx: float) -> np.ndarray:
 
 
 def _positive_products(u, grid, cdf_a, guide, below, total):
-    """Where sign(x) * sign(y) = +1 for quadrature pairs drawn by inverse CDF.
+    """Where sign(x) * sign(y) = +1 for scaled quadrature pairs drawn by
+    inverse CDF.
 
     ``u`` is (n, 2) uniforms in [0, 1); ``grid`` the quadrature abscissae,
     with 0 at the middle knot; ``cdf_a`` the normalised CDF of the first
@@ -377,23 +364,21 @@ def monte_carlo_correlations(state: SinglePhotonState, eta_alice: float,
     """Estimate the four correlators by sampling quadrature outcome pairs at
     the experiment's phases with efficiencies ``eta_alice`` and ``eta_bob``.
 
-    Per setting pair, the first outcome x is drawn from its marginal by
-    inverse CDF on the quadrature grid; the correlator is the mean sign
-    product, so of the second outcome only the sign is resolved, by
-    comparing two quadratics in x. The grid spans ``DEFAULT_SPAN``
-    times ``scale = sqrt(max(1, 0.5 / min(eta_a, eta_b)))`` on each side, in
-    ``2 ceil(DEFAULT_GRID_CELLS scale / 2)`` cells: below eta 0.5 it widens
-    with the outcome envelope, whose width is 1 / sqrt(eta), at the same cell
-    width, so the truncated tails stay at their eta 0.5 size. An efficiency
-    above 1 or below ``MIN_MC_ETA`` (1/8192, where the grid is 64 times the
-    default) raises ``ValueError``, as does an ``n_samples`` outside [1,
-    ``MAX_MC_SAMPLES``]. The x inverse CDF starts from a guide table of
-    uniform buckets and searches only the uniforms whose bucket holds a knot.
-    Streams are counter-based (Philox) and spawned per pair, so results are
-    reproducible for a fixed seed and the per-pair sampling is a pure
-    elementwise map of its uniforms (shards over sample ranges merge
+    Per setting pair, the first scaled outcome u = sqrt(eta_alice) x is
+    drawn from its marginal by inverse CDF on a grid of
+    ``DEFAULT_GRID_CELLS`` cells over [-``DEFAULT_SPAN``, ``DEFAULT_SPAN``],
+    the same at every efficiency; the correlator is the mean sign product,
+    so of the second outcome only the sign is resolved, by comparing Bob's
+    mass below 0 with his total mass, two quadratics in u whose
+    coefficients are exact moments of the standard normal. An efficiency
+    outside (0, 1] raises ``ValueError``, as does an ``n_samples`` outside
+    [1, ``MAX_MC_SAMPLES``]. The inverse CDF starts from a guide table of
+    uniform buckets and searches only the uniforms whose bucket holds a
+    knot. Streams are counter-based (Philox) and spawned per pair, so
+    results are reproducible for a fixed seed and the per-pair sampling is
+    a pure elementwise map of its uniforms (shards over sample ranges merge
     deterministically). The tables are built once per call: one grid, and
-    one x inverse CDF per Alice phase. The four pairs are sampled
+    one inverse CDF per Alice phase. The four pairs are sampled
     concurrently on a pool that the call opens with one thread per core in
     this process's CPU affinity, at most four, and closes before it returns;
     each pair's exact count of +1 products does not depend on the

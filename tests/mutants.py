@@ -94,6 +94,18 @@ CATALOGUE = (
     Mutant("finiteness-unchecked", "src/chsh_steering/qubit_core.py",
            "if not np.isfinite(op).all():", "if False:",
            ("tests/test_qubit_core.py", "tests/test_cli.py")),
+    Mutant("middle-knot-unpinned", "src/chsh_steering/homodyne_experiment.py",
+           "    grid[DEFAULT_GRID_CELLS // 2] = 0.0\n", "",
+           ("tests/test_homodyne_experiment.py",)),
+    Mutant("pdf-outcome-unclipped", "src/chsh_steering/homodyne_experiment.py",
+           "u = np.clip(root * x, -64.0, 64.0)", "u = root * x",
+           ("tests/test_homodyne_experiment.py",)),
+    Mutant("bob-half-line-mean-flipped", "src/chsh_steering/homodyne_experiment.py",
+           "-1.0 / math.sqrt(2.0 * math.pi)", "1.0 / math.sqrt(2.0 * math.pi)",
+           ("tests/test_homodyne_experiment.py",)),
+    Mutant("coherence-unrooted", "src/chsh_steering/homodyne_experiment.py",
+           "g1 = math.sqrt(eta) * sigma_phi(phi)", "g1 = eta * sigma_phi(phi)",
+           ("tests/test_homodyne_experiment.py",)),
     Mutant("check-entries-negated", "src/chsh_steering/qubit_core.py",
            "if not np.abs(op).max() <= 1.0 + OPERATOR_TOL:",
            "if np.abs(op).max() > 1.0 + OPERATOR_TOL:",

@@ -206,6 +206,20 @@ class TestExperiment:
         _, again, _ = run_cli(capsys, *args)
         assert out == again
 
+    @pytest.mark.parametrize("eta", ["1e-12", "5e-324"])
+    def test_monte_carlo_below_the_old_efficiency_floor(self, capsys, eta):
+        # The Monte Carlo once refused any efficiency below 1/8192; its grid
+        # in the scaled quadrature is the same at every efficiency.
+        code, out, err = run_cli(capsys, "experiment", "--theta", "22.5", "--p1", "1",
+                                 "--eta-bob", eta, "--mc", "10")
+        assert (code, err) == (0, "")
+
+        def non_finite(constant):
+            raise AssertionError(f"non-finite {constant} in the output")
+        payload = json.loads(out, parse_constant=non_finite)
+        assert payload["inputs"]["eta_bob"] == float(eta)
+        assert 0.0 < payload["gamma"] and payload["mc"]["n_samples"] == 10
+
     @pytest.mark.parametrize("count", ["0", "-5"])
     def test_nonpositive_monte_carlo_count_is_an_error(self, capsys, count):
         code, out, err = run_cli(capsys, "experiment", "--theta", "22.5", "--p1", "1.0",
@@ -510,10 +524,6 @@ class TestRejectedInput:
         ("experiment", "--theta", "22.5", "--p1", "0.9", "--eta-bob", "0.85",
          "--mc", "abc"),
         ("oracle", "check", "--grid", "64", "--samples", "20", "--seed", "x"),
-        ("experiment", "--theta", "22.5", "--p1", "1", "--eta-bob", "1e-12",
-         "--mc", "10"),
-        ("experiment", "--theta", "22.5", "--p1", "1", "--eta-bob", "5e-324",
-         "--mc", "10"),
         ("oracle", "check", "--grid", "1048577", "--samples", "20"),
         ("oracle", "check", "--grid", "10000000000000", "--samples", "20"),
         ("oracle", "check", "--grid", "1.5", "--samples", "20"),

@@ -10,6 +10,7 @@ import warnings
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.special import ndtr
 
 import chsh_steering
 from chsh_steering import homodyne_experiment, violation_search
@@ -19,7 +20,6 @@ from chsh_steering.homodyne_experiment import (
     DEFAULT_GRID_CELLS,
     DEFAULT_SPAN,
     MAX_MC_SAMPLES,
-    MIN_MC_ETA,
     NO_STEERING,
     STEERING,
     SinglePhotonState,
@@ -33,11 +33,8 @@ from chsh_steering.homodyne_experiment import (
     state_density,
     _GUIDE_BUCKETS,
     _MC_BLOCK,
-    _cumtrapz,
-    _envelope,
-    _g_operators,
-    _guide_table,
-    _pair_grid,
+    _MOMENTS,
+    _MOMENTS_BELOW_0,
     _positive_products,
     _sampler_tables,
 )
@@ -198,9 +195,8 @@ _OUT_OF_RANGE_CALLS = {
         SinglePhotonState(np.deg2rad(22.5), 1.0), 0.85, 0.0),
     "monte_carlo_correlations": lambda: monte_carlo_correlations(
         SinglePhotonState(np.deg2rad(22.5), 1.0), 1.5, 0.85, 10, seed=0),
-    # Alice's efficiency is checked before the grid that eta_bob would refuse.
-    "monte_carlo_correlations eta_bob below MIN_MC_ETA": lambda: monte_carlo_correlations(
-        SinglePhotonState(np.deg2rad(22.5), 1.0), 1.5, 1e-5, 10, seed=0),
+    "monte_carlo_correlations eta_bob": lambda: monte_carlo_correlations(
+        SinglePhotonState(np.deg2rad(22.5), 1.0), 0.85, 0.0, 10, seed=0),
 }
 
 
@@ -230,13 +226,13 @@ def test_non_finite_phase_or_outcome_is_rejected(call, bad):
 
 
 def _reference_pdf(rho, phi, eta, x):
-    """``homodyne_pdf`` with the polynomial expanded by hand, as it was
-    before it took the traces of ``_g_operators``."""
+    """``homodyne_pdf`` in the outcome x itself, with the envelope and the
+    polynomial expanded by hand."""
     coherence = float(np.real(np.exp(-1j * phi) * rho[0, 1])) * 2.0
     p0 = float(rho[0, 0].real)
     p1 = float(rho[1, 1].real)
     poly = (p0 + (1.0 - eta) * p1) + eta * x * coherence + (eta * eta) * x * x * p1
-    return _envelope(x, eta) * poly
+    return np.sqrt(eta / (2.0 * np.pi)) * np.exp(-0.5 * eta * np.asarray(x) ** 2) * poly
 
 
 def _random_density(rng, dim):
@@ -268,8 +264,8 @@ class TestPdf:
         assert got.tolist() == [0.0, 0.0, _reference_pdf(rho, 0.0, 1.0, 3.0), 0.0, 0.0]
 
     def test_far_outcomes_at_tiny_efficiency(self):
-        # At eta = 1e-300 the envelope is still e^-2 at |x| = 2e150, past
-        # where x * x is taken: u = sqrt(eta) x = 2 there. The polynomial is
+        # At eta = 1e-300 the envelope is still e^-2 at |x| = 2e150, where
+        # x * x would overflow: u = sqrt(eta) x = 2 there. The polynomial is
         # p0 + (1 - eta) p1 = 1, plus the coherence term; its x^2 term,
         # rho11 eta u^2, is below 1e-299.
         rho = np.array([[0.5, 0.35 - 0.1j], [0.35 + 0.1j, 0.5]])
@@ -350,43 +346,24 @@ class TestMonteCarlo:
         (1.0, 0.05), (0.05, 1.0)])
     def test_unbiased_at_low_efficiency(self, eta_alice, eta_bob):
         # The outcome envelope's width grows as 1 / sqrt(eta). On a grid of
-        # fixed span the lost tails pulled these correlators 6 to 28 sigma
-        # toward 0 at 1e6 samples.
+        # fixed span in x the lost tails pulled these correlators 6 to 28
+        # sigma toward 0 at 1e6 samples; the grid in u = sqrt(eta) x loses
+        # the same tails at every efficiency.
         state = SinglePhotonState(np.deg2rad(22.5), 1.0)
         analytic = experiment_correlations(state, eta_alice, eta_bob).as_array()
         mc = monte_carlo_correlations(state, eta_alice, eta_bob, 1_000_000, seed=41)
         pulls = (mc.correlations.as_array() - analytic) / np.array(mc.std_errors)
         assert np.abs(pulls).max() <= 4.0
 
-    @pytest.mark.parametrize("eta_alice, eta_bob", [(0.5, 0.5), (1.0, 0.5),
-                                                    (0.5, 1.0), (0.85, 0.85)])
-    def test_default_grid_from_eta_one_half(self, eta_alice, eta_bob):
-        # The span only widens below eta 0.5, so results there keep their bytes.
-        assert _pair_grid(eta_alice, eta_bob) == (DEFAULT_GRID_CELLS, DEFAULT_SPAN)
-
-    @pytest.mark.parametrize("eta", [0.49, 0.3, 0.1, 0.05, 0.02, 1e-3, MIN_MC_ETA])
-    def test_grid_widens_with_the_envelope(self, eta):
-        for low, high in ((eta, 1.0), (1.0, eta), (eta, eta)):
-            cells, span = _pair_grid(low, high)
-            assert cells % 2 == 0
-            # The span covers as many envelope widths as at eta 0.5, and the
-            # cell width is the default's up to the rounding to even cells.
-            assert span * math.sqrt(eta) == pytest.approx(DEFAULT_SPAN * math.sqrt(0.5))
-            assert span / cells == pytest.approx(DEFAULT_SPAN / DEFAULT_GRID_CELLS,
-                                                 rel=2.0 / DEFAULT_GRID_CELLS)
-
-    def test_grid_is_bounded(self):
-        # The widening stops at 64 times the default grid, at MIN_MC_ETA;
-        # below it the call fails before any table is built.
-        for low, high in ((MIN_MC_ETA, 1.0), (1.0, MIN_MC_ETA)):
-            cells, span = _pair_grid(low, high)
-            assert (cells, span) == (64 * DEFAULT_GRID_CELLS, 64 * DEFAULT_SPAN)
-        for eta in (np.nextafter(MIN_MC_ETA, 0.0), 1e-12, 5e-324):
-            for low, high in ((eta, 1.0), (1.0, eta)):
-                with pytest.raises(ValueError, match="Monte Carlo needs eta"):
-                    _pair_grid(low, high)
-        with pytest.raises(ValueError):
-            monte_carlo_correlations(SinglePhotonState(0.0, 1.0), 1.0, 5e-324, 10, seed=0)
+    @pytest.mark.parametrize("eta", [1e-12, 5e-324])
+    def test_runs_at_any_efficiency(self, eta):
+        # Below eta 1/8192, for either party, the call once refused to run:
+        # its grid widened as 1 / sqrt(eta) and was capped there.
+        state = SinglePhotonState(np.deg2rad(22.5), 1.0)
+        for eta_alice, eta_bob in ((eta, 1.0), (1.0, eta), (eta, eta)):
+            mc = monte_carlo_correlations(state, eta_alice, eta_bob, 10, seed=0)
+            assert np.isfinite(mc.correlations.as_array()).all()
+            assert np.isfinite(mc.std_errors).all()
 
     def test_sample_count_validation(self):
         with pytest.raises(ValueError):
@@ -413,104 +390,116 @@ _PHASE_PAIRS = [(phi_a, phi_b) for phi_b in BOB_PHASES for phi_a in ALICE_PHASES
 
 
 def _sampler_tables_on_grid(monkeypatch, rho, eta_a, eta_b, grid_cells, span):
-    """``_sampler_tables`` with the default grid set to ``grid_cells`` cells
-    over [-span, span]; ``_pair_grid`` still widens it below eta 0.5."""
+    """``_sampler_tables`` with its grid set to ``grid_cells`` cells over
+    [-span, span]."""
     monkeypatch.setattr(homodyne_experiment, "DEFAULT_GRID_CELLS", grid_cells)
     monkeypatch.setattr(homodyne_experiment, "DEFAULT_SPAN", span)
     return _sampler_tables(rho, eta_a, eta_b)
 
 
-def _reference_sampler_arrays(rho, phi_a, eta_a, phi_b, eta_b, grid_cells, span):
-    """One setting pair's sampler tables, built for that pair alone with one
-    scalar einsum per expectation, as before ``expectation_table``."""
-    grid = np.linspace(-span, span, grid_cells + 1)
-    grid[grid_cells // 2] = 0.0
-    dx = grid[1] - grid[0]
-
-    rho4 = rho.reshape(2, 2, 2, 2)
-    ga = _g_operators(phi_a, eta_a)
-    gb = _g_operators(phi_b, eta_b)
-    eye = np.eye(2, dtype=complex)
-
-    coef = np.empty((3, 3))
-    marginal = np.empty(3)
-    for i in range(3):
-        marginal[i] = np.real(np.einsum("abcd,ca,db->", rho4, ga[i], eye))
-        for j in range(3):
-            coef[i, j] = np.real(np.einsum("abcd,ca,db->", rho4, ga[i], gb[j]))
-
-    powers = np.stack([np.ones_like(grid), grid, grid * grid])
-    pdf_a = np.maximum(_envelope(grid, eta_a) * (marginal @ powers), 0.0)
-    cdf_a = _cumtrapz(pdf_a, dx)
-    cdf_a /= cdf_a[-1]
-
-    env_b = _envelope(grid, eta_b)
-    cum_b = np.stack([_cumtrapz(env_b * powers[j], dx) for j in range(3)])
-    return grid, cdf_a, _guide_table(cdf_a), coef, cum_b
+def _hand_polynomial(m, phi, eta):
+    """Coefficients of (1, u, u^2) in one party's outcome polynomial on the
+    2x2 block ``m`` (indexed [ket, bra] along that party; trailing axes are
+    carried along), expanded by hand. In x the density is sqrt(eta / 2 pi)
+    e^{-eta x^2 / 2} [m00 + m11 (1 - eta + eta^2 x^2) + eta x (e^{-i phi}
+    m01 + e^{i phi} m10)]; with x = u / sqrt(eta) it is sqrt(eta) phi(u)
+    times the polynomial below."""
+    coherence = np.exp(-1j * phi) * m[0, 1] + np.exp(1j * phi) * m[1, 0]
+    return np.stack([m[0, 0] + (1.0 - eta) * m[1, 1],
+                     math.sqrt(eta) * coherence,
+                     eta * m[1, 1]])
 
 
-def _kernel_arrays(grid, cdf_a, guide, coef, cum_b):
-    """The sampler's ``(grid, cdf_a, guide, below, total)`` from a reference
-    table: Bob's masses below y = 0 and in all, as coefficients in x."""
-    zero = (grid.shape[0] - 1) // 2
-    return grid, cdf_a, guide, coef @ cum_b[:, zero], coef @ cum_b[:, -1]
+def _hand_coefficients(rho, phi_a, eta_a, phi_b, eta_b):
+    """One setting pair's joint coefficients ``coef[i, j]`` of u^i v^j and
+    Alice's marginal coefficients of u^i, from ``_hand_polynomial``."""
+    rho4 = np.asarray(rho).reshape(2, 2, 2, 2).transpose(0, 2, 1, 3)
+    bob_blocks = _hand_polynomial(rho4, phi_a, eta_a)  # (i, b, d)
+    coef = _hand_polynomial(bob_blocks.transpose(1, 2, 0), phi_b, eta_b).T.real
+    marginal = np.trace(bob_blocks, axis1=1, axis2=2).real
+    return coef, marginal
 
 
-def _reference_mc_products(u, grid, cdf_a, coef, cum_b):
-    """The sampler before the sign-only kernel: it locates y by bisection."""
-    g = grid.shape[0]
-    u1 = u[:, 0]
-    k = np.searchsorted(cdf_a, u1, side="right") - 1
-    k = np.clip(k, 0, g - 2)
+def _reference_alice(grid, marginal):
+    """Alice's normalised CDF on ``grid``: the trapezoid sums of phi(u) times
+    her marginal polynomial, written out."""
+    pdf = np.maximum(np.exp(-0.5 * grid * grid) / math.sqrt(2.0 * math.pi)
+                     * (marginal[0] + marginal[1] * grid + marginal[2] * grid * grid), 0.0)
+    cdf = np.concatenate([[0.0], np.cumsum(0.5 * (pdf[1:] + pdf[:-1]) * (grid[1] - grid[0]))])
+    return cdf / cdf[-1]
+
+
+def _normal_partial_moments(y):
+    """The integrals of phi(v) v^j over v < y, j = 0, 1, 2, in closed form."""
+    density = np.exp(-0.5 * y * y) / math.sqrt(2.0 * math.pi)
+    return ndtr(y), -density, ndtr(y) - y * density
+
+
+def _reference_products(u, grid, cdf_a, coef):
+    """The sampler before the sign-only kernel, with Bob's exact outcome: x
+    by a plain search and interpolation of ``cdf_a``, y drawn from Bob's
+    exact conditional CDF given x, inverted by bisection.
+
+    Returns where sign(x) sign(y) = +1 and which draws are decided: those
+    whose conditional mass below 0 differs from ``u[:, 1]`` by more than
+    1e-12, so that rounding cannot flip the sign of y.
+    """
+    u1, u2 = u[:, 0], u[:, 1]
+    k = np.clip(np.searchsorted(cdf_a, u1, side="right") - 1, 0, grid.shape[0] - 2)
     dc = cdf_a[k + 1] - cdf_a[k]
     safe = np.where(dc > 0.0, dc, 1.0)
     x = np.where(dc > 0.0,
                  grid[k] + (u1 - cdf_a[k]) * (grid[k + 1] - grid[k]) / safe,
                  grid[k])
+    d = coef.T @ np.stack([np.ones_like(x), x, x * x])  # coefficients of v^j given x
 
-    d0 = coef[0, 0] + coef[1, 0] * x + coef[2, 0] * x * x
-    d1 = coef[0, 1] + coef[1, 1] * x + coef[2, 1] * x * x
-    d2 = coef[0, 2] + coef[1, 2] * x + coef[2, 2] * x * x
-    total = d0 * cum_b[0, g - 1] + d1 * cum_b[1, g - 1] + d2 * cum_b[2, g - 1]
-    target = u[:, 1] * total
+    def conditional_cdf(y):
+        m0, m1, m2 = _normal_partial_moments(y)
+        return (d[0] * m0 + d[1] * m1 + d[2] * m2) / (d[0] + d[2])
 
-    lo = np.zeros(u.shape[0], dtype=np.int64)
-    hi = np.full(u.shape[0], g - 1, dtype=np.int64)
-    for _ in range(int(np.ceil(np.log2(g))) + 2):
-        active = hi - lo > 1
-        mid = (lo + hi) // 2
-        val = d0 * cum_b[0, mid] + d1 * cum_b[1, mid] + d2 * cum_b[2, mid]
-        le = val <= target
-        lo = np.where(active & le, mid, lo)
-        hi = np.where(active & ~le, mid, hi)
-
-    m_lo = d0 * cum_b[0, lo] + d1 * cum_b[1, lo] + d2 * cum_b[2, lo]
-    m_hi = d0 * cum_b[0, lo + 1] + d1 * cum_b[1, lo + 1] + d2 * cum_b[2, lo + 1]
-    dm = m_hi - m_lo
-    safe_m = np.where(dm > 0.0, dm, 1.0)
-    y = np.where(dm > 0.0,
-                 grid[lo] + (target - m_lo) * (grid[lo + 1] - grid[lo]) / safe_m,
-                 grid[lo])
-
-    sx = np.where(x >= 0.0, 1.0, -1.0)
-    sy = np.where(y >= 0.0, 1.0, -1.0)
-    return sx * sy
+    lo, hi = np.full_like(x, -40.0), np.full_like(x, 40.0)
+    for _ in range(64):
+        mid = 0.5 * (lo + hi)
+        left = conditional_cdf(mid) <= u2
+        lo, hi = np.where(left, mid, lo), np.where(left, hi, mid)
+    y = 0.5 * (lo + hi)
+    decided = np.abs(conditional_cdf(np.zeros_like(x)) - u2) > 1e-12
+    return (x >= 0.0) == (y >= 0.0), decided
 
 
 def _reference_monte_carlo(state, eta_alice, eta_bob, n_samples, seed):
-    """Correlators and errors as computed before block sampling."""
+    """Correlators and errors as computed before block sampling, from one
+    draw per pair through ``_reference_products``."""
     rho = state_density(state)
     children = np.random.SeedSequence(seed).spawn(4)
     means, errors = [], []
     for pair_idx, (phi_a, phi_b) in enumerate(_PHASE_PAIRS):
-        grid, cdf_a, _, coef, cum_b = _reference_sampler_arrays(
-            rho, phi_a, eta_alice, phi_b, eta_bob, *_pair_grid(eta_alice, eta_bob))
+        coef, marginal = _hand_coefficients(rho, phi_a, eta_alice, phi_b, eta_bob)
+        grid = np.linspace(-DEFAULT_SPAN, DEFAULT_SPAN, DEFAULT_GRID_CELLS + 1)
+        grid[DEFAULT_GRID_CELLS // 2] = 0.0
         rng = np.random.Generator(np.random.Philox(children[pair_idx]))
         u = rng.random((n_samples, 2))
-        mean = float(_reference_mc_products(u, grid, cdf_a, coef, cum_b).mean())
+        plus, decided = _reference_products(u, grid, _reference_alice(grid, marginal), coef)
+        assert decided.all()
+        mean = (2 * int(np.count_nonzero(plus)) - n_samples) / n_samples
         means.append(mean)
         errors.append(float(np.sqrt(max(1.0 - mean * mean, 0.0) / n_samples)))
     return CorrelationSet(*means), tuple(errors)
+
+
+def _table_expectation(grid, cdf_a, guide, below, total):
+    """The exact mean sign product of one pair's tables as built: x is
+    uniform within each cell with the cell's mass from ``cdf_a``, and y >= 0
+    with probability 1 - below(x) / total(x); a 2-node Gauss-Legendre rule
+    per cell."""
+    lo, width, mass = grid[:-1], np.diff(grid), np.diff(cdf_a)
+    mean = np.zeros_like(lo)
+    for node in (0.5 - 0.5 / math.sqrt(3.0), 0.5 + 0.5 / math.sqrt(3.0)):
+        x = lo + node * width
+        b = below[0] + below[1] * x + below[2] * x * x
+        t = total[0] + total[1] * x + total[2] * x * x
+        mean += 0.5 * (1.0 - 2.0 * b / t)
+    return float(np.sum(np.where(lo >= 0.0, 1.0, -1.0) * mass * mean))
 
 
 _GRID_CELLS = pytest.mark.parametrize("grid_cells", [8, 1024, 4096, 5000])
@@ -532,14 +521,10 @@ class TestSignOnlyKernel:
         rng = np.random.Generator(np.random.Philox(grid_cells))
         tables = _sampler_tables_on_grid(monkeypatch, rho, eta_a, eta_b, grid_cells, 6.0)
         for (phi_a, phi_b), arrays in zip(_PHASE_PAIRS, tables, strict=True):
-            reference = _reference_sampler_arrays(rho, phi_a, eta_a, phi_b, eta_b,
-                                                  *_pair_grid(eta_a, eta_b))
-            for a, b in zip(arrays, _kernel_arrays(*reference), strict=True):
-                assert np.array_equal(a, b)
+            coef, _ = _hand_coefficients(rho, phi_a, eta_a, phi_b, eta_b)
             u = rng.random((20000, 2))
-            grid, cdf_a, _, coef, cum_b = reference
-            expected = _reference_mc_products(u, grid, cdf_a, coef, cum_b) > 0.0
-            assert np.array_equal(_positive_products(u, *arrays), expected)
+            expected, decided = _reference_products(u, arrays[0], arrays[1], coef)
+            assert np.array_equal(_positive_products(u, *arrays)[decided], expected[decided])
 
     @pytest.mark.parametrize("pair", list(enumerate(_PHASE_PAIRS)))
     def test_products_match_bisection_kernel_on_empty_cells(self, monkeypatch, pair):
@@ -549,15 +534,15 @@ class TestSignOnlyKernel:
         rho = state_density(SinglePhotonState(np.deg2rad(22.5), 1.0))
         index, (phi_a, phi_b) = pair
         arrays = _sampler_tables_on_grid(monkeypatch, rho, 1.0, 1.0, 4096, 12.0)[index]
-        grid, cdf_a, _, coef, cum_b = _reference_sampler_arrays(rho, phi_a, 1.0, phi_b,
-                                                                1.0, 4096, 12.0)
+        coef, _ = _hand_coefficients(rho, phi_a, 1.0, phi_b, 1.0)
         assert np.count_nonzero(arrays[1][1:] == arrays[1][:-1]) > 100
         edges = np.array([0.0, 1.0 - 2.0 ** -53])
         u = np.concatenate([
             np.random.Generator(np.random.Philox(12)).random((200000, 2)),
             np.stack(np.meshgrid(edges, edges), axis=-1).reshape(-1, 2)])
-        expected = _reference_mc_products(u, grid, cdf_a, coef, cum_b) > 0.0
-        assert np.array_equal(_positive_products(u, *arrays), expected)
+        expected, decided = _reference_products(u, arrays[0], arrays[1], coef)
+        assert decided[-4:].all()
+        assert np.array_equal(_positive_products(u, *arrays)[decided], expected[decided])
 
     @_GRID_CELLS
     @_STATES
@@ -571,39 +556,69 @@ class TestSignOnlyKernel:
             assert np.array_equal(guide, expected)
 
     @pytest.mark.parametrize("eta_a, eta_b", [(1.0, 1.0), (0.85, 0.85), (0.9, 0.3),
-                                              (0.9, 0.2), (MIN_MC_ETA, MIN_MC_ETA)])
-    def test_sampler_arrays_match_scalar_loops(self, eta_a, eta_b):
+                                              (0.9, 0.2), (1.0 / 8192, 1.0 / 8192),
+                                              (0.85, 1e-12), (5e-324, 5e-324)])
+    def test_sampler_arrays_match_hand_expansion(self, eta_a, eta_b):
         rng = np.random.Generator(np.random.Philox(83))
         states = ([_random_density(rng, 4) for _ in range(4)]
                   + [state_density(SinglePhotonState(rng.uniform(0.0, np.pi / 4.0),
                                                      rng.uniform(0.5, 1.0)))
                      for _ in range(4)])
-        cells, span = _pair_grid(eta_a, eta_b)
+        grid = np.linspace(-DEFAULT_SPAN, DEFAULT_SPAN, DEFAULT_GRID_CELLS + 1)
+        grid[DEFAULT_GRID_CELLS // 2] = 0.0
+        below_0 = np.array(_normal_partial_moments(0.0))
         for rho in states:
             tables = _sampler_tables(rho, eta_a, eta_b)
             # The efficiencies belong to the parties: one grid for all four
             # pairs and one inverse CDF per Alice phase (AB and AB', A'B and
-            # A'B'), yet each pair's tuple is the bits of building it alone.
+            # A'B').
             assert all(t[0] is tables[0][0] for t in tables)
             for i, j in ((0, 2), (1, 3)):
                 assert tables[i][1] is tables[j][1] and tables[i][2] is tables[j][2]
             for (phi_a, phi_b), got in zip(_PHASE_PAIRS, tables, strict=True):
-                expected = _kernel_arrays(*_reference_sampler_arrays(
-                    rho, phi_a, eta_a, phi_b, eta_b, cells, span))
-                for a, b in zip(got, expected, strict=True):
-                    assert np.array_equal(a, b)
+                coef, marginal = _hand_coefficients(rho, phi_a, eta_a, phi_b, eta_b)
+                assert np.array_equal(got[0], grid)
+                assert np.abs(got[1] - _reference_alice(grid, marginal)).max() <= 1e-15
+                assert np.abs(got[3] - coef @ below_0).max() <= 1e-15
+                assert np.abs(got[4] - (coef[:, 0] + coef[:, 2])).max() <= 1e-15
 
-    def test_table_bytes_at_the_efficiency_floor(self):
-        # One grid and two inverse CDFs of 64 * 4096 + 1 knots, two guide
-        # tables and the pairs' coefficients: 6.6 MB, where building each
-        # pair's tables on its own kept 17.3 MB.
+    def test_bob_moments_are_normal_integrals(self):
+        for j in range(3):
+            def weighted(v, j=j):
+                return np.exp(-0.5 * v * v) / math.sqrt(2.0 * math.pi) * v ** j
+            below, _ = quad(weighted, -np.inf, 0.0, epsabs=1e-14)
+            whole, _ = quad(weighted, -np.inf, np.inf, epsabs=1e-14)
+            assert _MOMENTS_BELOW_0[j] == pytest.approx(below, rel=1e-12, abs=1e-14)
+            assert _MOMENTS[j] == pytest.approx(whole, rel=1e-12, abs=1e-14)
+
+    @pytest.mark.parametrize("eta_a, eta_b", [(1.0, 1.0), (0.85, 0.85), (0.5, 0.5),
+                                              (0.9, 0.2), (1.0, 0.05), (0.02, 0.02),
+                                              (1.0 / 8192, 1.0 / 8192), (0.85, 1e-12)])
+    def test_tables_expectation_matches_analytic(self, eta_a, eta_b):
+        # The sampler's expectation as built, without random numbers, against
+        # the exact correlators. The bound is 1 % of one standard error at
+        # MAX_MC_SAMPLES, so the tables' bias stays invisible to any run the
+        # Monte Carlo allows. The trapezoid masses of Bob's truncated grid
+        # missed (0.9, 0.2) by 1.16e-5.
+        bound = 0.01 / math.sqrt(MAX_MC_SAMPLES)
+        for theta_deg, p1 in ((22.5, 0.9), (33.0, 0.7), (7.0, 1.0)):
+            state = SinglePhotonState(np.deg2rad(theta_deg), p1)
+            exact = experiment_correlations(state, eta_a, eta_b).as_array()
+            tables = _sampler_tables(state_density(state), eta_a, eta_b)
+            built = np.array([_table_expectation(*arrays) for arrays in tables])
+            assert np.abs(built - exact).max() <= bound
+
+    def test_table_bytes_do_not_depend_on_efficiency(self):
+        # One grid and two inverse CDFs of 4097 knots, two guide tables and
+        # the pairs' coefficients: 0.36 MB at every efficiency. The grid once
+        # widened as 1 / sqrt(eta), to 6.6 MB at eta 1/8192.
         rho = state_density(SinglePhotonState(np.deg2rad(22.5), 0.9))
-        tables = _sampler_tables(rho, MIN_MC_ETA, MIN_MC_ETA)
-        distinct = {id(a): a for t in tables for a in t}.values()
-        knots = 64 * DEFAULT_GRID_CELLS + 1
-        coefficients = 8 * 3 * 8
-        assert (sum(a.nbytes for a in distinct)
-                <= 3 * knots * 8 + 2 * (_GUIDE_BUCKETS + 1) * 8 + coefficients)
+        knots = DEFAULT_GRID_CELLS + 1
+        expected = 3 * knots * 8 + 2 * (_GUIDE_BUCKETS + 1) * 8 + 8 * 3 * 8
+        for eta in (1.0, 1.0 / 8192, 1e-12):
+            tables = _sampler_tables(rho, eta, eta)
+            distinct = {id(a): a for t in tables for a in t}.values()
+            assert sum(a.nbytes for a in distinct) == expected
 
     @pytest.mark.parametrize("n", [1, _MC_BLOCK - 1, _MC_BLOCK, _MC_BLOCK + 1,
                                    3 * _MC_BLOCK + 7])
@@ -624,9 +639,11 @@ class TestSignOnlyKernel:
         assert np.array_equal(grid, spaced)
 
     def test_default_grid_is_plain_linspace(self):
+        # One grid in the scaled quadrature serves every efficiency.
         rho = state_density(SinglePhotonState(np.deg2rad(22.5), 1.0))
-        grid = _sampler_tables(rho, 1.0, 1.0)[0][0]
-        assert np.array_equal(grid, np.linspace(-6.0, 6.0, 4097))
+        for eta_a, eta_b in ((1.0, 1.0), (0.3, 1.0), (1.0, 1e-12), (5e-324, 5e-324)):
+            grid = _sampler_tables(rho, eta_a, eta_b)[0][0]
+            assert np.array_equal(grid, np.linspace(-6.0, 6.0, 4097))
 
 
 def test_maximally_entangled_ideal_configuration_hits_quantum_max():

@@ -17,12 +17,12 @@ CORRELATORS = {"AB": 0.3325, "ApB": 0.3325, "ABp": 0.3325, "ApBp": -0.3325}
 
 PINS = {
     "experiment --theta 22.5 --p1 0.9 --eta-bob 0.85 --mc 1000000 --seed 1":
-        "71dfe65947ce015f49f44ff0b2ed094b1af2641bc5d7131fd80640b23c235c7f",
+        "4b34c9e4be380b28b4ae9970664e381c81bc6b7850e589947f11f6027f5e43ac",
     "experiment --theta 22.5 --p1 0.9 --eta-bob 0.85":
         "e4f52ec9212c8ff4aa375cea433228a7fefe4929330864bfb780e435b78a97a5",
     "experiment --theta 33 --p1 0.7 --eta-bob 0.2 --eta-alice 0.9 --mc 100000 --seed 5":
-        "c73c344a42b260132a2f3dfc0c426243031e6adc4fc630273e406760aa4675ae",
-    # The smallest efficiency the Monte Carlo serves, on its 64-fold grid.
+        "6e7e551f42a848dcfd89ed7a8774f4d59fe8e9050e8cf3542ed665c246a63339",
+    # Efficiency 1/8192, on the same sampling grid as every other efficiency.
     "experiment --theta 22.5 --p1 0.9 --eta-bob 0.0001220703125 --mc 20000 --seed 2":
         "4fcea6eb2edf0758ba59b5f83bff9c6b21fd5c2dcd6c3bda7c57426bb586886a",
     "experiment --theta 33 --p1 0.7 --eta-bob 0.2 --eta-alice 0.9":

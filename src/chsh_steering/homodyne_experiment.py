@@ -52,8 +52,9 @@ NO_STEERING = "no_steering"
 
 DEFAULT_GRID_CELLS = 4096
 DEFAULT_SPAN = 6.0
-# Largest Monte Carlo sample count per setting pair: about 3 minutes at 0.17 s
-# per 1e6 per pair (measured on a 2-core x86-64 Xeon); more would run for hours.
+# Largest Monte Carlo sample count per setting pair: about 100 s at 0.09 s per
+# 1e6 per pair (measured at 1e7 on a 2-core x86-64 Xeon); more would run for
+# hours.
 MAX_MC_SAMPLES = 2 ** 30
 # Rows of uniforms drawn and mapped per step of the Monte Carlo loop; bounds
 # the working set (one block per setting pair in flight) without changing the
@@ -241,14 +242,16 @@ class MonteCarloCorrelations:
 
 
 def _sampler_tables(rho: np.ndarray, eta_alice: float, eta_bob: float):
-    """The arrays ``_positive_products`` takes after ``u``, one tuple per
-    setting pair in correlator order (AB, A'B, AB', A'B').
+    """The arrays ``_positive_products`` takes after ``u``, one tuple
+    ``(grid, cdf_a, guide, below, total, t_true, t_false)`` per setting pair
+    in correlator order (AB, A'B, AB', A'B').
 
     Both outcomes are taken in their scaled quadratures, where the envelope
     is phi at every efficiency, so one grid of ``DEFAULT_GRID_CELLS`` cells
-    over [-``DEFAULT_SPAN``, ``DEFAULT_SPAN``] serves every efficiency. The
-    two pairs at each Alice phase share its ``cdf_a`` and ``guide``; only
-    ``below`` and ``total`` are per pair.
+    over [-``DEFAULT_SPAN``, ``DEFAULT_SPAN``] serves every efficiency. What
+    depends on Alice alone is built once per Alice phase and shared by its
+    two pairs: ``cdf_a``, ``guide`` and ``total``, Bob's total mass, which
+    is her marginal. ``below`` and the ``_cell_thresholds`` are per pair.
     """
     # Bob's identity in the last column gives Alice's marginal, the same
     # bits at either Bob phase.
@@ -267,13 +270,88 @@ def _sampler_tables(rho: np.ndarray, eta_alice: float, eta_bob: float):
     for table in tables[:len(ALICE_PHASES)]:
         pdf_a = np.maximum(env * (table[:, 3] @ powers), 0.0)
         cdf_a = _cumtrapz(pdf_a, grid[1] - grid[0])
-        if cdf_a[-1] <= 0.0:
-            raise ValueError("degenerate marginal density on the sampling grid")
         cdf_a /= cdf_a[-1]
-        alice.append((cdf_a, _guide_table(cdf_a)))
-    return [(grid, *alice[i % len(ALICE_PHASES)],
-             table[:, :3] @ _MOMENTS_BELOW_0, table[:, :3] @ _MOMENTS)
-            for i, table in enumerate(tables)]
+        # Bob's total mass given x takes only his g0 + g2, his identity at
+        # either phase, so one per Alice phase serves both of its pairs.
+        alice.append((cdf_a, _guide_table(cdf_a), table[:, :3] @ _MOMENTS))
+    below = [table[:, :3] @ _MOMENTS_BELOW_0 for table in tables]
+    thresholds = _cell_thresholds(grid, powers, below, [total for *_, total in alice])
+    return [(grid, cdf_a, guide, below[i], total, *thresholds[i])
+            for i, (cdf_a, guide, total) in enumerate(alice * len(BOB_PHASES))]
+
+
+# Rounding pad of the cell thresholds, relative to a quadratic's term scale
+# |c0| + |c1| Y + |c2| Y^2 over the grid (see ``_cell_thresholds``).
+_ROUNDING_PAD = 2.0 ** -46
+
+
+def _cell_thresholds(grid: np.ndarray, powers: np.ndarray, below, totals):
+    """Per setting pair, the uniforms ``t_true[k]`` and ``t_false[k]`` per
+    grid cell ``k``: for every float x the kernel can interpolate in cell
+    ``k``, ``u2 >= t_true[k]`` makes its comparison ``mass_below <= u2 *
+    mass`` True and ``u2 <= t_false[k]`` makes it False, so
+    ``_positive_products`` need not compute x.
+
+    ``below`` holds each pair's coefficients in (1, x, x^2), in correlator
+    order, ``totals`` each Alice phase's, and ``powers`` is (1, grid,
+    grid^2). Both are Bob's masses: nonnegative up to a few ulps of
+    rounding, with coefficients far below 2^100. What depends on the grid
+    alone is computed once, and each Alice phase's ``total`` bounds once for
+    its two pairs. Returns one ``(t_true, t_false)`` per pair.
+
+    Why. In cell ``k`` the kernel's x is ``grid[k]`` plus an offset. The
+    offset is nonnegative, as ``u1 >= cdf_a[k]`` and each of its four float
+    operations is monotone in ``u1``, and at most (1 + eps)^3 times the cell
+    width, as ``u1 < cdf_a[k + 1]`` (eps = 2^-53). So x lies in ``[grid[k],
+    grid[k + 1] + delta]`` with ``delta <= 4 eps (H + |grid[k + 1]|)``, H
+    the largest cell width. On ``[grid[k], grid[k + 1]]`` a quadratic lies
+    within its two knot values widened by ``|c2| H^2 / 4``, the vertex's
+    reach. Against its term scale ``S = |c0| + |c1| Y + |c2| Y^2``, with ``Y
+    = max |grid| + H``, ``delta`` moves it by at most 8 eps S, the kernel's
+    Horner rule by gamma_4 ~ 4 eps S, and the knot values and sums here by
+    about 7 eps S. ``_ROUNDING_PAD`` (128 eps) of S plus 2^-900 covers all
+    of it: every value the kernel computes lies inside ``[lo, hi]`` with a
+    margin of over 100 eps S + 2^-901 (``bhi``, ``blo`` for ``below``,
+    ``thi``, ``tlo`` for ``total``), so ``bhi`` and ``thi`` exceed 2^-901.
+    The quotients round by a relative eps, or by 2^-1075 if subnormal, far
+    inside that margin. Where ``tlo > 0``, ``u2 >= t_true = bhi / tlo``
+    thus gives ``u2 * mass > mass_below`` in real numbers, and rounding is
+    monotone, so ``fl(u2 * mass) >= mass_below``. ``u2 <= t_false = blo /
+    thi`` leaves ``u2 * mass`` below ``mass_below`` by more than its
+    rounding, so ``fl(u2 * mass) < mass_below``. A ``tlo`` below 2^-902 is
+    raised to it, which makes ``t_true`` above 1: no uniform is that large.
+    In cell ``mid - 1`` the offset can round up to the whole width and x to
+    0, so the sign of x is not known from ``k``: both thresholds there are
+    infinite, and its rows are always computed.
+    """
+    step = np.diff(grid).max()
+    reach = np.abs(grid).max() + step
+    weights = np.array([_ROUNDING_PAD, _ROUNDING_PAD * reach,
+                        _ROUNDING_PAD * reach * reach + 0.25 * step * step])
+    mid = grid.shape[0] // 2
+    thresholds = [None] * len(below)
+    for a, total in enumerate(totals):
+        own = range(a, len(below), len(totals))
+        coefficients = np.stack([*(below[i] for i in own), total])
+        pad = np.abs(coefficients) @ weights
+        pad += 2.0 ** -900
+        values = coefficients @ powers
+        t_true = np.maximum(values[:-1, :-1], values[:-1, 1:])
+        t_true += pad[:-1, None]
+        t_false = np.minimum(values[:-1, :-1], values[:-1, 1:])
+        t_false -= pad[:-1, None]
+        tlo = np.minimum(values[-1, :-1], values[-1, 1:])
+        tlo -= pad[-1]
+        np.maximum(tlo, 2.0 ** -902, out=tlo)
+        thi = np.maximum(values[-1, :-1], values[-1, 1:])
+        thi += pad[-1]
+        t_true /= tlo
+        t_false /= thi
+        t_true[:, mid - 1] = np.inf
+        t_false[:, mid - 1] = -np.inf
+        for i, yes, no in zip(own, t_true, t_false):
+            thresholds[i] = yes, no
+    return thresholds
 
 
 def _guide_table(cdf: np.ndarray) -> np.ndarray:
@@ -297,7 +375,7 @@ def _cumtrapz(f: np.ndarray, dx: float) -> np.ndarray:
     return out
 
 
-def _positive_products(u, grid, cdf_a, guide, below, total):
+def _positive_products(u, grid, cdf_a, guide, below, total, t_true, t_false):
     """Where sign(x) * sign(y) = +1 for scaled quadrature pairs drawn by
     inverse CDF.
 
@@ -305,27 +383,48 @@ def _positive_products(u, grid, cdf_a, guide, below, total):
     with 0 at the middle knot; ``cdf_a`` the normalised CDF of the first
     party's marginal on the grid and ``guide`` its ``_guide_table``;
     ``below`` and ``total`` the coefficients in (1, x, x^2) of the second
-    party's unnormalised mass below y = 0 and in all, given x.
+    party's unnormalised mass below y = 0 and in all, given x; ``t_true``
+    and ``t_false`` their ``_cell_thresholds``.
 
     x is interpolated from ``cdf_a`` at the knot ``k`` that
     ``searchsorted(cdf_a, u, side="right") - 1`` gives. With ``b = floor(u *
     B)``, ``b / B <= u < (b + 1) / B`` brackets ``k`` between ``guide[b]``
-    and ``guide[b + 1]``, so where those agree the table is the answer; only
-    the other rows are searched. As ``cdf_a[0] = 0 <= u < 1 = cdf_a[-1]``,
-    ``0 <= k <= g - 2`` and ``cdf_a[k + 1] > u``: no cell drawn is empty. y
-    is never located: its conditional CDF is nondecreasing, so y >= 0
-    exactly when the mass below 0 is at most the share ``u[:, 1]`` of the
-    total. Returns an (n,) bool array.
+    and ``guide[b + 1]``; where those differ by at most one, one comparison
+    with the knot above ``guide[b]`` settles it, and only the other rows are
+    searched. As ``cdf_a[0] = 0 <= u < 1 = cdf_a[-1]``, ``0 <= k <= g - 2``
+    and ``cdf_a[k + 1] > u``: no cell drawn is empty. y is never located:
+    its conditional CDF is nondecreasing, so y >= 0 exactly when the mass
+    below 0 is at most the share ``u[:, 1]`` of the total.
+
+    The cell alone decides most rows, with the bits that computing x and
+    the quadratics would give. x is ``grid[k]`` plus a nonnegative offset
+    and stays below ``grid[k + 1] + delta`` (see ``_cell_thresholds``), and
+    the middle knot ``mid`` is exactly 0, so x >= 0 for every ``k >= mid``
+    and x < 0 for every ``k <= mid - 2``, where ``delta`` is far below
+    ``|grid[k + 1]| >= H``; the thresholds of cell ``mid - 1`` are
+    infinite, so its rows are always computed. A row with ``u2 >=
+    t_true[k]`` or ``u2 <= t_false[k]`` takes its comparison from that
+    test; both cannot hold, as each is exact. x and the two quadratics are
+    computed for the other rows only. Returns an (n,) bool array.
     """
-    u1 = u[:, 0]
+    u1, u2 = u[:, 0], u[:, 1]
     bucket = (u1 * (guide.shape[0] - 1)).astype(np.intp)
     k = guide[bucket]
-    open_rows = np.flatnonzero(guide[bucket + 1] != k)
-    k[open_rows] = np.searchsorted(cdf_a, u1[open_rows], side="right") - 1
+    # Knots in each row's bucket: guide[b + 1] - guide[b].
+    knots = guide[1:][bucket]
+    knots -= k
+    wide = np.flatnonzero(knots > 1)
+    k += cdf_a[1:][k] <= u1
+    k[wide] = np.searchsorted(cdf_a, u1[wide], side="right") - 1
+    yes = u2 >= t_true[k]
+    positive = (k >= grid.shape[0] // 2) == yes
+    rows = np.flatnonzero(yes == (u2 <= t_false[k]))
+    k, u1, u2 = k[rows], u1[rows], u2[rows]
     x = grid[k] + (u1 - cdf_a[k]) * (grid[k + 1] - grid[k]) / (cdf_a[k + 1] - cdf_a[k])
     mass_below = below[0] + x * (below[1] + x * below[2])
     mass = total[0] + x * (total[1] + x * total[2])
-    return (x >= 0.0) == (mass_below <= u[:, 1] * mass)
+    positive[rows] = (x >= 0.0) == (mass_below <= u2 * mass)
+    return positive
 
 
 def _usable_cores() -> int:
@@ -373,12 +472,18 @@ def monte_carlo_correlations(state: SinglePhotonState, eta_alice: float,
     coefficients are exact moments of the standard normal. An efficiency
     outside (0, 1] raises ``ValueError``, as does an ``n_samples`` outside
     [1, ``MAX_MC_SAMPLES``]. The inverse CDF starts from a guide table of
-    uniform buckets and searches only the uniforms whose bucket holds a
-    knot. Streams are counter-based (Philox) and spawned per pair, so
-    results are reproducible for a fixed seed and the per-pair sampling is
-    a pure elementwise map of its uniforms (shards over sample ranges merge
-    deterministically). The tables are built once per call: one grid, and
-    one inverse CDF per Alice phase. The four pairs are sampled
+    uniform buckets and searches only the uniforms whose bucket holds more
+    than one knot. The grid cell of the first outcome then decides most
+    sign products: the sign of u is the side of the middle knot the cell
+    lies on, and two thresholds per cell on the second uniform settle Bob's
+    comparison; u and the two quadratics are computed only for the rest,
+    0.1-0.3 % of draws at the default grid, so every count is the one that
+    computing each draw gives. Streams are counter-based (Philox) and
+    spawned per pair, so results are reproducible for a fixed seed and the
+    per-pair sampling is a pure elementwise map of its uniforms (shards over
+    sample ranges merge deterministically). The tables are built once per
+    call: one grid; one inverse CDF and total mass per Alice phase; Bob's
+    mass below 0 and the thresholds per pair. The four pairs are sampled
     concurrently on a pool that the call opens with one thread per core in
     this process's CPU affinity, at most four, and closes before it returns;
     each pair's exact count of +1 products does not depend on the

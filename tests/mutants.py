@@ -1,4 +1,4 @@
-"""Mutant catalogue for the package's guard code, run by hand:
+"""Mutant catalogue for the package's guard and kernel code, run by hand:
 
     python tests/mutants.py [NAME ...]
 
@@ -105,6 +105,18 @@ CATALOGUE = (
            ("tests/test_homodyne_experiment.py",)),
     Mutant("coherence-unrooted", "src/chsh_steering/homodyne_experiment.py",
            "g1 = math.sqrt(eta) * sigma_phi(phi)", "g1 = eta * sigma_phi(phi)",
+           ("tests/test_homodyne_experiment.py",)),
+    Mutant("cell-rounding-pad-zero", "src/chsh_steering/homodyne_experiment.py",
+           "_ROUNDING_PAD = 2.0 ** -46", "_ROUNDING_PAD = 0.0",
+           ("tests/test_homodyne_experiment.py",)),
+    Mutant("cell-below-zero-decided", "src/chsh_steering/homodyne_experiment.py",
+           "        t_true[:, mid - 1] = np.inf\n        t_false[:, mid - 1] = -np.inf\n", "",
+           ("tests/test_homodyne_experiment.py",)),
+    Mutant("t-true-open", "src/chsh_steering/homodyne_experiment.py",
+           "yes = u2 >= t_true[k]", "yes = u2 > t_true[k]",
+           ("tests/test_homodyne_experiment.py",)),
+    Mutant("undecided-rows-skipped", "src/chsh_steering/homodyne_experiment.py",
+           "    positive[rows] = (x >= 0.0) == (mass_below <= u2 * mass)\n", "",
            ("tests/test_homodyne_experiment.py",)),
     Mutant("check-entries-negated", "src/chsh_steering/qubit_core.py",
            "if not np.abs(op).max() <= 1.0 + OPERATOR_TOL:",

@@ -4,7 +4,9 @@ Nothing in the package calls these: each is a second, plain statement of a
 physical quantity (a pure state, a Born probability, a joint probability
 table), a short form of a production object that the tests need as input,
 or the dense form of a computation the package does implicitly (the oracle's
-atom matrix and the ``duals @ A`` pricing over it).
+atom matrix and the ``duals @ A`` pricing over it). ``positive_products`` is
+the Monte Carlo's sign kernel as it was before grid cells decided most draws:
+it computes x and both quadratics for every draw.
 """
 
 from __future__ import annotations
@@ -190,3 +192,34 @@ def dense_lp_feasibility(A, b, *, tol: float = DEFAULT_LP_TOL):
     for col, value in basic.items():
         x[col] = value
     return feasible, x, residuals
+
+
+def positive_products(u, grid, cdf_a, guide, below, total):
+    """Where sign(x) * sign(y) = +1 for scaled quadrature pairs drawn by
+    inverse CDF.
+
+    ``u`` is (n, 2) uniforms in [0, 1); ``grid`` the quadrature abscissae,
+    with 0 at the middle knot; ``cdf_a`` the normalised CDF of the first
+    party's marginal on the grid and ``guide`` its ``_guide_table``;
+    ``below`` and ``total`` the coefficients in (1, x, x^2) of the second
+    party's unnormalised mass below y = 0 and in all, given x.
+
+    x is interpolated from ``cdf_a`` at the knot ``k`` that
+    ``searchsorted(cdf_a, u, side="right") - 1`` gives. With ``b = floor(u *
+    B)``, ``b / B <= u < (b + 1) / B`` brackets ``k`` between ``guide[b]``
+    and ``guide[b + 1]``, so where those agree the table is the answer; only
+    the other rows are searched. As ``cdf_a[0] = 0 <= u < 1 = cdf_a[-1]``,
+    ``0 <= k <= g - 2`` and ``cdf_a[k + 1] > u``: no cell drawn is empty. y
+    is never located: its conditional CDF is nondecreasing, so y >= 0
+    exactly when the mass below 0 is at most the share ``u[:, 1]`` of the
+    total. Returns an (n,) bool array.
+    """
+    u1 = u[:, 0]
+    bucket = (u1 * (guide.shape[0] - 1)).astype(np.intp)
+    k = guide[bucket]
+    open_rows = np.flatnonzero(guide[bucket + 1] != k)
+    k[open_rows] = np.searchsorted(cdf_a, u1[open_rows], side="right") - 1
+    x = grid[k] + (u1 - cdf_a[k]) * (grid[k + 1] - grid[k]) / (cdf_a[k + 1] - cdf_a[k])
+    mass_below = below[0] + x * (below[1] + x * below[2])
+    mass = total[0] + x * (total[1] + x * total[2])
+    return (x >= 0.0) == (mass_below <= u[:, 1] * mass)

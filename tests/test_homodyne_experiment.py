@@ -42,7 +42,7 @@ from chsh_steering.correlation_model import CorrelationSet
 from chsh_steering.qubit_core import projector_from_params, quantum_correlator
 from chsh_steering.steering_witness import steering_inequality
 from concurrency import run_concurrently
-from reference import maximally_entangled
+from reference import maximally_entangled, positive_products
 
 
 class TestState:
@@ -420,12 +420,17 @@ def _hand_coefficients(rho, phi_a, eta_a, phi_b, eta_b):
     return coef, marginal
 
 
-def _reference_alice(grid, marginal):
-    """Alice's normalised CDF on ``grid``: the trapezoid sums of phi(u) times
-    her marginal polynomial, written out."""
+def _trapezoid_marginal(grid, marginal):
+    """Alice's unnormalised CDF on ``grid``: the trapezoid sums of phi(u)
+    times her marginal polynomial, written out."""
     pdf = np.maximum(np.exp(-0.5 * grid * grid) / math.sqrt(2.0 * math.pi)
                      * (marginal[0] + marginal[1] * grid + marginal[2] * grid * grid), 0.0)
-    cdf = np.concatenate([[0.0], np.cumsum(0.5 * (pdf[1:] + pdf[:-1]) * (grid[1] - grid[0]))])
+    return np.concatenate([[0.0], np.cumsum(0.5 * (pdf[1:] + pdf[:-1]) * (grid[1] - grid[0]))])
+
+
+def _reference_alice(grid, marginal):
+    """Alice's normalised CDF on ``grid``."""
+    cdf = _trapezoid_marginal(grid, marginal)
     return cdf / cdf[-1]
 
 
@@ -487,7 +492,7 @@ def _reference_monte_carlo(state, eta_alice, eta_bob, n_samples, seed):
     return CorrelationSet(*means), tuple(errors)
 
 
-def _table_expectation(grid, cdf_a, guide, below, total):
+def _table_expectation(grid, cdf_a, guide, below, total, t_true, t_false):
     """The exact mean sign product of one pair's tables as built: x is
     uniform within each cell with the cell's mass from ``cdf_a``, and y >= 0
     with probability 1 - below(x) / total(x); a 2-node Gauss-Legendre rule
@@ -550,7 +555,7 @@ class TestSignOnlyKernel:
                                                      theta_deg, p1, eta_a, eta_b):
         rho = state_density(SinglePhotonState(np.deg2rad(theta_deg), p1))
         edges = np.arange(_GUIDE_BUCKETS + 1) / _GUIDE_BUCKETS
-        for _, cdf_a, guide, _, _ in _sampler_tables_on_grid(
+        for _, cdf_a, guide, *_ in _sampler_tables_on_grid(
                 monkeypatch, rho, eta_a, eta_b, grid_cells, 6.0):
             expected = np.searchsorted(cdf_a, edges, side="right") - 1
             assert np.array_equal(guide, expected)
@@ -570,13 +575,16 @@ class TestSignOnlyKernel:
         for rho in states:
             tables = _sampler_tables(rho, eta_a, eta_b)
             # The efficiencies belong to the parties: one grid for all four
-            # pairs and one inverse CDF per Alice phase (AB and AB', A'B and
-            # A'B').
+            # pairs and one inverse CDF, guide table and total mass per Alice
+            # phase (AB and AB', A'B and A'B').
             assert all(t[0] is tables[0][0] for t in tables)
             for i, j in ((0, 2), (1, 3)):
-                assert tables[i][1] is tables[j][1] and tables[i][2] is tables[j][2]
+                assert all(tables[i][c] is tables[j][c] for c in (1, 2, 4))
             for (phi_a, phi_b), got in zip(_PHASE_PAIRS, tables, strict=True):
                 coef, marginal = _hand_coefficients(rho, phi_a, eta_a, phi_b, eta_b)
+                # The grid holds all but a sliver of Alice's marginal, so its
+                # trapezoid mass is never 0 and needs no guard.
+                assert abs(_trapezoid_marginal(grid, marginal)[-1] - 1.0) <= 1e-6
                 assert np.array_equal(got[0], grid)
                 assert np.abs(got[1] - _reference_alice(grid, marginal)).max() <= 1e-15
                 assert np.abs(got[3] - coef @ below_0).max() <= 1e-15
@@ -609,12 +617,14 @@ class TestSignOnlyKernel:
             assert np.abs(built - exact).max() <= bound
 
     def test_table_bytes_do_not_depend_on_efficiency(self):
-        # One grid and two inverse CDFs of 4097 knots, two guide tables and
-        # the pairs' coefficients: 0.36 MB at every efficiency. The grid once
-        # widened as 1 / sqrt(eta), to 6.6 MB at eta 1/8192.
+        # One grid and two inverse CDFs of 4097 knots, two guide tables,
+        # Bob's coefficients (below per pair, total per Alice phase) and two
+        # thresholds per pair and cell: 0.62 MB at every efficiency. The grid
+        # once widened as 1 / sqrt(eta), to 6.6 MB at eta 1/8192.
         rho = state_density(SinglePhotonState(np.deg2rad(22.5), 0.9))
         knots = DEFAULT_GRID_CELLS + 1
-        expected = 3 * knots * 8 + 2 * (_GUIDE_BUCKETS + 1) * 8 + 8 * 3 * 8
+        expected = (3 * knots * 8 + 2 * (_GUIDE_BUCKETS + 1) * 8 + (4 + 2) * 3 * 8
+                    + 4 * 2 * DEFAULT_GRID_CELLS * 8)
         for eta in (1.0, 1.0 / 8192, 1e-12):
             tables = _sampler_tables(rho, eta, eta)
             distinct = {id(a): a for t in tables for a in t}.values()
@@ -644,6 +654,109 @@ class TestSignOnlyKernel:
         for eta_a, eta_b in ((1.0, 1.0), (0.3, 1.0), (1.0, 1e-12), (5e-324, 5e-324)):
             grid = _sampler_tables(rho, eta_a, eta_b)[0][0]
             assert np.array_equal(grid, np.linspace(-6.0, 6.0, 4097))
+
+    @pytest.mark.parametrize("eta", [1.0, 0.3, 2.0 ** -13, 1e-12, 5e-324])
+    def test_alice_marginal_mass_is_one_on_random_densities(self, eta):
+        # Alice's marginal in u is phi(u) times a polynomial of mass tr rho_A
+        # = 1 at every efficiency, and +-6 leaves out less than 1e-7 of it.
+        rng = np.random.Generator(np.random.Philox(84))
+        grid = np.linspace(-DEFAULT_SPAN, DEFAULT_SPAN, DEFAULT_GRID_CELLS + 1)
+        for _ in range(50):
+            rho = _random_density(rng, 4)
+            for phi_a in ALICE_PHASES:
+                _, marginal = _hand_coefficients(rho, phi_a, eta, 0.0, 1.0)
+                assert abs(_trapezoid_marginal(grid, marginal)[-1] - 1.0) <= 1e-6
+
+
+def _parity_uniforms(arrays, n_draws, seed):
+    """``n_draws`` seeded uniform pairs, then pairs placed where the kernel's
+    cell decisions end: u1 on every knot of ``cdf_a``, at the top of every
+    cell and at 256 steps of one spacing below the middle knot (the top of
+    cell ``mid - 1``, where x can round to 0), each with u2 on its cell's
+    thresholds and their float neighbours; and the four corners of 0 and 1 -
+    2^-53."""
+    grid, cdf_a, _, _, _, t_true, t_false = arrays
+    mid = grid.shape[0] // 2
+    cells = np.flatnonzero(cdf_a[1:] > cdf_a[:-1])
+    top = np.nextafter(cdf_a[cells + 1], -np.inf)
+    below_mid = cdf_a[mid] - np.spacing(cdf_a[mid]) * np.arange(1, 257)
+    below_mid = below_mid[below_mid >= cdf_a[mid - 1]]
+    u1 = np.concatenate([cdf_a[cells], top, below_mid])
+    k = np.concatenate([cells, cells, np.full(below_mid.shape, mid - 1)])
+    u2 = np.concatenate([v for edge in (t_true[k], t_false[k])
+                         for v in (edge, np.nextafter(edge, -np.inf), np.nextafter(edge, np.inf))])
+    placed = np.stack([np.tile(u1, 6), u2], axis=1)
+    placed = placed[(placed[:, 1] >= 0.0) & (placed[:, 1] < 1.0)]
+    edges = np.array([0.0, 1.0 - 2.0 ** -53])
+    corners = np.stack(np.meshgrid(edges, edges), axis=-1).reshape(-1, 2)
+    draws = np.random.Generator(np.random.Philox(seed)).random((n_draws, 2))
+    return np.concatenate([draws, placed, corners])
+
+
+def _assert_reference_bools(tables, seed, n_draws=1_000_000):
+    for arrays in tables:
+        u = _parity_uniforms(arrays, n_draws, seed)
+        assert np.array_equal(_positive_products(u, *arrays), positive_products(u, *arrays[:5]))
+
+
+class TestCellDecisions:
+    # The kernel decides most rows from their grid cell; every row must keep
+    # the bool that computing x and both quadratics gives.
+
+    @_GRID_CELLS
+    @_STATES
+    def test_matches_reference_kernel(self, monkeypatch, grid_cells, theta_deg, p1,
+                                      eta_a, eta_b):
+        rho = state_density(SinglePhotonState(np.deg2rad(theta_deg), p1))
+        _assert_reference_bools(
+            _sampler_tables_on_grid(monkeypatch, rho, eta_a, eta_b, grid_cells, 6.0),
+            seed=grid_cells)
+
+    @pytest.mark.parametrize("theta_deg, p1", [(22.5, 0.0), (0.0, 1.0), (90.0, 1.0)])
+    @pytest.mark.parametrize("eta_a, eta_b", [(5e-324, 5e-324), (1e-12, 1.0), (1.0, 1e-12),
+                                              (2.0 ** -13, 2.0 ** -13)])
+    def test_matches_reference_kernel_at_edge_states(self, theta_deg, p1, eta_a, eta_b):
+        # Vacuum, and a photon wholly at Bob (0 degrees) or, up to rounding,
+        # at Alice (90 degrees): the quadratics are constant or nearly so,
+        # and rounding alone decides the comparison near a threshold.
+        rho = state_density(SinglePhotonState(np.deg2rad(theta_deg), p1))
+        _assert_reference_bools(_sampler_tables(rho, eta_a, eta_b), seed=7)
+
+    def test_matches_reference_kernel_on_empty_cells(self, monkeypatch):
+        rho = state_density(SinglePhotonState(np.deg2rad(22.5), 1.0))
+        tables = _sampler_tables_on_grid(monkeypatch, rho, 1.0, 1.0, 4096, 12.0)
+        assert np.count_nonzero(tables[0][1][1:] == tables[0][1][:-1]) > 100
+        _assert_reference_bools(tables, seed=12)
+
+    @pytest.mark.parametrize("always", [False, True])
+    @_STATES
+    def test_thresholds_decide_without_the_quadratics(self, theta_deg, p1, eta_a, eta_b,
+                                                      always):
+        # u2 at or beyond a cell's threshold settles the row from the cell
+        # alone: quadratics that would answer ``always`` on every row leave
+        # those rows as the real ones answer.
+        rho = state_density(SinglePhotonState(np.deg2rad(theta_deg), p1))
+        constant = (np.zeros(3), np.ones(3)) if always else (np.ones(3), np.zeros(3))
+        for arrays in _sampler_tables(rho, eta_a, eta_b):
+            grid, cdf_a, guide, below, total, t_true, t_false = arrays
+            cells = np.flatnonzero(cdf_a[1:] > cdf_a[:-1])
+            edge = t_false if always else t_true
+            u = np.stack([cdf_a[cells], edge[cells]], axis=1)
+            u = u[(u[:, 1] >= 0.0) & (u[:, 1] < 1.0)]
+            assert u.shape[0] > DEFAULT_GRID_CELLS // 2
+            forced = (grid, cdf_a, guide, *constant, t_true, t_false)
+            assert np.array_equal(_positive_products(u, *forced),
+                                  positive_products(u, *arrays[:5]))
+
+    def test_most_rows_are_decided_by_their_cell(self):
+        # At the default grid the thresholds leave about 0.2 % of draws to
+        # be computed.
+        rho = state_density(SinglePhotonState(np.deg2rad(22.5), 0.9))
+        u = np.random.Generator(np.random.Philox(5)).random((100_000, 2))
+        for grid, cdf_a, guide, below, total, t_true, t_false in _sampler_tables(rho, 0.85, 0.85):
+            k = np.searchsorted(cdf_a, u[:, 0], side="right") - 1
+            undecided = (u[:, 1] < t_true[k]) & (u[:, 1] > t_false[k])
+            assert np.count_nonzero(undecided) <= 0.005 * u.shape[0]
 
 
 def test_maximally_entangled_ideal_configuration_hits_quantum_max():

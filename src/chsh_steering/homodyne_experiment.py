@@ -52,17 +52,14 @@ NO_STEERING = "no_steering"
 
 DEFAULT_GRID_CELLS = 4096
 DEFAULT_SPAN = 6.0
-# Largest Monte Carlo sample count per setting pair: about 100 s at 0.09 s per
-# 1e6 per pair (measured at 1e7 on a 2-core x86-64 Xeon); more would run for
-# hours.
+# Largest Monte Carlo sample count per setting pair: about 55 s at 0.05 s per
+# 1e6 per pair (measured at 1e7 on a 2-core x86-64 Xeon); larger counts would
+# run for minutes to hours.
 MAX_MC_SAMPLES = 2 ** 30
 # Rows of uniforms drawn and mapped per step of the Monte Carlo loop; bounds
 # the working set (one block per setting pair in flight) without changing the
 # Philox stream or the result.
 _MC_BLOCK = 1 << 15
-# Buckets of the guide table that starts the x inverse CDF; a power of two, so
-# the bucket edges i / B and the bucket index floor(u * B) are exact.
-_GUIDE_BUCKETS = 1 << 14
 
 # Standard quadrature phases of the experiment: Alice measures x and p, Bob
 # the rotated pair (x-p)/sqrt(2) and (x+p)/sqrt(2).
@@ -242,16 +239,18 @@ class MonteCarloCorrelations:
 
 
 def _sampler_tables(rho: np.ndarray, eta_alice: float, eta_bob: float):
-    """The arrays ``_positive_products`` takes after ``u``, one tuple
-    ``(grid, cdf_a, guide, below, total, t_true, t_false)`` per setting pair
-    in correlator order (AB, A'B, AB', A'B').
+    """The arguments ``_positive_products`` takes after ``u``, one tuple
+    ``(grid, cdf_a, below, total, t_true, t_false, b_right)`` per setting
+    pair in correlator order (AB, A'B, AB', A'B').
 
     Both outcomes are taken in their scaled quadratures, where the envelope
     is phi at every efficiency, so one grid of ``DEFAULT_GRID_CELLS`` cells
     over [-``DEFAULT_SPAN``, ``DEFAULT_SPAN``] serves every efficiency. What
     depends on Alice alone is built once per Alice phase and shared by its
-    two pairs: ``cdf_a``, ``guide`` and ``total``, Bob's total mass, which
-    is her marginal. ``below`` and the ``_cell_thresholds`` are per pair.
+    two pairs: ``cdf_a``, ``total``, Bob's total mass, which is her
+    marginal, and ``b_right``. ``below`` and the thresholds are per pair:
+    its ``_cell_thresholds`` bounded over each uniform bucket by
+    ``_bucket_thresholds``.
     """
     # Bob's identity in the last column gives Alice's marginal, the same
     # bits at either Bob phase.
@@ -264,20 +263,26 @@ def _sampler_tables(rho: np.ndarray, eta_alice: float, eta_bob: float):
     # relies on. linspace can leave it a few ulps off, so pin it.
     grid[DEFAULT_GRID_CELLS // 2] = 0.0
     powers = np.stack([np.ones_like(grid), grid, grid * grid])
+    # As many uniform buckets as cells, rounded up to a power of two so that
+    # the bucket edges b / B and the kernel's floor(u * B) are exact.
+    buckets = 1 << (DEFAULT_GRID_CELLS - 1).bit_length()
 
     env = _envelope(grid)
-    alice = []
-    for table in tables[:len(ALICE_PHASES)]:
+    pairs = [None] * len(tables)
+    for a, table in enumerate(tables[:len(ALICE_PHASES)]):
         pdf_a = np.maximum(env * (table[:, 3] @ powers), 0.0)
         cdf_a = _cumtrapz(pdf_a, grid[1] - grid[0])
         cdf_a /= cdf_a[-1]
         # Bob's total mass given x takes only his g0 + g2, his identity at
         # either phase, so one per Alice phase serves both of its pairs.
-        alice.append((cdf_a, _guide_table(cdf_a), table[:, :3] @ _MOMENTS))
-    below = [table[:, :3] @ _MOMENTS_BELOW_0 for table in tables]
-    thresholds = _cell_thresholds(grid, powers, below, [total for *_, total in alice])
-    return [(grid, cdf_a, guide, below[i], total, *thresholds[i])
-            for i, (cdf_a, guide, total) in enumerate(alice * len(BOB_PHASES))]
+        total = table[:, :3] @ _MOMENTS
+        own = range(a, len(tables), len(ALICE_PHASES))
+        below = [tables[i][:, :3] @ _MOMENTS_BELOW_0 for i in own]
+        cells = _cell_thresholds(grid, powers, below, total)
+        *bounds, b_right = _bucket_thresholds(_guide_table(cdf_a, buckets), *cells)
+        for i, row, t_true, t_false in zip(own, below, *bounds):
+            pairs[i] = grid, cdf_a, row, total, t_true, t_false, b_right
+    return pairs
 
 
 # Rounding pad of the cell thresholds, relative to a quadratic's term scale
@@ -285,19 +290,17 @@ def _sampler_tables(rho: np.ndarray, eta_alice: float, eta_bob: float):
 _ROUNDING_PAD = 2.0 ** -46
 
 
-def _cell_thresholds(grid: np.ndarray, powers: np.ndarray, below, totals):
-    """Per setting pair, the uniforms ``t_true[k]`` and ``t_false[k]`` per
-    grid cell ``k``: for every float x the kernel can interpolate in cell
-    ``k``, ``u2 >= t_true[k]`` makes its comparison ``mass_below <= u2 *
-    mass`` True and ``u2 <= t_false[k]`` makes it False, so
-    ``_positive_products`` need not compute x.
+def _cell_thresholds(grid: np.ndarray, powers: np.ndarray, below, total):
+    """For the pairs of one Alice phase, the uniforms ``t_true[:, k]`` and
+    ``t_false[:, k]`` per grid cell ``k``: for every float x the kernel can
+    interpolate in cell ``k``, ``u2 >= t_true[:, k]`` makes its comparison
+    ``mass_below <= u2 * mass`` True and ``u2 <= t_false[:, k]`` makes it
+    False, so ``_positive_products`` need not compute x.
 
-    ``below`` holds each pair's coefficients in (1, x, x^2), in correlator
-    order, ``totals`` each Alice phase's, and ``powers`` is (1, grid,
-    grid^2). Both are Bob's masses: nonnegative up to a few ulps of
-    rounding, with coefficients far below 2^100. What depends on the grid
-    alone is computed once, and each Alice phase's ``total`` bounds once for
-    its two pairs. Returns one ``(t_true, t_false)`` per pair.
+    ``below`` holds each pair's coefficients in (1, x, x^2), ``total`` the
+    phase's, and ``powers`` is (1, grid, grid^2). Both are Bob's masses:
+    nonnegative up to a few ulps of rounding, with coefficients far below
+    2^100. Returns ``(t_true, t_false)``, one row per pair.
 
     Why. In cell ``k`` the kernel's x is ``grid[k]`` plus an offset. The
     offset is nonnegative, as ``u1 >= cdf_a[k]`` and each of its four float
@@ -329,35 +332,66 @@ def _cell_thresholds(grid: np.ndarray, powers: np.ndarray, below, totals):
     weights = np.array([_ROUNDING_PAD, _ROUNDING_PAD * reach,
                         _ROUNDING_PAD * reach * reach + 0.25 * step * step])
     mid = grid.shape[0] // 2
-    thresholds = [None] * len(below)
-    for a, total in enumerate(totals):
-        own = range(a, len(below), len(totals))
-        coefficients = np.stack([*(below[i] for i in own), total])
-        pad = np.abs(coefficients) @ weights
-        pad += 2.0 ** -900
-        values = coefficients @ powers
-        t_true = np.maximum(values[:-1, :-1], values[:-1, 1:])
-        t_true += pad[:-1, None]
-        t_false = np.minimum(values[:-1, :-1], values[:-1, 1:])
-        t_false -= pad[:-1, None]
-        tlo = np.minimum(values[-1, :-1], values[-1, 1:])
-        tlo -= pad[-1]
-        np.maximum(tlo, 2.0 ** -902, out=tlo)
-        thi = np.maximum(values[-1, :-1], values[-1, 1:])
-        thi += pad[-1]
-        t_true /= tlo
-        t_false /= thi
-        t_true[:, mid - 1] = np.inf
-        t_false[:, mid - 1] = -np.inf
-        for i, yes, no in zip(own, t_true, t_false):
-            thresholds[i] = yes, no
-    return thresholds
+    coefficients = np.stack([*below, total])
+    pad = np.abs(coefficients) @ weights
+    pad += 2.0 ** -900
+    values = coefficients @ powers
+    t_true = np.maximum(values[:-1, :-1], values[:-1, 1:])
+    t_true += pad[:-1, None]
+    t_false = np.minimum(values[:-1, :-1], values[:-1, 1:])
+    t_false -= pad[:-1, None]
+    tlo = np.minimum(values[-1, :-1], values[-1, 1:])
+    tlo -= pad[-1]
+    np.maximum(tlo, 2.0 ** -902, out=tlo)
+    thi = np.maximum(values[-1, :-1], values[-1, 1:])
+    thi += pad[-1]
+    t_true /= tlo
+    t_false /= thi
+    t_true[:, mid - 1] = np.inf
+    t_false[:, mid - 1] = -np.inf
+    return t_true, t_false
 
 
-def _guide_table(cdf: np.ndarray) -> np.ndarray:
+def _bucket_thresholds(guide: np.ndarray, t_true: np.ndarray, t_false: np.ndarray):
+    """The cell thresholds ``t_true`` and ``t_false`` (one row per pair, one
+    column per cell) bounded over each of the ``B`` uniform buckets of
+    ``guide``, the ``_guide_table`` of their inverse CDF, and ``b_right``,
+    the first bucket whose cells all lie at or right of the middle knot:
+    ``(t_true_b, t_false_b, b_right)``, the first two one row per pair and
+    one column per bucket.
+
+    A uniform ``u1`` in bucket ``b``, ``b / B <= u1 < (b + 1) / B``, has its
+    knot ``k``, the last with ``cdf_a[k] <= u1``, between ``guide[b]`` and
+    ``guide[b + 1]``, and at most ``g - 2`` as ``u1 < 1 = cdf_a[-1]``. So
+    the largest ``t_true`` and the smallest ``t_false`` over cells ``guide[b]
+    .. min(guide[b + 1], g - 2)`` decide every row of the bucket that either
+    decides in its own cell. Buckets spanning cell ``mid - 1`` take its
+    infinite thresholds. Most buckets span one or two cells and take their
+    bounds from the two ends; the interior of the few spanning more, in the
+    tails, is reduced at once.
+    """
+    lo = guide[:-1]
+    hi = np.minimum(guide[1:], t_true.shape[-1] - 1)
+    wide = np.flatnonzero(hi - lo > 1)
+    # Pairs of (first interior cell, last cell) of each wide bucket: the
+    # even reduceat slots are the interiors, the odd ones are discarded.
+    inner = np.stack([lo[wide] + 1, hi[wide]], axis=1).ravel()
+    bounds = []
+    for cells, bound in ((t_true, np.maximum), (t_false, np.minimum)):
+        per_bucket = bound(cells.take(lo, axis=1), cells.take(hi, axis=1))
+        interior = bound.reduceat(cells, inner, axis=1)[:, ::2]
+        per_bucket[:, wide] = bound(per_bucket[:, wide], interior)
+        bounds.append(per_bucket)
+    # Knot mid = G // 2 is 0: a bucket lies right of it when guide[b] is at
+    # least mid.
+    b_right = int(np.searchsorted(guide, t_true.shape[-1] // 2))
+    return (*bounds, b_right)
+
+
+def _guide_table(cdf: np.ndarray, buckets: int) -> np.ndarray:
     """Index of the last knot ``j`` with ``cdf[j] <= i / B``, for ``i = 0 ..
-    B`` with ``B = _GUIDE_BUCKETS`` (Chen & Asau's guide table for an inverse
-    CDF).
+    B`` with ``B = buckets`` a power of two (Chen & Asau's guide table for
+    an inverse CDF).
 
     Knot ``j`` is at or below edge ``i`` exactly when ``i >= ceil(cdf[j] *
     B)``; with ``B`` a power of two that product is exact, so counting knots
@@ -365,8 +399,8 @@ def _guide_table(cdf: np.ndarray) -> np.ndarray:
     side="right") - 1`` for a nondecreasing ``cdf`` in [0, 1] with ``cdf[0]
     == 0``.
     """
-    first_edge = np.ceil(cdf * _GUIDE_BUCKETS).astype(np.intp)
-    return np.cumsum(np.bincount(first_edge, minlength=_GUIDE_BUCKETS + 1)) - 1
+    first_edge = np.ceil(cdf * buckets).astype(np.intp)
+    return np.cumsum(np.bincount(first_edge, minlength=buckets + 1)) - 1
 
 
 def _cumtrapz(f: np.ndarray, dx: float) -> np.ndarray:
@@ -375,51 +409,47 @@ def _cumtrapz(f: np.ndarray, dx: float) -> np.ndarray:
     return out
 
 
-def _positive_products(u, grid, cdf_a, guide, below, total, t_true, t_false):
+def _positive_products(u, grid, cdf_a, below, total, t_true, t_false, b_right):
     """Where sign(x) * sign(y) = +1 for scaled quadrature pairs drawn by
     inverse CDF.
 
     ``u`` is (n, 2) uniforms in [0, 1); ``grid`` the quadrature abscissae,
     with 0 at the middle knot; ``cdf_a`` the normalised CDF of the first
-    party's marginal on the grid and ``guide`` its ``_guide_table``;
-    ``below`` and ``total`` the coefficients in (1, x, x^2) of the second
-    party's unnormalised mass below y = 0 and in all, given x; ``t_true``
-    and ``t_false`` their ``_cell_thresholds``.
+    party's marginal on the grid; ``below`` and ``total`` the coefficients
+    in (1, x, x^2) of the second party's unnormalised mass below y = 0 and
+    in all, given x; ``t_true``, ``t_false`` and ``b_right`` their
+    ``_bucket_thresholds`` over ``B = len(t_true)`` buckets.
 
     x is interpolated from ``cdf_a`` at the knot ``k`` that
-    ``searchsorted(cdf_a, u, side="right") - 1`` gives. With ``b = floor(u *
-    B)``, ``b / B <= u < (b + 1) / B`` brackets ``k`` between ``guide[b]``
-    and ``guide[b + 1]``; where those differ by at most one, one comparison
-    with the knot above ``guide[b]`` settles it, and only the other rows are
-    searched. As ``cdf_a[0] = 0 <= u < 1 = cdf_a[-1]``, ``0 <= k <= g - 2``
-    and ``cdf_a[k + 1] > u``: no cell drawn is empty. y is never located:
-    its conditional CDF is nondecreasing, so y >= 0 exactly when the mass
-    below 0 is at most the share ``u[:, 1]`` of the total.
+    ``searchsorted(cdf_a, u, side="right") - 1`` gives. As ``cdf_a[0] = 0 <=
+    u < 1 = cdf_a[-1]``, ``0 <= k <= g - 2`` and ``cdf_a[k + 1] > u``: no
+    cell drawn is empty. y is never located: its conditional CDF is
+    nondecreasing, so y >= 0 exactly when the mass below 0 is at most the
+    share ``u[:, 1]`` of the total.
 
-    The cell alone decides most rows, with the bits that computing x and
-    the quadratics would give. x is ``grid[k]`` plus a nonnegative offset
+    The bucket ``b = floor(u * B)`` alone decides most rows, with the bits
+    that computing x and the quadratics would give; ``B`` is a power of
+    two, so ``u * B`` is exact. x is ``grid[k]`` plus a nonnegative offset
     and stays below ``grid[k + 1] + delta`` (see ``_cell_thresholds``), and
     the middle knot ``mid`` is exactly 0, so x >= 0 for every ``k >= mid``
     and x < 0 for every ``k <= mid - 2``, where ``delta`` is far below
-    ``|grid[k + 1]| >= H``; the thresholds of cell ``mid - 1`` are
-    infinite, so its rows are always computed. A row with ``u2 >=
-    t_true[k]`` or ``u2 <= t_false[k]`` takes its comparison from that
-    test; both cannot hold, as each is exact. x and the two quadratics are
-    computed for the other rows only. Returns an (n,) bool array.
+    ``|grid[k + 1]| >= H``. Every ``k`` of bucket ``b`` is at least ``mid``
+    when ``b >= b_right``. Otherwise the bucket's cells start below ``mid``,
+    so either all of them lie at or below ``mid - 2`` or they include cell
+    ``mid - 1``, whose infinite thresholds the bucket takes: its rows are
+    always computed. A row with ``u2 >= t_true[b]`` or ``u2 <= t_false[b]``
+    takes its comparison from that test, as each bucket bound is at least
+    as strict as the bound of the row's own cell; both cannot hold, as each
+    is exact. k, x and the two quadratics are computed for the other rows
+    only. Returns an (n,) bool array.
     """
     u1, u2 = u[:, 0], u[:, 1]
-    bucket = (u1 * (guide.shape[0] - 1)).astype(np.intp)
-    k = guide[bucket]
-    # Knots in each row's bucket: guide[b + 1] - guide[b].
-    knots = guide[1:][bucket]
-    knots -= k
-    wide = np.flatnonzero(knots > 1)
-    k += cdf_a[1:][k] <= u1
-    k[wide] = np.searchsorted(cdf_a, u1[wide], side="right") - 1
-    yes = u2 >= t_true[k]
-    positive = (k >= grid.shape[0] // 2) == yes
-    rows = np.flatnonzero(yes == (u2 <= t_false[k]))
-    k, u1, u2 = k[rows], u1[rows], u2[rows]
+    b = (u1 * t_true.shape[0]).astype(np.intp)
+    yes = u2 >= t_true[b]
+    positive = (b >= b_right) == yes
+    rows = np.flatnonzero(yes == (u2 <= t_false[b]))
+    u1, u2 = u1[rows], u2[rows]
+    k = np.searchsorted(cdf_a, u1, side="right") - 1
     x = grid[k] + (u1 - cdf_a[k]) * (grid[k + 1] - grid[k]) / (cdf_a[k + 1] - cdf_a[k])
     mass_below = below[0] + x * (below[1] + x * below[2])
     mass = total[0] + x * (total[1] + x * total[2])
@@ -471,19 +501,19 @@ def monte_carlo_correlations(state: SinglePhotonState, eta_alice: float,
     mass below 0 with his total mass, two quadratics in u whose
     coefficients are exact moments of the standard normal. An efficiency
     outside (0, 1] raises ``ValueError``, as does an ``n_samples`` outside
-    [1, ``MAX_MC_SAMPLES``]. The inverse CDF starts from a guide table of
-    uniform buckets and searches only the uniforms whose bucket holds more
-    than one knot. The grid cell of the first outcome then decides most
-    sign products: the sign of u is the side of the middle knot the cell
-    lies on, and two thresholds per cell on the second uniform settle Bob's
-    comparison; u and the two quadratics are computed only for the rest,
-    0.1-0.3 % of draws at the default grid, so every count is the one that
-    computing each draw gives. Streams are counter-based (Philox) and
-    spawned per pair, so results are reproducible for a fixed seed and the
-    per-pair sampling is a pure elementwise map of its uniforms (shards over
-    sample ranges merge deterministically). The tables are built once per
-    call: one grid; one inverse CDF and total mass per Alice phase; Bob's
-    mass below 0 and the thresholds per pair. The four pairs are sampled
+    [1, ``MAX_MC_SAMPLES``]. The bucket of the first uniform, one of as many
+    equal buckets as the grid has cells, decides most sign products: the
+    sign of u is the side of the middle knot that the bucket's cells lie
+    on, and two thresholds per bucket on the second uniform settle Bob's
+    comparison. u, found by a binary search of the inverse CDF, and the two
+    quadratics are computed only for the rest, about 0.3 % of draws at the
+    default grid, so every count is the one that computing each draw
+    gives. Streams are counter-based (Philox) and spawned per pair, so
+    results are reproducible for a fixed seed and the per-pair sampling is
+    a pure elementwise map of its uniforms (shards over sample ranges merge
+    deterministically). The tables are built once per call: one grid; one
+    inverse CDF and total mass per Alice phase; Bob's mass below 0 and the
+    bucket thresholds per pair. The four pairs are sampled
     concurrently on a pool that the call opens with one thread per core in
     this process's CPU affinity, at most four, and closes before it returns;
     each pair's exact count of +1 products does not depend on the

@@ -110,10 +110,17 @@ CATALOGUE = (
            "_ROUNDING_PAD = 2.0 ** -46", "_ROUNDING_PAD = 0.0",
            ("tests/test_homodyne_experiment.py",)),
     Mutant("cell-below-zero-decided", "src/chsh_steering/homodyne_experiment.py",
-           "        t_true[:, mid - 1] = np.inf\n        t_false[:, mid - 1] = -np.inf\n", "",
+           "    t_true[:, mid - 1] = np.inf\n    t_false[:, mid - 1] = -np.inf\n", "",
            ("tests/test_homodyne_experiment.py",)),
     Mutant("t-true-open", "src/chsh_steering/homodyne_experiment.py",
-           "yes = u2 >= t_true[k]", "yes = u2 > t_true[k]",
+           "yes = u2 >= t_true[b]", "yes = u2 > t_true[b]",
+           ("tests/test_homodyne_experiment.py",)),
+    Mutant("bucket-last-cell-dropped", "src/chsh_steering/homodyne_experiment.py",
+           "hi = np.minimum(guide[1:], t_true.shape[-1] - 1)",
+           "hi = np.maximum(lo, guide[1:] - 1)",
+           ("tests/test_homodyne_experiment.py",)),
+    Mutant("bucket-side-open", "src/chsh_steering/homodyne_experiment.py",
+           "positive = (b >= b_right) == yes", "positive = (b > b_right) == yes",
            ("tests/test_homodyne_experiment.py",)),
     Mutant("undecided-rows-skipped", "src/chsh_steering/homodyne_experiment.py",
            "    positive[rows] = (x >= 0.0) == (mass_below <= u2 * mass)\n", "",

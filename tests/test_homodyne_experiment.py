@@ -31,10 +31,11 @@ from chsh_steering.homodyne_experiment import (
     homodyne_pdf,
     monte_carlo_correlations,
     state_density,
-    _GUIDE_BUCKETS,
     _MC_BLOCK,
     _MOMENTS,
     _MOMENTS_BELOW_0,
+    _cell_thresholds,
+    _guide_table,
     _positive_products,
     _sampler_tables,
 )
@@ -42,7 +43,7 @@ from chsh_steering.correlation_model import CorrelationSet
 from chsh_steering.qubit_core import projector_from_params, quantum_correlator
 from chsh_steering.steering_witness import steering_inequality
 from concurrency import run_concurrently
-from reference import maximally_entangled, positive_products
+from reference import cell_positive_products, maximally_entangled, positive_products
 
 
 class TestState:
@@ -492,7 +493,7 @@ def _reference_monte_carlo(state, eta_alice, eta_bob, n_samples, seed):
     return CorrelationSet(*means), tuple(errors)
 
 
-def _table_expectation(grid, cdf_a, guide, below, total, t_true, t_false):
+def _table_expectation(grid, cdf_a, below, total, t_true, t_false, b_right):
     """The exact mean sign product of one pair's tables as built: x is
     uniform within each cell with the cell's mass from ``cdf_a``, and y >= 0
     with probability 1 - below(x) / total(x); a 2-node Gauss-Legendre rule
@@ -508,13 +509,16 @@ def _table_expectation(grid, cdf_a, guide, below, total, t_true, t_false):
 
 
 _GRID_CELLS = pytest.mark.parametrize("grid_cells", [8, 1024, 4096, 5000])
-_STATES = pytest.mark.parametrize("theta_deg, p1, eta_a, eta_b", [
+_STATE_PARAMS = [
     (22.5, 1.0, 0.85, 0.85),
     (22.5, 0.6, 1.0, 0.3),
     (7.0, 0.9, 0.5, 1.0),
     (40.0, 0.95, 0.2, 0.7),
     (0.0, 1.0, 1.0, 1.0),
-])
+]
+_STATES = pytest.mark.parametrize("theta_deg, p1, eta_a, eta_b", _STATE_PARAMS)
+_EFFICIENCY_PAIRS = [(1.0, 1.0), (0.85, 0.85), (0.5, 0.5), (0.9, 0.2), (1.0, 0.05),
+                     (0.02, 0.02), (1.0 / 8192, 1.0 / 8192), (0.85, 1e-12)]
 
 
 class TestSignOnlyKernel:
@@ -553,12 +557,16 @@ class TestSignOnlyKernel:
     @_STATES
     def test_guide_table_is_searchsorted_lower_bound(self, monkeypatch, grid_cells,
                                                      theta_deg, p1, eta_a, eta_b):
+        # The tables have as many buckets as cells, rounded up to a power of
+        # two: 4096 at the default grid, 8192 at 5000 cells.
         rho = state_density(SinglePhotonState(np.deg2rad(theta_deg), p1))
-        edges = np.arange(_GUIDE_BUCKETS + 1) / _GUIDE_BUCKETS
-        for _, cdf_a, guide, *_ in _sampler_tables_on_grid(
+        buckets = 1 << (grid_cells - 1).bit_length()
+        edges = np.arange(buckets + 1) / buckets
+        for _, cdf_a, _, _, t_true, *_ in _sampler_tables_on_grid(
                 monkeypatch, rho, eta_a, eta_b, grid_cells, 6.0):
+            assert t_true.shape == (buckets,)
             expected = np.searchsorted(cdf_a, edges, side="right") - 1
-            assert np.array_equal(guide, expected)
+            assert np.array_equal(_guide_table(cdf_a, buckets), expected)
 
     @pytest.mark.parametrize("eta_a, eta_b", [(1.0, 1.0), (0.85, 0.85), (0.9, 0.3),
                                               (0.9, 0.2), (1.0 / 8192, 1.0 / 8192),
@@ -575,11 +583,11 @@ class TestSignOnlyKernel:
         for rho in states:
             tables = _sampler_tables(rho, eta_a, eta_b)
             # The efficiencies belong to the parties: one grid for all four
-            # pairs and one inverse CDF, guide table and total mass per Alice
-            # phase (AB and AB', A'B and A'B').
+            # pairs and one inverse CDF, total mass and right-side bucket per
+            # Alice phase (AB and AB', A'B and A'B').
             assert all(t[0] is tables[0][0] for t in tables)
             for i, j in ((0, 2), (1, 3)):
-                assert all(tables[i][c] is tables[j][c] for c in (1, 2, 4))
+                assert all(tables[i][c] is tables[j][c] for c in (1, 3, 6))
             for (phi_a, phi_b), got in zip(_PHASE_PAIRS, tables, strict=True):
                 coef, marginal = _hand_coefficients(rho, phi_a, eta_a, phi_b, eta_b)
                 # The grid holds all but a sliver of Alice's marginal, so its
@@ -587,8 +595,8 @@ class TestSignOnlyKernel:
                 assert abs(_trapezoid_marginal(grid, marginal)[-1] - 1.0) <= 1e-6
                 assert np.array_equal(got[0], grid)
                 assert np.abs(got[1] - _reference_alice(grid, marginal)).max() <= 1e-15
-                assert np.abs(got[3] - coef @ below_0).max() <= 1e-15
-                assert np.abs(got[4] - (coef[:, 0] + coef[:, 2])).max() <= 1e-15
+                assert np.abs(got[2] - coef @ below_0).max() <= 1e-15
+                assert np.abs(got[3] - (coef[:, 0] + coef[:, 2])).max() <= 1e-15
 
     def test_bob_moments_are_normal_integrals(self):
         for j in range(3):
@@ -599,9 +607,7 @@ class TestSignOnlyKernel:
             assert _MOMENTS_BELOW_0[j] == pytest.approx(below, rel=1e-12, abs=1e-14)
             assert _MOMENTS[j] == pytest.approx(whole, rel=1e-12, abs=1e-14)
 
-    @pytest.mark.parametrize("eta_a, eta_b", [(1.0, 1.0), (0.85, 0.85), (0.5, 0.5),
-                                              (0.9, 0.2), (1.0, 0.05), (0.02, 0.02),
-                                              (1.0 / 8192, 1.0 / 8192), (0.85, 1e-12)])
+    @pytest.mark.parametrize("eta_a, eta_b", _EFFICIENCY_PAIRS)
     def test_tables_expectation_matches_analytic(self, eta_a, eta_b):
         # The sampler's expectation as built, without random numbers, against
         # the exact correlators. The bound is 1 % of one standard error at
@@ -617,17 +623,19 @@ class TestSignOnlyKernel:
             assert np.abs(built - exact).max() <= bound
 
     def test_table_bytes_do_not_depend_on_efficiency(self):
-        # One grid and two inverse CDFs of 4097 knots, two guide tables,
-        # Bob's coefficients (below per pair, total per Alice phase) and two
-        # thresholds per pair and cell: 0.62 MB at every efficiency. The grid
-        # once widened as 1 / sqrt(eta), to 6.6 MB at eta 1/8192.
+        # One grid and two inverse CDFs of 4097 knots (3 * 4097 * 8 =
+        # 98,328 bytes), Bob's coefficients (below per pair, total per
+        # Alice phase: 6 * 3 * 8 = 144) and two thresholds per pair and
+        # bucket, 4096 buckets (4 * 2 * 4096 * 8 = 262,144): 360,616 bytes
+        # at every efficiency. The grid once widened as 1 / sqrt(eta), to
+        # 6.6 MB at eta 1/8192.
         rho = state_density(SinglePhotonState(np.deg2rad(22.5), 0.9))
         knots = DEFAULT_GRID_CELLS + 1
-        expected = (3 * knots * 8 + 2 * (_GUIDE_BUCKETS + 1) * 8 + (4 + 2) * 3 * 8
-                    + 4 * 2 * DEFAULT_GRID_CELLS * 8)
+        expected = 3 * knots * 8 + (4 + 2) * 3 * 8 + 4 * 2 * DEFAULT_GRID_CELLS * 8
+        assert expected == 360_616
         for eta in (1.0, 1.0 / 8192, 1e-12):
             tables = _sampler_tables(rho, eta, eta)
-            distinct = {id(a): a for t in tables for a in t}.values()
+            distinct = {id(a): a for t in tables for a in t[:-1]}.values()
             assert sum(a.nbytes for a in distinct) == expected
 
     @pytest.mark.parametrize("n", [1, _MC_BLOCK - 1, _MC_BLOCK, _MC_BLOCK + 1,
@@ -670,20 +678,23 @@ class TestSignOnlyKernel:
 
 def _parity_uniforms(arrays, n_draws, seed):
     """``n_draws`` seeded uniform pairs, then pairs placed where the kernel's
-    cell decisions end: u1 on every knot of ``cdf_a``, at the top of every
-    cell and at 256 steps of one spacing below the middle knot (the top of
-    cell ``mid - 1``, where x can round to 0), each with u2 on its cell's
-    thresholds and their float neighbours; and the four corners of 0 and 1 -
-    2^-53."""
-    grid, cdf_a, _, _, _, t_true, t_false = arrays
+    decisions end: u1 on every knot of ``cdf_a``, at the top of every cell,
+    at 256 steps of one spacing below the middle knot (the top of cell
+    ``mid - 1``, where x can round to 0) and on every bucket edge ``b / B``
+    and its float neighbours, each with u2 on its bucket's thresholds and
+    their float neighbours; and the four corners of 0 and 1 - 2^-53."""
+    grid, cdf_a, _, _, t_true, t_false, _ = arrays
     mid = grid.shape[0] // 2
+    buckets = t_true.shape[0]
     cells = np.flatnonzero(cdf_a[1:] > cdf_a[:-1])
     top = np.nextafter(cdf_a[cells + 1], -np.inf)
     below_mid = cdf_a[mid] - np.spacing(cdf_a[mid]) * np.arange(1, 257)
     below_mid = below_mid[below_mid >= cdf_a[mid - 1]]
-    u1 = np.concatenate([cdf_a[cells], top, below_mid])
-    k = np.concatenate([cells, cells, np.full(below_mid.shape, mid - 1)])
-    u2 = np.concatenate([v for edge in (t_true[k], t_false[k])
+    edges = np.arange(buckets) / buckets
+    u1 = np.concatenate([cdf_a[cells], top, below_mid, edges,
+                         np.nextafter(edges[1:], -np.inf), np.nextafter(edges, np.inf)])
+    b = (u1 * buckets).astype(np.intp)
+    u2 = np.concatenate([v for edge in (t_true[b], t_false[b])
                          for v in (edge, np.nextafter(edge, -np.inf), np.nextafter(edge, np.inf))])
     placed = np.stack([np.tile(u1, 6), u2], axis=1)
     placed = placed[(placed[:, 1] >= 0.0) & (placed[:, 1] < 1.0)]
@@ -696,12 +707,29 @@ def _parity_uniforms(arrays, n_draws, seed):
 def _assert_reference_bools(tables, seed, n_draws=1_000_000):
     for arrays in tables:
         u = _parity_uniforms(arrays, n_draws, seed)
-        assert np.array_equal(_positive_products(u, *arrays), positive_products(u, *arrays[:5]))
+        assert np.array_equal(_positive_products(u, *arrays), positive_products(u, *arrays[:4]))
+
+
+def _cell_tables(tables):
+    """Per pair, the ``_cell_thresholds`` ``(t_true, t_false)`` of one cell
+    each that the bucket thresholds of ``tables`` bound, built as
+    ``_sampler_tables`` builds them: the two pairs of an Alice phase at
+    once."""
+    grid = tables[0][0]
+    powers = np.stack([np.ones_like(grid), grid, grid * grid])
+    cells = [None] * len(tables)
+    for a in range(len(ALICE_PHASES)):
+        own = range(a, len(tables), len(ALICE_PHASES))
+        t_true, t_false = _cell_thresholds(grid, powers, [tables[i][2] for i in own],
+                                           tables[a][3])
+        for i, yes, no in zip(own, t_true, t_false):
+            cells[i] = yes, no
+    return cells
 
 
 class TestCellDecisions:
-    # The kernel decides most rows from their grid cell; every row must keep
-    # the bool that computing x and both quadratics gives.
+    # The kernel decides most rows from their uniform's bucket; every row
+    # must keep the bool that computing x and both quadratics gives.
 
     @_GRID_CELLS
     @_STATES
@@ -728,35 +756,80 @@ class TestCellDecisions:
         assert np.count_nonzero(tables[0][1][1:] == tables[0][1][:-1]) > 100
         _assert_reference_bools(tables, seed=12)
 
+    @pytest.mark.parametrize("theta_deg, p1", [state[:2] for state in _STATE_PARAMS])
+    @pytest.mark.parametrize("eta_a, eta_b", _EFFICIENCY_PAIRS)
+    def test_bucket_thresholds_bound_every_cell_of_the_bucket(self, theta_deg, p1,
+                                                              eta_a, eta_b):
+        # A uniform in bucket b lands in a cell from the last knot at or
+        # below b / B to the last at or below (b + 1) / B, and never in the
+        # cell after the last: its bucket's thresholds must be at least as
+        # strict as each of those cells'.
+        rho = state_density(SinglePhotonState(np.deg2rad(theta_deg), p1))
+        tables = _sampler_tables(rho, eta_a, eta_b)
+        for arrays, (t_true, t_false) in zip(tables, _cell_tables(tables), strict=True):
+            _, cdf_a, _, _, bucket_true, bucket_false, b_right = arrays
+            buckets, cells = bucket_true.shape[0], t_true.shape[0]
+            mid = cells // 2
+            guide = np.searchsorted(cdf_a, np.arange(buckets + 1) / buckets, side="right") - 1
+            lo, hi = guide[:-1], np.minimum(guide[1:], cells - 1)
+            counts = hi - lo + 1
+            bucket = np.repeat(np.arange(buckets), counts)
+            cell = lo[bucket] + np.arange(bucket.shape[0]) - (np.cumsum(counts) - counts)[bucket]
+            assert (bucket_true[bucket] >= t_true[cell]).all()
+            assert (bucket_false[bucket] <= t_false[cell]).all()
+            # Cell mid - 1 has no known sign, so no bucket reaching it decides.
+            spans_zero = (lo <= mid - 1) & (hi >= mid - 1)
+            assert spans_zero.any()
+            assert (bucket_true[spans_zero] == np.inf).all()
+            assert (bucket_false[spans_zero] == -np.inf).all()
+            assert b_right == np.count_nonzero(lo < mid)
+
+    @pytest.mark.parametrize("theta_deg, p1", [state[:2] for state in _STATE_PARAMS])
+    @pytest.mark.parametrize("eta_a, eta_b", _EFFICIENCY_PAIRS)
+    def test_matches_cell_kernel_at_bucket_edges(self, theta_deg, p1, eta_a, eta_b):
+        # The kernel that read each row's cell thresholds, fed the cell
+        # thresholds that the bucket ones bound.
+        rho = state_density(SinglePhotonState(np.deg2rad(theta_deg), p1))
+        tables = _sampler_tables(rho, eta_a, eta_b)
+        for arrays, cells in zip(tables, _cell_tables(tables), strict=True):
+            grid, cdf_a, below, total, t_true, *_ = arrays
+            u = _parity_uniforms(arrays, 20_000, seed=17)
+            guide = _guide_table(cdf_a, t_true.shape[0])
+            by_cell = cell_positive_products(u, grid, cdf_a, guide, below, total, *cells)
+            assert np.array_equal(_positive_products(u, *arrays), by_cell)
+            assert np.array_equal(by_cell, positive_products(u, *arrays[:4]))
+
     @pytest.mark.parametrize("always", [False, True])
     @_STATES
     def test_thresholds_decide_without_the_quadratics(self, theta_deg, p1, eta_a, eta_b,
                                                       always):
-        # u2 at or beyond a cell's threshold settles the row from the cell
-        # alone: quadratics that would answer ``always`` on every row leave
-        # those rows as the real ones answer.
+        # u2 at or beyond a bucket's threshold settles the row from the
+        # bucket alone: quadratics that would answer ``always`` on every row
+        # leave those rows as the real ones answer, at either end of the
+        # bucket.
         rho = state_density(SinglePhotonState(np.deg2rad(theta_deg), p1))
         constant = (np.zeros(3), np.ones(3)) if always else (np.ones(3), np.zeros(3))
         for arrays in _sampler_tables(rho, eta_a, eta_b):
-            grid, cdf_a, guide, below, total, t_true, t_false = arrays
-            cells = np.flatnonzero(cdf_a[1:] > cdf_a[:-1])
+            grid, cdf_a, below, total, t_true, t_false, b_right = arrays
             edge = t_false if always else t_true
-            u = np.stack([cdf_a[cells], edge[cells]], axis=1)
+            starts = np.arange(edge.shape[0]) / edge.shape[0]
+            ends = np.nextafter(starts + 1.0 / edge.shape[0], -np.inf)
+            u = np.stack([np.concatenate([starts, ends]), np.tile(edge, 2)], axis=1)
             u = u[(u[:, 1] >= 0.0) & (u[:, 1] < 1.0)]
-            assert u.shape[0] > DEFAULT_GRID_CELLS // 2
-            forced = (grid, cdf_a, guide, *constant, t_true, t_false)
+            assert u.shape[0] > DEFAULT_GRID_CELLS
+            forced = (grid, cdf_a, *constant, t_true, t_false, b_right)
             assert np.array_equal(_positive_products(u, *forced),
-                                  positive_products(u, *arrays[:5]))
+                                  positive_products(u, *arrays[:4]))
 
-    def test_most_rows_are_decided_by_their_cell(self):
-        # At the default grid the thresholds leave about 0.2 % of draws to
-        # be computed.
+    def test_most_rows_are_decided_by_their_bucket(self):
+        # At the default grid the bucket thresholds leave about 0.3 % of
+        # draws to be computed; a looser table would slow the kernel unseen.
         rho = state_density(SinglePhotonState(np.deg2rad(22.5), 0.9))
-        u = np.random.Generator(np.random.Philox(5)).random((100_000, 2))
-        for grid, cdf_a, guide, below, total, t_true, t_false in _sampler_tables(rho, 0.85, 0.85):
-            k = np.searchsorted(cdf_a, u[:, 0], side="right") - 1
-            undecided = (u[:, 1] < t_true[k]) & (u[:, 1] > t_false[k])
-            assert np.count_nonzero(undecided) <= 0.005 * u.shape[0]
+        u = np.random.Generator(np.random.Philox(5)).random((1_000_000, 2))
+        for *_, t_true, t_false, _ in _sampler_tables(rho, 0.85, 0.85):
+            b = (u[:, 0] * t_true.shape[0]).astype(np.intp)
+            undecided = (u[:, 1] < t_true[b]) & (u[:, 1] > t_false[b])
+            assert np.count_nonzero(undecided) < 0.005 * u.shape[0]
 
 
 def test_maximally_entangled_ideal_configuration_hits_quantum_max():

@@ -45,13 +45,37 @@ def _emit_json(obj) -> None:
     print(json.dumps(obj, indent=2, allow_nan=False))
 
 
+# Rows that _write_csv formats and writes at once.
+_CSV_CHUNK = 256
+
+
+def _reprs(values) -> list:
+    """``repr`` of each float in ``values``, called once per distinct value."""
+    text = dict.fromkeys(values)
+    for value in text:
+        text[value] = repr(value)
+    strings = list(map(text.__getitem__, values))
+    if 0.0 in text:
+        # 0.0 and -0.0 are one key, and whichever came first named it.
+        strings = [s if v else repr(v) for v, s in zip(values, strings)]
+    return strings
+
+
 def _write_csv(header, *columns) -> None:
     """Print ``header``, then one row per index of the equal-length
-    ``columns``, each entry as a Python float. The rows stream to stdout:
-    no list of them is built."""
-    writer = csv.writer(sys.stdout)
-    writer.writerow(header)
-    writer.writerows(zip(*(map(float, c) for c in columns)))
+    ``columns``, each entry as a Python float, in the bytes ``csv.writer``
+    prints: a float's ``repr`` never needs quoting, and rows end in CRLF.
+
+    The rows stream to stdout in chunks of ``_CSV_CHUNK``, so no list of
+    every row is built (``scan angles`` passes iterators of up to 2^20
+    values). Within a chunk each column formats each distinct value once:
+    ``scan state``'s angle columns repeat ``resolution`` values.
+    """
+    csv.writer(sys.stdout).writerow(header)
+    rows = zip(*(map(float, c) for c in columns))
+    while chunk := list(itertools.islice(rows, _CSV_CHUNK)):
+        sys.stdout.write("\r\n".join(map(",".join, zip(*map(_reprs, zip(*chunk)))))
+                         + "\r\n")
 
 
 def _render_witness_table(report) -> None:

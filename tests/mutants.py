@@ -125,6 +125,21 @@ CATALOGUE = (
     Mutant("undecided-rows-skipped", "src/chsh_steering/homodyne_experiment.py",
            "    positive[rows] = (x >= 0.0) == (mass_below <= u2 * mass)\n", "",
            ("tests/test_homodyne_experiment.py",)),
+    Mutant("y-sign-closed", "src/chsh_steering/homodyne_experiment.py",
+           "== (mass_below <= u2 * mass)", "== (mass_below < u2 * mass)",
+           ("tests/test_homodyne_experiment.py",)),
+    Mutant("ratio-tie-last", "src/chsh_steering/simplex.py",
+           "if row < 0 or ratio < best:", "if row < 0 or ratio <= best:",
+           ("tests/test_simplex.py",)),
+    Mutant("screen-slack-zero", "src/chsh_steering/violation_search.py",
+           "_SLACK = 2.0 ** -44", "_SLACK = 0.0",
+           ("tests/test_violation_search.py",)),
+    Mutant("screen-nonfinite-path-dropped", "src/chsh_steering/violation_search.py",
+           "if not 2.0 ** -400 <= top <= 2.0 ** 400:", "if False:",
+           ("tests/test_violation_search.py",)),
+    Mutant("csv-zero-sign-merged", "src/chsh_steering/cli.py",
+           "if 0.0 in text:", "if False:",
+           ("tests/test_cli.py",)),
     Mutant("check-entries-negated", "src/chsh_steering/qubit_core.py",
            "if not np.abs(op).max() <= 1.0 + OPERATOR_TOL:",
            "if np.abs(op).max() > 1.0 + OPERATOR_TOL:",

@@ -1,14 +1,18 @@
 import contextlib
+import csv
 import dataclasses
+import io
 import json
 import math
 import os
 import subprocess
 import sys
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 import chsh_steering
 from chsh_steering import cli, correlation_model, lhs_oracle
@@ -312,6 +316,69 @@ class TestScans:
                                "--resolution", "6")
         assert code == 1
         assert "state JSON" in err
+
+
+# Values that csv.writer formats apart although some compare equal (0.0 and
+# -0.0) or unequal to themselves (NaN), plus extremes and repeats.
+_CSV_SPECIALS = [0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324, -5e-324,
+                 2.2250738585072014e-308, 1.7976931348623157e308, 0.1, 1e-5, 1e16, 1.0]
+_CSV_FLOATS = st.one_of(st.floats(allow_nan=True, allow_infinity=True),
+                        st.sampled_from(_CSV_SPECIALS))
+
+
+def _csv_reference(header, columns) -> str:
+    """What the CLI printed with one ``csv.writer`` over every row."""
+    out = io.StringIO()
+    writer = csv.writer(out)
+    writer.writerow(header)
+    writer.writerows(zip(*(map(float, c) for c in columns)))
+    return out.getvalue()
+
+
+def _csv_written(header, columns, form: str) -> str:
+    """``_write_csv``'s stdout for the columns given as arrays, lists or
+    one-shot iterators of NumPy floats."""
+    convert = {"array": np.array, "list": list,
+               "iterator": lambda c: map(np.float64, c)}[form]
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        cli._write_csv(header, *map(convert, columns))
+    return out.getvalue()
+
+
+class TestCsvWriter:
+    @given(data=st.data(), width=st.integers(1, 3), chunk=st.sampled_from([1, 2, 3, 7]),
+           form=st.sampled_from(["array", "list", "iterator"]))
+    def test_bytes_match_csv_writer(self, data, width, chunk, form):
+        # Lengths from 0 to past a few chunks, often right at an edge.
+        length = data.draw(st.one_of(
+            st.integers(0, 4 * chunk + 1),
+            st.integers(0, 4).map(lambda q: q * chunk + 1),
+            st.integers(1, 4).map(lambda q: q * chunk - 1)))
+        # A small pool makes values repeat within a chunk.
+        pool = data.draw(st.lists(_CSV_FLOATS, min_size=1, max_size=6))
+        values = st.one_of(st.sampled_from(pool), _CSV_FLOATS)
+        columns = [data.draw(st.lists(values, min_size=length, max_size=length))
+                   for _ in range(width)]
+        header = ["a", "b", "c"][:width]
+        with mock.patch.object(cli, "_CSV_CHUNK", chunk):
+            assert _csv_written(header, columns, form) == _csv_reference(header, columns)
+
+    @pytest.mark.parametrize("length", [255, 256, 257, 511, 512, 513, 1600])
+    def test_bytes_match_csv_writer_at_the_chunk_size(self, length):
+        assert cli._CSV_CHUNK == 256
+        rng = np.random.Generator(np.random.Philox(length))
+        angles = np.rad2deg(np.repeat(np.linspace(0.0, np.pi, 40), 40))[:length]
+        signed = rng.choice(np.array(_CSV_SPECIALS), size=length)
+        columns = [angles, signed, rng.normal(size=length)]
+        for form in ("array", "list", "iterator"):
+            assert (_csv_written(["x", "y", "z"], columns, form)
+                    == _csv_reference(["x", "y", "z"], columns))
+
+    def test_zero_signs_stay_apart_in_one_chunk(self):
+        for column in ([0.0, -0.0, 0.0], [-0.0, 0.0, -0.0]):
+            text = _csv_written(["z"], [column], "list")
+            assert text.splitlines()[1:] == [repr(v) for v in column]
 
 
 class TestEllipse:

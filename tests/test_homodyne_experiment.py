@@ -831,6 +831,28 @@ class TestCellDecisions:
             undecided = (u[:, 1] < t_true[b]) & (u[:, 1] > t_false[b])
             assert np.count_nonzero(undecided) < 0.005 * u.shape[0]
 
+    def test_exact_tie_of_the_masses_counts_as_y_above_zero(self):
+        # u2 = mass_below / mass makes fl(u2 * mass) equal mass_below on most
+        # rows. No bucket decides such a row, and its y is at or above 0, as
+        # the reference kernel's closed comparison says.
+        rho = state_density(SinglePhotonState(np.deg2rad(22.5), 0.9))
+        u1 = np.random.Generator(np.random.Philox(3)).random(2000)
+        for arrays in _sampler_tables(rho, 0.85, 0.85):
+            grid, cdf_a, below, total, t_true, t_false, _ = arrays
+            k = np.searchsorted(cdf_a, u1, side="right") - 1
+            x = grid[k] + (u1 - cdf_a[k]) * (grid[k + 1] - grid[k]) / (cdf_a[k + 1] - cdf_a[k])
+            mass_below = below[0] + x * (below[1] + x * below[2])
+            mass = total[0] + x * (total[1] + x * total[2])
+            u2 = mass_below / mass
+            tie = (u2 * mass == mass_below) & (u2 < 1.0)
+            assert np.count_nonzero(tie) > 1000
+            b = (u1 * t_true.shape[0]).astype(np.intp)
+            assert ((u2 < t_true[b]) & (u2 > t_false[b]))[tie].all()
+            u = np.stack([u1, u2], axis=1)[tie]
+            assert np.array_equal(_positive_products(u, *arrays), x[tie] >= 0.0)
+            assert np.array_equal(_positive_products(u, *arrays),
+                                  positive_products(u, *arrays[:4]))
+
 
 def test_maximally_entangled_ideal_configuration_hits_quantum_max():
     # Projective Bob (gamma = 1 reference) on the balanced split photon

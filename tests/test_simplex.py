@@ -73,6 +73,21 @@ def test_lexicographic_rule_terminates_on_cycling_example(monkeypatch):
     assert len(calls) == 3
 
 
+def test_ratio_tie_goes_to_the_lexicographically_least_row():
+    # min -x0 s.t. x0 + s0 = 1, x0 + s1 = 1, x >= 0, from the basis
+    # {s1, s0}: B^-1 swaps the rows, and x0 ties both at ratio 1. Divided by
+    # its entry 1, row 0 of B^-1 is (0, 1) and row 1 is (1, 0), so row 0,
+    # the first, is the lexicographically least and s1 leaves.
+    price = dense_pricer(np.array([[1.0, 1.0, 0.0], [1.0, 0.0, 1.0]]),
+                         np.array([-1.0, 0.0, 0.0]))
+    tableau = [[0.0, 1.0, 1.0], [1.0, 0.0, 1.0], [0.0, 0.0, 0.0]]
+    basis = [2, 1]
+    _revised_pivots(price, [1.0, 1.0], tableau, basis)
+    assert basis == [0, 1]
+    # x0 = 1 with s0 = 0 left basic, and z = -1 (the entry holds -z).
+    assert tableau == [[0.0, 1.0, 1.0], [1.0, -1.0, 0.0], [0.0, 1.0, 1.0]]
+
+
 def test_unbounded_ray_raises_oracle_error():
     # min -x0 s.t. x0 - x1 + x2 = 1, x >= 0, from the slack basis {x2}: x0
     # enters, then x1 prices negative along the ray x0 = 1 + t, x1 = t.

@@ -436,6 +436,60 @@ class TestBlockedCoarseScan:
         assert np.array_equal(violation_search._coarse_maxima(x, y), _brute_maxima(x, y),
                               equal_nan=True)
 
+    @pytest.mark.parametrize("scale", [1.0, 2.0 ** -300, 2.0 ** 300])
+    def test_near_ties_bitwise_equal_to_brute_force(self, scale):
+        x, y = _near_tie_points(scale)
+        assert np.array_equal(violation_search._coarse_maxima(x, y), _brute_maxima(x, y))
+        # The ties are real: on some rows the largest screened value belongs
+        # to a column whose exact value is an ulp or so below the row's best.
+        exact = _scan_lhs(x[:, None], y[:, None], x[None, :], y[None, :])
+        picked = exact[np.arange(x.shape[0]), _screen_values(x, y).argmax(axis=1)]
+        short = picked < exact.max(axis=1)
+        assert short.any()
+        assert (exact.max(axis=1)[short] - picked[short]
+                <= 4 * np.spacing(exact.max(axis=1)[short])).all()
+
+    @pytest.mark.parametrize("scale", [2.0 ** -300, 2.0 ** -460, 2.0 ** -600])
+    @pytest.mark.parametrize("ratio", [0.0, 1e-8, 0.5])
+    def test_scaled_planes_bitwise_equal_to_brute_force(self, scale, ratio):
+        # The segment rule, a thin hull and a full one, with squares far
+        # below 1 and, past 2^-400, on the unscreened path.
+        rng = np.random.Generator(np.random.Philox(101))
+        x, y = _planes(_synthetic_columns(ratio, rng), 24)
+        x, y = x * scale, y * scale
+        assert np.array_equal(violation_search._coarse_maxima(x, y), _brute_maxima(x, y))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("where", ["row", "column"])
+    def test_non_finite_rows_and_columns_take_the_exact_path(self, bad, where):
+        x, y = _planes(_synthetic_columns(0.5, np.random.Generator(np.random.Philox(3))), 6)
+        rx, ry, cx, cy = x.copy(), y.copy(), x[::3].copy(), y[::3].copy()
+        (rx if where == "row" else cx)[1] = bad
+        expected = np.concatenate([
+            _scan_lhs(rx[s:s + 1, None], ry[s:s + 1, None], cx[None, :], cy[None, :]).max(axis=1)
+            for s in range(rx.shape[0])])
+        assert np.array_equal(violation_search._row_maxima(rx, ry, cx, cy), expected,
+                              equal_nan=True)
+
+
+def _near_tie_points(scale):
+    """Points b on a circle of radius ``scale``, 81 of them 1e-9 rad apart
+    about its top and six spread out, then 39 rows inside it on the x axis.
+    A row (t, 0) peaks at the top, where the cluster's pair values differ by
+    an ulp or two, and every circle point is on the hull, so a column."""
+    top = np.pi / 2.0 + 1e-9 * np.arange(-40, 41)
+    angles = np.concatenate([top, np.deg2rad([0.0, 45.0, 135.0, 180.0, 225.0, 315.0])])
+    inside = np.linspace(-0.95, 0.95, 39)
+    return (np.concatenate([np.cos(angles), inside]) * scale,
+            np.concatenate([np.sin(angles), np.zeros_like(inside)]) * scale)
+
+
+def _screen_values(x, y):
+    """sqrt(sx^2 + sy^2) + sqrt(dx^2 + dy^2) over every pair of points."""
+    sx, sy = x[:, None] + x[None, :], y[:, None] + y[None, :]
+    dx, dy = x[:, None] - x[None, :], y[:, None] - y[None, :]
+    return np.sqrt(sx * sx + sy * sy) + np.sqrt(dx * dx + dy * dy)
+
 
 @pytest.mark.parametrize("index", range(16))
 def test_tensor_columns_bitwise_equal_to_scalar_loop(index):

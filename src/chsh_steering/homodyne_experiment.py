@@ -52,9 +52,8 @@ NO_STEERING = "no_steering"
 
 DEFAULT_GRID_CELLS = 4096
 DEFAULT_SPAN = 6.0
-# Largest Monte Carlo sample count per setting pair: about 55 s at 0.05 s per
-# 1e6 per pair (measured at 1e7 on a 2-core x86-64 Xeon); larger counts would
-# run for minutes to hours.
+# Largest Monte Carlo sample count per setting pair: 40-50 s on a 2-core x86-64
+# Xeon, where 4 x 1e7 samples take 0.37-0.45 s; larger counts run for minutes.
 MAX_MC_SAMPLES = 2 ** 30
 # Rows of uniforms drawn and mapped per step of the Monte Carlo loop; bounds
 # the working set (one block per setting pair in flight) without changing the
@@ -245,12 +244,10 @@ def _sampler_tables(rho: np.ndarray, eta_alice: float, eta_bob: float):
 
     Both outcomes are taken in their scaled quadratures, where the envelope
     is phi at every efficiency, so one grid of ``DEFAULT_GRID_CELLS`` cells
-    over [-``DEFAULT_SPAN``, ``DEFAULT_SPAN``] serves every efficiency. What
-    depends on Alice alone is built once per Alice phase and shared by its
-    two pairs: ``cdf_a``, ``total``, Bob's total mass, which is her
-    marginal, and ``b_right``. ``below`` and the thresholds are per pair:
-    its ``_cell_thresholds`` bounded over each uniform bucket by
-    ``_bucket_thresholds``.
+    over [-``DEFAULT_SPAN``, ``DEFAULT_SPAN``] serves every efficiency.
+    ``cdf_a``, ``total`` (Bob's total mass, which is Alice's marginal) and
+    ``b_right`` depend on Alice alone, so the two pairs of an Alice phase
+    share them; ``below`` and the ``_interval_thresholds`` are per pair.
     """
     # Bob's identity in the last column gives Alice's marginal, the same
     # bits at either Bob phase.
@@ -266,6 +263,7 @@ def _sampler_tables(rho: np.ndarray, eta_alice: float, eta_bob: float):
     # As many uniform buckets as cells, rounded up to a power of two so that
     # the bucket edges b / B and the kernel's floor(u * B) are exact.
     buckets = 1 << (DEFAULT_GRID_CELLS - 1).bit_length()
+    starts = np.arange(buckets) / buckets
 
     env = _envelope(grid)
     pairs = [None] * len(tables)
@@ -273,140 +271,97 @@ def _sampler_tables(rho: np.ndarray, eta_alice: float, eta_bob: float):
         pdf_a = np.maximum(env * (table[:, 3] @ powers), 0.0)
         cdf_a = _cumtrapz(pdf_a, grid[1] - grid[0])
         cdf_a /= cdf_a[-1]
+        edges = np.append(_inverse_cdf(starts, grid, cdf_a), grid[-1])
         # Bob's total mass given x takes only his g0 + g2, his identity at
         # either phase, so one per Alice phase serves both of its pairs.
         total = table[:, :3] @ _MOMENTS
         own = range(a, len(tables), len(ALICE_PHASES))
         below = [tables[i][:, :3] @ _MOMENTS_BELOW_0 for i in own]
-        cells = _cell_thresholds(grid, powers, below, total)
-        *bounds, b_right = _bucket_thresholds(_guide_table(cdf_a, buckets), *cells)
+        *bounds, b_right = _interval_thresholds(grid, edges, below, total)
         for i, row, t_true, t_false in zip(own, below, *bounds):
             pairs[i] = grid, cdf_a, row, total, t_true, t_false, b_right
     return pairs
 
 
-# Rounding pad of the cell thresholds, relative to a quadratic's term scale
-# |c0| + |c1| Y + |c2| Y^2 over the grid (see ``_cell_thresholds``).
+# Rounding pad of the bucket thresholds, relative to a quadratic's term scale
+# |c0| + |c1| Y + |c2| Y^2 over the grid (see ``_interval_thresholds``).
 _ROUNDING_PAD = 2.0 ** -46
 
 
-def _cell_thresholds(grid: np.ndarray, powers: np.ndarray, below, total):
-    """For the pairs of one Alice phase, the uniforms ``t_true[:, k]`` and
-    ``t_false[:, k]`` per grid cell ``k``: for every float x the kernel can
-    interpolate in cell ``k``, ``u2 >= t_true[:, k]`` makes its comparison
-    ``mass_below <= u2 * mass`` True and ``u2 <= t_false[:, k]`` makes it
-    False, so ``_positive_products`` need not compute x.
+def _interval_thresholds(grid: np.ndarray, edges: np.ndarray, below, total):
+    """Per uniform bucket ``b`` of one Alice phase's pairs, the uniforms
+    ``t_true[:, b]`` and ``t_false[:, b]``: for every x the kernel can draw
+    in bucket ``b``, ``u2 >= t_true`` makes its comparison ``mass_below <=
+    u2 * mass`` True and ``u2 <= t_false`` makes it False. Returns
+    ``(t_true, t_false, b_right)``, one row per pair, ``b_right`` the first
+    bucket whose every x is at least 0. ``edges[b]`` is the kernel's x at
+    ``u1 = b / B`` for each of the ``B`` buckets, and ``edges[B] =
+    grid[-1]``. ``below`` holds each pair's coefficients in (1, x, x^2) and
+    ``total`` the phase's: Bob's masses, nonnegative up to a few ulps, with
+    coefficients far below 2^100.
 
-    ``below`` holds each pair's coefficients in (1, x, x^2), ``total`` the
-    phase's, and ``powers`` is (1, grid, grid^2). Both are Bob's masses:
-    nonnegative up to a few ulps of rounding, with coefficients far below
-    2^100. Returns ``(t_true, t_false)``, one row per pair.
+    Why. In cell ``k`` the kernel's x is ``grid[k]`` plus an offset,
+    nondecreasing in ``u1`` (four monotone float operations) and at most
+    (1 + eps)^3 times the cell width (eps = 2^-53), so x <= grid[k + 1] +
+    delta with delta <= 4 eps (H + |grid[k + 1]|), H the largest cell
+    width. So x(u1) <= x(u1') + delta for u1 <= u1', and a draw of bucket
+    b has x in [edges[b] - delta, edges[b + 1] + delta]. On [edges[b],
+    edges[b + 1]], of width W_b, a quadratic lies within its end values
+    widened by |c2| W_b^2 / 4, the vertex's reach. Against its term scale S
+    = |c0| + |c1| Y + |c2| Y^2, Y = max |grid| + H, delta moves it by at
+    most 8 eps S, the kernel's Horner rule by gamma_4 ~ 4 eps S, and the
+    end values and sums here by about 7 eps S. ``_ROUNDING_PAD`` (128 eps)
+    of S plus 2^-900 covers it all: every value the kernel computes lies in
+    ``[lo, hi]`` with a margin of over 100 eps S + 2^-901, far more than
+    the quotients' rounding (a relative eps, or 2^-1075 if subnormal).
+    Where total's ``lo > 0``, ``u2 >= t_true``, below's ``hi`` over total's
+    ``lo``, thus gives ``u2 * mass > mass_below`` in real numbers, and
+    rounding is monotone, so ``fl(u2 * mass) >= mass_below``; ``u2 <=
+    t_false``, below's ``lo`` over total's ``hi``, leaves ``u2 * mass``
+    below ``mass_below`` by more than its rounding. A total ``lo`` under
+    2^-902 is raised to it, which puts ``t_true`` above every uniform.
 
-    Why. In cell ``k`` the kernel's x is ``grid[k]`` plus an offset. The
-    offset is nonnegative, as ``u1 >= cdf_a[k]`` and each of its four float
-    operations is monotone in ``u1``, and at most (1 + eps)^3 times the cell
-    width, as ``u1 < cdf_a[k + 1]`` (eps = 2^-53). So x lies in ``[grid[k],
-    grid[k + 1] + delta]`` with ``delta <= 4 eps (H + |grid[k + 1]|)``, H
-    the largest cell width. On ``[grid[k], grid[k + 1]]`` a quadratic lies
-    within its two knot values widened by ``|c2| H^2 / 4``, the vertex's
-    reach. Against its term scale ``S = |c0| + |c1| Y + |c2| Y^2``, with ``Y
-    = max |grid| + H``, ``delta`` moves it by at most 8 eps S, the kernel's
-    Horner rule by gamma_4 ~ 4 eps S, and the knot values and sums here by
-    about 7 eps S. ``_ROUNDING_PAD`` (128 eps) of S plus 2^-900 covers all
-    of it: every value the kernel computes lies inside ``[lo, hi]`` with a
-    margin of over 100 eps S + 2^-901 (``bhi``, ``blo`` for ``below``,
-    ``thi``, ``tlo`` for ``total``), so ``bhi`` and ``thi`` exceed 2^-901.
-    The quotients round by a relative eps, or by 2^-1075 if subnormal, far
-    inside that margin. Where ``tlo > 0``, ``u2 >= t_true = bhi / tlo``
-    thus gives ``u2 * mass > mass_below`` in real numbers, and rounding is
-    monotone, so ``fl(u2 * mass) >= mass_below``. ``u2 <= t_false = blo /
-    thi`` leaves ``u2 * mass`` below ``mass_below`` by more than its
-    rounding, so ``fl(u2 * mass) < mass_below``. A ``tlo`` below 2^-902 is
-    raised to it, which makes ``t_true`` above 1: no uniform is that large.
-    In cell ``mid - 1`` the offset can round up to the whole width and x to
-    0, so the sign of x is not known from ``k``: both thresholds there are
-    infinite, and its rows are always computed.
+    Sign. Knot ``mid`` is 0 and delta is far below H. Once x >= 0, every
+    larger uniform's x is too: in the same cell by monotony, and in a later
+    cell as the first cell's upper knot, within delta of that x, is at
+    least 0. So the edges below 0 come first, and from bucket ``b_right`` on
+    every x >= 0. Left of it, a bucket whose right edge is at most
+    ``grid[mid - 1]`` has every x < 0; the rest, whose x can fall either
+    side of 0, take infinite thresholds, so their rows are always computed.
     """
-    step = np.diff(grid).max()
-    reach = np.abs(grid).max() + step
-    weights = np.array([_ROUNDING_PAD, _ROUNDING_PAD * reach,
-                        _ROUNDING_PAD * reach * reach + 0.25 * step * step])
-    mid = grid.shape[0] // 2
+    reach = np.abs(grid).max() + np.diff(grid).max()
     coefficients = np.stack([*below, total])
-    pad = np.abs(coefficients) @ weights
-    pad += 2.0 ** -900
-    values = coefficients @ powers
-    t_true = np.maximum(values[:-1, :-1], values[:-1, 1:])
-    t_true += pad[:-1, None]
-    t_false = np.minimum(values[:-1, :-1], values[:-1, 1:])
-    t_false -= pad[:-1, None]
-    tlo = np.minimum(values[-1, :-1], values[-1, 1:])
-    tlo -= pad[-1]
-    np.maximum(tlo, 2.0 ** -902, out=tlo)
-    thi = np.maximum(values[-1, :-1], values[-1, 1:])
-    thi += pad[-1]
-    t_true /= tlo
-    t_false /= thi
-    t_true[:, mid - 1] = np.inf
-    t_false[:, mid - 1] = -np.inf
-    return t_true, t_false
-
-
-def _bucket_thresholds(guide: np.ndarray, t_true: np.ndarray, t_false: np.ndarray):
-    """The cell thresholds ``t_true`` and ``t_false`` (one row per pair, one
-    column per cell) bounded over each of the ``B`` uniform buckets of
-    ``guide``, the ``_guide_table`` of their inverse CDF, and ``b_right``,
-    the first bucket whose cells all lie at or right of the middle knot:
-    ``(t_true_b, t_false_b, b_right)``, the first two one row per pair and
-    one column per bucket.
-
-    A uniform ``u1`` in bucket ``b``, ``b / B <= u1 < (b + 1) / B``, has its
-    knot ``k``, the last with ``cdf_a[k] <= u1``, between ``guide[b]`` and
-    ``guide[b + 1]``, and at most ``g - 2`` as ``u1 < 1 = cdf_a[-1]``. So
-    the largest ``t_true`` and the smallest ``t_false`` over cells ``guide[b]
-    .. min(guide[b + 1], g - 2)`` decide every row of the bucket that either
-    decides in its own cell. Buckets spanning cell ``mid - 1`` take its
-    infinite thresholds. Most buckets span one or two cells and take their
-    bounds from the two ends; the interior of the few spanning more, in the
-    tails, is reduced at once.
-    """
-    lo = guide[:-1]
-    hi = np.minimum(guide[1:], t_true.shape[-1] - 1)
-    wide = np.flatnonzero(hi - lo > 1)
-    # Pairs of (first interior cell, last cell) of each wide bucket: the
-    # even reduceat slots are the interiors, the odd ones are discarded.
-    inner = np.stack([lo[wide] + 1, hi[wide]], axis=1).ravel()
-    bounds = []
-    for cells, bound in ((t_true, np.maximum), (t_false, np.minimum)):
-        per_bucket = bound(cells.take(lo, axis=1), cells.take(hi, axis=1))
-        interior = bound.reduceat(cells, inner, axis=1)[:, ::2]
-        per_bucket[:, wide] = bound(per_bucket[:, wide], interior)
-        bounds.append(per_bucket)
-    # Knot mid = G // 2 is 0: a bucket lies right of it when guide[b] is at
-    # least mid.
-    b_right = int(np.searchsorted(guide, t_true.shape[-1] // 2))
-    return (*bounds, b_right)
-
-
-def _guide_table(cdf: np.ndarray, buckets: int) -> np.ndarray:
-    """Index of the last knot ``j`` with ``cdf[j] <= i / B``, for ``i = 0 ..
-    B`` with ``B = buckets`` a power of two (Chen & Asau's guide table for
-    an inverse CDF).
-
-    Knot ``j`` is at or below edge ``i`` exactly when ``i >= ceil(cdf[j] *
-    B)``; with ``B`` a power of two that product is exact, so counting knots
-    per first edge and summing equals ``searchsorted(cdf, arange(B + 1) / B,
-    side="right") - 1`` for a nondecreasing ``cdf`` in [0, 1] with ``cdf[0]
-    == 0``.
-    """
-    first_edge = np.ceil(cdf * buckets).astype(np.intp)
-    return np.cumsum(np.bincount(first_edge, minlength=buckets + 1)) - 1
+    scale = np.abs(coefficients) @ (_ROUNDING_PAD * np.array([1.0, reach, reach * reach]))
+    pad = np.multiply.outer(0.25 * np.abs(coefficients[:, 2]), np.diff(edges) ** 2)
+    pad += (scale + 2.0 ** -900)[:, None]
+    values = coefficients @ np.stack([np.ones_like(edges), edges, edges * edges])
+    hi = np.maximum(values[:, :-1], values[:, 1:])
+    hi += pad
+    lo = np.minimum(values[:, :-1], values[:, 1:])
+    lo -= pad
+    np.maximum(lo[-1], 2.0 ** -902, out=lo[-1])
+    t_true, t_false = hi[:-1], lo[:-1]
+    t_true /= lo[-1]
+    t_false /= hi[-1]
+    unknown = np.flatnonzero((edges[:-1] < 0.0) & (edges[1:] > grid[grid.shape[0] // 2 - 1]))
+    t_true[:, unknown] = np.inf
+    t_false[:, unknown] = -np.inf
+    return t_true, t_false, int(np.count_nonzero(edges < 0.0))
 
 
 def _cumtrapz(f: np.ndarray, dx: float) -> np.ndarray:
     out = np.zeros_like(f)
     np.cumsum((f[1:] + f[:-1]) * (0.5 * dx), out=out[1:])
     return out
+
+
+def _inverse_cdf(u, grid, cdf_a):
+    """x at the uniforms ``u`` in [0, 1), interpolated from ``cdf_a``, the
+    normalised CDF on ``grid``, at the knot ``k`` that ``searchsorted(cdf_a,
+    u, side="right") - 1`` gives. As ``cdf_a[0] = 0 <= u < 1 = cdf_a[-1]``,
+    ``0 <= k <= g - 2`` and ``cdf_a[k + 1] > u``: no cell drawn is empty."""
+    k = np.searchsorted(cdf_a, u, side="right") - 1
+    return grid[k] + (u - cdf_a[k]) * (grid[k + 1] - grid[k]) / (cdf_a[k + 1] - cdf_a[k])
 
 
 def _positive_products(u, grid, cdf_a, below, total, t_true, t_false, b_right):
@@ -418,39 +373,25 @@ def _positive_products(u, grid, cdf_a, below, total, t_true, t_false, b_right):
     party's marginal on the grid; ``below`` and ``total`` the coefficients
     in (1, x, x^2) of the second party's unnormalised mass below y = 0 and
     in all, given x; ``t_true``, ``t_false`` and ``b_right`` their
-    ``_bucket_thresholds`` over ``B = len(t_true)`` buckets.
+    ``_interval_thresholds`` over ``B = len(t_true)`` buckets.
 
-    x is interpolated from ``cdf_a`` at the knot ``k`` that
-    ``searchsorted(cdf_a, u, side="right") - 1`` gives. As ``cdf_a[0] = 0 <=
-    u < 1 = cdf_a[-1]``, ``0 <= k <= g - 2`` and ``cdf_a[k + 1] > u``: no
-    cell drawn is empty. y is never located: its conditional CDF is
-    nondecreasing, so y >= 0 exactly when the mass below 0 is at most the
-    share ``u[:, 1]`` of the total.
-
-    The bucket ``b = floor(u * B)`` alone decides most rows, with the bits
-    that computing x and the quadratics would give; ``B`` is a power of
-    two, so ``u * B`` is exact. x is ``grid[k]`` plus a nonnegative offset
-    and stays below ``grid[k + 1] + delta`` (see ``_cell_thresholds``), and
-    the middle knot ``mid`` is exactly 0, so x >= 0 for every ``k >= mid``
-    and x < 0 for every ``k <= mid - 2``, where ``delta`` is far below
-    ``|grid[k + 1]| >= H``. Every ``k`` of bucket ``b`` is at least ``mid``
-    when ``b >= b_right``. Otherwise the bucket's cells start below ``mid``,
-    so either all of them lie at or below ``mid - 2`` or they include cell
-    ``mid - 1``, whose infinite thresholds the bucket takes: its rows are
-    always computed. A row with ``u2 >= t_true[b]`` or ``u2 <= t_false[b]``
-    takes its comparison from that test, as each bucket bound is at least
-    as strict as the bound of the row's own cell; both cannot hold, as each
-    is exact. k, x and the two quadratics are computed for the other rows
-    only. Returns an (n,) bool array.
+    x is the ``_inverse_cdf`` of ``u[:, 0]``. y is never located: its
+    conditional CDF is nondecreasing, so y >= 0 exactly when the mass below
+    0 is at most the share ``u[:, 1]`` of the total. The bucket ``b =
+    floor(u * B)``, exact as ``B`` is a power of two, alone decides most
+    rows: where its thresholds are finite, x >= 0 exactly when ``b >=
+    b_right``, and a row with ``u2 >= t_true[b]`` or ``u2 <= t_false[b]``
+    takes its comparison from that test (both cannot hold, as each is
+    exact). x and the quadratics are computed for the other rows only, so
+    every row has the bits that computing it gives. Returns (n,) bools.
     """
     u1, u2 = u[:, 0], u[:, 1]
     b = (u1 * t_true.shape[0]).astype(np.intp)
     yes = u2 >= t_true[b]
     positive = (b >= b_right) == yes
     rows = np.flatnonzero(yes == (u2 <= t_false[b]))
-    u1, u2 = u1[rows], u2[rows]
-    k = np.searchsorted(cdf_a, u1, side="right") - 1
-    x = grid[k] + (u1 - cdf_a[k]) * (grid[k + 1] - grid[k]) / (cdf_a[k + 1] - cdf_a[k])
+    u2 = u2[rows]
+    x = _inverse_cdf(u1[rows], grid, cdf_a)
     mass_below = below[0] + x * (below[1] + x * below[2])
     mass = total[0] + x * (total[1] + x * total[2])
     positive[rows] = (x >= 0.0) == (mass_below <= u2 * mass)
@@ -503,21 +444,20 @@ def monte_carlo_correlations(state: SinglePhotonState, eta_alice: float,
     outside (0, 1] raises ``ValueError``, as does an ``n_samples`` outside
     [1, ``MAX_MC_SAMPLES``]. The bucket of the first uniform, one of as many
     equal buckets as the grid has cells, decides most sign products: the
-    sign of u is the side of the middle knot that the bucket's cells lie
-    on, and two thresholds per bucket on the second uniform settle Bob's
-    comparison. u, found by a binary search of the inverse CDF, and the two
-    quadratics are computed only for the rest, about 0.3 % of draws at the
-    default grid, so every count is the one that computing each draw
-    gives. Streams are counter-based (Philox) and spawned per pair, so
-    results are reproducible for a fixed seed and the per-pair sampling is
-    a pure elementwise map of its uniforms (shards over sample ranges merge
-    deterministically). The tables are built once per call: one grid; one
-    inverse CDF and total mass per Alice phase; Bob's mass below 0 and the
-    bucket thresholds per pair. The four pairs are sampled
-    concurrently on a pool that the call opens with one thread per core in
-    this process's CPU affinity, at most four, and closes before it returns;
-    each pair's exact count of +1 products does not depend on the
-    scheduling, so neither does the result.
+    x-interval the bucket maps to gives the sign of u, and two thresholds
+    per bucket on the second uniform settle Bob's comparison. u, found by a
+    binary search of the inverse CDF, and the two quadratics are computed
+    only for the rest, about 0.23 % of draws at the default grid, so every
+    count is the one that computing each draw gives. Streams are
+    counter-based (Philox) and spawned per pair, so results are reproducible
+    for a fixed seed and the per-pair sampling is a pure elementwise map of
+    its uniforms (shards over sample ranges merge deterministically). The
+    tables are built once per call: one grid; one inverse CDF and total mass
+    per Alice phase; Bob's mass below 0 and the bucket thresholds per pair.
+    The four pairs are sampled concurrently on a pool that the call opens
+    with one thread per core in this process's CPU affinity, at most four,
+    and closes before it returns; each pair's exact count of +1 products
+    does not depend on the scheduling, so neither does the result.
     """
     if not 1 <= n_samples <= MAX_MC_SAMPLES:
         raise ValueError(f"n_samples must lie in [1, {MAX_MC_SAMPLES}], got {n_samples}")

@@ -109,15 +109,17 @@ CATALOGUE = (
     Mutant("cell-rounding-pad-zero", "src/chsh_steering/homodyne_experiment.py",
            "_ROUNDING_PAD = 2.0 ** -46", "_ROUNDING_PAD = 0.0",
            ("tests/test_homodyne_experiment.py",)),
-    Mutant("cell-below-zero-decided", "src/chsh_steering/homodyne_experiment.py",
-           "    t_true[:, mid - 1] = np.inf\n    t_false[:, mid - 1] = -np.inf\n", "",
+    Mutant("bucket-pad-loose", "src/chsh_steering/homodyne_experiment.py",
+           "_ROUNDING_PAD = 2.0 ** -46", "_ROUNDING_PAD = 2.0 ** -6",
+           ("tests/test_homodyne_experiment.py",)),
+    Mutant("bucket-next-to-zero-decided", "src/chsh_steering/homodyne_experiment.py",
+           "    t_true[:, unknown] = np.inf\n    t_false[:, unknown] = -np.inf\n", "",
+           ("tests/test_homodyne_experiment.py",)),
+    Mutant("bucket-vertex-reach-dropped", "src/chsh_steering/homodyne_experiment.py",
+           "0.25 * np.abs(coefficients[:, 2])", "0.0 * np.abs(coefficients[:, 2])",
            ("tests/test_homodyne_experiment.py",)),
     Mutant("t-true-open", "src/chsh_steering/homodyne_experiment.py",
            "yes = u2 >= t_true[b]", "yes = u2 > t_true[b]",
-           ("tests/test_homodyne_experiment.py",)),
-    Mutant("bucket-last-cell-dropped", "src/chsh_steering/homodyne_experiment.py",
-           "hi = np.minimum(guide[1:], t_true.shape[-1] - 1)",
-           "hi = np.maximum(lo, guide[1:] - 1)",
            ("tests/test_homodyne_experiment.py",)),
     Mutant("bucket-side-open", "src/chsh_steering/homodyne_experiment.py",
            "positive = (b >= b_right) == yes", "positive = (b > b_right) == yes",
@@ -140,6 +142,25 @@ CATALOGUE = (
     Mutant("csv-zero-sign-merged", "src/chsh_steering/cli.py",
            "if 0.0 in text:", "if False:",
            ("tests/test_cli.py",)),
+    Mutant("pricer-bracket-unwrapped", "src/chsh_steering/lhs_oracle.py",
+           "if low + 1 < grid_n else (0, low)", "if low + 1 <= grid_n else (0, low)",
+           ("tests/test_lhs_oracle.py",)),
+    Mutant("lex-tie-reversed", "src/chsh_steering/simplex.py",
+           "< [t / column[row] for t in tableau[row][:m]]",
+           "> [t / column[row] for t in tableau[row][:m]]",
+           ("tests/test_simplex.py",)),
+    Mutant("decompose-remainder-unclamped", "src/chsh_steering/lhs_oracle.py",
+           "half = 0.5 * max(1.0 - r1 - r2, 0.0)", "half = 0.5 * (1.0 - r1 - r2)",
+           ("tests/test_lhs_oracle.py",)),
+    Mutant("pivot-entry-threshold-zero", "src/chsh_steering/simplex.py",
+           "eps = PIVOT_EPS", "eps = 0.0",
+           ("tests/test_simplex.py",)),
+    Mutant("inner-polygon-4-directions", "src/chsh_steering/violation_search.py",
+           "_DIRECTIONS = 16", "_DIRECTIONS = 4",
+           ("tests/test_violation_search.py",)),
+    Mutant("hull-chain-keeps-collinear", "src/chsh_steering/violation_search.py",
+           "(ys[k] - ys[i]) > (ys[j] - ys[i])", "(ys[k] - ys[i]) >= (ys[j] - ys[i])",
+           ("tests/test_violation_search.py",)),
     Mutant("check-entries-negated", "src/chsh_steering/qubit_core.py",
            "if not np.abs(op).max() <= 1.0 + OPERATOR_TOL:",
            "if np.abs(op).max() > 1.0 + OPERATOR_TOL:",

@@ -5,10 +5,8 @@ physical quantity (a pure state, a Born probability, a joint probability
 table), a short form of a production object that the tests need as input,
 or the dense form of a computation the package does implicitly (the oracle's
 atom matrix and the ``duals @ A`` pricing over it). ``positive_products`` is
-the Monte Carlo's sign kernel as it was before grid cells decided most draws:
-it computes x and both quadratics for every draw. ``cell_positive_products``
-is the kernel as it was before uniform buckets decided them: it finds each
-draw's grid cell and reads that cell's thresholds.
+the Monte Carlo's sign kernel as it was before uniform buckets decided most
+draws: it computes x and both quadratics for every draw.
 """
 
 from __future__ import annotations
@@ -220,54 +218,3 @@ def positive_products(u, grid, cdf_a, below, total):
     mass = total[0] + x * (total[1] + x * total[2])
     return (x >= 0.0) == (mass_below <= u[:, 1] * mass)
 
-
-def cell_positive_products(u, grid, cdf_a, guide, below, total, t_true, t_false):
-    """Where sign(x) * sign(y) = +1 for scaled quadrature pairs drawn by
-    inverse CDF.
-
-    ``u`` is (n, 2) uniforms in [0, 1); ``grid`` the quadrature abscissae,
-    with 0 at the middle knot; ``cdf_a`` the normalised CDF of the first
-    party's marginal on the grid and ``guide`` its ``_guide_table``;
-    ``below`` and ``total`` the coefficients in (1, x, x^2) of the second
-    party's unnormalised mass below y = 0 and in all, given x; ``t_true``
-    and ``t_false`` their ``_cell_thresholds``.
-
-    x is interpolated from ``cdf_a`` at the knot ``k`` that
-    ``searchsorted(cdf_a, u, side="right") - 1`` gives. With ``b = floor(u *
-    B)``, ``b / B <= u < (b + 1) / B`` brackets ``k`` between ``guide[b]``
-    and ``guide[b + 1]``; where those differ by at most one, one comparison
-    with the knot above ``guide[b]`` settles it, and only the other rows are
-    searched. As ``cdf_a[0] = 0 <= u < 1 = cdf_a[-1]``, ``0 <= k <= g - 2``
-    and ``cdf_a[k + 1] > u``: no cell drawn is empty. y is never located:
-    its conditional CDF is nondecreasing, so y >= 0 exactly when the mass
-    below 0 is at most the share ``u[:, 1]`` of the total.
-
-    The cell alone decides most rows, with the bits that computing x and
-    the quadratics would give. x is ``grid[k]`` plus a nonnegative offset
-    and stays below ``grid[k + 1] + delta`` (see ``_cell_thresholds``), and
-    the middle knot ``mid`` is exactly 0, so x >= 0 for every ``k >= mid``
-    and x < 0 for every ``k <= mid - 2``, where ``delta`` is far below
-    ``|grid[k + 1]| >= H``; the thresholds of cell ``mid - 1`` are
-    infinite, so its rows are always computed. A row with ``u2 >=
-    t_true[k]`` or ``u2 <= t_false[k]`` takes its comparison from that
-    test; both cannot hold, as each is exact. x and the two quadratics are
-    computed for the other rows only. Returns an (n,) bool array.
-    """
-    u1, u2 = u[:, 0], u[:, 1]
-    bucket = (u1 * (guide.shape[0] - 1)).astype(np.intp)
-    k = guide[bucket]
-    # Knots in each row's bucket: guide[b + 1] - guide[b].
-    knots = guide[1:][bucket]
-    knots -= k
-    wide = np.flatnonzero(knots > 1)
-    k += cdf_a[1:][k] <= u1
-    k[wide] = np.searchsorted(cdf_a, u1[wide], side="right") - 1
-    yes = u2 >= t_true[k]
-    positive = (k >= grid.shape[0] // 2) == yes
-    rows = np.flatnonzero(yes == (u2 <= t_false[k]))
-    k, u1, u2 = k[rows], u1[rows], u2[rows]
-    x = grid[k] + (u1 - cdf_a[k]) * (grid[k + 1] - grid[k]) / (cdf_a[k + 1] - cdf_a[k])
-    mass_below = below[0] + x * (below[1] + x * below[2])
-    mass = total[0] + x * (total[1] + x * total[2])
-    positive[rows] = (x >= 0.0) == (mass_below <= u2 * mass)
-    return positive

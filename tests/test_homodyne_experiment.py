@@ -34,8 +34,8 @@ from chsh_steering.homodyne_experiment import (
     _MC_BLOCK,
     _MOMENTS,
     _MOMENTS_BELOW_0,
-    _cell_thresholds,
-    _guide_table,
+    _inverse_cdf,
+    _interval_thresholds,
     _positive_products,
     _sampler_tables,
 )
@@ -43,7 +43,7 @@ from chsh_steering.correlation_model import CorrelationSet
 from chsh_steering.qubit_core import projector_from_params, quantum_correlator
 from chsh_steering.steering_witness import steering_inequality
 from concurrency import run_concurrently
-from reference import cell_positive_products, maximally_entangled, positive_products
+from reference import maximally_entangled, positive_products
 
 
 class TestState:
@@ -555,18 +555,30 @@ class TestSignOnlyKernel:
 
     @_GRID_CELLS
     @_STATES
-    def test_guide_table_is_searchsorted_lower_bound(self, monkeypatch, grid_cells,
-                                                     theta_deg, p1, eta_a, eta_b):
+    def test_every_draw_lies_on_its_bucket_interval(self, monkeypatch, grid_cells,
+                                                    theta_deg, p1, eta_a, eta_b):
         # The tables have as many buckets as cells, rounded up to a power of
-        # two: 4096 at the default grid, 8192 at 5000 cells.
+        # two: 4096 at the default grid, 8192 at 5000 cells. A draw of bucket
+        # b has its x within delta of [edges[b], edges[b + 1]], delta the
+        # overshoot 4 eps (H + max |grid|) that ``_interval_thresholds``
+        # bounds. Every x is at least 0 from bucket b_right on, and below 0
+        # in the buckets whose right edge is at most grid[mid - 1].
         rho = state_density(SinglePhotonState(np.deg2rad(theta_deg), p1))
         buckets = 1 << (grid_cells - 1).bit_length()
-        edges = np.arange(buckets + 1) / buckets
-        for _, cdf_a, _, _, t_true, *_ in _sampler_tables_on_grid(
-                monkeypatch, rho, eta_a, eta_b, grid_cells, 6.0):
+        for arrays in _sampler_tables_on_grid(monkeypatch, rho, eta_a, eta_b, grid_cells, 6.0):
+            grid, cdf_a, _, _, t_true, _, b_right = arrays
             assert t_true.shape == (buckets,)
-            expected = np.searchsorted(cdf_a, edges, side="right") - 1
-            assert np.array_equal(_guide_table(cdf_a, buckets), expected)
+            edges = _bucket_edges(grid, cdf_a, buckets)
+            delta = 2.0 ** -51 * (np.diff(grid).max() + np.abs(grid).max())
+            u1 = _parity_uniforms(arrays, 100_000, seed=grid_cells)[:, 0]
+            b = (u1 * buckets).astype(np.intp)
+            x = _inverse_cdf(u1, grid, cdf_a)
+            assert (x >= edges[b] - delta).all()
+            assert (x <= edges[b + 1] + delta).all()
+            assert (edges[:b_right] < 0.0).all()
+            assert (edges[b_right:] >= 0.0).all()
+            assert (x[b >= b_right] >= 0.0).all()
+            assert (x[edges[b + 1] <= grid[grid_cells // 2 - 1]] < 0.0).all()
 
     @pytest.mark.parametrize("eta_a, eta_b", [(1.0, 1.0), (0.85, 0.85), (0.9, 0.3),
                                               (0.9, 0.2), (1.0 / 8192, 1.0 / 8192),
@@ -676,13 +688,21 @@ class TestSignOnlyKernel:
                 assert abs(_trapezoid_marginal(grid, marginal)[-1] - 1.0) <= 1e-6
 
 
+def _bucket_edges(grid, cdf_a, buckets):
+    """The x-interval ends of the ``buckets`` uniform buckets, as
+    ``_sampler_tables`` passes them to ``_interval_thresholds``: the
+    kernel's x at each b / B, then the grid's end."""
+    return np.append(_inverse_cdf(np.arange(buckets) / buckets, grid, cdf_a), grid[-1])
+
+
 def _parity_uniforms(arrays, n_draws, seed):
     """``n_draws`` seeded uniform pairs, then pairs placed where the kernel's
-    decisions end: u1 on every knot of ``cdf_a``, at the top of every cell,
-    at 256 steps of one spacing below the middle knot (the top of cell
-    ``mid - 1``, where x can round to 0) and on every bucket edge ``b / B``
-    and its float neighbours, each with u2 on its bucket's thresholds and
-    their float neighbours; and the four corners of 0 and 1 - 2^-53."""
+    decisions end: u1 on every knot of ``cdf_a`` and just above it, at the
+    top of every cell, at 256 steps of one spacing below the middle knot
+    (the top of cell ``mid - 1``, where x can round to 0) and on every
+    bucket edge ``b / B`` and its float neighbours, each with u2 on its
+    bucket's thresholds and their float neighbours; and the four corners of
+    0 and 1 - 2^-53."""
     grid, cdf_a, _, _, t_true, t_false, _ = arrays
     mid = grid.shape[0] // 2
     buckets = t_true.shape[0]
@@ -691,8 +711,9 @@ def _parity_uniforms(arrays, n_draws, seed):
     below_mid = cdf_a[mid] - np.spacing(cdf_a[mid]) * np.arange(1, 257)
     below_mid = below_mid[below_mid >= cdf_a[mid - 1]]
     edges = np.arange(buckets) / buckets
-    u1 = np.concatenate([cdf_a[cells], top, below_mid, edges,
-                         np.nextafter(edges[1:], -np.inf), np.nextafter(edges, np.inf)])
+    u1 = np.concatenate([cdf_a[cells], np.nextafter(cdf_a[cells], np.inf), top, below_mid,
+                         edges, np.nextafter(edges[1:], -np.inf), np.nextafter(edges, np.inf)])
+    u1 = u1[u1 < 1.0]
     b = (u1 * buckets).astype(np.intp)
     u2 = np.concatenate([v for edge in (t_true[b], t_false[b])
                          for v in (edge, np.nextafter(edge, -np.inf), np.nextafter(edge, np.inf))])
@@ -708,23 +729,6 @@ def _assert_reference_bools(tables, seed, n_draws=1_000_000):
     for arrays in tables:
         u = _parity_uniforms(arrays, n_draws, seed)
         assert np.array_equal(_positive_products(u, *arrays), positive_products(u, *arrays[:4]))
-
-
-def _cell_tables(tables):
-    """Per pair, the ``_cell_thresholds`` ``(t_true, t_false)`` of one cell
-    each that the bucket thresholds of ``tables`` bound, built as
-    ``_sampler_tables`` builds them: the two pairs of an Alice phase at
-    once."""
-    grid = tables[0][0]
-    powers = np.stack([np.ones_like(grid), grid, grid * grid])
-    cells = [None] * len(tables)
-    for a in range(len(ALICE_PHASES)):
-        own = range(a, len(tables), len(ALICE_PHASES))
-        t_true, t_false = _cell_thresholds(grid, powers, [tables[i][2] for i in own],
-                                           tables[a][3])
-        for i, yes, no in zip(own, t_true, t_false):
-            cells[i] = yes, no
-    return cells
 
 
 class TestCellDecisions:
@@ -758,46 +762,56 @@ class TestCellDecisions:
 
     @pytest.mark.parametrize("theta_deg, p1", [state[:2] for state in _STATE_PARAMS])
     @pytest.mark.parametrize("eta_a, eta_b", _EFFICIENCY_PAIRS)
-    def test_bucket_thresholds_bound_every_cell_of_the_bucket(self, theta_deg, p1,
-                                                              eta_a, eta_b):
-        # A uniform in bucket b lands in a cell from the last knot at or
-        # below b / B to the last at or below (b + 1) / B, and never in the
-        # cell after the last: its bucket's thresholds must be at least as
-        # strict as each of those cells'.
+    def test_thresholds_bound_the_masses_over_each_bucket(self, theta_deg, p1, eta_a,
+                                                          eta_b):
+        # At points across each bucket's x-interval, ends and the quadratics'
+        # vertices included, u2 = t_true makes the kernel's comparison True
+        # and u2 = t_false makes it False, wherever that u2 is a uniform.
         rho = state_density(SinglePhotonState(np.deg2rad(theta_deg), p1))
-        tables = _sampler_tables(rho, eta_a, eta_b)
-        for arrays, (t_true, t_false) in zip(tables, _cell_tables(tables), strict=True):
-            _, cdf_a, _, _, bucket_true, bucket_false, b_right = arrays
-            buckets, cells = bucket_true.shape[0], t_true.shape[0]
-            mid = cells // 2
-            guide = np.searchsorted(cdf_a, np.arange(buckets + 1) / buckets, side="right") - 1
-            lo, hi = guide[:-1], np.minimum(guide[1:], cells - 1)
-            counts = hi - lo + 1
-            bucket = np.repeat(np.arange(buckets), counts)
-            cell = lo[bucket] + np.arange(bucket.shape[0]) - (np.cumsum(counts) - counts)[bucket]
-            assert (bucket_true[bucket] >= t_true[cell]).all()
-            assert (bucket_false[bucket] <= t_false[cell]).all()
-            # Cell mid - 1 has no known sign, so no bucket reaching it decides.
-            spans_zero = (lo <= mid - 1) & (hi >= mid - 1)
-            assert spans_zero.any()
-            assert (bucket_true[spans_zero] == np.inf).all()
-            assert (bucket_false[spans_zero] == -np.inf).all()
-            assert b_right == np.count_nonzero(lo < mid)
+        for grid, cdf_a, below, total, t_true, t_false, _ in _sampler_tables(rho, eta_a, eta_b):
+            edges = _bucket_edges(grid, cdf_a, t_true.shape[0])
+            lo, hi = edges[:-1], edges[1:]
+            vertices = [np.clip(-c[1] / (2.0 * c[2]), np.minimum(lo, hi), np.maximum(lo, hi))
+                        for c in (below, total) if c[2] != 0.0]
+            yes = (0.0 <= t_true) & (t_true < 1.0)
+            no = (0.0 <= t_false) & (t_false < 1.0)
+            assert yes.any() and no.any()
+            for x in [lo + f * (hi - lo) for f in np.linspace(0.0, 1.0, 9)] + vertices:
+                mass_below = below[0] + x * (below[1] + x * below[2])
+                mass = total[0] + x * (total[1] + x * total[2])
+                assert (mass_below[yes] <= t_true[yes] * mass[yes]).all()
+                assert not (mass_below[no] <= t_false[no] * mass[no]).any()
+
+    @pytest.mark.parametrize("bowl", [-1.0, 1.0])
+    @pytest.mark.parametrize("party", ["below", "total"])
+    def test_thresholds_reach_a_vertex_inside_the_bucket(self, party, bowl):
+        # A quadratic whose vertex lies inside a bucket passes its end
+        # values there by |c2| W^2 / 4; the other one is constant, so the
+        # thresholds must take that reach in. Buckets on the default grid's
+        # cells, vertices at their midpoints and quarter points.
+        grid = np.linspace(-DEFAULT_SPAN, DEFAULT_SPAN, DEFAULT_GRID_CELLS + 1)
+        grid[DEFAULT_GRID_CELLS // 2] = 0.0
+        mid = DEFAULT_GRID_CELLS // 2
+        constant = np.array([1.0, 0.0, 0.0])
+        for cell in np.r_[0:mid - 1:37, mid:DEFAULT_GRID_CELLS:37]:
+            for fraction in (0.25, 0.5, 0.75):
+                v = grid[cell] + fraction * (grid[cell + 1] - grid[cell])
+                bowl_coefficients = np.array([v * v, -2.0 * v, 1.0]) * bowl / 64.0
+                if party == "below":
+                    below, total = 0.25 * constant + bowl_coefficients, constant
+                else:
+                    below, total = 0.25 * constant, constant + bowl_coefficients
+                t_true, t_false, _ = _interval_thresholds(grid, grid, [below], total)
+                mass_below = below[0] + v * (below[1] + v * below[2])
+                mass = total[0] + v * (total[1] + v * total[2])
+                assert mass_below <= t_true[0, cell] * mass
+                assert not mass_below <= t_false[0, cell] * mass
 
     @pytest.mark.parametrize("theta_deg, p1", [state[:2] for state in _STATE_PARAMS])
     @pytest.mark.parametrize("eta_a, eta_b", _EFFICIENCY_PAIRS)
-    def test_matches_cell_kernel_at_bucket_edges(self, theta_deg, p1, eta_a, eta_b):
-        # The kernel that read each row's cell thresholds, fed the cell
-        # thresholds that the bucket ones bound.
+    def test_matches_reference_kernel_at_every_efficiency(self, theta_deg, p1, eta_a, eta_b):
         rho = state_density(SinglePhotonState(np.deg2rad(theta_deg), p1))
-        tables = _sampler_tables(rho, eta_a, eta_b)
-        for arrays, cells in zip(tables, _cell_tables(tables), strict=True):
-            grid, cdf_a, below, total, t_true, *_ = arrays
-            u = _parity_uniforms(arrays, 20_000, seed=17)
-            guide = _guide_table(cdf_a, t_true.shape[0])
-            by_cell = cell_positive_products(u, grid, cdf_a, guide, below, total, *cells)
-            assert np.array_equal(_positive_products(u, *arrays), by_cell)
-            assert np.array_equal(by_cell, positive_products(u, *arrays[:4]))
+        _assert_reference_bools(_sampler_tables(rho, eta_a, eta_b), seed=17, n_draws=20_000)
 
     @pytest.mark.parametrize("always", [False, True])
     @_STATES
@@ -822,14 +836,15 @@ class TestCellDecisions:
                                   positive_products(u, *arrays[:4]))
 
     def test_most_rows_are_decided_by_their_bucket(self):
-        # At the default grid the bucket thresholds leave about 0.3 % of
-        # draws to be computed; a looser table would slow the kernel unseen.
+        # At the default grid the bucket thresholds leave about 0.23 % of
+        # draws to be computed. Thresholds that are correct but loose keep
+        # every bit and lose the speed, which no other test notices.
         rho = state_density(SinglePhotonState(np.deg2rad(22.5), 0.9))
-        u = np.random.Generator(np.random.Philox(5)).random((1_000_000, 2))
+        u = np.random.Generator(np.random.Philox(113)).random((1_000_000, 2))
         for *_, t_true, t_false, _ in _sampler_tables(rho, 0.85, 0.85):
             b = (u[:, 0] * t_true.shape[0]).astype(np.intp)
             undecided = (u[:, 1] < t_true[b]) & (u[:, 1] > t_false[b])
-            assert np.count_nonzero(undecided) < 0.005 * u.shape[0]
+            assert np.count_nonzero(undecided) < 0.003 * u.shape[0]
 
     def test_exact_tie_of_the_masses_counts_as_y_above_zero(self):
         # u2 = mass_below / mass makes fl(u2 * mass) equal mass_below on most
@@ -839,8 +854,7 @@ class TestCellDecisions:
         u1 = np.random.Generator(np.random.Philox(3)).random(2000)
         for arrays in _sampler_tables(rho, 0.85, 0.85):
             grid, cdf_a, below, total, t_true, t_false, _ = arrays
-            k = np.searchsorted(cdf_a, u1, side="right") - 1
-            x = grid[k] + (u1 - cdf_a[k]) * (grid[k + 1] - grid[k]) / (cdf_a[k + 1] - cdf_a[k])
+            x = _inverse_cdf(u1, grid, cdf_a)
             mass_below = below[0] + x * (below[1] + x * below[2])
             mass = total[0] + x * (total[1] + x * total[2])
             u2 = mass_below / mass

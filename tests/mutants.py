@@ -161,6 +161,24 @@ CATALOGUE = (
     Mutant("hull-chain-keeps-collinear", "src/chsh_steering/violation_search.py",
            "(ys[k] - ys[i]) > (ys[j] - ys[i])", "(ys[k] - ys[i]) >= (ys[j] - ys[i])",
            ("tests/test_violation_search.py",)),
+    Mutant("convex-stop-artificial-unchecked", "src/chsh_steering/simplex.py",
+           "if not least < 0.0:", "if True:",
+           ("tests/test_simplex.py",)),
+    Mutant("convex-stop-at-tol", "src/chsh_steering/simplex.py",
+           "limit = m * tol", "limit = tol",
+           ("tests/test_simplex.py",)),
+    Mutant("convex-stop-unpadded", "src/chsh_steering/simplex.py",
+           "_STOP_PAD = 2.0 ** -40", "_STOP_PAD = 0.0",
+           ("tests/test_simplex.py",)),
+    Mutant("convex-column-unchecked", "src/chsh_steering/simplex.py",
+           "if a[-1] != 1.0:", "if False:",
+           ("tests/test_simplex.py",)),
+    Mutant("convex-rhs-unchecked", "src/chsh_steering/simplex.py",
+           "if convex and b[-1] != 1.0:", "if False:",
+           ("tests/test_simplex.py",)),
+    Mutant("classify-band-narrowed-member-side", "src/chsh_steering/lhs_oracle.py",
+           "if abs(f - 1.0) <= band:", "if -0.99 * band <= f - 1.0 <= band:",
+           ("tests/test_lhs_oracle.py",)),
     Mutant("check-entries-negated", "src/chsh_steering/qubit_core.py",
            "if not np.abs(op).max() <= 1.0 + OPERATOR_TOL:",
            "if np.abs(op).max() > 1.0 + OPERATOR_TOL:",

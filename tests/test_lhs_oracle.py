@@ -272,6 +272,29 @@ class TestLpMembership:
         for target, res in zip(targets, lp_membership_batch(points, grid_n=grid_n)):
             assert res.verdict == (MEMBER if target <= 1.0 else NON_MEMBER)
 
+    @pytest.mark.parametrize("grid_n", [8, 64, 2048])
+    def test_band_is_tight_at_mid_chord(self, grid_n):
+        # Both planes at odd multiples of pi / grid_n, where the inscribed
+        # polygon sags most: the grid hull holds these directions only up to
+        # f = 1 - sag = 1 - band. Just inside the band the LP cannot see
+        # the members and only the band keeps them from a false non_member;
+        # just outside it the verdict must agree with f.
+        rng = np.random.Generator(np.random.Philox(18 + grid_n))
+        band = boundary_band(grid_n)
+        odd = 2 * rng.integers(0, grid_n, (20, 2)) + 1
+        angles = np.pi * odd / grid_n
+        share = rng.uniform(0.05, 0.95, (20, 1))
+        planes = np.stack([np.cos(angles), np.sin(angles)], axis=2)
+        unit = np.concatenate([share * planes[:, 0], (1.0 - share) * planes[:, 1]], axis=1)
+        for multiple in (-1.005, -0.995, 0.995, 1.005):
+            target = 1.0 + multiple * band
+            results = lp_membership_batch(from_e_basis_array(target * unit), grid_n=grid_n)
+            if abs(multiple) < 1.0:
+                assert {res.verdict for res in results} == {BOUNDARY_BAND}
+                assert not any(res.lp_feasible for res in results)
+            else:
+                assert {res.verdict for res in results} == {MEMBER if target <= 1.0 else NON_MEMBER}
+
     def test_verdict_independent_of_witness(self):
         # The LP side alone decides membership; the band only suppresses
         # claims too close to the boundary. Check lp_feasible directly.
@@ -281,13 +304,13 @@ class TestLpMembership:
 
     def test_one_lp_call_per_point(self, monkeypatch):
         # The oracle asks the LP only about its columns, b and tol, once per
-        # point: one pricer, built from the grid alone, serves every point,
-        # and b is the point above the weight row, so nothing derived from f
-        # can reach the membership decision.
+        # point, declaring the columns convex: one pricer, built from the grid
+        # alone, serves every point, and b is the point above the weight row,
+        # so nothing derived from f can reach the membership decision.
         calls = []
 
         def counting(price, b, **kwargs):
-            calls.append((price, list(b), sorted(kwargs)))
+            calls.append((price, list(b), kwargs))
             return lp_feasibility(price, b, **kwargs)
 
         monkeypatch.setattr(lhs_oracle, "lp_feasibility", counting)
@@ -295,20 +318,23 @@ class TestLpMembership:
         assert len(lp_membership_batch(points, grid_n=64)) == 7
         assert len(calls) == 7
         assert len({id(price) for price, _, _ in calls}) == 1
-        assert [(b, kwargs) for _, b, kwargs in calls] == [
-            ([*point, 1.0], ["tol"]) for point in points.tolist()]
+        assert [(b, sorted(kwargs)) for _, b, kwargs in calls] == [
+            ([*point, 1.0], ["convex", "tol"]) for point in points.tolist()]
+        assert all(kwargs["convex"] is True for _, _, kwargs in calls)
 
     def test_max_residual_is_the_lp_certificate(self):
-        # max_residual is bitwise the largest per-row residual of the point's
-        # phase-1 optimum, and it lies within tol exactly when lp_feasible.
+        # max_residual is bitwise the largest per-row residual of the basis
+        # where the point's convex phase 1 ended, and it lies within tol
+        # exactly when lp_feasible, which is the full phase 1's verdict.
         price = lhs_oracle._grid_pricer(64)
         rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(201)))
         points = rng.uniform(-1.0, 1.0, (300, 4))
         results = lp_membership_batch(points, grid_n=64)
         for point, res in zip(points.tolist(), results):
-            residuals = lp_feasibility(price, [*point, 1.0])[2]
+            residuals = lp_feasibility(price, [*point, 1.0], convex=True)[2]
             assert res.max_residual.hex() == float(max(residuals)).hex()
             assert (res.max_residual <= DEFAULT_LP_TOL) == res.lp_feasible
+            assert lp_feasibility(price, [*point, 1.0])[0] == res.lp_feasible
         feasible = sum(res.lp_feasible for res in results)
         assert 0 < feasible < len(results)
 

@@ -10,7 +10,9 @@ from chsh_steering.simplex import (
     _revised_pivots,
     lp_feasibility,
 )
-from reference import dense_lp_feasibility, dense_pricer, oracle_matrix
+from chsh_steering.correlation_model import to_e_basis_array
+from chsh_steering.steering_witness import f_value_array
+from reference import dense_lp_feasibility, dense_pricer, from_e_basis_array, oracle_matrix
 
 
 def test_infeasible_system():
@@ -294,3 +296,105 @@ def test_degenerate_points_match_dense_reference(grid_n):
             dense = np.zeros(2 * grid_n)
             dense[list(x)] = list(x.values())
             assert np.abs(A @ dense - b).max() <= DEFAULT_LP_TOL
+
+
+def _counted(price):
+    """``price`` and a list that gains one entry per call."""
+    calls = []
+
+    def counted(duals):
+        calls.append(None)
+        return price(duals)
+
+    return counted, calls
+
+
+@pytest.mark.parametrize("tol", [0.0, DEFAULT_LP_TOL, MAX_LP_TOL])
+@pytest.mark.parametrize("grid_n", [8, 64, 2048, 2 ** 20])
+def test_convex_stop_keeps_every_verdict(grid_n, tol):
+    # Uniform points, and points in random directions at f = 1 + k band and
+    # 1 + k tol, where the phase-1 optimum comes closest to m tol: the
+    # convex run stops early on some of them and must give the full phase
+    # 1's verdict on every one, with a residual above tol where it stopped.
+    rng = np.random.Generator(np.random.Philox(7 * grid_n + round(tol * 1e9)))
+    raw = to_e_basis_array(rng.uniform(-1.0, 1.0, (120, 4)))
+    scale = np.repeat([lhs_oracle.boundary_band(grid_n, tol), tol], 60)
+    multiple = rng.choice([-3.0, -1.005, -0.995, -0.5, 0.5, 0.995, 1.005, 3.0, 30.0], 120)
+    targets = 1.0 + multiple * scale
+    points = np.concatenate([rng.uniform(-1.0, 1.0, (120, 4)),
+                             from_e_basis_array(raw * (targets / f_value_array(raw))[:, None])])
+    price = lhs_oracle._grid_pricer(grid_n)
+    stopped = 0
+    for point in points.tolist():
+        b = [*point, 1.0]
+        full, full_calls = _counted(price)
+        convex, convex_calls = _counted(price)
+        feasible = lp_feasibility(full, b, tol=tol)[0]
+        convex_feasible, _, residuals = lp_feasibility(convex, b, tol=tol, convex=True)
+        assert convex_feasible == feasible
+        if len(convex_calls) < len(full_calls):
+            stopped += 1
+            assert residuals.max() > tol
+    assert stopped > 0
+
+
+def test_convex_stop_needs_m_times_tol():
+    # The optimum 1.8 tol lies in (tol, 3 tol], but each of its residuals
+    # is 0.9 tol: the system is feasible, although the first bound, 1.8 tol,
+    # already exceeds tol.
+    tol = DEFAULT_LP_TOL
+    b = [0.9 * tol, 0.9 * tol, 1.0]
+    feasible, x, residuals = lp_feasibility(dense_pricer(np.array([[0.0], [0.0], [1.0]])),
+                                            b, tol=tol, convex=True)
+    assert feasible
+    assert x == {0: 1.0}
+    assert residuals.tolist() == [0.9 * tol, 0.9 * tol, 0.0]
+
+
+def test_convex_stop_leaves_a_rounding_margin():
+    # At the artificial start the bound is b0, above 2 tol by 1e-12, less
+    # than the pad of 2^-40 (2 + b0); the pivots go on to the optimum,
+    # where the weight row is met and only b0 is left.
+    tol = DEFAULT_LP_TOL
+    b = [2.0 * tol + 1e-12, 1.0]
+    feasible, x, residuals = lp_feasibility(dense_pricer(np.array([[0.0], [1.0]])),
+                                            b, tol=tol, convex=True)
+    assert not feasible
+    assert x == {0: 1.0}
+    assert residuals.tolist() == [b[0], 0.0]
+
+
+def test_convex_stop_waits_for_every_artificial(monkeypatch):
+    # Three pivots in, a real column enters while a non-basic artificial
+    # prices at -0.5, and reduced + y.b reads 0.75 although the optimum is
+    # 0.5: the bound holds only where no artificial prices below 0. With
+    # m tol = 0.6 between the two, the pivots must run on to the optimum.
+    monkeypatch.setattr(simplex, "MAX_LP_TOL", 1.0)
+    price = dense_pricer(np.array([[-2.0, 3.0, 3.0, -1.0, 0.0],
+                                   [2.0, 4.0, 2.0, -4.0, 1.0],
+                                   [-4.0, -2.0, 1.0, 0.0, -1.0],
+                                   [1.0, 1.0, 1.0, 1.0, 1.0]]))
+    b = [-0.5, 1.0, -1.0, 1.0]
+    full = lp_feasibility(price, b, tol=0.15)
+    convex = lp_feasibility(price, b, tol=0.15, convex=True)
+    assert full[2].tolist() == convex[2].tolist() == [0.5, 0.0, 0.0, 0.0]
+    assert full[1] == convex[1]
+
+
+def test_convex_contract_is_checked():
+    calls = []
+
+    def price(duals):
+        calls.append(duals)
+        return 0, -1.0, [0.0, 1.0]
+
+    for last in (0.0, 0.5, 2.0, -1.0):
+        with pytest.raises(ValueError, match=r"b\[-1\] == 1"):
+            lp_feasibility(price, [0.0, last], convex=True)
+    assert calls == []
+    # A column whose weight-row entry is not 1 would void the bound: x = 2
+    # solves this system, with a weight above 1.
+    price = dense_pricer(np.array([[0.5], [0.5]]))
+    with pytest.raises(OracleError, match="ends in 0.5, not 1"):
+        lp_feasibility(price, [1.0, 1.0], convex=True)
+    assert lp_feasibility(price, [1.0, 1.0])[1] == {0: 2.0}

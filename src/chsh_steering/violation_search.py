@@ -71,10 +71,8 @@ _MARGIN = 2.0 ** -20
 _THIN = 2.0 ** -9
 # Directions of the inner polygon that shortlists the points near the hull.
 _DIRECTIONS = 16
-# Relative and absolute slack of the row screen in _row_maxima, whose proof
-# needs only 2^-47 and 2^-534.
+# Relative slack of the row screen in _row_maxima, whose proof needs 2^-47.
 _SLACK = 2.0 ** -44
-_FLOOR = 2.0 ** -500
 
 DEFAULT_BLOCH_RESOLUTION = 24
 MAX_BLOCH_RESOLUTION = 128
@@ -90,49 +88,42 @@ def _root_sum_squares(p, q):
 
 def _row_maxima(rx, ry, cx, cy):
     """Maximum of ``_scan_lhs`` over the columns (cx, cy) for each row
-    (rx, ry), in blocks of about ``_SCAN_BLOCK`` pairs.
+    (rx, ry), in blocks of about ``_SCAN_BLOCK`` pairs, on points scaled as
+    in ``_coarse_maxima``: every coordinate is below 1 and, unless every
+    point is 0, some column lies at least 1/2 from the origin.
 
     Each block is first screened with sqrt(sx^2 + sy^2) + sqrt(dx^2 + dy^2)
     on the same sums s and differences d that ``_scan_lhs`` forms, a square
     root costing a tenth of a ``np.hypot``; only the columns whose screened
-    value lies within ``_SLACK`` of the row's screened maximum, less
-    ``_FLOOR``, get the exact value, about 2 per row. The result is bitwise
-    the maximum over every column: the kept values are computed from the same
-    operands as in the full scan, and ``max`` is exact.
+    value lies within ``_SLACK`` of the row's screened maximum get the exact
+    value, about 2 per row. The result is bitwise the maximum over every
+    column: the kept values are computed from the same operands as in the
+    full scan, and ``max`` is exact.
 
     Proof that a column holding the exact maximum is kept. Fix a pair and
     let G = |s| + |d| in real arithmetic on the float sums. With unit
     roundoff u = 2^-53, a ``np.hypot`` of 1 ulp (2u) and the final sum (u)
-    put the exact value E within 4u G of G. In the screen each square and the
-    sum of two squares round by u, and a square below 2^-1022 may also be off
-    by an absolute 2^-1075, so the radicand is S^2 (1 + 2.01u) plus at most
-    2^-1073 in size; its square root is within 1.01u relative and 2^-536
-    absolute of S, and after the root's and the sum's rounding the screened
-    value V is within 4u G + 2^-535 of G. Write eta = 2^-49 = 16u, which
-    also allows hypots of up to 7 ulp, and alpha = 2^-535. Let E_j be the
-    largest exact value of the row and V_m its largest screened value. Then
+    put the exact value E within 4u G of G. In the screen no square exceeds
+    4, each square and the sum of two squares round by u, and a square below
+    2^-1022 may also be off by an absolute 2^-1075, so the radicand is
+    S^2 (1 + 2.01u) plus at most 2^-1073 in size; its square root is within
+    1.01u relative and 2^-536 absolute of S, and after the root's and the
+    sum's rounding the screened value V is within 4u G + 2^-535 of G. Write
+    eta = 2^-49 = 16u, which also allows hypots of up to 7 ulp, and
+    alpha = 2^-535. Let E_j be the largest exact value of the row and V_m
+    its largest screened value. Then
     G_j >= E_j / (1 + eta) >= E_m / (1 + eta) >= G_m (1 - eta) / (1 + eta)
     and G_m >= (V_m - alpha) / (1 + eta), so
-    V_j >= G_j (1 - eta) - alpha >= V_m (1 - 4 eta) - 2 alpha. The threshold
-    V_m (1 - ``_SLACK``) - ``_FLOOR`` is lower: ``_SLACK`` = 2^-44 is 8 times
-    4 eta, which leaves room for the threshold's own two roundings, and
-    ``_FLOOR`` = 2^-500 is far above 2 alpha. Each row keeps its screened
-    maximum, so no row is empty.
-
-    The screen is sharp only for finite squares and pair values far above
-    the absolute terms, so when the largest coordinate of the rows and
-    columns is not finite or lies outside [2^-400, 2^400], the range of
-    ``_candidates``, every pair takes the exact value, as before the screen:
-    a NaN row stays NaN.
+    V_j >= G_j (1 - eta) - alpha >= V_m (1 - 4 eta) - 2 alpha. A column b
+    with |b| >= 1/2 gives every row G >= 2 |b| >= 1, so V_m > 1/2 and
+    2 alpha < 2^-533 V_m. The threshold V_m (1 - ``_SLACK``) is lower:
+    ``_SLACK`` = 2^-44 is 8 times 4 eta, which leaves room for 2^-533 and
+    the threshold's own rounding. When every point is 0, every value is 0
+    and every column is kept. Each row keeps its screened maximum, so no
+    row is empty.
     """
     best = np.empty(rx.shape[0])
     rows = max(1, _SCAN_BLOCK // cx.shape[0])
-    top = np.max([np.abs(a).max() for a in (rx, ry, cx, cy)])
-    if not 2.0 ** -400 <= top <= 2.0 ** 400:
-        for s in range(0, rx.shape[0], rows):
-            best[s:s + rows] = _scan_lhs(rx[s:s + rows, None], ry[s:s + rows, None],
-                                         cx[None, :], cy[None, :]).max(axis=1)
-        return best
     # Three block buffers for the whole call, so no block allocates its own.
     screen, diff, spare = (np.empty((min(rows, rx.shape[0]), cx.shape[0]))
                            for _ in range(3))
@@ -143,7 +134,7 @@ def _row_maxima(rx, ry, cx, cy):
         _root_sum_squares(np.add(bx, cx, out=v), np.add(by, cy, out=t))
         _root_sum_squares(np.subtract(bx, cx, out=w), np.subtract(by, cy, out=t))
         v += w
-        threshold = v.max(axis=1) * (1.0 - _SLACK) - _FLOOR
+        threshold = v.max(axis=1) * (1.0 - _SLACK)
         i, j = np.nonzero(v >= threshold[:, None])
         exact = _scan_lhs(bx[i, 0], by[i, 0], cx[j], cy[j])
         best[s:s + n] = np.maximum.reduceat(exact, np.flatnonzero(np.diff(i, prepend=-1)))
@@ -254,9 +245,10 @@ def _candidates(x, y):
     among them take every column. Few points are that close to an end when
     h is small, and the rule is used for h <= ``_THIN`` r.
 
-    M = 0 makes every pair value 0, so one column does. If r is not finite
-    or lies outside [2^-400, 2^400], where underflow or overflow would void
-    the bounds, every point is a column.
+    M = 0 makes every pair value 0, so one column does. Else the farthest
+    point is a column, near an end and never mu deep in a polygon. On the
+    points of ``_coarse_maxima``, 1/2 <= r < 2: nothing overflows, and an
+    underflow's error, 2^-1075 at most, is far below mu.
     """
     n = x.shape[0]
     every = np.arange(n)
@@ -265,8 +257,6 @@ def _candidates(x, y):
     r = float(radius[far])
     if r == 0.0:
         return every[:1], every[:0]
-    if not 2.0 ** -400 < r < 2.0 ** 400:
-        return every, every[:0]
     mu = _MARGIN * r
     ex, ey = x[far] / r, y[far] / r
     along = x * ex + y * ey
@@ -290,6 +280,11 @@ def _candidates(x, y):
 def _coarse_maxima(x, y):
     """Maximum of ``_scan_lhs`` over the second direction for each first one.
 
+    The points are scaled by 2^-e, e the exponent of their largest
+    coordinate, into [1/2, 1), the one range the helpers are proven on, and
+    the maxima back by 2^e: sums and hypots commute with a power of two
+    unless a value on either side is subnormal, so the bits are kept.
+
     For a fixed first direction the pair value is convex in the second
     one's correlators, so its maximum over the grid lies on the convex hull
     of the N points (x, y). ``_candidates`` keeps the points within a proven
@@ -301,6 +296,8 @@ def _coarse_maxima(x, y):
     maximum over all N columns: ``max`` is exact and each kept value is
     computed from the same operands in the same order as in the full scan.
     """
+    e = math.frexp(max(np.abs(x).max(), np.abs(y).max()))[1]
+    x, y = np.ldexp(x, -e), np.ldexp(y, -e)
     columns, full = _candidates(x, y)
     # Equal points, such as the grid's poles, give equal values: keep one.
     # A set, not np.unique, which imports numpy.ma (half a megabyte); sorted,
@@ -310,7 +307,7 @@ def _coarse_maxima(x, y):
     best = _row_maxima(x, y, cx, cy)
     if full.size:
         best[full] = _row_maxima(x[full], y[full], x, y)
-    return best
+    return np.ldexp(best, e)
 
 
 def state_scan(rho: np.ndarray, bloch_resolution: int = DEFAULT_BLOCH_RESOLUTION):
@@ -332,11 +329,11 @@ def state_scan(rho: np.ndarray, bloch_resolution: int = DEFAULT_BLOCH_RESOLUTION
 
     The grid has ``bloch_resolution``**4 direction pairs, but each first
     direction meets only the second ones near the hull of their correlator
-    points (see ``_coarse_maxima``), so the time grows about as the square:
-    ``bloch_resolution`` must lie between 4 and ``MAX_BLOCH_RESOLUTION``
-    (128: about 0.1 s of scan on one core of a 2-core x86-64 Xeon host),
-    else ``ValueError``. The scan runs on the calling thread with about
-    ``_SCAN_BLOCK`` pairs in flight.
+    points (see ``_coarse_maxima``; every valid state takes that one path),
+    so the time grows about as the square: ``bloch_resolution`` must lie
+    between 4 and ``MAX_BLOCH_RESOLUTION`` (128: about 0.1 s of scan on one
+    core of a 2-core x86-64 Xeon host), else ``ValueError``. The scan runs
+    on the calling thread with about ``_SCAN_BLOCK`` pairs in flight.
     """
     rho = validate_density(rho)
     if bloch_resolution < 4:

@@ -136,8 +136,11 @@ CATALOGUE = (
     Mutant("screen-slack-zero", "src/chsh_steering/violation_search.py",
            "_SLACK = 2.0 ** -44", "_SLACK = 0.0",
            ("tests/test_violation_search.py",)),
-    Mutant("screen-nonfinite-path-dropped", "src/chsh_steering/violation_search.py",
-           "if not 2.0 ** -400 <= top <= 2.0 ** 400:", "if False:",
+    Mutant("scale-back-off-by-one", "src/chsh_steering/violation_search.py",
+           "return np.ldexp(best, e)", "return np.ldexp(best, e + 1)",
+           ("tests/test_violation_search.py",)),
+    Mutant("scan-unscaled", "src/chsh_steering/violation_search.py",
+           "e = math.frexp(max(np.abs(x).max(), np.abs(y).max()))[1]", "e = 0",
            ("tests/test_violation_search.py",)),
     Mutant("csv-zero-sign-merged", "src/chsh_steering/cli.py",
            "if 0.0 in text:", "if False:",

@@ -428,13 +428,31 @@ class TestBlockedCoarseScan:
         assert columns.size < 0.05 * x.shape[0]
         assert full.size < 0.05 * x.shape[0]
 
-    def test_non_finite_points_take_every_column(self):
-        x, y = _planes(_synthetic_columns(0.5, np.random.Generator(np.random.Philox(7))), 5)
-        x[3] = np.nan
-        columns, full = violation_search._candidates(x, y)
-        assert columns.size == x.shape[0]
-        assert np.array_equal(violation_search._coarse_maxima(x, y), _brute_maxima(x, y),
-                              equal_nan=True)
+    @pytest.mark.parametrize("exponent", [450, 1000])
+    def test_tiny_blocks_scan_bitwise_and_keep_few_columns(self, monkeypatch, exponent):
+        # Valid states whose correlation blocks, 2^-448 or 2^-998 in size,
+        # take the same screened path as any other.
+        for rho in _tiny_block_states(exponent):
+            for resolution in (5, 24, 40):
+                _, _, coarse = state_scan(rho, bloch_resolution=resolution)
+                assert np.array_equal(coarse, _reference_coarse(rho, resolution))
+
+        # Stopped once the columns are chosen: a scan that kept every point
+        # would take seconds at resolution 128.
+        class Kept(Exception):
+            pass
+
+        candidates = violation_search._candidates
+
+        def spy(x, y):
+            columns, full = candidates(x, y)
+            raise Kept(max(columns.size, full.size) / x.shape[0])
+
+        monkeypatch.setattr(violation_search, "_candidates", spy)
+        for rho in _tiny_block_states(exponent):
+            with pytest.raises(Kept) as kept:
+                state_scan(rho, bloch_resolution=128)
+            assert kept.value.args[0] < 0.05
 
     @pytest.mark.parametrize("scale", [1.0, 2.0 ** -300, 2.0 ** 300])
     def test_near_ties_bitwise_equal_to_brute_force(self, scale):
@@ -452,24 +470,22 @@ class TestBlockedCoarseScan:
     @pytest.mark.parametrize("scale", [2.0 ** -300, 2.0 ** -460, 2.0 ** -600])
     @pytest.mark.parametrize("ratio", [0.0, 1e-8, 0.5])
     def test_scaled_planes_bitwise_equal_to_brute_force(self, scale, ratio):
-        # The segment rule, a thin hull and a full one, with squares far
-        # below 1 and, past 2^-400, on the unscreened path.
+        # The segment rule, a thin hull and a full one, on points far below
+        # 1, which the scan scales up first.
         rng = np.random.Generator(np.random.Philox(101))
         x, y = _planes(_synthetic_columns(ratio, rng), 24)
         x, y = x * scale, y * scale
         assert np.array_equal(violation_search._coarse_maxima(x, y), _brute_maxima(x, y))
 
-    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
-    @pytest.mark.parametrize("where", ["row", "column"])
-    def test_non_finite_rows_and_columns_take_the_exact_path(self, bad, where):
-        x, y = _planes(_synthetic_columns(0.5, np.random.Generator(np.random.Philox(3))), 6)
-        rx, ry, cx, cy = x.copy(), y.copy(), x[::3].copy(), y[::3].copy()
-        (rx if where == "row" else cx)[1] = bad
-        expected = np.concatenate([
-            _scan_lhs(rx[s:s + 1, None], ry[s:s + 1, None], cx[None, :], cy[None, :]).max(axis=1)
-            for s in range(rx.shape[0])])
-        assert np.array_equal(violation_search._row_maxima(rx, ry, cx, cy), expected,
-                              equal_nan=True)
+
+def _tiny_block_states(exponent):
+    """I/4 + 2^-exponent sx.sx, a rank-1 block on the segment rule, and
+    I/4 + 2^-exponent (sx.sx + sz.sx / 2 + sx.sz / 3), a rank-2 one; off the
+    diagonal, where 1/4 does not absorb them."""
+    sx, sz = PAULIS[0], PAULIS[2]
+    return [np.eye(4) / 4.0 + 2.0 ** -exponent * block
+            for block in (np.kron(sx, sx),
+                          np.kron(sx, sx) + np.kron(sz, sx) / 2.0 + np.kron(sx, sz) / 3.0)]
 
 
 def _near_tie_points(scale):

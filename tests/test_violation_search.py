@@ -181,6 +181,18 @@ class TestStateScan:
         with pytest.raises(ValueError, match="trace"):
             state_scan(rho, bloch_resolution=2)
 
+    # The scan's private helpers assume finite correlators; a NaN or an
+    # infinity on the diagonal or in a correlation entry stops at the state.
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("where", [(0, 0), (0, 3)], ids=["diagonal", "correlation"])
+    def test_rejects_non_finite_entries(self, bad, where):
+        rho = maximally_entangled().astype(complex)
+        rho[where] = rho[where[::-1]] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            state_scan(rho)
+        with pytest.raises(ValueError, match="non-finite"):
+            state_scan(rho, bloch_resolution=2)
+
     @pytest.mark.parametrize("resolution", [129, 100000])
     def test_resolution_upper_limit(self, resolution):
         with pytest.raises(ValueError, match="at most 128"):

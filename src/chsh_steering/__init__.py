@@ -37,7 +37,7 @@ from .lhs_oracle import (
     model_correlations,
 )
 from .qubit_core import ellipse_point, projector_from_params, quantum_correlator
-from .simplex import OracleError, lp_feasibility
+from .simplex import OracleError, lp_feasibility, lp_feasibility_batch
 from .steering_witness import (
     WitnessReport,
     chsh_values,
@@ -80,6 +80,7 @@ __all__ = [
     "homodyne_effects",
     "homodyne_pdf",
     "lp_feasibility",
+    "lp_feasibility_batch",
     "lp_membership",
     "lp_membership_batch",
     "model_correlations",

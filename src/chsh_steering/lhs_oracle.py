@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .correlation_model import ALICE_SIGNS, CorrelationSet, EBasisVector
-from .simplex import DEFAULT_LP_TOL, MAX_LP_TOL, lp_feasibility
+from .simplex import DEFAULT_LP_TOL, MAX_LP_TOL, lp_feasibility, lp_feasibility_batch
 from .steering_witness import f_value_array
 from . import correlation_model
 
@@ -34,6 +34,14 @@ MAX_GRID_N = 2 ** 20
 # ``boundary_band``). At MAX_LP_TOL that is 3.8e-6, three times the sag of
 # the default grid; a larger tolerance would only hide more points in it.
 KAPPA = 1.0 + 2.0 * np.sqrt(2.0)
+# Batches of more points than this pivot in lockstep (``lp_feasibility_batch``),
+# LOCKSTEP_CHUNK points at a time; smaller ones run ``lp_feasibility`` point by
+# point, which is faster there (see ``lp_membership_batch``).
+LOCKSTEP_ABOVE = 64
+LOCKSTEP_CHUNK = 4096
+# Where floor(t) of the bracket position t = atan2 * units is in doubt; see
+# ``_grid_pricer_batch``.
+_BRACKET_SLACK = 2.0 ** -30
 
 MEMBER = "member"
 NON_MEMBER = "non_member"
@@ -166,7 +174,8 @@ def _grid_pricer(grid_n: int):
     last bits, so where two columns lie within a few ulps of each other it
     may pick the other one. Nothing here knows the target point, let alone
     f; no column is stored, so the cost of a pivot does not grow with
-    ``grid_n``.
+    ``grid_n``. ``_grid_pricer_batch`` is its twin for many points at once,
+    bitwise equal on every row.
     """
     units = grid_n / (2.0 * math.pi)  # grid steps per radian
     two_pi, cos, sin, atan2, floor = (
@@ -189,6 +198,68 @@ def _grid_pricer(grid_n: int):
                     best, best_reduced = (offset + k, sa, sap, c, s), reduced
         col, sa, sap, c, s = best
         return col, best_reduced, [sa * c, sap * c, sa * s, sap * s, 1.0]
+
+    return price
+
+
+def _grid_pricer_batch(grid_n: int):
+    """``_grid_pricer`` for ``lp_feasibility_batch``: the same columns,
+    priced for a (5, n) array of duals, one column per point.
+
+    Point by point it returns ``_grid_pricer``'s column index, reduced cost
+    and column, bit for bit: the same bracket, the same operations in the
+    same order, and the first index on ties, since a point's four
+    candidates are laid out in increasing column order for ``argmin``.
+    ``np.cos`` and ``np.sin`` gave ``math.cos``'s and ``math.sin``'s bits on
+    every angle of grid 65536, but ``np.arctan2`` may round differently
+    from ``math.atan2`` (by at most an ulp on 10^6 random inputs on an
+    AVX-512 host, where 0.9 % differed), so it feeds only the bracket position
+    t = atan2(-q, -p) * grid_n / 2 pi. An error of a few ulps moves t by far
+    less than ``_BRACKET_SLACK * grid_n``, as |t| <= grid_n / 2, so it can
+    change floor(t) only where t lies that close to an integer; there
+    ``math.atan2`` recomputes t. That happens only at or next to a grid
+    angle, such as the artificial start's multiples of pi / 4.
+    """
+    units = grid_n / (2.0 * math.pi)  # grid steps per radian
+    two_pi = 2.0 * math.pi
+    slack = _BRACKET_SLACK * grid_n
+    # Axis 0 the family (chi = 1, then chi = 2), axis 1 the dual y0..y3.
+    signs = np.array([[sa, sap, sa, sap] for sa, sap in (ALICE_SIGNS[1], ALICE_SIGNS[2])])
+    sa, sap = signs[:, 0, None, None], signs[:, 1, None, None]
+    signs = signs[:, :, None]
+    offset = np.array([0, grid_n])[:, None, None]
+
+    def price(duals):
+        n = duals.shape[1]
+        u = duals[:4] * signs  # sa, sap are +-1: u rounds as in _grid_pricer
+        y, x = -(u[:, 2] + u[:, 3]), -(u[:, 0] + u[:, 1])  # -q, -p
+        t = np.arctan2(y, x) * units
+        doubt = np.abs(t - np.rint(t)) <= slack
+        if doubt.any():
+            t[doubt] = np.array(list(map(math.atan2, y[doubt].tolist(),
+                                         x[doubt].tolist()))) * units
+        low = np.floor(t).astype(np.int64) % grid_n
+        low *= np.logical_or(x, y)  # p = q = 0: a flat family takes index 0
+        ks = np.empty((2, 2, n), dtype=np.int64)  # (family, candidate, point)
+        ks[:, 0] = low
+        np.add(low, 1, out=ks[:, 1])
+        wrap = ks[:, 1] == grid_n
+        if wrap.any():
+            ks[:, 1][wrap] = low[wrap]
+            ks[:, 0][wrap] = 0
+        xi = two_pi * ks / grid_n
+        c, s = np.cos(xi), np.sin(xi)
+        reduced = (u[:, 0, None] * c + u[:, 1, None] * c + u[:, 2, None] * s
+                   + u[:, 3, None] * s + duals[4])
+        pick = reduced.reshape(4, n).argmin(axis=0) * n + np.arange(n)
+        candidates = np.empty((5, 2, 2, n))
+        np.multiply(sa, c, out=candidates[0])
+        np.multiply(sap, c, out=candidates[1])
+        np.multiply(sa, s, out=candidates[2])
+        np.multiply(sap, s, out=candidates[3])
+        candidates[4] = 1.0
+        return ((ks + offset).reshape(-1).take(pick), reduced.reshape(-1).take(pick),
+                candidates.reshape(5, -1).take(pick, axis=1))
 
     return price
 
@@ -234,13 +305,20 @@ def lp_membership_batch(points: np.ndarray, grid_n: int = DEFAULT_GRID_N,
                         tol: float = DEFAULT_LP_TOL) -> list[MembershipResult]:
     """``lp_membership`` for an (N, 4) batch, sharing one pricer.
 
-    Each point is one ``lp_feasibility`` call on b = (point, 1) over the
-    implicit atom columns of ``_grid_pricer``, whose last row (all ones)
-    makes the weights sum to 1. That is the structure ``convex=True``
-    declares, so a non-member's phase 1 stops once its Lagrangian bound
-    proves the optimum above the tolerance, before the optimum itself: at
-    grid 2048 the pricer calls per uniform point fell from 13.88 to 5.14,
+    Each point is one convex phase 1 on b = (point, 1) over the implicit
+    atom columns of ``_grid_pricer``, whose last row (all ones) makes the
+    weights sum to 1, so a non-member's phase 1 stops once its Lagrangian
+    bound proves the optimum above the tolerance, before the optimum itself:
+    at grid 2048 the pricer calls per uniform point fell from 13.88 to 5.14,
     with the same verdicts. Nothing derived from f reaches that decision.
+    A batch of at most ``LOCKSTEP_ABOVE`` points runs one ``lp_feasibility``
+    per point; a larger one runs ``lp_feasibility_batch`` on
+    ``LOCKSTEP_CHUNK`` points at a time with ``_grid_pricer_batch``, so it
+    never holds more than one chunk of tableaux. Both take the same pivots
+    and give the same verdicts and residual bits; the lockstep loop pays a
+    fixed cost per round that only larger batches recover (a 64-point batch
+    at grid 2048 took about twice as long point by point on a 2-core
+    x86-64 host, 500 points six times as long).
     Every point must be finite, else ``ValueError``; ``boundary_band``
     checks ``grid_n`` and ``tol``.
     """
@@ -250,19 +328,22 @@ def lp_membership_batch(points: np.ndarray, grid_n: int = DEFAULT_GRID_N,
     if not np.isfinite(points).all():
         raise ValueError("points must be finite")
     band = boundary_band(grid_n, tol)
-    price = _grid_pricer(grid_n)
     f_values = f_value_array(correlation_model.to_e_basis_array(points))
-    results = []
-    for point, f in zip(points.tolist(), f_values.tolist()):
-        feasible, _, residuals = lp_feasibility(price, [*point, 1.0], tol=tol,
-                                                convex=True)
-        max_residual = float(residuals.max())
-        results.append(MembershipResult(
-            verdict=_classify(feasible, f, band),
-            lp_feasible=feasible,
-            f_value=f,
-            band=band,
-            grid_n=grid_n,
-            max_residual=max_residual,
-        ))
-    return results
+    feasible, max_residuals = [], []
+    if len(points) <= LOCKSTEP_ABOVE:
+        price = _grid_pricer(grid_n)
+        for point in points.tolist():
+            ok, _, residuals = lp_feasibility(price, [*point, 1.0], tol=tol, convex=True)
+            feasible.append(ok)
+            max_residuals.append(float(residuals.max()))
+    else:
+        price = _grid_pricer_batch(grid_n)
+        for start in range(0, len(points), LOCKSTEP_CHUNK):
+            chunk = points[start:start + LOCKSTEP_CHUNK]
+            ok, residuals = lp_feasibility_batch(
+                price, np.column_stack([chunk, np.ones(len(chunk))]), tol=tol)
+            feasible += ok.tolist()
+            max_residuals += residuals.max(axis=1).tolist()
+    return [MembershipResult(verdict=_classify(ok, f, band), lp_feasible=ok, f_value=f,
+                             band=band, grid_n=grid_n, max_residual=max_residual)
+            for ok, f, max_residual in zip(feasible, f_values.tolist(), max_residuals)]

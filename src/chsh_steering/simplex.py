@@ -22,6 +22,14 @@ as the oracle's are), stops phase 1 early once a Lagrangian lower bound on
 its optimum proves some residual above the tolerance (Farley, Oper. Res.
 38, 922 (1990)): on 3,000 uniform oracle points at grid 2048 the pricer
 calls per point fell from 13.88 to 5.14, with the same verdicts.
+
+``lp_feasibility`` solves one system at a time in those plain floats.
+``lp_feasibility_batch`` solves many convex systems over the same columns at
+once, one such tableau per system, stacked along the last axis of an
+(m+1, m+1, N) array, so each NumPy call runs across systems. It applies the
+same rule to each system, with every sum in the same order, so each takes
+the same pivots and ends with the same bits. The oracle sends batches above
+``lhs_oracle.LOCKSTEP_ABOVE`` points through it.
 """
 
 from __future__ import annotations
@@ -214,3 +222,132 @@ def lp_feasibility(price, b, *, tol: float = DEFAULT_LP_TOL, convex: bool = Fals
         else:
             x[var] = max(row[m], 0.0)
     return max(residuals) <= tol, x, np.array(residuals)
+
+
+def lp_feasibility_batch(price, B, *, tol: float = DEFAULT_LP_TOL):
+    """``lp_feasibility(price_i, B[i], tol=tol, convex=True)`` for every row
+    ``B[i]`` of an (N, m) array, pivoting all N systems in lockstep.
+
+    Every system has the same columns. ``price(duals)`` takes the duals of
+    the n systems still pivoting as an (m, n) array, one column per system,
+    and returns ``(cols, reduced, columns)``: for each system, what the
+    scalar pricer returns for its duals, as an (n,) integer array, an (n,)
+    float array and an (m, n) array. Each round prices the live systems
+    once and applies ``_revised_pivots``' rule to every one of them as
+    masks: the artificial entry test, the optimality test, the Lagrangian
+    early stop, and the minimum ratio, whose exact ties go to the
+    lexicographically least row one system at a time. Every sum runs left
+    to right as in the scalar loop, so each system takes the pivots
+    ``lp_feasibility`` takes and ends with the same bits. A system leaves
+    the live set where that loop would return, so the rounds number the
+    most pricer calls any one system needs. ``x`` is not reported.
+
+    Returns (feasible, residuals): an (N,) bool array and the (N, m) array
+    of ``lp_feasibility``'s residuals. Raises ``OracleError``, with no
+    partial result, where ``lp_feasibility`` would for any one system, and
+    where the pricer returns a non-finite reduced cost. A ``B`` that is not
+    a finite (N, m) array with m >= 1 and a last column of ones, or a
+    ``tol`` outside [0, ``MAX_LP_TOL``], raises ``ValueError`` before
+    ``price`` is called; an empty batch returns without calling it.
+    """
+    if not 0.0 <= tol <= MAX_LP_TOL:
+        raise ValueError(f"tol must lie in [0, {MAX_LP_TOL:g}], got {tol}")
+    B = np.asarray(B, dtype=float)
+    if B.ndim != 2 or not B.shape[1]:
+        raise ValueError(f"B must be an (N, m) array with m >= 1, got shape {B.shape}")
+    if not np.isfinite(B).all():
+        raise ValueError("B must be finite")
+    if not (B[:, -1] == 1.0).all():
+        raise ValueError("a convex system needs B[:, -1] == 1")
+    n, m = B.shape
+    residuals = np.zeros((n, m))
+    if not n:
+        return np.zeros(0, dtype=bool), residuals
+
+    # Artificial bases, as in lp_feasibility; the last axis runs over systems.
+    rhs = B.T.copy()
+    flip = np.where(rhs < 0.0, -1.0, 1.0)
+    values = rhs * flip
+    diagonal = np.arange(m)
+    tableau = np.zeros((m + 1, m + 1, n))
+    tableau[diagonal, diagonal] = flip
+    tableau[:m, m] = values
+    tableau[m, :m] = -flip
+    tableau[m, m] = -sum(values)
+    basis = np.repeat(~diagonal[:, None], n, axis=1)
+    live = count = np.arange(n)  # the row of B each system came from
+    # The basic values and basis where each system's pivots ended.
+    ended_values, ended_basis = np.empty((m, n)), np.empty((m, n), dtype=basis.dtype)
+
+    eps, limit = PIVOT_EPS, m * tol
+    # Overflow ends in the finiteness checks; systems that have just left
+    # the live set pivot once more, on garbage, before they are dropped.
+    with np.errstate(all="ignore"):
+        for _ in range(DEFAULT_MAX_ITER):
+            duals = tableau[m, :m]
+            col, reduced, a = price(duals)
+            if np.count_nonzero(~np.isfinite(reduced)):
+                raise OracleError("the pricer returned a non-finite reduced cost")
+            artificial = 1.0 + flip * duals
+            first = artificial.argmin(axis=0)
+            least = artificial.min(axis=0)
+            art = (least < -eps) & ~(reduced <= least)
+            real = ~art & (reduced < -eps)
+            wrong = real & (a[-1] != 1.0)
+            if np.count_nonzero(wrong):
+                k = wrong.argmax()
+                raise OracleError(f"real column {col[k]} of a convex system ends in"
+                                  f" {float(a[-1, k])!r}, not 1")
+            gap = reduced - sum(duals * rhs) - limit
+            scale = sum(np.abs(duals) * (np.abs(a) + np.abs(rhs)))
+            enter = art | (real & ((least < 0.0) | ~(gap > _STOP_PAD * scale)))
+            entering = np.count_nonzero(enter)
+            if entering < enter.size:
+                done = np.nonzero(~enter)[0]
+                ended_values[:, live[done]] = tableau[:m, m, done]
+                ended_basis[:, live[done]] = basis[:, done]
+                if not entering:
+                    break
+
+            # The entering column of each full tableau: B^-1 a above its
+            # reduced cost, or the artificial's column of B^-1 times its sign.
+            column = sum((tableau[:m, :m] * a).swapaxes(0, 1))
+            if np.count_nonzero(art):
+                column = np.where(art, tableau[:m, first, count] * flip[first, count],
+                                  column)
+            eligible = column > eps
+            ratio = tableau[:m, m] / column
+            tied = eligible & (ratio == np.where(eligible, ratio, np.inf).min(axis=0))
+            ties = tied.sum(axis=0)
+            if np.count_nonzero(enter & (ties == 0)):
+                raise OracleError("phase 1 reported unbounded; basis inverse is corrupt")
+            row = tied.argmax(axis=0)
+            for k in np.nonzero(enter & (ties > 1))[0].tolist():
+                inverse, entries = tableau[:m, :m, k].tolist(), column[:, k].tolist()
+                for i in np.nonzero(tied[:, k])[0][1:].tolist():
+                    r = row[k]
+                    if ([t / entries[i] for t in inverse[i]]
+                            < [t / entries[r] for t in inverse[r]]):
+                        row[k] = i
+
+            factors = np.concatenate([column, np.where(art, least, reduced)[None]])
+            leaving = tableau[row, :, count].T / column[row, count]
+            tableau -= factors[:, None] * leaving
+            tableau[row, :, count] = leaving.T
+            basis[row, count] = np.where(art, ~first, col)
+            if entering < enter.size:
+                keep = np.nonzero(enter)[0]
+                tableau, flip, rhs, basis, live = (
+                    x.take(keep, axis=-1) for x in (tableau, flip, rhs, basis, live))
+                count = count[:keep.size]
+            # A pricer may take angles of the duals; stop before it sees a NaN.
+            # An entry that is not finite stays so, and would end in
+            # lp_feasibility's check of the whole tableau.
+            if np.count_nonzero(~np.isfinite(tableau)):
+                raise OracleError(_LOST_FINITENESS)
+        else:
+            raise OracleError("simplex iteration limit reached in phase 1")
+
+    rows, systems = np.nonzero(ended_basis < 0)
+    residuals[systems, ~ended_basis[rows, systems]] = ended_values[rows, systems]
+    return residuals.max(axis=1) <= tol, residuals

@@ -182,6 +182,56 @@ CATALOGUE = (
     Mutant("classify-band-narrowed-member-side", "src/chsh_steering/lhs_oracle.py",
            "if abs(f - 1.0) <= band:", "if -0.99 * band <= f - 1.0 <= band:",
            ("tests/test_lhs_oracle.py",)),
+    Mutant("lockstep-tie-fallback-skipped", "src/chsh_steering/simplex.py",
+           "for k in np.nonzero(enter & (ties > 1))[0].tolist():", "for k in []:",
+           ("tests/test_simplex.py", "tests/test_lhs_oracle.py")),
+    Mutant("lockstep-lex-tie-reversed", "src/chsh_steering/simplex.py",
+           "< [t / entries[r] for t in inverse[r]]", "> [t / entries[r] for t in inverse[r]]",
+           ("tests/test_simplex.py",)),
+    Mutant("lockstep-finished-system-kept", "src/chsh_steering/simplex.py",
+           "keep = np.nonzero(enter)[0]", "keep = np.arange(enter.size)",
+           ("tests/test_simplex.py", "tests/test_lhs_oracle.py")),
+    Mutant("lockstep-stop-artificial-unchecked", "src/chsh_steering/simplex.py",
+           "((least < 0.0) | ~(gap > _STOP_PAD * scale))", "~(gap > _STOP_PAD * scale)",
+           ("tests/test_simplex.py",)),
+    Mutant("lockstep-stop-unpadded", "src/chsh_steering/simplex.py",
+           "~(gap > _STOP_PAD * scale)", "~(gap > 0.0 * scale)",
+           ("tests/test_simplex.py",)),
+    Mutant("lockstep-stop-at-tol", "src/chsh_steering/simplex.py",
+           "eps, limit = PIVOT_EPS, m * tol", "eps, limit = PIVOT_EPS, tol",
+           ("tests/test_simplex.py",)),
+    Mutant("lockstep-entry-threshold-zero", "src/chsh_steering/simplex.py",
+           "eps, limit = PIVOT_EPS, m * tol", "eps, limit = 0.0, m * tol",
+           ("tests/test_simplex.py", "tests/test_lhs_oracle.py")),
+    Mutant("lockstep-unbounded-over-every-system", "src/chsh_steering/simplex.py",
+           "np.count_nonzero(enter & (ties == 0))", "np.count_nonzero(ties == 0)",
+           ("tests/test_simplex.py",)),
+    Mutant("lockstep-convex-column-unchecked", "src/chsh_steering/simplex.py",
+           "wrong = real & (a[-1] != 1.0)", "wrong = real & False",
+           ("tests/test_simplex.py",)),
+    Mutant("lockstep-rhs-unchecked", "src/chsh_steering/simplex.py",
+           "if not (B[:, -1] == 1.0).all():", "if False:",
+           ("tests/test_simplex.py",)),
+    Mutant("lockstep-nan-reduced-accepted", "src/chsh_steering/simplex.py",
+           "if np.count_nonzero(~np.isfinite(reduced)):", "if False:",
+           ("tests/test_simplex.py", "tests/test_lhs_oracle.py")),
+    Mutant("lockstep-finiteness-unchecked", "src/chsh_steering/simplex.py",
+           "if np.count_nonzero(~np.isfinite(tableau)):", "if False:",
+           ("tests/test_simplex.py",)),
+    Mutant("lockstep-threshold-off-by-one", "src/chsh_steering/lhs_oracle.py",
+           "if len(points) <= LOCKSTEP_ABOVE:", "if len(points) < LOCKSTEP_ABOVE:",
+           ("tests/test_lhs_oracle.py",)),
+    Mutant("lockstep-one-chunk", "src/chsh_steering/lhs_oracle.py",
+           "for start in range(0, len(points), LOCKSTEP_CHUNK):\n"
+           "            chunk = points[start:start + LOCKSTEP_CHUNK]",
+           "for start in (0,):\n            chunk = points",
+           ("tests/test_lhs_oracle.py",)),
+    Mutant("bracket-doubt-ignored", "src/chsh_steering/lhs_oracle.py",
+           "        if doubt.any():\n", "        if False:\n",
+           ("tests/test_lhs_oracle.py",)),
+    Mutant("bracket-flat-family-unpinned", "src/chsh_steering/lhs_oracle.py",
+           "        low *= np.logical_or(x, y)", "        low *= True",
+           ("tests/test_lhs_oracle.py",)),
     Mutant("check-entries-negated", "src/chsh_steering/qubit_core.py",
            "if not np.abs(op).max() <= 1.0 + OPERATOR_TOL:",
            "if np.abs(op).max() > 1.0 + OPERATOR_TOL:",

@@ -4,9 +4,10 @@ Nothing in the package calls these: each is a second, plain statement of a
 physical quantity (a pure state, a Born probability, a joint probability
 table), a short form of a production object that the tests need as input,
 or the dense form of a computation the package does implicitly (the oracle's
-atom matrix and the ``duals @ A`` pricing over it). ``positive_products`` is
-the Monte Carlo's sign kernel as it was before uniform buckets decided most
-draws: it computes x and both quadratics for every draw.
+atom matrix and the ``duals @ A`` pricing over it, for one system or for a
+lockstep batch). ``positive_products`` is the Monte Carlo's sign kernel as
+it was before uniform buckets decided most draws: it computes x and both
+quadratics for every draw.
 """
 
 from __future__ import annotations
@@ -172,6 +173,19 @@ def dense_pricer(A, cost=None):
         return col, float(reduced[col]), A[:, col].tolist()
 
     return price
+
+
+def batched_pricer(price):
+    """A pricing callback for ``simplex.lp_feasibility_batch`` that asks the
+    scalar callback ``price`` about each system in turn, with its duals as a
+    list of floats, so every system is priced exactly as ``lp_feasibility``
+    prices it."""
+
+    def price_batch(duals):
+        cols, reduced, columns = zip(*map(price, duals.T.tolist()))
+        return np.array(cols), np.array(reduced), np.array(columns, dtype=float).T
+
+    return price_batch
 
 
 def dense_lp_feasibility(A, b, *, tol: float = DEFAULT_LP_TOL):

@@ -141,6 +141,28 @@ class TestOracleCheck:
         assert code == 1
         assert json.loads(out)["disagreements"] == 1
 
+    def test_oracle_failure_is_one_error_line(self, capsys, monkeypatch):
+        # A NaN reduced cost for one point of a lockstep batch: no verdicts
+        # are printed, only the error.
+        twin = lhs_oracle._grid_pricer_batch
+
+        def nan_for_one_point(grid_n):
+            price = twin(grid_n)
+
+            def poisoned(duals):
+                col, reduced, columns = price(duals)
+                reduced[0] = np.nan
+                return col, reduced, columns
+
+            return poisoned
+
+        monkeypatch.setattr(lhs_oracle, "_grid_pricer_batch", nan_for_one_point)
+        code, out, err = run_cli(capsys, "oracle", "check", "--grid", "64",
+                                 "--samples", "100", "--seed", "1")
+        assert code == 1
+        assert out == ""
+        assert err == "error: the pricer returned a non-finite reduced cost\n"
+
 
 class TestExperiment:
     def test_reported_verdict(self, capsys):

@@ -26,7 +26,7 @@ from chsh_steering.lhs_oracle import (
     lp_membership_batch,
     model_correlations,
 )
-from chsh_steering.simplex import DEFAULT_LP_TOL, lp_feasibility
+from chsh_steering.simplex import DEFAULT_LP_TOL, OracleError, lp_feasibility
 from chsh_steering.steering_witness import f_value, f_value_array
 from reference import atom_matrix, from_e_basis, from_e_basis_array, oracle_matrix
 
@@ -390,6 +390,160 @@ def _scalar_reduced(duals, grid_n):
     return np.array(out)
 
 
+def _per_point(points, grid_n):
+    """Each point's (lp_feasible, max_residual bits) from its own convex
+    ``lp_feasibility``, and the most pricer calls any one point made."""
+    price = lhs_oracle._grid_pricer(grid_n)
+    calls = []
+
+    def counted(duals):
+        calls.append(None)
+        return price(duals)
+
+    expected, most = [], 0
+    for point in points.tolist():
+        calls.clear()
+        feasible, _, residuals = lp_feasibility(counted, [*point, 1.0], convex=True)
+        expected.append((feasible, float(residuals.max()).hex()))
+        most = max(most, len(calls))
+    return expected, most
+
+
+def _lockstep(points, grid_n, monkeypatch):
+    """``lp_membership_batch``'s (lp_feasible, max_residual bits) per point,
+    and the number of lockstep pricer calls it made."""
+    rounds = []
+    twin = lhs_oracle._grid_pricer_batch
+
+    def counting_twin(grid_n):
+        price = twin(grid_n)
+
+        def counted(duals):
+            rounds.append(duals.shape[1])
+            return price(duals)
+
+        return counted
+
+    monkeypatch.setattr(lhs_oracle, "_grid_pricer_batch", counting_twin)
+    results = lp_membership_batch(points, grid_n=grid_n)
+    return [(r.lp_feasible, r.max_residual.hex()) for r in results], len(rounds)
+
+
+def _mid_chord_points(grid_n, count, multiples):
+    """test_band_is_tight_at_mid_chord's construction: both planes at odd
+    multiples of pi / grid_n, scaled to f = 1 + multiple * band."""
+    rng = np.random.Generator(np.random.Philox(18 + grid_n))
+    odd = 2 * rng.integers(0, grid_n, (count, 2)) + 1
+    angles = np.pi * odd / grid_n
+    share = rng.uniform(0.05, 0.95, (count, 1))
+    planes = np.stack([np.cos(angles), np.sin(angles)], axis=2)
+    unit = np.concatenate([share * planes[:, 0], (1.0 - share) * planes[:, 1]], axis=1)
+    band = boundary_band(grid_n)
+    return np.concatenate([from_e_basis_array((1.0 + k * band) * unit) for k in multiples])
+
+
+class TestLockstep:
+    """Batches above LOCKSTEP_ABOVE points pivot in lockstep; every point
+    must end exactly where its own scalar phase 1 ends."""
+
+    @pytest.mark.parametrize("grid_n", [8, 64, 2048, 65536])
+    def test_matches_per_point(self, grid_n, monkeypatch):
+        rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(201)))
+        points = rng.uniform(-1.0, 1.0, (3000, 4))
+        expected, most = _per_point(points, grid_n)
+        got, rounds = _lockstep(points, grid_n, monkeypatch)
+        assert got == expected
+        # Same pivots, so the lockstep runs exactly as long as its longest point.
+        assert rounds == most
+        assert 0 < sum(feasible for feasible, _ in got) < len(got)
+
+    @pytest.mark.parametrize("grid_n", [8, 64, 2048])
+    def test_matches_per_point_at_the_band_edges(self, grid_n, monkeypatch):
+        points = _mid_chord_points(grid_n, 100, (-1.005, -0.995, 0.995, 1.005))
+        expected, most = _per_point(points, grid_n)
+        assert _lockstep(points, grid_n, monkeypatch) == (expected, most)
+
+    def test_batch_size_does_not_change_a_result(self):
+        # 13 points repeated to 64 (point by point) and to 65 (lockstep): each
+        # copy gets the same result, bit for bit, as the point alone.
+        rng = np.random.Generator(np.random.Philox(61))
+        points = np.concatenate([rng.uniform(-1.0, 1.0, (10, 4)),
+                                 _mid_chord_points(64, 3, (0.995,))])
+        alone = [lp_membership(CorrelationSet(*point), grid_n=64) for point in points]
+        for size in (lhs_oracle.LOCKSTEP_ABOVE, lhs_oracle.LOCKSTEP_ABOVE + 1):
+            batch = np.resize(points, (size, 4))
+            results = lp_membership_batch(batch, grid_n=64)
+            for i, res in enumerate(results):
+                assert res == alone[i % len(points)]
+                assert res.max_residual.hex() == alone[i % len(points)].max_residual.hex()
+
+    def test_size_selects_the_path(self, monkeypatch):
+        scalar, lockstep = [], []
+        per_point, batched = lhs_oracle.lp_feasibility, lhs_oracle.lp_feasibility_batch
+
+        def counted_scalar(*args, **kwargs):
+            scalar.append(None)
+            return per_point(*args, **kwargs)
+
+        def counted_lockstep(price, B, **kwargs):
+            lockstep.append(len(B))
+            return batched(price, B, **kwargs)
+
+        monkeypatch.setattr(lhs_oracle, "lp_feasibility", counted_scalar)
+        monkeypatch.setattr(lhs_oracle, "lp_feasibility_batch", counted_lockstep)
+        rng = np.random.Generator(np.random.Philox(67))
+        above = lhs_oracle.LOCKSTEP_ABOVE
+        lp_membership_batch(rng.uniform(-1.0, 1.0, (above, 4)), grid_n=64)
+        assert (len(scalar), lockstep) == (above, [])
+        lp_membership_batch(rng.uniform(-1.0, 1.0, (above + 1, 4)), grid_n=64)
+        assert (len(scalar), lockstep) == (above, [above + 1])
+        # Larger batches go through in chunks of LOCKSTEP_CHUNK points.
+        monkeypatch.setattr(lhs_oracle, "LOCKSTEP_CHUNK", 30)
+        lp_membership_batch(rng.uniform(-1.0, 1.0, (above + 1, 4)), grid_n=64)
+        assert lockstep[1:] == [30, 30, above + 1 - 60]
+
+    def test_memory_stays_within_one_chunk(self):
+        # The tableaux and temporaries of one chunk at a time, whatever the
+        # batch: the peak above what the call returns stays that of a
+        # single-chunk call on three chunks and one point. As one batch, the
+        # 12,289 points took three times the single chunk's (13.2 MB).
+        chunk = lhs_oracle.LOCKSTEP_CHUNK
+        points = np.random.Generator(np.random.Philox(71)).uniform(-1.0, 1.0, (3 * chunk + 1, 4))
+
+        def transient(batch):
+            tracemalloc.start()
+            try:
+                results = lp_membership_batch(batch, grid_n=8)
+                current, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            return results, peak - current
+
+        one = transient(points[:chunk])[1]
+        results, many = transient(points)
+        assert many <= 1.5 * one
+        assert results == [res for start in range(0, len(points), chunk)
+                           for res in lp_membership_batch(points[start:start + chunk], grid_n=8)]
+
+    def test_nan_reduced_cost_raises_without_a_result(self, monkeypatch):
+        twin = lhs_oracle._grid_pricer_batch
+
+        def nan_for_one_point(grid_n):
+            price = twin(grid_n)
+
+            def poisoned(duals):
+                col, reduced, columns = price(duals)
+                reduced[-1] = np.nan
+                return col, reduced, columns
+
+            return poisoned
+
+        monkeypatch.setattr(lhs_oracle, "_grid_pricer_batch", nan_for_one_point)
+        points = np.random.Generator(np.random.Philox(73)).uniform(-1.0, 1.0, (100, 4))
+        with pytest.raises(OracleError, match="non-finite reduced cost"):
+            lp_membership_batch(points, grid_n=64)
+
+
 class TestGridPricer:
     """The closed-form pricer against the dense pricing it replaced."""
 
@@ -459,6 +613,49 @@ class TestGridPricer:
         assert price([0.0, 0.0, 0.0, 0.0, -1.0])[:2] == (0, -1.0)
         # The pricer names its best column even when it would not enter.
         assert price([0.0] * 5)[:2] == (0, 0.0)
+
+    @staticmethod
+    def _assert_twin_matches(grid_n, duals):
+        price, twin = lhs_oracle._grid_pricer(grid_n), lhs_oracle._grid_pricer_batch(grid_n)
+        cols, reduced, columns = twin(duals.T)
+        for i, row in enumerate(duals.tolist()):
+            col, value, column = price(row)
+            assert (cols[i], reduced[i].hex()) == (col, value.hex())
+            assert [v.hex() for v in columns[:, i].tolist()] == [v.hex() for v in column]
+
+    @staticmethod
+    def _on_grid_angles(rng, grid_n):
+        """Duals whose minimum lies on a grid angle in one family, with the
+        other family flat, then nudged by an ulp either way, and all of
+        those again scaled by 2^-60 against y4, which leaves their angles
+        but makes a family's neighbouring columns tie with it."""
+        k = rng.integers(0, grid_n, 400)
+        aim = 2.0 * np.pi * k / grid_n
+        p, q = -np.cos(aim), -np.sin(aim)
+        aimed = np.stack([p / 2, p / 2, q / 2, q / 2, rng.uniform(-2.0, 2.0, 400)], axis=1)
+        aimed[:, [1, 3]] *= np.where(rng.uniform(size=(400, 1)) < 0.5, 1.0, -1.0)
+        nudged = np.nextafter(aimed, rng.choice([-np.inf, np.inf], aimed.shape))
+        duals = np.concatenate([aimed, nudged])
+        flat = duals.copy()
+        flat[:, :4] *= 2.0 ** -60
+        return np.concatenate([duals, flat])
+
+    @pytest.mark.parametrize("grid_n", [8, 64, 2048, 2 ** 20])
+    def test_batch_twin_is_bitwise_equal(self, grid_n):
+        rng = np.random.Generator(np.random.Philox(79 + grid_n))
+        self._assert_twin_matches(grid_n, np.concatenate([
+            _random_duals(rng, 100), self._on_grid_angles(rng, grid_n), np.zeros((1, 5))]))
+
+    @pytest.mark.parametrize("direction", [-np.inf, np.inf])
+    @pytest.mark.parametrize("grid_n", [8, 2048])
+    def test_batch_twin_absorbs_an_ulp_of_arctan2(self, grid_n, direction, monkeypatch):
+        # np.arctan2 may round an ulp away from math.atan2, here always to
+        # the same side; on a grid angle that moves floor(t), and where the
+        # neighbouring columns tie, the first index in the bracket wins.
+        arctan2 = np.arctan2
+        monkeypatch.setattr(np, "arctan2", lambda y, x: np.nextafter(arctan2(y, x), direction))
+        rng = np.random.Generator(np.random.Philox(83 + grid_n))
+        self._assert_twin_matches(grid_n, self._on_grid_angles(rng, grid_n))
 
     def test_grid_is_free(self):
         # At the largest grid the atom matrix alone would take 84 MB, and

@@ -9,10 +9,17 @@ from chsh_steering.simplex import (
     OracleError,
     _revised_pivots,
     lp_feasibility,
+    lp_feasibility_batch,
 )
 from chsh_steering.correlation_model import to_e_basis_array
 from chsh_steering.steering_witness import f_value_array
-from reference import dense_lp_feasibility, dense_pricer, from_e_basis_array, oracle_matrix
+from reference import (
+    batched_pricer,
+    dense_lp_feasibility,
+    dense_pricer,
+    from_e_basis_array,
+    oracle_matrix,
+)
 
 
 def test_infeasible_system():
@@ -398,3 +405,135 @@ def test_convex_contract_is_checked():
     with pytest.raises(OracleError, match="ends in 0.5, not 1"):
         lp_feasibility(price, [1.0, 1.0], convex=True)
     assert lp_feasibility(price, [1.0, 1.0])[1] == {0: 2.0}
+
+
+def _each_alone(price, B, tol=DEFAULT_LP_TOL):
+    """``lp_feasibility_batch``'s (feasible, residuals) from one convex
+    ``lp_feasibility`` per row of ``B``."""
+    results = [lp_feasibility(price, row, tol=tol, convex=True) for row in B.tolist()]
+    return (np.array([feasible for feasible, _, _ in results]),
+            np.array([residuals for _, _, residuals in results]))
+
+
+def _assert_same_bits(got, expected):
+    assert got[0].tolist() == expected[0].tolist()
+    assert ([[v.hex() for v in row] for row in got[1].tolist()]
+            == [[v.hex() for v in row] for row in expected[1].tolist()])
+
+
+@pytest.mark.parametrize("price, b, tol", [
+    # test_convex_stop_needs_m_times_tol: feasible, though the first bound
+    # exceeds tol.
+    (dense_pricer(np.array([[0.0], [0.0], [1.0]])), [0.9e-9, 0.9e-9, 1.0], DEFAULT_LP_TOL),
+    # test_convex_stop_leaves_a_rounding_margin: the pad keeps the pivots going.
+    (dense_pricer(np.array([[0.0], [1.0]])), [2e-9 + 1e-12, 1.0], DEFAULT_LP_TOL),
+    # The first pivot ties rows 0 and 1 at ratio 0; divided by its entry, row
+    # 1 of B^-1 = I is (0, 2, 0), lexicographically below row 0's (1, 0, 0).
+    # Row 0 instead would end at residuals (0, 0, 1), not (0, 0.5, 0).
+    (dense_pricer(np.array([[1.0, 0.0], [0.5, -0.5], [1.0, 1.0]])), [0.0, 0.0, 1.0],
+     DEFAULT_LP_TOL),
+])
+def test_lockstep_runs_the_scalar_pivots(price, b, tol):
+    # Alone, among copies of itself and beside other right-hand sides, each
+    # system ends with lp_feasibility's verdict and residual bits.
+    B = np.array([b, b, [0.0] * (len(b) - 1) + [1.0], b, [-0.5] * (len(b) - 1) + [1.0]])
+    for rows in (B[:1], B):
+        _assert_same_bits(lp_feasibility_batch(batched_pricer(price), rows, tol=tol),
+                          _each_alone(price, rows, tol))
+
+
+def test_lockstep_stop_waits_for_every_artificial(monkeypatch):
+    # test_convex_stop_waits_for_every_artificial's system: the bound reads
+    # 0.75 while an artificial prices at -0.5, and the optimum is 0.5.
+    monkeypatch.setattr(simplex, "MAX_LP_TOL", 1.0)
+    price = dense_pricer(np.array([[-2.0, 3.0, 3.0, -1.0, 0.0],
+                                   [2.0, 4.0, 2.0, -4.0, 1.0],
+                                   [-4.0, -2.0, 1.0, 0.0, -1.0],
+                                   [1.0, 1.0, 1.0, 1.0, 1.0]]))
+    B = np.array([[-0.5, 1.0, -1.0, 1.0]] * 2)
+    feasible, residuals = lp_feasibility_batch(batched_pricer(price), B, tol=0.15)
+    assert feasible.tolist() == [False, False]
+    assert residuals.tolist() == [[0.5, 0.0, 0.0, 0.0]] * 2
+
+
+@pytest.mark.parametrize("grid_n", [8, 64])
+def test_lockstep_breaks_exact_ratio_ties_per_point(grid_n):
+    # test_degenerate_points_match_dense_reference's dyadic points tie the
+    # minimum ratio, so the lexicographic rule picks many of their pivots.
+    price = lhs_oracle._grid_pricer(grid_n)
+    rng = np.random.Generator(np.random.Philox(59 + grid_n))
+    points = np.concatenate([rng.integers(-4, 5, (40, 4)) / 4.0,
+                             rng.integers(-8, 9, (40, 4)) / 8.0])
+    B = np.column_stack([points, np.ones(len(points))])
+    _assert_same_bits(lp_feasibility_batch(lhs_oracle._grid_pricer_batch(grid_n), B),
+                      _each_alone(price, B))
+
+
+def test_lockstep_skips_the_column_of_a_finished_system():
+    # System 0 is optimal at the start: its best column, (1, -1), does not
+    # enter, and B^-1 times it has no positive entry. System 1 pivots on
+    # (3, 1). Only entering columns face the ratio test, so this is no
+    # unbounded ray; lp_feasibility never looks at that column either.
+    price = dense_pricer(np.array([[1.0, 3.0], [-1.0, 1.0]]))
+    B = np.array([[-0.5, 1.0], [0.5, 1.0]])
+    _assert_same_bits(lp_feasibility_batch(batched_pricer(price), B), _each_alone(price, B))
+
+
+def test_lockstep_contract_is_checked():
+    calls = []
+
+    def price(duals):
+        calls.append(duals)
+        raise AssertionError("priced a rejected batch")
+
+    for B, message in [
+        (np.ones(3), r"\(N, m\) array with m >= 1, got shape \(3,\)"),
+        (np.ones((2, 0)), r"\(N, m\) array with m >= 1, got shape \(2, 0\)"),
+        (np.ones((2, 3, 1)), r"got shape \(2, 3, 1\)"),
+        ([[np.nan, 1.0]], "finite"),
+        ([[0.0, 1.0], [np.inf, 1.0]], "finite"),
+        ([[0.0, 1.0], [0.0, 0.5]], r"B\[:, -1\] == 1"),
+        ([[0.0, -1.0]], r"B\[:, -1\] == 1"),
+    ]:
+        with pytest.raises(ValueError, match=message):
+            lp_feasibility_batch(price, B)
+    for tol in (-1e-12, np.nan, np.inf, np.nextafter(MAX_LP_TOL, 1.0)):
+        with pytest.raises(ValueError, match="tol"):
+            lp_feasibility_batch(price, [[0.0, 1.0]], tol=tol)
+    feasible, residuals = lp_feasibility_batch(price, np.zeros((0, 5)))
+    assert feasible.shape == (0,) and residuals.shape == (0, 5)
+    assert calls == []
+    # An entering column without the final 1 voids the bound, in lockstep too.
+    price = dense_pricer(np.array([[0.5], [0.5]]))
+    with pytest.raises(OracleError, match="ends in 0.5, not 1"):
+        lp_feasibility_batch(batched_pricer(price), [[0.0, 1.0], [1.0, 1.0]])
+
+
+def test_lockstep_numerical_failures_raise_oracle_error(monkeypatch):
+    # A NaN reduced cost for one system of the batch.
+    def nan_for_second(duals):
+        cols, reduced, columns = batched_pricer(dense_pricer(np.ones((2, 1))))(duals)
+        reduced[1] = np.nan
+        return cols, reduced, columns
+
+    with pytest.raises(OracleError, match="non-finite reduced cost"):
+        lp_feasibility_batch(nan_for_second, [[0.5, 1.0], [0.25, 1.0], [0.0, 1.0]])
+    # A NaN entry in an entering column makes every entry of B^-1 a NaN:
+    # no row can leave.
+    def price(duals):
+        return 0, -1.0, [np.nan, 1.0]
+
+    for solve in (lambda: lp_feasibility(price, [0.5, 1.0], convex=True),
+                  lambda: lp_feasibility_batch(batched_pricer(price), [[0.5, 1.0]])):
+        with pytest.raises(OracleError, match="unbounded"):
+            solve()
+    # A cost of -1e308 overflows the bottom row at the first pivot.
+    price = dense_pricer(np.array([[0.5], [1.0]]), np.array([-1e308]))
+    for solve in (lambda: lp_feasibility(price, [0.25, 1.0], convex=True),
+                  lambda: lp_feasibility_batch(batched_pricer(price), [[0.25, 1.0]])):
+        with np.errstate(over="ignore"), pytest.raises(OracleError, match="finiteness"):
+            solve()
+    monkeypatch.setattr(simplex, "DEFAULT_MAX_ITER", 1)
+    price = dense_pricer(np.array([[1.0, 0.0], [1.0, 1.0]]))
+    with pytest.raises(OracleError, match="iteration limit"):
+        lp_feasibility_batch(batched_pricer(price), [[0.5, 1.0]])

@@ -33,6 +33,11 @@ PINS = {
         "d9d23cfd4d0da88736e3d7df74cd5b63afedfc1b6d046ae9e03473579a4f9c69",
     "oracle check --grid 64 --samples 2000 --seed 7":
         "1a045de722d48c5f65fafb8835dbbb29c4b6f9d675cc9608ebd87d6435d28f41",
+    # Batches of at most 64 points, interactive-mix's oracle size and one point.
+    "oracle check --grid 2048 --samples 20 --seed 3":
+        "1bbcacbed629affd39989863a7fa4e353d88c204542b86903e1afe325cfdfbc0",
+    "oracle check --grid 64 --samples 1 --seed 0":
+        "006895eae995efb29c7e83d8842fd8706829f1a79a42c94d315c1b43f67f2530",
     "scan state --input {state} --resolution 24":
         "7bba821ea2eaa89ce025ac59243e78d817f77b5759bf9100a120745eea140c72",
     "witness eval {correlators}":

@@ -213,6 +213,15 @@ CATALOGUE = (
     Mutant("pivots-in-callers-tableau", "src/chsh_steering/simplex.py",
            "stack, bases = tableau.copy(), basis.copy()", "stack, bases = tableau, basis",
            ("tests/test_simplex.py", "tests/test_lhs_oracle.py")),
+    Mutant("artificial-start-flips-zero-rows", "src/chsh_steering/simplex.py",
+           "flip = np.where(rhs < 0.0, -1.0, 1.0)", "flip = np.where(rhs <= 0.0, -1.0, 1.0)",
+           ("tests/test_simplex.py",)),
+    Mutant("x-drops-column-zero", "src/chsh_steering/simplex.py",
+           "values) if var >= 0}", "values) if var > 0}",
+           ("tests/test_simplex.py",)),
+    Mutant("x-unclamped", "src/chsh_steering/simplex.py",
+           "{var: max(value, 0.0) for", "{var: value for",
+           ("tests/test_simplex.py",)),
     Mutant("bracket-doubt-ignored", "src/chsh_steering/lhs_oracle.py",
            "        if doubt.any():\n", "        if False:\n",
            ("tests/test_lhs_oracle.py",)),

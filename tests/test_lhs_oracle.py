@@ -343,6 +343,13 @@ class TestLpMembership:
                 [*point, 1.0] for point in points.tolist()]
             assert all(kwargs == {"tol": 2e-9} for _, _, kwargs in calls)
 
+    def test_empty_batch_runs_no_lp(self, monkeypatch):
+        # No chunk, no LP call, no result; the arguments are still checked.
+        monkeypatch.setattr(lhs_oracle, "lp_feasibility_batch", None)
+        assert lp_membership_batch(np.zeros((0, 4)), grid_n=64) == []
+        with pytest.raises(ValueError, match="LP tolerance"):
+            lp_membership_batch(np.zeros((0, 4)), grid_n=64, tol=-1.0)
+
     def test_max_residual_is_the_lp_certificate(self):
         # max_residual is bitwise the largest per-row residual of the basis
         # where the point's convex phase 1 ended, and it lies within tol

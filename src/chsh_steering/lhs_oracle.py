@@ -7,9 +7,9 @@ convex-hull membership directly: it discretises the two extremal circles on a
 uniform angle grid and asks a phase-1 simplex whether the target correlators
 are a convex combination of grid atoms. The atoms are never stored: on each
 circle an atom's reduced cost is a cosine of its angle, so the simplex's
-pricing callback (``_grid_pricer_batch``) names the best atom in closed
-form, the simplex decides whether it enters, and a point's cost does not
-grow with the grid. The only use of f there is to flag points within the band of the
+pricing callback (``_grid_pricer``) names the best atom in closed form, the
+simplex decides whether it enters, and a point's cost does not grow with the
+grid. The only use of f there is to flag points within the band of the
 boundary set by the grid's chord sag and the LP's residual tolerance, where
 the oracle cannot be trusted either way.
 """
@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .correlation_model import ALICE_SIGNS, CorrelationSet, EBasisVector
-from .simplex import DEFAULT_LP_TOL, MAX_LP_TOL, lp_feasibility_batch
+from .simplex import DEFAULT_LP_TOL, MAX_LP_TOL, lp_feasibility, lp_feasibility_batch
 from .steering_witness import f_value_array
 from . import correlation_model
 
@@ -34,8 +34,10 @@ MAX_GRID_N = 2 ** 20
 # ``boundary_band``). At MAX_LP_TOL that is 3.8e-6, three times the sag of
 # the default grid; a larger tolerance would only hide more points in it.
 KAPPA = 1.0 + 2.0 * np.sqrt(2.0)
-# Batches pivot in lockstep (``lp_feasibility_batch``), this many points at a
-# time, so one call never holds more than one chunk of tableaux.
+# Batches of more points than this pivot in lockstep (``lp_feasibility_batch``),
+# LOCKSTEP_CHUNK points at a time; smaller ones run ``lp_feasibility`` point by
+# point, which is faster there (see ``lp_membership_batch``).
+LOCKSTEP_ABOVE = 64
 LOCKSTEP_CHUNK = 4096
 # Where floor(t) of the bracket position t = atan2 * units is in doubt; see
 # ``_grid_pricer_batch``.
@@ -151,9 +153,8 @@ def boundary_band(grid_n: int, tol: float = DEFAULT_LP_TOL) -> float:
     return float(max(1.0 - np.cos(np.pi / grid_n), KAPPA * tol))
 
 
-def _grid_pricer_batch(grid_n: int):
-    """The pricing callback ``lp_feasibility_batch`` takes for the oracle's
-    columns, for a (5, n) array of duals, one column per point.
+def _grid_pricer(grid_n: int):
+    """The pricing callback ``lp_feasibility`` takes for the oracle's columns.
 
     Column k < grid_n is (correlators, 1) of the chi = 1 atom at
     xi_k = 2 pi k / grid_n, and column grid_n + k that of the chi = 2 atom
@@ -165,27 +166,59 @@ def _grid_pricer_batch(grid_n: int):
     so the family's grid minimum is one of the two grid angles that bracket
     it, indices ``floor(atan2(-q, -p) * grid_n / 2 pi)`` and the next one
     (mod ``grid_n``). Only those two are evaluated, each as the dot product
-    of y with the column summed left to right. A point's four candidates
-    are laid out in increasing column order, so ``argmin`` keeps the first
-    index on a tie; p = q = 0 makes the family flat and takes its index 0.
-    For each point it returns the better family's column index, reduced
-    cost and column whatever the reduced cost; the simplex decides whether
+    of y with the column summed left to right, in increasing column order so
+    that a strict ``<`` keeps the first index on a tie; p = q = 0 makes the
+    family flat and takes its index 0. ``price(duals)`` returns the better
+    family's column whatever its reduced cost; the simplex decides whether
     it enters. A dense ``y @ A`` may round a reduced cost differently in its
     last bits, so where two columns lie within a few ulps of each other it
     may pick the other one. Nothing here knows the target point, let alone
     f; no column is stored, so the cost of a pivot does not grow with
-    ``grid_n``.
+    ``grid_n``. ``_grid_pricer_batch`` is its twin for many points at once,
+    bitwise equal on every row.
+    """
+    units = grid_n / (2.0 * math.pi)  # grid steps per radian
+    two_pi, cos, sin, atan2, floor = (
+        2.0 * math.pi, math.cos, math.sin, math.atan2, math.floor)
+    families = ((0, *ALICE_SIGNS[1]), (grid_n, *ALICE_SIGNS[2]))
 
-    Where neighbouring columns tie, which of them is first in the bracket
-    depends on floor(t) of the bracket position t = atan2(-q, -p) * grid_n
-    / 2 pi, so t must not depend on how a NumPy build rounds. ``np.arctan2``
-    may round differently from the C library's ``math.atan2`` (by at most an
-    ulp on 10^6 random inputs on an AVX-512 host, where 0.9 % differed). An
-    error of a few ulps moves t by far less than ``_BRACKET_SLACK * grid_n``,
-    as |t| <= grid_n / 2, so it can change floor(t) only where t lies that
-    close to an integer; there ``math.atan2`` recomputes t. That happens
-    only at or next to a grid angle, such as the artificial start's
-    multiples of pi / 4.
+    def price(duals):
+        y0, y1, y2, y3, y4 = duals
+        best = best_reduced = None
+        for offset, sa, sap in families:
+            # sa, sap are +-1, so u0 * c rounds exactly like y0 * (sa * c).
+            u0, u1, u2, u3 = y0 * sa, y1 * sap, y2 * sa, y3 * sap
+            p, q = u0 + u1, u2 + u3
+            low = floor(atan2(-q, -p) * units) % grid_n if p or q else 0
+            for k in (low, low + 1) if low + 1 < grid_n else (0, low):
+                xi = two_pi * k / grid_n
+                c, s = cos(xi), sin(xi)
+                reduced = u0 * c + u1 * c + u2 * s + u3 * s + y4
+                if best is None or reduced < best_reduced:
+                    best, best_reduced = (offset + k, sa, sap, c, s), reduced
+        col, sa, sap, c, s = best
+        return col, best_reduced, [sa * c, sap * c, sa * s, sap * s, 1.0]
+
+    return price
+
+
+def _grid_pricer_batch(grid_n: int):
+    """``_grid_pricer`` for ``lp_feasibility_batch``: the same columns,
+    priced for a (5, n) array of duals, one column per point.
+
+    Point by point it returns ``_grid_pricer``'s column index, reduced cost
+    and column, bit for bit: the same bracket, the same operations in the
+    same order, and the first index on ties, since a point's four
+    candidates are laid out in increasing column order for ``argmin``.
+    ``np.cos`` and ``np.sin`` gave ``math.cos``'s and ``math.sin``'s bits on
+    every angle of grid 65536, but ``np.arctan2`` may round differently
+    from ``math.atan2`` (by at most an ulp on 10^6 random inputs on an
+    AVX-512 host, where 0.9 % differed), so it feeds only the bracket position
+    t = atan2(-q, -p) * grid_n / 2 pi. An error of a few ulps moves t by far
+    less than ``_BRACKET_SLACK * grid_n``, as |t| <= grid_n / 2, so it can
+    change floor(t) only where t lies that close to an integer; there
+    ``math.atan2`` recomputes t. That happens only at or next to a grid
+    angle, such as the artificial start's multiples of pi / 4.
     """
     units = grid_n / (2.0 * math.pi)  # grid steps per radian
     two_pi = 2.0 * math.pi
@@ -198,7 +231,7 @@ def _grid_pricer_batch(grid_n: int):
 
     def price(duals):
         n = duals.shape[1]
-        u = duals[:4] * signs  # sa, sap are +-1, so u0 * c rounds as y0 * (sa * c)
+        u = duals[:4] * signs  # sa, sap are +-1: u rounds as in _grid_pricer
         y, x = -(u[:, 2] + u[:, 3]), -(u[:, 0] + u[:, 1])  # -q, -p
         t = np.arctan2(y, x) * units
         doubt = np.abs(t - np.rint(t)) <= slack
@@ -273,16 +306,19 @@ def lp_membership_batch(points: np.ndarray, grid_n: int = DEFAULT_GRID_N,
     """``lp_membership`` for an (N, 4) batch, sharing one pricer.
 
     Each point is one convex phase 1 on b = (point, 1) over the implicit
-    atom columns of ``_grid_pricer_batch``, whose last row (all ones) makes
-    the weights sum to 1, so a non-member's phase 1 stops once its
-    Lagrangian bound proves the optimum above the tolerance, before the
-    optimum itself: at grid 2048 the pricer calls per uniform point fell
-    from 13.88 to 5.14, with the same verdicts. Nothing derived from f
-    reaches that decision. The batch, of any size, goes through
-    ``lp_feasibility_batch`` ``LOCKSTEP_CHUNK`` points at a time, all points
-    of a chunk pivoting in lockstep, so it never holds more than one chunk
-    of tableaux, and each point ends with the verdict and residual bits it
-    gets alone.
+    atom columns of ``_grid_pricer``, whose last row (all ones) makes the
+    weights sum to 1, so a non-member's phase 1 stops once its Lagrangian
+    bound proves the optimum above the tolerance, before the optimum itself:
+    at grid 2048 the pricer calls per uniform point fell from 13.88 to 5.14,
+    with the same verdicts. Nothing derived from f reaches that decision.
+    A batch of at most ``LOCKSTEP_ABOVE`` points runs one ``lp_feasibility``
+    per point; a larger one runs ``lp_feasibility_batch`` on
+    ``LOCKSTEP_CHUNK`` points at a time with ``_grid_pricer_batch``, so it
+    never holds more than one chunk of tableaux. Both take the same pivots
+    and give the same verdicts and residual bits; the lockstep loop pays a
+    fixed cost per round that only larger batches recover (a 64-point batch
+    at grid 2048 took about twice as long point by point on a 2-core
+    x86-64 host, 500 points six times as long).
     Every point must be finite, else ``ValueError``; ``boundary_band``
     checks ``grid_n`` and ``tol``.
     """
@@ -293,14 +329,21 @@ def lp_membership_batch(points: np.ndarray, grid_n: int = DEFAULT_GRID_N,
         raise ValueError("points must be finite")
     band = boundary_band(grid_n, tol)
     f_values = f_value_array(correlation_model.to_e_basis_array(points))
-    price = _grid_pricer_batch(grid_n)
     feasible, max_residuals = [], []
-    for start in range(0, len(points), LOCKSTEP_CHUNK):
-        chunk = points[start:start + LOCKSTEP_CHUNK]
-        ok, residuals = lp_feasibility_batch(
-            price, np.column_stack([chunk, np.ones(len(chunk))]), tol=tol)
-        feasible += ok.tolist()
-        max_residuals += residuals.max(axis=1).tolist()
+    if len(points) <= LOCKSTEP_ABOVE:
+        price = _grid_pricer(grid_n)
+        for point in points.tolist():
+            ok, _, residuals = lp_feasibility(price, [*point, 1.0], tol=tol, convex=True)
+            feasible.append(ok)
+            max_residuals.append(float(residuals.max()))
+    else:
+        price = _grid_pricer_batch(grid_n)
+        for start in range(0, len(points), LOCKSTEP_CHUNK):
+            chunk = points[start:start + LOCKSTEP_CHUNK]
+            ok, residuals = lp_feasibility_batch(
+                price, np.column_stack([chunk, np.ones(len(chunk))]), tol=tol)
+            feasible += ok.tolist()
+            max_residuals += residuals.max(axis=1).tolist()
     return [MembershipResult(verdict=_classify(ok, f, band), lp_feasible=ok, f_value=f,
                              band=band, grid_n=grid_n, max_residual=max_residual)
             for ok, f, max_residual in zip(feasible, f_values.tolist(), max_residuals)]

@@ -1,37 +1,42 @@
 """Phase-1 revised simplex feasibility for small equality systems.
 
 Decides whether A x = b, x >= 0 has a solution without ever storing A: a
-pricing callback supplies the real columns. Each system keeps only an
-(m+1) x (m+1) revised tableau: the m x m basis inverse and the basic values
-above the negated duals and objective. Systems over the same columns pivot
-in lockstep, their tableaux stacked along the last axis of an
-(m+1, m+1, N) array, so each NumPy call runs across systems; a single
-system is a stack of one. The artificial column of row i is
-``flip_i * e_i`` with cost 1, signed to match b_i, is never stored either
-and is named ``~i``. Each pivot asks the callback for the best real column
-at the duals, prices the m artificial columns itself and rewrites only the
-small tableau. One rule, the solver's alone, serves every pivot: the most
-negative reduced cost below ``-PIVOT_EPS`` enters (real columns first on
-ties), and the minimum ratio leaves, an exact tie going to the
-lexicographically least row of B^-1 divided by its entry in the entering
-column (Dantzig, Orden & Wolfe, 1955). With that rule no basis repeats, so
-the solver terminates deterministically without perturbation tricks or a
-second pivot mode. Phase 1 minimises the total artificial infeasibility;
-its per-row residuals are the feasibility certificate for the membership
-oracle. A convex system, one whose real variables are weights summing to 1
-(``lp_feasibility(..., convex=True)``, and every system of
-``lp_feasibility_batch``, as the oracle's are), stops phase 1 early once a
-Lagrangian lower bound on its optimum proves some residual above the
-tolerance (Farley, Oper. Res. 38, 922 (1990)): on 3,000 uniform oracle
-points at grid 2048 the pricer calls per point fell from 13.88 to 5.14,
-with the same verdicts.
+pricing callback supplies the real columns. The solver keeps only an
+(m+1) x (m+1) revised tableau, as lists of Python floats: the m x m basis
+inverse and the basic values above the negated duals and objective. At m = 5
+(the oracle) a NumPy call costs more than the arithmetic it would vectorise.
+The artificial column of row i is ``flip_i * e_i`` with cost 1, signed to
+match b_i, is never stored either and is named ``~i``. Each pivot asks the
+callback for the best real column at the duals, prices the m artificial
+columns itself and rewrites only the small tableau. One rule, the solver's
+alone, serves every pivot: the most negative reduced cost below
+``-PIVOT_EPS`` enters (real columns first on ties), and the minimum ratio
+leaves, an exact tie going to the lexicographically least row of B^-1
+divided by its entry in the entering column (Dantzig, Orden & Wolfe, 1955).
+With that rule no basis repeats, so the solver terminates deterministically
+without perturbation tricks or a second pivot mode. Phase 1 minimises the
+total artificial infeasibility; its per-row residuals are the feasibility
+certificate for the membership oracle. A convex system, one whose real
+variables are weights summing to 1 (``lp_feasibility(..., convex=True)``,
+as the oracle's are), stops phase 1 early once a Lagrangian lower bound on
+its optimum proves some residual above the tolerance (Farley, Oper. Res.
+38, 922 (1990)): on 3,000 uniform oracle points at grid 2048 the pricer
+calls per point fell from 13.88 to 5.14, with the same verdicts.
 
-``lp_feasibility`` solves one system, with a pricer over lists of floats;
-``lp_feasibility_batch`` solves N convex systems, with a pricer over
-arrays. Both run the one pivot loop, ``_revised_pivots``.
+``lp_feasibility`` solves one system at a time in those plain floats.
+``lp_feasibility_batch`` solves many convex systems over the same columns at
+once, one such tableau per system, stacked along the last axis of an
+(m+1, m+1, N) array, so each NumPy call runs across systems. It applies the
+same rule to each system, with every sum in the same order, so each takes
+the same pivots and ends with the same bits. The oracle sends batches above
+``lhs_oracle.LOCKSTEP_ABOVE`` points through it.
 """
 
 from __future__ import annotations
+
+import math
+from itertools import chain
+from operator import mul
 
 import numpy as np
 
@@ -52,46 +57,31 @@ class OracleError(RuntimeError):
 
 
 def _revised_pivots(price, flip, tableau, basis, b=None, tol=0.0):
-    """Run revised simplex pivots for min cost.x + sum(artificials) on N
-    systems in lockstep, writing each system's final tableau and basis back
-    into ``tableau`` and ``basis``.
+    """Run revised simplex pivots for min cost.x + sum(artificials), in place.
 
-    ``tableau`` is an (m+1, m+1, N) array, one revised tableau per system
-    along its last axis: the basis inverse in ``[:m, :m]``, the basic values
-    in column m, the negated duals in row m and the negated objective in
-    ``[m, m]``. ``basis`` is the (m, N) integer array of the basic column
-    indices and ``flip`` the (m, N) signs of the artificial columns.
-    Columns k >= 0 are the real columns, known only to ``price``: it takes
-    the duals of the n systems still pivoting as an (m, n) array and
-    returns, for each, the lowest index of its most negative reduced cost,
-    that cost and the column, as an (n,) integer array, an (n,) float array
-    and an (m, n) array. A real column's cost is the pricer's business,
-    zero for phase 1. Column ``~i`` is the implicit artificial
-    ``flip[i] * e_i`` with cost 1.
-
-    Each round prices the live systems once and applies one rule to each
-    as masks. Artificial ``i``, the first of the least reduced cost
+    Columns k >= 0 are the real columns, known only to ``price`` (see
+    ``lp_feasibility``); a real column's cost is the pricer's business, zero
+    for phase 1. Column ``~i`` is the implicit artificial ``flip[i] * e_i``
+    with cost 1. Artificial ``i``, the first of the least reduced cost
     ``least``, enters iff ``least < -PIVOT_EPS and not reduced <= least``;
-    otherwise the priced real column enters iff ``reduced < -PIVOT_EPS``,
-    and else the system is optimal. The minimum ratio picks the leaving
-    row, an exact tie going to the lexicographically least row of B^-1
-    divided by its entry, one system at a time. Every sum adds the m
-    entries in order, left to right. A system leaves the live set, and its
-    tableau and basis are written back, where its pivots stop, so the
-    rounds number the most pricer calls any one system needs.
+    otherwise the pivots stop iff ``not reduced < -PIVOT_EPS``.
+    ``tableau`` is a list of m+1 rows of m+1 floats: the basis inverse in
+    ``[:m][:m]``, the basic values in column m, the negated duals in row m
+    and the negated objective in ``[m][m]``. ``basis`` is the list of the m
+    basic column indices.
 
     Invariant: every row of ``[x_B | B^-1]``, basic value first, is
-    lexicographically positive. The artificial start of ``_phase1`` has it
-    (B^-1 = diag(flip), flip = +1 wherever b_i = 0) and the leaving rule
-    keeps it, so each pivot adds a positive multiple of a positive row to
-    the bottom row ``[-z | -y]`` and no basis repeats. Entries at or below
+    lexicographically positive. The artificial start of ``lp_feasibility``
+    has it (B^-1 = diag(flip), flip = +1 wherever b_i = 0) and the leaving
+    rule keeps it, so each pivot adds a positive multiple of a positive row
+    to the bottom row ``[-z | -y]`` and no basis repeats. Entries at or below
     ``PIVOT_EPS`` count as zero; ``DEFAULT_MAX_ITER`` guards against a float
     failure of that argument.
 
-    Early stop. Given ``b``, the (m, N) right-hand sides of convex systems,
-    a system also stops where a real column a enters, no artificial prices
+    Early stop. Given ``b``, the right-hand side of a convex system, the
+    pivots also stop where a real column a enters, no artificial prices
     below 0, and the bound L = reduced + y.b exceeds ``m * tol`` by more
-    than ``_STOP_PAD`` S, with y = -``tableau[m, :m]`` the duals and
+    than ``_STOP_PAD`` S, with y = -``tableau[m][:m]`` the duals and
     S = sum_i |y_i| (|a_i| + |b_i|). Why: every real column and ``b`` end
     in 1, so any x, s >= 0 with A x + diag(flip) s = b has
     sum(x) = 1 - s_m <= 1, and for any y, sum(s) = y.b + sum_j (-y.a_j) x_j
@@ -102,120 +92,77 @@ def _revised_pivots(price, flip, tableau, basis, b=None, tol=0.0):
     every optimal basis has a residual above ``tol`` and the verdict is
     already infeasible. Rounding: the pricer's reduced cost lies within a
     few ulps of S of the exact least (the oracle's columns have entries of
-    at most 1; see ``lhs_oracle._grid_pricer_batch``), the m-term dot
-    product y.b within m ulps of S, and the two subtractions and the pad's
-    own sum round by about an ulp of S each, as m tol < L <= S (1 + m u).
+    at most 1; see ``lhs_oracle._grid_pricer``), the m-term dot product y.b
+    within m ulps of S, and the two subtractions and the pad's own sum
+    round by about an ulp of S each, as m tol < L <= S (1 + m u).
     ``_STOP_PAD`` = 2^-40 is 8192 ulps (u = 2^-53), over a hundred times all
-    of that. The artificial test needs no pad: 1 + flip_i y_i is exact
-    wherever it is near 0 (Sterbenz). The stopped basis's residuals sum to
-    its objective y.b = L - reduced > L, so the largest still exceeds
-    ``tol``. A real column whose last entry is not 1 raises ``OracleError``
-    as it enters. Without ``b`` every system runs to its optimum.
+    of that. The artificial test
+    needs no pad: 1 + flip_i y_i is exact wherever it is near 0 (Sterbenz).
+    The stopped basis's residuals sum to its objective y.b = L - reduced > L,
+    so the largest still exceeds ``tol``. A real column whose last entry is
+    not 1 raises ``OracleError`` as it enters.
 
-    Returns once every system is optimal or stopped. Raises
-    ``OracleError``, with ``tableau`` and ``basis`` partly written, where
-    the pricer returns a non-finite reduced cost, on an unbounded ray, on a
-    non-finite tableau entry, or at the iteration limit.
+    Returns at the optimum or the early stop, and raises ``OracleError`` on
+    a non-finite reduced cost from ``price``, on an unbounded ray, on
+    non-finite duals or objective, or at the iteration limit.
     """
+    eps = PIVOT_EPS
     m = len(flip)
-    eps, limit = PIVOT_EPS, m * tol
-    # The pivots run on copies, and each system is written back where it
-    # stops: systems that have just left the live set pivot once more, on
-    # garbage, before they are dropped. Overflow ends in the finiteness check.
-    stack, bases = tableau.copy(), basis.copy()
-    live = count = np.arange(basis.shape[1])  # the system each stack column holds
-    with np.errstate(all="ignore"):
-        for _ in range(DEFAULT_MAX_ITER):
-            duals = stack[m, :m]
-            col, reduced, a = price(duals)
-            if np.count_nonzero(~np.isfinite(reduced)):
-                raise OracleError("the pricer returned a non-finite reduced cost")
-            artificial = 1.0 + flip * duals
-            first = artificial.argmin(axis=0)
-            least = artificial.min(axis=0)
-            art = (least < -eps) & ~(reduced <= least)
-            enter = art | (reduced < -eps)
-            if b is not None:
-                wrong = enter & ~art & (a[-1] != 1.0)
-                if np.count_nonzero(wrong):
-                    k = wrong.argmax()
-                    raise OracleError(f"real column {col[k]} of a convex system ends in"
-                                      f" {float(a[-1, k])!r}, not 1")
-                gap = reduced - sum(duals * b) - limit
-                scale = sum(np.abs(duals) * (np.abs(a) + np.abs(b)))
-                enter &= art | (least < 0.0) | ~(gap > _STOP_PAD * scale)
-            entering = np.count_nonzero(enter)
-            if entering < enter.size:
-                done = np.nonzero(~enter)[0]
-                tableau[..., live[done]] = stack[..., done]
-                basis[:, live[done]] = bases[:, done]
-                if not entering:
+    limit = m * tol
+    bottom = tableau[m]
+    for _ in range(DEFAULT_MAX_ITER):
+        duals = bottom[:m]
+        col, reduced, a = price(duals)
+        # NaN fails every comparison below and would read as optimal.
+        if not math.isfinite(reduced):
+            raise OracleError("the pricer returned a non-finite reduced cost")
+        artificial = [1.0 + f * y for f, y in zip(flip, duals)]
+        least = min(artificial)
+        if least < -eps and not reduced <= least:
+            col, reduced, a = ~artificial.index(least), least, None
+        elif not reduced < -eps:
+            return
+        elif b is not None:
+            if a[-1] != 1.0:
+                raise OracleError(f"real column {col} of a convex system ends in"
+                                  f" {a[-1]!r}, not 1")
+            if not least < 0.0:
+                # S is summed only once the gap is positive.
+                gap = reduced - sum(map(mul, duals, b)) - limit
+                if gap > 0.0 and gap > _STOP_PAD * sum(
+                        abs(y) * (abs(p) + abs(q)) for y, p, q in zip(duals, a, b)):
                     return
 
-            # The entering column of each full tableau: B^-1 a above its
-            # reduced cost, or the artificial's column of B^-1 times its sign.
-            column = sum((stack[:m, :m] * a).swapaxes(0, 1))
-            if np.count_nonzero(art):
-                column = np.where(art, stack[:m, first, count] * flip[first, count], column)
-            eligible = column > eps
-            ratio = stack[:m, m] / column
-            tied = eligible & (ratio == np.where(eligible, ratio, np.inf).min(axis=0))
-            ties = tied.sum(axis=0)
-            if np.count_nonzero(enter & (ties == 0)):
-                raise OracleError("phase 1 reported unbounded; basis inverse is corrupt")
-            row = tied.argmax(axis=0)
-            for k in np.nonzero(enter & (ties > 1))[0].tolist():
-                inverse, entries = stack[:m, :m, k].tolist(), column[:, k].tolist()
-                for i in np.nonzero(tied[:, k])[0][1:].tolist():
-                    r = row[k]
-                    if ([t / entries[i] for t in inverse[i]]
-                            < [t / entries[r] for t in inverse[r]]):
-                        row[k] = i
+        # The entering column of the full tableau: B^-1 a above its reduced cost.
+        if a is None:
+            f = flip[~col]
+            column = [tableau[i][~col] * f for i in range(m)]
+        else:
+            column = [sum(map(mul, tableau[i], a)) for i in range(m)]
+        row = -1
+        for i, entry in enumerate(column):
+            if entry > eps:
+                ratio = tableau[i][m] / entry
+                if row < 0 or ratio < best:
+                    row, best = i, ratio
+                elif ratio == best and ([t / entry for t in tableau[i][:m]]
+                                        < [t / column[row] for t in tableau[row][:m]]):
+                    row = i
+        if row < 0:
+            raise OracleError("phase 1 reported unbounded; basis inverse is corrupt")
+        column.append(reduced)
 
-            factors = np.concatenate([column, np.where(art, least, reduced)[None]])
-            leaving = stack[row, :, count].T / column[row, count]
-            stack -= factors[:, None] * leaving
-            stack[row, :, count] = leaving.T
-            bases[row, count] = np.where(art, ~first, col)
-            if entering < enter.size:
-                keep = np.nonzero(enter)[0]
-                stack, flip, bases, live = (
-                    x.take(keep, axis=-1) for x in (stack, flip, bases, live))
-                if b is not None:
-                    b = b.take(keep, axis=-1)
-                count = count[:keep.size]
-            # A pricer may take angles of the duals; stop before it sees a NaN.
-            if np.count_nonzero(~np.isfinite(stack)):
-                raise OracleError(_LOST_FINITENESS)
+        pivot = column[row]
+        leaving = tableau[row] = [t / pivot for t in tableau[row]]
+        for i, factor in enumerate(column):
+            if i != row:
+                tableau[i] = [t - factor * r for t, r in zip(tableau[i], leaving)]
+        basis[row] = col
+        bottom = tableau[m]
+        # A pricer may take angles of the duals; stop before it sees a NaN.
+        if not all(map(math.isfinite, bottom)):
+            raise OracleError(_LOST_FINITENESS)
     raise OracleError("simplex iteration limit reached in phase 1")
-
-
-def _check_tol(tol):
-    if not 0.0 <= tol <= MAX_LP_TOL:
-        raise ValueError(f"tol must lie in [0, {MAX_LP_TOL:g}], got {tol}")
-
-
-def _phase1(price, rhs, tol, convex):
-    """Phase 1 of the systems whose right-hand sides are the columns of the
-    (m, N) array ``rhs``, each from its artificial basis: B^-1 = diag(flip),
-    basic values |b|, duals flip. Returns (feasible, residuals, tableau,
-    basis): the (N,) verdicts at ``tol``, the (N, m) residuals, and the
-    final tableaux and bases of ``_revised_pivots``."""
-    m, n = rhs.shape
-    flip = np.where(rhs < 0.0, -1.0, 1.0)
-    values = rhs * flip
-    diagonal = np.arange(m)
-    tableau = np.zeros((m + 1, m + 1, n))
-    tableau[diagonal, diagonal] = flip
-    tableau[:m, m] = values
-    tableau[m, :m] = -flip
-    tableau[m, m] = -sum(values)
-    basis = np.repeat(~diagonal[:, None], n, axis=1)
-    _revised_pivots(price, flip, tableau, basis, rhs if convex else None, tol)
-    residuals = np.zeros((n, m))
-    rows, systems = np.nonzero(basis < 0)
-    residuals[systems, ~basis[rows, systems]] = tableau[rows, m, systems]
-    return residuals.max(axis=1) <= tol, residuals, tableau, basis
 
 
 def lp_feasibility(price, b, *, tol: float = DEFAULT_LP_TOL, convex: bool = False):
@@ -225,14 +172,14 @@ def lp_feasibility(price, b, *, tol: float = DEFAULT_LP_TOL, convex: bool = Fals
     takes the duals, a list of m floats, and always returns ``(col, reduced,
     column)`` for the lowest index of the most negative reduced cost, the
     column a list of m floats; ``_revised_pivots`` decides whether it
-    enters. The system runs as a batch of one. Phase 1: one artificial
-    variable per row starts in the basis, and the pivots minimise their sum.
+    enters. Phase 1: one artificial variable per row starts in the basis,
+    and the pivots minimise their sum.
     ``convex=True`` declares that the real variables are weights: ``b[-1]``
     is 1 and every real column ends in 1. Phase 1 may then stop before its
     optimum, once ``_revised_pivots``' Lagrangian bound proves the verdict
     infeasible; a ``b[-1]`` other than 1 raises ``ValueError`` before
     ``price`` is called, and a column that enters without the final 1
-    raises ``OracleError``, as does a non-finite reduced cost.
+    raises ``OracleError``.
     Returns (feasible, x, residuals), where residuals[i] is the absolute
     infeasibility left in row i at the basis where phase 1 ended and ``x``
     maps each basic real column to its value there, whether or not the
@@ -245,24 +192,39 @@ def lp_feasibility(price, b, *, tol: float = DEFAULT_LP_TOL, convex: bool = Fals
     non-finite ``b``, or a ``tol`` outside [0, ``MAX_LP_TOL``], raises
     ``ValueError`` before ``price`` is called.
     """
-    _check_tol(tol)
+    if not 0.0 <= tol <= MAX_LP_TOL:
+        raise ValueError(f"tol must lie in [0, {MAX_LP_TOL:g}], got {tol}")
     b = np.asarray(b, dtype=float)
     if b.ndim != 1 or not b.size:
         raise ValueError(f"b must be a non-empty vector, got shape {b.shape}")
-    if not np.isfinite(b).all():
+    b = b.tolist()
+    if not all(map(math.isfinite, b)):
         raise ValueError("b must be finite")
     if convex and b[-1] != 1.0:
-        raise ValueError(f"a convex system needs b[-1] == 1, got {float(b[-1])!r}")
+        raise ValueError(f"a convex system needs b[-1] == 1, got {b[-1]!r}")
+    m = len(b)
+    flip = [-1.0 if v < 0.0 else 1.0 for v in b]
 
-    def price_one(duals):
-        col, reduced, column = price(duals[:, 0].tolist())
-        return (np.array([col]), np.array([reduced], dtype=float),
-                np.array(column, dtype=float)[:, None])
+    # Artificial basis: B^-1 = diag(flip), basic values |b|, duals = flip.
+    values = [v * f for v, f in zip(b, flip)]
+    tableau = [[0.0] * m + [v] for v in values]
+    for i, f in enumerate(flip):
+        tableau[i][i] = f
+    tableau.append([-f for f in flip] + [-sum(values)])
+    basis = [~i for i in range(m)]
 
-    feasible, residuals, tableau, basis = _phase1(price_one, b[:, None], tol, convex)
-    values = tableau[:-1, -1, 0].tolist()  # the basic values
-    x = {var: max(value, 0.0) for var, value in zip(basis[:, 0].tolist(), values) if var >= 0}
-    return bool(feasible[0]), x, residuals[0]
+    _revised_pivots(price, flip, tableau, basis, b if convex else None, tol)
+    if not all(map(math.isfinite, chain.from_iterable(tableau))):
+        raise OracleError(_LOST_FINITENESS)
+
+    residuals = [0.0] * m
+    x = {}
+    for var, row in zip(basis, tableau):
+        if var < 0:
+            residuals[~var] = row[m]
+        else:
+            x[var] = max(row[m], 0.0)
+    return max(residuals) <= tol, x, np.array(residuals)
 
 
 def lp_feasibility_batch(price, B, *, tol: float = DEFAULT_LP_TOL):
@@ -271,11 +233,17 @@ def lp_feasibility_batch(price, B, *, tol: float = DEFAULT_LP_TOL):
 
     Every system has the same columns. ``price(duals)`` takes the duals of
     the n systems still pivoting as an (m, n) array, one column per system,
-    and returns ``(cols, reduced, columns)``: for each system, the lowest
-    index of its most negative reduced cost, that cost and the column, as
-    an (n,) integer array, an (n,) float array and an (m, n) array. Each
-    system takes the pivots it takes alone and ends with the same bits;
-    ``x`` is not reported.
+    and returns ``(cols, reduced, columns)``: for each system, what the
+    scalar pricer returns for its duals, as an (n,) integer array, an (n,)
+    float array and an (m, n) array. Each round prices the live systems
+    once and applies ``_revised_pivots``' rule to every one of them as
+    masks: the artificial entry test, the optimality test, the Lagrangian
+    early stop, and the minimum ratio, whose exact ties go to the
+    lexicographically least row one system at a time. Every sum runs left
+    to right as in the scalar loop, so each system takes the pivots
+    ``lp_feasibility`` takes and ends with the same bits. A system leaves
+    the live set where that loop would return, so the rounds number the
+    most pricer calls any one system needs. ``x`` is not reported.
 
     Returns (feasible, residuals): an (N,) bool array and the (N, m) array
     of ``lp_feasibility``'s residuals. Raises ``OracleError``, with no
@@ -284,7 +252,8 @@ def lp_feasibility_batch(price, B, *, tol: float = DEFAULT_LP_TOL):
     ones, or a ``tol`` outside [0, ``MAX_LP_TOL``], raises ``ValueError``
     before ``price`` is called; an empty batch returns without calling it.
     """
-    _check_tol(tol)
+    if not 0.0 <= tol <= MAX_LP_TOL:
+        raise ValueError(f"tol must lie in [0, {MAX_LP_TOL:g}], got {tol}")
     B = np.asarray(B, dtype=float)
     if B.ndim != 2 or not B.shape[1]:
         raise ValueError(f"B must be an (N, m) array with m >= 1, got shape {B.shape}")
@@ -292,6 +261,95 @@ def lp_feasibility_batch(price, B, *, tol: float = DEFAULT_LP_TOL):
         raise ValueError("B must be finite")
     if not (B[:, -1] == 1.0).all():
         raise ValueError("a convex system needs B[:, -1] == 1")
-    if not len(B):
-        return np.zeros(0, dtype=bool), np.zeros(B.shape)
-    return _phase1(price, B.T.copy(), tol, True)[:2]
+    n, m = B.shape
+    residuals = np.zeros((n, m))
+    if not n:
+        return np.zeros(0, dtype=bool), residuals
+
+    # Artificial bases, as in lp_feasibility; the last axis runs over systems.
+    rhs = B.T.copy()
+    flip = np.where(rhs < 0.0, -1.0, 1.0)
+    values = rhs * flip
+    diagonal = np.arange(m)
+    tableau = np.zeros((m + 1, m + 1, n))
+    tableau[diagonal, diagonal] = flip
+    tableau[:m, m] = values
+    tableau[m, :m] = -flip
+    tableau[m, m] = -sum(values)
+    basis = np.repeat(~diagonal[:, None], n, axis=1)
+    live = count = np.arange(n)  # the row of B each system came from
+    # The basic values and basis where each system's pivots ended.
+    ended_values, ended_basis = np.empty((m, n)), np.empty((m, n), dtype=basis.dtype)
+
+    eps, limit = PIVOT_EPS, m * tol
+    # Overflow ends in the finiteness checks; systems that have just left
+    # the live set pivot once more, on garbage, before they are dropped.
+    with np.errstate(all="ignore"):
+        for _ in range(DEFAULT_MAX_ITER):
+            duals = tableau[m, :m]
+            col, reduced, a = price(duals)
+            if np.count_nonzero(~np.isfinite(reduced)):
+                raise OracleError("the pricer returned a non-finite reduced cost")
+            artificial = 1.0 + flip * duals
+            first = artificial.argmin(axis=0)
+            least = artificial.min(axis=0)
+            art = (least < -eps) & ~(reduced <= least)
+            real = ~art & (reduced < -eps)
+            wrong = real & (a[-1] != 1.0)
+            if np.count_nonzero(wrong):
+                k = wrong.argmax()
+                raise OracleError(f"real column {col[k]} of a convex system ends in"
+                                  f" {float(a[-1, k])!r}, not 1")
+            gap = reduced - sum(duals * rhs) - limit
+            scale = sum(np.abs(duals) * (np.abs(a) + np.abs(rhs)))
+            enter = art | (real & ((least < 0.0) | ~(gap > _STOP_PAD * scale)))
+            entering = np.count_nonzero(enter)
+            if entering < enter.size:
+                done = np.nonzero(~enter)[0]
+                ended_values[:, live[done]] = tableau[:m, m, done]
+                ended_basis[:, live[done]] = basis[:, done]
+                if not entering:
+                    break
+
+            # The entering column of each full tableau: B^-1 a above its
+            # reduced cost, or the artificial's column of B^-1 times its sign.
+            column = sum((tableau[:m, :m] * a).swapaxes(0, 1))
+            if np.count_nonzero(art):
+                column = np.where(art, tableau[:m, first, count] * flip[first, count],
+                                  column)
+            eligible = column > eps
+            ratio = tableau[:m, m] / column
+            tied = eligible & (ratio == np.where(eligible, ratio, np.inf).min(axis=0))
+            ties = tied.sum(axis=0)
+            if np.count_nonzero(enter & (ties == 0)):
+                raise OracleError("phase 1 reported unbounded; basis inverse is corrupt")
+            row = tied.argmax(axis=0)
+            for k in np.nonzero(enter & (ties > 1))[0].tolist():
+                inverse, entries = tableau[:m, :m, k].tolist(), column[:, k].tolist()
+                for i in np.nonzero(tied[:, k])[0][1:].tolist():
+                    r = row[k]
+                    if ([t / entries[i] for t in inverse[i]]
+                            < [t / entries[r] for t in inverse[r]]):
+                        row[k] = i
+
+            factors = np.concatenate([column, np.where(art, least, reduced)[None]])
+            leaving = tableau[row, :, count].T / column[row, count]
+            tableau -= factors[:, None] * leaving
+            tableau[row, :, count] = leaving.T
+            basis[row, count] = np.where(art, ~first, col)
+            if entering < enter.size:
+                keep = np.nonzero(enter)[0]
+                tableau, flip, rhs, basis, live = (
+                    x.take(keep, axis=-1) for x in (tableau, flip, rhs, basis, live))
+                count = count[:keep.size]
+            # A pricer may take angles of the duals; stop before it sees a NaN.
+            # An entry that is not finite stays so, and would end in
+            # lp_feasibility's check of the whole tableau.
+            if np.count_nonzero(~np.isfinite(tableau)):
+                raise OracleError(_LOST_FINITENESS)
+        else:
+            raise OracleError("simplex iteration limit reached in phase 1")
+
+    rows, systems = np.nonzero(ended_basis < 0)
+    residuals[systems, ~ended_basis[rows, systems]] = ended_values[rows, systems]
+    return residuals.max(axis=1) <= tol, residuals

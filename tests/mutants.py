@@ -51,20 +51,33 @@ CATALOGUE = (
            "if abs(f - 1.0) <= band:", "if abs(f - 1.0) < band:",
            ("tests/test_lhs_oracle.py",)),
     Mutant("lp-feasibility-tol-open", "src/chsh_steering/simplex.py",
-           "return residuals.max(axis=1) <= tol", "return residuals.max(axis=1) < tol",
+           "max(residuals) <= tol", "max(residuals) < tol",
            ("tests/test_simplex.py",)),
     Mutant("tie-goes-to-artificial", "src/chsh_steering/simplex.py",
-           "art = (least < -eps) & ~(reduced <= least)",
-           "art = (least < -eps) & ~(reduced < least)",
+           "if least < -eps and not reduced <= least:",
+           "if least < -eps and not reduced < least:",
            ("tests/test_simplex.py",)),
     Mutant("entry-threshold-closed", "src/chsh_steering/simplex.py",
-           "enter = art | (reduced < -eps)", "enter = art | (reduced <= -eps)",
+           "elif not reduced < -eps:", "elif not reduced <= -eps:",
+           ("tests/test_simplex.py",)),
+    Mutant("nan-reduced-accepted", "src/chsh_steering/simplex.py",
+           "if not math.isfinite(reduced):", "if False:",
+           ("tests/test_simplex.py",)),
+    Mutant("artificial-start-flips-zero-rows", "src/chsh_steering/simplex.py",
+           "flip = [-1.0 if v < 0.0 else 1.0 for v in b]",
+           "flip = [-1.0 if v <= 0.0 else 1.0 for v in b]",
+           ("tests/test_simplex.py",)),
+    Mutant("lockstep-artificial-start-flips-zero-rows", "src/chsh_steering/simplex.py",
+           "flip = np.where(rhs < 0.0, -1.0, 1.0)", "flip = np.where(rhs <= 0.0, -1.0, 1.0)",
+           ("tests/test_simplex.py", "tests/test_lhs_oracle.py")),
+    Mutant("x-unclamped", "src/chsh_steering/simplex.py",
+           "x[var] = max(row[m], 0.0)", "x[var] = row[m]",
            ("tests/test_simplex.py",)),
     Mutant("empty-b-accepted", "src/chsh_steering/simplex.py",
            "if b.ndim != 1 or not b.size:", "if b.ndim != 1:",
            ("tests/test_simplex.py",)),
     Mutant("residual-row-misnamed", "src/chsh_steering/simplex.py",
-           "residuals[systems, ~basis[rows, systems]]", "residuals[systems, basis[rows, systems]]",
+           "residuals[~var] = row[m]", "residuals[var] = row[m]",
            ("tests/test_simplex.py",)),
     Mutant("decompose-tol-10x", "src/chsh_steering/lhs_oracle.py",
            "if r1 + r2 - 1.0 > WEIGHT_SUM_TOL:",
@@ -130,6 +143,9 @@ CATALOGUE = (
     Mutant("y-sign-closed", "src/chsh_steering/homodyne_experiment.py",
            "== (mass_below <= u2 * mass)", "== (mass_below < u2 * mass)",
            ("tests/test_homodyne_experiment.py",)),
+    Mutant("ratio-tie-last", "src/chsh_steering/simplex.py",
+           "if row < 0 or ratio < best:", "if row < 0 or ratio <= best:",
+           ("tests/test_simplex.py",)),
     Mutant("screen-slack-zero", "src/chsh_steering/violation_search.py",
            "_SLACK = 2.0 ** -44", "_SLACK = 0.0",
            ("tests/test_violation_search.py",)),
@@ -143,19 +159,35 @@ CATALOGUE = (
            "if 0.0 in text:", "if False:",
            ("tests/test_cli.py",)),
     Mutant("pricer-bracket-unwrapped", "src/chsh_steering/lhs_oracle.py",
-           "wrap = ks[:, 1] == grid_n", "wrap = ks[:, 1] > grid_n",
+           "if low + 1 < grid_n else (0, low)", "if low + 1 <= grid_n else (0, low)",
            ("tests/test_lhs_oracle.py",)),
+    Mutant("lex-tie-reversed", "src/chsh_steering/simplex.py",
+           "< [t / column[row] for t in tableau[row][:m]]",
+           "> [t / column[row] for t in tableau[row][:m]]",
+           ("tests/test_simplex.py",)),
     Mutant("decompose-remainder-unclamped", "src/chsh_steering/lhs_oracle.py",
            "half = 0.5 * max(1.0 - r1 - r2, 0.0)", "half = 0.5 * (1.0 - r1 - r2)",
            ("tests/test_lhs_oracle.py",)),
+    Mutant("pivot-entry-threshold-zero", "src/chsh_steering/simplex.py",
+           "eps = PIVOT_EPS", "eps = 0.0",
+           ("tests/test_simplex.py",)),
     Mutant("inner-polygon-4-directions", "src/chsh_steering/violation_search.py",
            "_DIRECTIONS = 16", "_DIRECTIONS = 4",
            ("tests/test_violation_search.py",)),
     Mutant("hull-chain-keeps-collinear", "src/chsh_steering/violation_search.py",
            "(ys[k] - ys[i]) > (ys[j] - ys[i])", "(ys[k] - ys[i]) >= (ys[j] - ys[i])",
            ("tests/test_violation_search.py",)),
+    Mutant("convex-stop-artificial-unchecked", "src/chsh_steering/simplex.py",
+           "if not least < 0.0:", "if True:",
+           ("tests/test_simplex.py",)),
+    Mutant("convex-stop-at-tol", "src/chsh_steering/simplex.py",
+           "limit = m * tol", "limit = tol",
+           ("tests/test_simplex.py",)),
     Mutant("convex-stop-unpadded", "src/chsh_steering/simplex.py",
            "_STOP_PAD = 2.0 ** -40", "_STOP_PAD = 0.0",
+           ("tests/test_simplex.py",)),
+    Mutant("convex-column-unchecked", "src/chsh_steering/simplex.py",
+           "if a[-1] != 1.0:", "if False:",
            ("tests/test_simplex.py",)),
     Mutant("convex-rhs-unchecked", "src/chsh_steering/simplex.py",
            "if convex and b[-1] != 1.0:", "if False:",
@@ -173,7 +205,7 @@ CATALOGUE = (
            "keep = np.nonzero(enter)[0]", "keep = np.arange(enter.size)",
            ("tests/test_simplex.py", "tests/test_lhs_oracle.py")),
     Mutant("lockstep-stop-artificial-unchecked", "src/chsh_steering/simplex.py",
-           "art | (least < 0.0) | ~(gap", "art | ~(gap",
+           "((least < 0.0) | ~(gap > _STOP_PAD * scale))", "~(gap > _STOP_PAD * scale)",
            ("tests/test_simplex.py",)),
     Mutant("lockstep-stop-unpadded", "src/chsh_steering/simplex.py",
            "~(gap > _STOP_PAD * scale)", "~(gap > 0.0 * scale)",
@@ -188,7 +220,7 @@ CATALOGUE = (
            "np.count_nonzero(enter & (ties == 0))", "np.count_nonzero(ties == 0)",
            ("tests/test_simplex.py",)),
     Mutant("lockstep-convex-column-unchecked", "src/chsh_steering/simplex.py",
-           "wrong = enter & ~art & (a[-1] != 1.0)", "wrong = enter & False",
+           "wrong = real & (a[-1] != 1.0)", "wrong = real & False",
            ("tests/test_simplex.py",)),
     Mutant("lockstep-rhs-unchecked", "src/chsh_steering/simplex.py",
            "if not (B[:, -1] == 1.0).all():", "if False:",
@@ -197,31 +229,16 @@ CATALOGUE = (
            "if np.count_nonzero(~np.isfinite(reduced)):", "if False:",
            ("tests/test_simplex.py", "tests/test_lhs_oracle.py")),
     Mutant("lockstep-finiteness-unchecked", "src/chsh_steering/simplex.py",
-           "if np.count_nonzero(~np.isfinite(stack)):", "if False:",
+           "if np.count_nonzero(~np.isfinite(tableau)):", "if False:",
            ("tests/test_simplex.py",)),
+    Mutant("lockstep-threshold-off-by-one", "src/chsh_steering/lhs_oracle.py",
+           "if len(points) <= LOCKSTEP_ABOVE:", "if len(points) < LOCKSTEP_ABOVE:",
+           ("tests/test_lhs_oracle.py",)),
     Mutant("lockstep-one-chunk", "src/chsh_steering/lhs_oracle.py",
            "for start in range(0, len(points), LOCKSTEP_CHUNK):\n"
-           "        chunk = points[start:start + LOCKSTEP_CHUNK]",
-           "for start in (0,):\n        chunk = points",
+           "            chunk = points[start:start + LOCKSTEP_CHUNK]",
+           "for start in (0,):\n            chunk = points",
            ("tests/test_lhs_oracle.py",)),
-    Mutant("convex-flag-ignored", "src/chsh_steering/simplex.py",
-           "rhs if convex else None", "rhs",
-           ("tests/test_simplex.py",)),
-    Mutant("written-back-to-stack-position", "src/chsh_steering/simplex.py",
-           "tableau[..., live[done]] = stack[..., done]", "tableau[..., done] = stack[..., done]",
-           ("tests/test_simplex.py", "tests/test_lhs_oracle.py")),
-    Mutant("pivots-in-callers-tableau", "src/chsh_steering/simplex.py",
-           "stack, bases = tableau.copy(), basis.copy()", "stack, bases = tableau, basis",
-           ("tests/test_simplex.py", "tests/test_lhs_oracle.py")),
-    Mutant("artificial-start-flips-zero-rows", "src/chsh_steering/simplex.py",
-           "flip = np.where(rhs < 0.0, -1.0, 1.0)", "flip = np.where(rhs <= 0.0, -1.0, 1.0)",
-           ("tests/test_simplex.py",)),
-    Mutant("x-drops-column-zero", "src/chsh_steering/simplex.py",
-           "values) if var >= 0}", "values) if var > 0}",
-           ("tests/test_simplex.py",)),
-    Mutant("x-unclamped", "src/chsh_steering/simplex.py",
-           "{var: max(value, 0.0) for", "{var: value for",
-           ("tests/test_simplex.py",)),
     Mutant("bracket-doubt-ignored", "src/chsh_steering/lhs_oracle.py",
            "        if doubt.any():\n", "        if False:\n",
            ("tests/test_lhs_oracle.py",)),

@@ -4,8 +4,8 @@ Nothing in the package calls these: each is a second, plain statement of a
 physical quantity (a pure state, a Born probability, a joint probability
 table), a short form of a production object that the tests need as input,
 or the dense form of a computation the package does implicitly (the oracle's
-atom matrix, the ``duals @ A`` pricing over it, and phase 1 on an explicit
-tableau). ``positive_products`` is the Monte Carlo's sign kernel as
+atom matrix and the ``duals @ A`` pricing over it, for one system or for a
+lockstep batch). ``positive_products`` is the Monte Carlo's sign kernel as
 it was before uniform buckets decided most draws: it computes x and both
 quadratics for every draw.
 """
@@ -25,7 +25,7 @@ from chsh_steering.correlation_model import (
     validate_correlation_matrix,
 )
 from chsh_steering.qubit_core import projector_from_params, validate_effect
-from chsh_steering.simplex import DEFAULT_LP_TOL, PIVOT_EPS, lp_feasibility
+from chsh_steering.simplex import DEFAULT_LP_TOL, lp_feasibility
 
 
 @dataclass(frozen=True)
@@ -177,66 +177,15 @@ def dense_pricer(A, cost=None):
 
 def batched_pricer(price):
     """A pricing callback for ``simplex.lp_feasibility_batch`` that asks the
-    callback ``price`` of ``lp_feasibility`` about each system in turn, with
-    its duals as a list of floats."""
+    scalar callback ``price`` about each system in turn, with its duals as a
+    list of floats, so every system is priced exactly as ``lp_feasibility``
+    prices it."""
 
     def price_batch(duals):
         cols, reduced, columns = zip(*map(price, duals.T.tolist()))
         return np.array(cols), np.array(reduced), np.array(columns, dtype=float).T
 
     return price_batch
-
-
-def single_pricer(price_batch):
-    """A pricing callback for ``simplex.lp_feasibility`` that prices its
-    duals as a batch of one with ``price_batch``, a callback of
-    ``lp_feasibility_batch``, and returns an int, a float and a list."""
-
-    def price(duals):
-        cols, reduced, columns = price_batch(np.array(duals, dtype=float)[:, None])
-        return int(cols[0]), float(reduced[0]), columns[:, 0].tolist()
-
-    return price
-
-
-def dense_phase1(A, b, tol: float = DEFAULT_LP_TOL):
-    """Phase 1 on an explicit (m+1) x (n+m+1) tableau, the form the revised
-    kernel replaced. Returns (feasible at ``tol``, residuals).
-
-    The tableau holds the sign-flipped rows ``flip * A``, and its artificial
-    basis starts as the identity. It breaks a ratio tie by the least row of
-    that tableau's artificial block, which is B^-1 with its columns scaled
-    by ``flip``: another lexicographic order than the kernel's wherever some
-    b_i < 0, and anti-cycling on its own. It always runs to the optimum.
-    """
-    A, b = np.asarray(A, dtype=float), np.asarray(b, dtype=float)
-    m, n = A.shape
-    flip = np.where(b < 0.0, -1.0, 1.0)
-    A1 = A * flip[:, None]
-    tableau = np.zeros((m + 1, n + m + 1))
-    tableau[:m, :n] = A1
-    tableau[:m, n:n + m] = np.eye(m)
-    tableau[:m, -1] = b * flip
-    tableau[m, :n] = -A1.sum(axis=0)
-    tableau[m, -1] = -tableau[:m, -1].sum()
-    basis = np.arange(n, n + m)
-    while True:
-        col = int(np.argmin(tableau[m, :n + m]))
-        if tableau[m, col] >= -PIVOT_EPS:
-            break
-        column = tableau[:m, col]
-        rows = np.nonzero(column > PIVOT_EPS)[0]
-        keys = (tableau[rows][:, [-1, *range(n, n + m)]] / column[rows, None]).tolist()
-        row = int(rows[keys.index(min(keys))])
-        tableau[row, :] /= tableau[row, col]
-        factors = tableau[:, col].copy()
-        factors[row] = 0.0
-        tableau -= np.outer(factors, tableau[row, :])
-        basis[row] = col
-    residuals = np.zeros(m)
-    artificial = basis >= n
-    residuals[basis[artificial] - n] = tableau[:m, -1][artificial]
-    return bool((residuals <= tol).all()), residuals
 
 
 def dense_lp_feasibility(A, b, *, tol: float = DEFAULT_LP_TOL):

@@ -144,10 +144,10 @@ class TestOracleCheck:
     def test_oracle_failure_is_one_error_line(self, capsys, monkeypatch):
         # A NaN reduced cost for one point of a lockstep batch: no verdicts
         # are printed, only the error.
-        pricer = lhs_oracle._grid_pricer_batch
+        twin = lhs_oracle._grid_pricer_batch
 
         def nan_for_one_point(grid_n):
-            price = pricer(grid_n)
+            price = twin(grid_n)
 
             def poisoned(duals):
                 col, reduced, columns = price(duals)

@@ -1,4 +1,6 @@
+import hashlib
 import itertools
+import json
 import math
 import tracemalloc
 
@@ -28,14 +30,7 @@ from chsh_steering.lhs_oracle import (
 )
 from chsh_steering.simplex import DEFAULT_LP_TOL, OracleError, lp_feasibility
 from chsh_steering.steering_witness import f_value, f_value_array
-from reference import (
-    atom_matrix,
-    dense_phase1,
-    from_e_basis,
-    from_e_basis_array,
-    oracle_matrix,
-    single_pricer,
-)
+from reference import atom_matrix, from_e_basis, from_e_basis_array, oracle_matrix
 
 
 def random_members(rng, count):
@@ -309,52 +304,59 @@ class TestLpMembership:
         assert res.verdict == BOUNDARY_BAND
         assert isinstance(res.lp_feasible, bool)
 
-    def test_one_lp_batch_call_per_chunk(self, monkeypatch):
-        # The oracle asks the LP only about its columns, b and tol, in one
-        # lp_feasibility_batch call per LOCKSTEP_CHUNK points: one pricer,
-        # built from the grid alone, serves every chunk, and each row of B is
-        # a point above the weight row, so nothing derived from f can reach
-        # the membership decision.
-        built, calls = [], []
-        pricer, batch = lhs_oracle._grid_pricer_batch, lhs_oracle.lp_feasibility_batch
+    def test_one_lp_call_per_point(self, monkeypatch):
+        # The oracle asks the LP only about its columns, b and tol, once per
+        # point, declaring the columns convex: one pricer, built from the grid
+        # alone, serves every point, and b is the point above the weight row,
+        # so nothing derived from f can reach the membership decision.
+        calls = []
 
-        def building(*args, **kwargs):
-            built.append((args, kwargs))
-            return pricer(*args, **kwargs)
+        def counting(price, b, **kwargs):
+            calls.append((price, list(b), kwargs))
+            return lp_feasibility(price, b, **kwargs)
 
-        def counting(price, B, **kwargs):
-            calls.append((price, B.tolist(), kwargs))
-            return batch(price, B, **kwargs)
-
-        monkeypatch.setattr(lhs_oracle, "_grid_pricer_batch", building)
-        monkeypatch.setattr(lhs_oracle, "lp_feasibility_batch", counting)
-        monkeypatch.setattr(lhs_oracle, "LOCKSTEP_CHUNK", 30)
-        rng = np.random.Generator(np.random.Philox(27))
-        for size in (1, 7, 30, 61):
-            built.clear()
-            calls.clear()
-            points = rng.uniform(-1.0, 1.0, (size, 4))
-            assert len(lp_membership_batch(points, grid_n=64, tol=2e-9)) == size
-            assert built == [((64,), {})]
-            assert len({id(price) for price, _, _ in calls}) == 1
-            assert [len(B) for _, B, _ in calls] == [min(30, size - start)
-                                                     for start in range(0, size, 30)]
-            assert [row for _, B, _ in calls for row in B] == [
-                [*point, 1.0] for point in points.tolist()]
-            assert all(kwargs == {"tol": 2e-9} for _, _, kwargs in calls)
+        monkeypatch.setattr(lhs_oracle, "lp_feasibility", counting)
+        points = np.random.Generator(np.random.Philox(27)).uniform(-1.0, 1.0, (7, 4))
+        assert len(lp_membership_batch(points, grid_n=64)) == 7
+        assert len(calls) == 7
+        assert len({id(price) for price, _, _ in calls}) == 1
+        assert [(b, sorted(kwargs)) for _, b, kwargs in calls] == [
+            ([*point, 1.0], ["convex", "tol"]) for point in points.tolist()]
+        assert all(kwargs["convex"] is True for _, _, kwargs in calls)
 
     def test_empty_batch_runs_no_lp(self, monkeypatch):
-        # No chunk, no LP call, no result; the arguments are still checked.
+        # No LP call, no result; the arguments are still checked.
+        monkeypatch.setattr(lhs_oracle, "lp_feasibility", None)
         monkeypatch.setattr(lhs_oracle, "lp_feasibility_batch", None)
         assert lp_membership_batch(np.zeros((0, 4)), grid_n=64) == []
         with pytest.raises(ValueError, match="LP tolerance"):
             lp_membership_batch(np.zeros((0, 4)), grid_n=64, tol=-1.0)
 
+    # sha256 of the JSON list of (lp_feasible, max_residual.hex()) on 3,000
+    # seed-201 points, recorded on NumPy 2.4.6 like tests/test_stdout_pins.py.
+    # TestLockstep ties each point's bits to its own scalar phase 1; this ties
+    # both loops to the recorded bits, which a verdict check alone would miss.
+    RESIDUAL_PINS = {
+        8: "232be573121f96cfe6cadcd383c5958306884d5d8f567b891994aec0dae4733f",
+        64: "8c4e0653b0718e998ea9ca0c22a93f94a89f2bf50ac536d4b45f40184d6ea5fc",
+        2048: "048799d802a3e629d80f481066e350b78bc78959d98b7c2ecf95c12f8e40dd9b",
+        65536: "8bae97be651be8bd001e923b694ab7fa2b282cb5bc5f2f14f1efb474f171c169",
+    }
+
+    @pytest.mark.parametrize("grid_n", sorted(RESIDUAL_PINS))
+    def test_residual_bits_match_pin(self, grid_n):
+        rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(201)))
+        points = rng.uniform(-1.0, 1.0, (3000, 4))
+        got = [(r.lp_feasible, r.max_residual.hex())
+               for r in lp_membership_batch(points, grid_n=grid_n)]
+        digest = hashlib.sha256(json.dumps(got).encode()).hexdigest()
+        assert digest == self.RESIDUAL_PINS[grid_n]
+
     def test_max_residual_is_the_lp_certificate(self):
         # max_residual is bitwise the largest per-row residual of the basis
         # where the point's convex phase 1 ended, and it lies within tol
         # exactly when lp_feasible, which is the full phase 1's verdict.
-        price = single_pricer(lhs_oracle._grid_pricer_batch(64))
+        price = lhs_oracle._grid_pricer(64)
         rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(201)))
         points = rng.uniform(-1.0, 1.0, (300, 4))
         results = lp_membership_batch(points, grid_n=64)
@@ -379,7 +381,7 @@ class TestLpMembership:
         lp_membership_batch(np.zeros((3, 4)), grid_n=64, tol=lhs_oracle.MAX_LP_TOL)
         # A non-finite point is named as such before any LP runs; it used to
         # fail inside lp_feasibility, which names its own argument b.
-        monkeypatch.setattr(lhs_oracle, "lp_feasibility_batch", None)
+        monkeypatch.setattr(lhs_oracle, "lp_feasibility", None)
         for bad in (np.nan, np.inf, -np.inf):
             points = np.zeros((3, 4))
             points[2, 1] = bad
@@ -406,18 +408,55 @@ def _random_duals(rng, count):
     return np.concatenate([generic, flat, dyadic, zero])
 
 
-def _scalar_reduced(duals, grid_n, cols=None):
-    """The reduced costs of ``cols`` (every column if None) with scalar
-    arithmetic, and the columns themselves (rows: correlators, then 1)."""
+def _scalar_reduced(duals, grid_n):
+    """Every column's reduced cost with the pricer's own scalar arithmetic."""
     y0, y1, y2, y3, y4 = duals
-    out, columns = [], []
-    for col in range(2 * grid_n) if cols is None else cols:
-        sa, sap = (1.0, 1.0) if col < grid_n else (1.0, -1.0)
-        xi = 2.0 * math.pi * (col % grid_n) / grid_n
-        c, s = math.cos(xi), math.sin(xi)
-        out.append(y0 * (sa * c) + y1 * (sap * c) + y2 * (sa * s) + y3 * (sap * s) + y4)
-        columns.append([sa * c, sap * c, sa * s, sap * s, 1.0])
-    return np.array(out), np.array(columns).T
+    out = []
+    for sa, sap in ((1.0, 1.0), (1.0, -1.0)):
+        for k in range(grid_n):
+            xi = 2.0 * math.pi * k / grid_n
+            c, s = math.cos(xi), math.sin(xi)
+            out.append(y0 * (sa * c) + y1 * (sap * c) + y2 * (sa * s) + y3 * (sap * s) + y4)
+    return np.array(out)
+
+
+def _per_point(points, grid_n):
+    """Each point's (lp_feasible, max_residual bits) from its own convex
+    ``lp_feasibility``, and the most pricer calls any one point made."""
+    price = lhs_oracle._grid_pricer(grid_n)
+    calls = []
+
+    def counted(duals):
+        calls.append(None)
+        return price(duals)
+
+    expected, most = [], 0
+    for point in points.tolist():
+        calls.clear()
+        feasible, _, residuals = lp_feasibility(counted, [*point, 1.0], convex=True)
+        expected.append((feasible, float(residuals.max()).hex()))
+        most = max(most, len(calls))
+    return expected, most
+
+
+def _lockstep(points, grid_n, monkeypatch):
+    """``lp_membership_batch``'s (lp_feasible, max_residual bits) per point,
+    and the number of lockstep pricer calls it made."""
+    rounds = []
+    twin = lhs_oracle._grid_pricer_batch
+
+    def counting_twin(grid_n):
+        price = twin(grid_n)
+
+        def counted(duals):
+            rounds.append(duals.shape[1])
+            return price(duals)
+
+        return counted
+
+    monkeypatch.setattr(lhs_oracle, "_grid_pricer_batch", counting_twin)
+    results = lp_membership_batch(points, grid_n=grid_n)
+    return [(r.lp_feasible, r.max_residual.hex()) for r in results], len(rounds)
 
 
 def _mid_chord_points(grid_n, count, multiples):
@@ -433,67 +472,65 @@ def _mid_chord_points(grid_n, count, multiples):
     return np.concatenate([from_e_basis_array((1.0 + k * band) * unit) for k in multiples])
 
 
-def _assert_matches_dense(points, grid_n):
-    """``lp_membership_batch`` gives every point the verdict of a dense
-    tableau phase 1 over the explicit atom matrix; a feasible point's
-    residuals are within ``tol``, an infeasible one's above it."""
-    A = oracle_matrix(grid_n)
-    results = lp_membership_batch(points, grid_n=grid_n)
-    for point, res in zip(points, results):
-        assert res.lp_feasible == dense_phase1(A, np.append(point, 1.0))[0]
-        assert (res.max_residual <= DEFAULT_LP_TOL) == res.lp_feasible
-    return results
-
-
 class TestLockstep:
-    """Every batch pivots in lockstep; every point must get the LP's verdict
-    and end where it ends alone."""
+    """Batches above LOCKSTEP_ABOVE points pivot in lockstep; every point
+    must end exactly where its own scalar phase 1 ends."""
 
-    @pytest.mark.parametrize("grid_n, count", [(8, 300), (64, 300), (2048, 300), (65536, 30)])
-    def test_matches_dense_tableau(self, grid_n, count):
+    @pytest.mark.parametrize("grid_n", [8, 64, 2048, 65536])
+    def test_matches_per_point(self, grid_n, monkeypatch):
         rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(201)))
-        results = _assert_matches_dense(rng.uniform(-1.0, 1.0, (count, 4)), grid_n)
-        assert 0 < sum(res.lp_feasible for res in results) < len(results)
+        points = rng.uniform(-1.0, 1.0, (3000, 4))
+        expected, most = _per_point(points, grid_n)
+        got, rounds = _lockstep(points, grid_n, monkeypatch)
+        assert got == expected
+        # Same pivots, so the lockstep runs exactly as long as its longest point.
+        assert rounds == most
+        assert 0 < sum(feasible for feasible, _ in got) < len(got)
 
     @pytest.mark.parametrize("grid_n", [8, 64, 2048])
-    def test_matches_dense_tableau_at_the_band_edges(self, grid_n):
-        _assert_matches_dense(_mid_chord_points(grid_n, 25, (-1.005, -0.995, 0.995, 1.005)),
-                              grid_n)
+    def test_matches_per_point_at_the_band_edges(self, grid_n, monkeypatch):
+        points = _mid_chord_points(grid_n, 100, (-1.005, -0.995, 0.995, 1.005))
+        expected, most = _per_point(points, grid_n)
+        assert _lockstep(points, grid_n, monkeypatch) == (expected, most)
 
-    def test_batch_size_does_not_change_a_result(self, monkeypatch):
-        # 13 points repeated to batches of several sizes: each copy gets the
-        # same result, bit for bit, as the point alone, and a batch prices
-        # its live points as many times as its longest point alone.
+    def test_batch_size_does_not_change_a_result(self):
+        # 13 points repeated to 64 (point by point) and to 65 (lockstep): each
+        # copy gets the same result, bit for bit, as the point alone.
         rng = np.random.Generator(np.random.Philox(61))
         points = np.concatenate([rng.uniform(-1.0, 1.0, (10, 4)),
                                  _mid_chord_points(64, 3, (0.995,))])
-        rounds = []
-        pricer = lhs_oracle._grid_pricer_batch
-
-        def counting(grid_n):
-            price = pricer(grid_n)
-
-            def counted(duals):
-                rounds.append(None)
-                return price(duals)
-
-            return counted
-
-        monkeypatch.setattr(lhs_oracle, "_grid_pricer_batch", counting)
-        alone, most = [], 0
-        for point in points:
-            rounds.clear()
-            alone.append(lp_membership(CorrelationSet(*point), grid_n=64))
-            most = max(most, len(rounds))
-        for size in (1, 13, 64, 65):
+        alone = [lp_membership(CorrelationSet(*point), grid_n=64) for point in points]
+        for size in (lhs_oracle.LOCKSTEP_ABOVE, lhs_oracle.LOCKSTEP_ABOVE + 1):
             batch = np.resize(points, (size, 4))
-            rounds.clear()
             results = lp_membership_batch(batch, grid_n=64)
-            assert len(rounds) <= most
             for i, res in enumerate(results):
                 assert res == alone[i % len(points)]
                 assert res.max_residual.hex() == alone[i % len(points)].max_residual.hex()
-        assert len(rounds) == most
+
+    def test_size_selects_the_path(self, monkeypatch):
+        scalar, lockstep = [], []
+        per_point, batched = lhs_oracle.lp_feasibility, lhs_oracle.lp_feasibility_batch
+
+        def counted_scalar(*args, **kwargs):
+            scalar.append(None)
+            return per_point(*args, **kwargs)
+
+        def counted_lockstep(price, B, **kwargs):
+            lockstep.append(len(B))
+            return batched(price, B, **kwargs)
+
+        monkeypatch.setattr(lhs_oracle, "lp_feasibility", counted_scalar)
+        monkeypatch.setattr(lhs_oracle, "lp_feasibility_batch", counted_lockstep)
+        rng = np.random.Generator(np.random.Philox(67))
+        above = lhs_oracle.LOCKSTEP_ABOVE
+        lp_membership_batch(rng.uniform(-1.0, 1.0, (above, 4)), grid_n=64)
+        assert (len(scalar), lockstep) == (above, [])
+        lp_membership_batch(rng.uniform(-1.0, 1.0, (above + 1, 4)), grid_n=64)
+        assert (len(scalar), lockstep) == (above, [above + 1])
+        # Larger batches go through in chunks of LOCKSTEP_CHUNK points.
+        monkeypatch.setattr(lhs_oracle, "LOCKSTEP_CHUNK", 30)
+        lp_membership_batch(rng.uniform(-1.0, 1.0, (above + 1, 4)), grid_n=64)
+        assert lockstep[1:] == [30, 30, above + 1 - 60]
 
     def test_memory_stays_within_one_chunk(self):
         # The tableaux and temporaries of one chunk at a time, whatever the
@@ -519,10 +556,10 @@ class TestLockstep:
                            for res in lp_membership_batch(points[start:start + chunk], grid_n=8)]
 
     def test_nan_reduced_cost_raises_without_a_result(self, monkeypatch):
-        pricer = lhs_oracle._grid_pricer_batch
+        twin = lhs_oracle._grid_pricer_batch
 
         def nan_for_one_point(grid_n):
-            price = pricer(grid_n)
+            price = twin(grid_n)
 
             def poisoned(duals):
                 col, reduced, columns = price(duals)
@@ -538,13 +575,12 @@ class TestLockstep:
 
 
 class TestGridPricer:
-    """The closed-form pricer against the dense pricing it replaced, one
-    point at a time."""
+    """The closed-form pricer against the dense pricing it replaced."""
 
     @pytest.mark.parametrize("grid_n, count", [(8, 100), (64, 100), (2048, 100), (2 ** 20, 5)])
     def test_matches_dense_argmin(self, grid_n, count):
         A = oracle_matrix(grid_n)
-        price = single_pricer(lhs_oracle._grid_pricer_batch(grid_n))
+        price = lhs_oracle._grid_pricer(grid_n)
         rng = np.random.Generator(np.random.Philox(grid_n))
         for duals in _random_duals(rng, count):
             reduced = np.dot(duals, A)
@@ -558,7 +594,7 @@ class TestGridPricer:
 
     @pytest.mark.parametrize("grid_n", [8, 64])
     def test_exact_ties_take_the_first_index(self, grid_n):
-        price = single_pricer(lhs_oracle._grid_pricer_batch(grid_n))
+        price = lhs_oracle._grid_pricer(grid_n)
         rng = np.random.Generator(np.random.Philox(41))
         # Dyadic duals tie whole families; duals aimed half-way between two
         # grid angles, against a y4 whose ulp hides their rounding, tie the
@@ -568,7 +604,7 @@ class TestGridPricer:
         aimed[:, 0], aimed[:, 2], aimed[:, 4] = -np.cos(halfway), -np.sin(halfway), 64.0
         tied = 0
         for duals in np.concatenate([rng.integers(-2, 3, (300, 5)) / 2.0, aimed]):
-            reduced = _scalar_reduced(duals.tolist(), grid_n)[0]
+            reduced = _scalar_reduced(duals.tolist(), grid_n)
             least = np.flatnonzero(reduced == reduced.min())
             tied += np.unique(least % grid_n).size > 1
             assert price(duals.tolist())[0] == least[0]
@@ -580,7 +616,7 @@ class TestGridPricer:
         # the other family at half the radius so it cannot win. Below k the
         # floor of the angle is k - 1, so the pricer must also price the
         # index above it to find k.
-        price = single_pricer(lhs_oracle._grid_pricer_batch(grid_n))
+        price = lhs_oracle._grid_pricer(grid_n)
         rng = np.random.Generator(np.random.Philox(43))
         ks = np.concatenate([[0, grid_n // 2, grid_n - 1], rng.integers(0, grid_n, 27)])
         below = 0
@@ -593,7 +629,7 @@ class TestGridPricer:
                 pq.reverse()
             (p1, q1), (p2, q2) = pq
             duals = [(p1 + p2) / 2, (p1 - p2) / 2, (q1 + q2) / 2, (q1 - q2) / 2, 0.25]
-            reduced = _scalar_reduced(duals, grid_n)[0]
+            reduced = _scalar_reduced(duals, grid_n)
             least = int(np.flatnonzero(reduced == reduced.min())[0])
             assert least == aimed * grid_n + k
             assert price(duals)[0] == least
@@ -602,11 +638,20 @@ class TestGridPricer:
         assert below > 0
 
     def test_flat_family_takes_index_zero(self):
-        price = single_pricer(lhs_oracle._grid_pricer_batch(64))
+        price = lhs_oracle._grid_pricer(64)
         # p = q = 0 in both families: every column costs y4.
         assert price([0.0, 0.0, 0.0, 0.0, -1.0])[:2] == (0, -1.0)
         # The pricer names its best column even when it would not enter.
         assert price([0.0] * 5)[:2] == (0, 0.0)
+
+    @staticmethod
+    def _assert_twin_matches(grid_n, duals):
+        price, twin = lhs_oracle._grid_pricer(grid_n), lhs_oracle._grid_pricer_batch(grid_n)
+        cols, reduced, columns = twin(duals.T)
+        for i, row in enumerate(duals.tolist()):
+            col, value, column = price(row)
+            assert (cols[i], reduced[i].hex()) == (col, value.hex())
+            assert [v.hex() for v in columns[:, i].tolist()] == [v.hex() for v in column]
 
     @staticmethod
     def _on_grid_angles(rng, grid_n):
@@ -626,41 +671,21 @@ class TestGridPricer:
         return np.concatenate([duals, flat])
 
     @pytest.mark.parametrize("grid_n", [8, 64, 2048, 2 ** 20])
-    def test_prices_each_point_with_scalar_arithmetic(self, grid_n):
-        # Priced together, every point gets the column index, reduced cost
-        # and column bits it gets alone, and the cost and column are those of
-        # scalar arithmetic on math.cos and math.sin at that index.
+    def test_batch_twin_is_bitwise_equal(self, grid_n):
         rng = np.random.Generator(np.random.Philox(79 + grid_n))
-        duals = np.concatenate([_random_duals(rng, 100), self._on_grid_angles(rng, grid_n),
-                                np.zeros((1, 5))])
-        price = lhs_oracle._grid_pricer_batch(grid_n)
-        cols, reduced, columns = price(duals.T)
-        alone = single_pricer(price)
-        for i, row in enumerate(duals.tolist()):
-            col, value, column = alone(row)
-            assert (cols[i], reduced[i].hex()) == (col, value.hex())
-            assert [v.hex() for v in columns[:, i].tolist()] == [v.hex() for v in column]
-            scalar, scalar_column = _scalar_reduced(row, grid_n, [col])
-            assert value.hex() == scalar[0].hex()
-            assert column == scalar_column[:, 0].tolist()
+        self._assert_twin_matches(grid_n, np.concatenate([
+            _random_duals(rng, 100), self._on_grid_angles(rng, grid_n), np.zeros((1, 5))]))
 
     @pytest.mark.parametrize("direction", [-np.inf, np.inf])
     @pytest.mark.parametrize("grid_n", [8, 2048])
-    def test_absorbs_an_ulp_of_arctan2(self, grid_n, direction, monkeypatch):
+    def test_batch_twin_absorbs_an_ulp_of_arctan2(self, grid_n, direction, monkeypatch):
         # np.arctan2 may round an ulp away from math.atan2, here always to
         # the same side; on a grid angle that moves floor(t), and where the
-        # neighbouring columns tie, the first index in the bracket wins. The
-        # pricer must give the same bits either way.
-        rng = np.random.Generator(np.random.Philox(83 + grid_n))
-        duals = self._on_grid_angles(rng, grid_n).T
-        expected = lhs_oracle._grid_pricer_batch(grid_n)(duals)
+        # neighbouring columns tie, the first index in the bracket wins.
         arctan2 = np.arctan2
         monkeypatch.setattr(np, "arctan2", lambda y, x: np.nextafter(arctan2(y, x), direction))
-        got = lhs_oracle._grid_pricer_batch(grid_n)(duals)
-        assert got[0].tolist() == expected[0].tolist()
-        assert ([v.hex() for v in got[1].tolist()]
-                == [v.hex() for v in expected[1].tolist()])
-        assert np.array_equal(got[2], expected[2])
+        rng = np.random.Generator(np.random.Philox(83 + grid_n))
+        self._assert_twin_matches(grid_n, self._on_grid_angles(rng, grid_n))
 
     def test_grid_is_free(self):
         # At the largest grid the atom matrix alone would take 84 MB, and

@@ -106,10 +106,10 @@ def test_exports_match_imports():
 
 # Public names that nothing in the package or perfbench calls, kept because
 # the README documents them (the library example, homodyne_pdf, the qubit
-# projectors, lp_feasibility over a pricer of lists) or the roadmap reuses
-# them (model_correlations certifies a decomposition).
-DOCUMENTED_API = {"decompose", "homodyne_pdf", "lp_feasibility", "lp_membership",
-                  "model_correlations", "projector_from_params"}
+# projectors) or the roadmap reuses them (model_correlations certifies a
+# decomposition).
+DOCUMENTED_API = {"decompose", "homodyne_pdf", "lp_membership", "model_correlations",
+                  "projector_from_params"}
 PERFBENCH = SOURCE.parents[1] / "perfbench"
 
 

@@ -16,11 +16,9 @@ from chsh_steering.steering_witness import f_value_array
 from reference import (
     batched_pricer,
     dense_lp_feasibility,
-    dense_phase1,
     dense_pricer,
     from_e_basis_array,
     oracle_matrix,
-    single_pricer,
 )
 
 
@@ -49,15 +47,6 @@ def test_redundant_rows_are_feasible():
     assert np.allclose(A @ x, [1.0, 2.0], atol=1e-12)
 
 
-def _pivot_alone(price, tableau, basis):
-    """``_revised_pivots`` on one system from a hand-built tableau and basis
-    (lists), with no early stop; returns the final tableau and basis."""
-    tableau = np.array(tableau, dtype=float)[..., None]
-    basis = np.array(basis)[:, None]
-    _revised_pivots(batched_pricer(price), np.ones(basis.shape), tableau, basis)
-    return tableau[..., 0].tolist(), basis[:, 0].tolist()
-
-
 def _beale_problem():
     # Beale's degenerate LP, min c.x s.t. A x = b, x >= 0, with the slack basis:
     # it cycles under most-negative-reduced-cost pivoting.
@@ -84,7 +73,7 @@ def test_lexicographic_rule_terminates_on_cycling_example(monkeypatch):
         calls.append(duals)
         return price(duals)
 
-    tableau, _ = _pivot_alone(counted, tableau, basis)
+    _revised_pivots(counted, [1.0] * 3, tableau, basis)
     # The bottom-right entry is -z; the optimum of Beale's LP is z = -1/20.
     # The first pivot ties rows 0 and 1 at ratio 0; a lowest-basic-index
     # tie-break takes row 0 there and cycles to the iteration limit.
@@ -100,8 +89,9 @@ def test_ratio_tie_goes_to_the_lexicographically_least_row():
     # the first, is the lexicographically least and s1 leaves.
     price = dense_pricer(np.array([[1.0, 1.0, 0.0], [1.0, 0.0, 1.0]]),
                          np.array([-1.0, 0.0, 0.0]))
-    tableau, basis = _pivot_alone(price, [[0.0, 1.0, 1.0], [1.0, 0.0, 1.0], [0.0, 0.0, 0.0]],
-                                  [2, 1])
+    tableau = [[0.0, 1.0, 1.0], [1.0, 0.0, 1.0], [0.0, 0.0, 0.0]]
+    basis = [2, 1]
+    _revised_pivots(price, [1.0, 1.0], tableau, basis)
     assert basis == [0, 1]
     # x0 = 1 with s0 = 0 left basic, and z = -1 (the entry holds -z).
     assert tableau == [[0.0, 1.0, 1.0], [1.0, -1.0, 0.0], [0.0, 1.0, 1.0]]
@@ -111,8 +101,9 @@ def test_unbounded_ray_raises_oracle_error():
     # min -x0 s.t. x0 - x1 + x2 = 1, x >= 0, from the slack basis {x2}: x0
     # enters, then x1 prices negative along the ray x0 = 1 + t, x1 = t.
     price = dense_pricer(np.array([[1.0, -1.0, 1.0]]), np.array([-1.0, 0.0, 0.0]))
+    tableau = [[1.0, 1.0], [0.0, 0.0]]
     with pytest.raises(OracleError, match="unbounded"):
-        _pivot_alone(price, [[1.0, 1.0], [0.0, 0.0]], [2])
+        _revised_pivots(price, [1.0], tableau, [2])
 
 
 def test_real_column_wins_a_tie_with_an_artificial():
@@ -120,7 +111,9 @@ def test_real_column_wins_a_tie_with_an_artificial():
     # are y = 2, so x1 and the artificial a both price at 1 - 2 = -1. The
     # real column comes first, so x1 enters; either choice is optimal.
     price = dense_pricer(np.array([[1.0, 1.0]]), np.array([2.0, 1.0]))
-    tableau, basis = _pivot_alone(price, [[1.0, 1.0], [-2.0, -2.0]], [0])
+    tableau = [[1.0, 1.0], [-2.0, -2.0]]
+    basis = [0]
+    _revised_pivots(price, [1.0], tableau, basis)
     assert basis == [1]
     assert tableau == [[1.0, 1.0], [-1.0, -1.0]]
 
@@ -230,17 +223,56 @@ class TestFeasibility:
             dense_lp_feasibility(np.array([[1e-9]]), np.array([1e300]))
 
 
+def _dense_phase1(A, b):
+    """The dense-tableau phase 1 the revised kernel replaced, kept as reference.
+
+    Returns (feasible at tol 1e-9, residuals) from an explicit
+    (m+1) x (n+m+1) tableau over the sign-flipped rows ``flip * A``, whose
+    artificial basis starts as the identity. It breaks a ratio tie by the
+    least row of that tableau's artificial block, which is B^-1 with its
+    columns scaled by ``flip``: another lexicographic order than the
+    kernel's wherever some b_i < 0, and anti-cycling on its own.
+    """
+    m, n = A.shape
+    flip = np.where(b < 0.0, -1.0, 1.0)
+    A1 = A * flip[:, None]
+    tableau = np.zeros((m + 1, n + m + 1))
+    tableau[:m, :n] = A1
+    tableau[:m, n:n + m] = np.eye(m)
+    tableau[:m, -1] = b * flip
+    tableau[m, :n] = -A1.sum(axis=0)
+    tableau[m, -1] = -tableau[:m, -1].sum()
+    basis = np.arange(n, n + m)
+    while True:
+        col = int(np.argmin(tableau[m, :n + m]))
+        if tableau[m, col] >= -PIVOT_EPS:
+            break
+        column = tableau[:m, col]
+        rows = np.nonzero(column > PIVOT_EPS)[0]
+        keys = (tableau[rows][:, [-1, *range(n, n + m)]] / column[rows, None]).tolist()
+        row = int(rows[keys.index(min(keys))])
+        tableau[row, :] /= tableau[row, col]
+        factors = tableau[:, col].copy()
+        factors[row] = 0.0
+        tableau -= np.outer(factors, tableau[row, :])
+        basis[row] = col
+    residuals = np.zeros(m)
+    artificial = basis >= n
+    residuals[basis[artificial] - n] = tableau[:m, -1][artificial]
+    return bool((residuals <= 1e-9).all()), residuals
+
+
 @pytest.mark.parametrize("grid_n", [8, 64, 2048])
 def test_matches_dense_tableau_reference(grid_n):
     # The oracle's LP, priced in closed form over implicit columns, against
     # the dense tableau over the explicit atom matrix.
     A = oracle_matrix(grid_n)
-    price = single_pricer(lhs_oracle._grid_pricer_batch(grid_n))
+    price = lhs_oracle._grid_pricer(grid_n)
     rng = np.random.Generator(np.random.Philox(grid_n))
     for point in rng.uniform(-1.0, 1.0, (300, 4)):
         b = np.append(point, 1.0)
         feasible, x, residuals = lp_feasibility(price, b)
-        ref_feasible, ref_residuals = dense_phase1(A, b)
+        ref_feasible, ref_residuals = _dense_phase1(A, b)
         assert feasible == ref_feasible
         assert abs(residuals.sum() - ref_residuals.sum()) <= 1e-9
         assert all(value >= 0.0 for value in x.values())
@@ -252,7 +284,7 @@ def test_degenerate_points_match_dense_reference(grid_n):
     # coordinates tie the minimum ratio, so the lexicographic tie-break
     # chooses many of their pivots.
     A = oracle_matrix(grid_n)
-    price = single_pricer(lhs_oracle._grid_pricer_batch(grid_n))
+    price = lhs_oracle._grid_pricer(grid_n)
     rng = np.random.Generator(np.random.Philox(59 + grid_n))
     half_zero = rng.uniform(-1.0, 1.0, (40, 4))
     half_zero[np.arange(40)[:, None], rng.permuted(np.tile(np.arange(4), (40, 1)), axis=1)[:, :2]] = 0.0
@@ -261,7 +293,7 @@ def test_degenerate_points_match_dense_reference(grid_n):
     for point in points:
         b = np.append(point, 1.0)
         feasible, x, residuals = lp_feasibility(price, b)
-        ref_feasible, ref_residuals = dense_phase1(A, b)
+        ref_feasible, ref_residuals = _dense_phase1(A, b)
         assert feasible == ref_feasible
         assert abs(residuals.sum() - ref_residuals.sum()) <= 1e-9
         # A basic value that is zero in exact arithmetic may round to -1e-17;
@@ -298,7 +330,7 @@ def test_convex_stop_keeps_every_verdict(grid_n, tol):
     targets = 1.0 + multiple * scale
     points = np.concatenate([rng.uniform(-1.0, 1.0, (120, 4)),
                              from_e_basis_array(raw * (targets / f_value_array(raw))[:, None])])
-    price = single_pricer(lhs_oracle._grid_pricer_batch(grid_n))
+    price = lhs_oracle._grid_pricer(grid_n)
     stopped = 0
     for point in points.tolist():
         b = [*point, 1.0]
@@ -343,8 +375,7 @@ def test_convex_stop_waits_for_every_artificial(monkeypatch):
     # Three pivots in, a real column enters while a non-basic artificial
     # prices at -0.5, and reduced + y.b reads 0.75 although the optimum is
     # 0.5: the bound holds only where no artificial prices below 0. With
-    # m tol = 0.6 between the two, the pivots must run on to the optimum,
-    # alone and in a batch.
+    # m tol = 0.6 between the two, the pivots must run on to the optimum.
     monkeypatch.setattr(simplex, "MAX_LP_TOL", 1.0)
     price = dense_pricer(np.array([[-2.0, 3.0, 3.0, -1.0, 0.0],
                                    [2.0, 4.0, 2.0, -4.0, 1.0],
@@ -355,9 +386,6 @@ def test_convex_stop_waits_for_every_artificial(monkeypatch):
     convex = lp_feasibility(price, b, tol=0.15, convex=True)
     assert full[2].tolist() == convex[2].tolist() == [0.5, 0.0, 0.0, 0.0]
     assert full[1] == convex[1]
-    feasible, residuals = lp_feasibility_batch(batched_pricer(price), [b, b], tol=0.15)
-    assert feasible.tolist() == [False, False]
-    assert residuals.tolist() == [[0.5, 0.0, 0.0, 0.0]] * 2
 
 
 def test_convex_contract_is_checked():
@@ -379,67 +407,76 @@ def test_convex_contract_is_checked():
     assert lp_feasibility(price, [1.0, 1.0])[1] == {0: 2.0}
 
 
-def _assert_matches_dense(A, B, got, tol=DEFAULT_LP_TOL):
-    """Each row of ``B`` got ``dense_phase1``'s verdict on the columns of
-    ``A``, and residuals that sum to its optimum, or above it where the
-    convex phase 1 stopped early on an infeasible row."""
-    feasible, residuals = got
-    for b, ok, found in zip(np.asarray(B, dtype=float), feasible.tolist(), residuals):
-        ref_ok, ref_residuals = dense_phase1(A, b, tol)
-        assert ok == ref_ok
-        assert found.sum() >= ref_residuals.sum() - 1e-9
-        if ok:
-            assert abs(found.sum() - ref_residuals.sum()) <= 1e-9
+def _each_alone(price, B, tol=DEFAULT_LP_TOL):
+    """``lp_feasibility_batch``'s (feasible, residuals) from one convex
+    ``lp_feasibility`` per row of ``B``."""
+    results = [lp_feasibility(price, row, tol=tol, convex=True) for row in B.tolist()]
+    return (np.array([feasible for feasible, _, _ in results]),
+            np.array([residuals for _, _, residuals in results]))
 
 
-@pytest.mark.parametrize("A, b, expected", [
+def _assert_same_bits(got, expected):
+    assert got[0].tolist() == expected[0].tolist()
+    assert ([[v.hex() for v in row] for row in got[1].tolist()]
+            == [[v.hex() for v in row] for row in expected[1].tolist()])
+
+
+@pytest.mark.parametrize("price, b, tol", [
     # test_convex_stop_needs_m_times_tol: feasible, though the first bound
     # exceeds tol.
-    ([[0.0], [0.0], [1.0]], [0.9e-9, 0.9e-9, 1.0], [0.9e-9, 0.9e-9, 0.0]),
+    (dense_pricer(np.array([[0.0], [0.0], [1.0]])), [0.9e-9, 0.9e-9, 1.0], DEFAULT_LP_TOL),
     # test_convex_stop_leaves_a_rounding_margin: the pad keeps the pivots going.
-    ([[0.0], [1.0]], [2e-9 + 1e-12, 1.0], [2e-9 + 1e-12, 0.0]),
+    (dense_pricer(np.array([[0.0], [1.0]])), [2e-9 + 1e-12, 1.0], DEFAULT_LP_TOL),
     # The first pivot ties rows 0 and 1 at ratio 0; divided by its entry, row
     # 1 of B^-1 = I is (0, 2, 0), lexicographically below row 0's (1, 0, 0).
     # Row 0 instead would end at residuals (0, 0, 1), not (0, 0.5, 0).
-    ([[1.0, 0.0], [0.5, -0.5], [1.0, 1.0]], [0.0, 0.0, 1.0], [0.0, 0.5, 0.0]),
+    (dense_pricer(np.array([[1.0, 0.0], [0.5, -0.5], [1.0, 1.0]])), [0.0, 0.0, 1.0],
+     DEFAULT_LP_TOL),
 ])
-def test_lockstep_matches_the_dense_tableau(A, b, expected):
+def test_lockstep_runs_the_scalar_pivots(price, b, tol):
     # Alone, among copies of itself and beside other right-hand sides, each
-    # system ends with the dense tableau's verdict, and every copy with the
-    # residuals it ends with alone.
-    A = np.array(A)
-    price = batched_pricer(dense_pricer(A))
+    # system ends with lp_feasibility's verdict and residual bits.
     B = np.array([b, b, [0.0] * (len(b) - 1) + [1.0], b, [-0.5] * (len(b) - 1) + [1.0]])
-    alone = lp_feasibility_batch(price, B[:1])
-    _assert_matches_dense(A, B[:1], alone)
-    assert alone[1][0].tolist() == expected
-    together = lp_feasibility_batch(price, B)
-    _assert_matches_dense(A, B, together)
-    assert together[0][[0, 1, 3]].tolist() == alone[0].tolist() * 3
-    assert ([[v.hex() for v in row] for row in together[1][[0, 1, 3]].tolist()]
-            == [[v.hex() for v in alone[1][0].tolist()]] * 3)
+    for rows in (B[:1], B):
+        _assert_same_bits(lp_feasibility_batch(batched_pricer(price), rows, tol=tol),
+                          _each_alone(price, rows, tol))
+
+
+def test_lockstep_stop_waits_for_every_artificial(monkeypatch):
+    # test_convex_stop_waits_for_every_artificial's system: the bound reads
+    # 0.75 while an artificial prices at -0.5, and the optimum is 0.5.
+    monkeypatch.setattr(simplex, "MAX_LP_TOL", 1.0)
+    price = dense_pricer(np.array([[-2.0, 3.0, 3.0, -1.0, 0.0],
+                                   [2.0, 4.0, 2.0, -4.0, 1.0],
+                                   [-4.0, -2.0, 1.0, 0.0, -1.0],
+                                   [1.0, 1.0, 1.0, 1.0, 1.0]]))
+    B = np.array([[-0.5, 1.0, -1.0, 1.0]] * 2)
+    feasible, residuals = lp_feasibility_batch(batched_pricer(price), B, tol=0.15)
+    assert feasible.tolist() == [False, False]
+    assert residuals.tolist() == [[0.5, 0.0, 0.0, 0.0]] * 2
 
 
 @pytest.mark.parametrize("grid_n", [8, 64])
 def test_lockstep_breaks_exact_ratio_ties_per_point(grid_n):
     # test_degenerate_points_match_dense_reference's dyadic points tie the
     # minimum ratio, so the lexicographic rule picks many of their pivots.
+    price = lhs_oracle._grid_pricer(grid_n)
     rng = np.random.Generator(np.random.Philox(59 + grid_n))
     points = np.concatenate([rng.integers(-4, 5, (40, 4)) / 4.0,
                              rng.integers(-8, 9, (40, 4)) / 8.0])
     B = np.column_stack([points, np.ones(len(points))])
-    _assert_matches_dense(oracle_matrix(grid_n), B,
-                          lp_feasibility_batch(lhs_oracle._grid_pricer_batch(grid_n), B))
+    _assert_same_bits(lp_feasibility_batch(lhs_oracle._grid_pricer_batch(grid_n), B),
+                      _each_alone(price, B))
 
 
 def test_lockstep_skips_the_column_of_a_finished_system():
     # System 0 is optimal at the start: its best column, (1, -1), does not
     # enter, and B^-1 times it has no positive entry. System 1 pivots on
     # (3, 1). Only entering columns face the ratio test, so this is no
-    # unbounded ray.
-    A = np.array([[1.0, 3.0], [-1.0, 1.0]])
+    # unbounded ray; lp_feasibility never looks at that column either.
+    price = dense_pricer(np.array([[1.0, 3.0], [-1.0, 1.0]]))
     B = np.array([[-0.5, 1.0], [0.5, 1.0]])
-    _assert_matches_dense(A, B, lp_feasibility_batch(batched_pricer(dense_pricer(A)), B))
+    _assert_same_bits(lp_feasibility_batch(batched_pricer(price), B), _each_alone(price, B))
 
 
 def test_lockstep_contract_is_checked():
@@ -502,12 +539,14 @@ def test_lockstep_numerical_failures_raise_oracle_error(monkeypatch):
         lp_feasibility_batch(batched_pricer(price), [[0.5, 1.0]])
 
 
+@pytest.mark.parametrize("reduced", [np.nan, np.inf])
 @pytest.mark.parametrize("convex", [False, True])
-def test_nan_reduced_cost_raises_oracle_error(convex):
+def test_non_finite_reduced_cost_raises_oracle_error(convex, reduced):
     # NaN fails every comparison, so "not reduced < -PIVOT_EPS" once read it
-    # as optimal and phase 1 returned a verdict, (False, {}, [0.5, 1.0]).
+    # as optimal and phase 1 returned a verdict, (False, {}, [0.5, 1.0]);
+    # +inf did the same.
     def price(duals):
-        return 0, float("nan"), [1.0, 1.0]
+        return 0, reduced, [1.0, 1.0]
 
     with pytest.raises(OracleError, match="non-finite reduced cost"):
         lp_feasibility(price, [0.5, 1.0], convex=convex)

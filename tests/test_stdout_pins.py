@@ -33,7 +33,7 @@ PINS = {
         "d9d23cfd4d0da88736e3d7df74cd5b63afedfc1b6d046ae9e03473579a4f9c69",
     "oracle check --grid 64 --samples 2000 --seed 7":
         "1a045de722d48c5f65fafb8835dbbb29c4b6f9d675cc9608ebd87d6435d28f41",
-    # Batches of at most 64 points, interactive-mix's oracle size and one point.
+    # Small batches: interactive-mix's 20-point oracle size and a single point.
     "oracle check --grid 2048 --samples 20 --seed 3":
         "1bbcacbed629affd39989863a7fa4e353d88c204542b86903e1afe325cfdfbc0",
     "oracle check --grid 64 --samples 1 --seed 0":

@@ -17,6 +17,7 @@ the oracle cannot be trusted either way.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,9 +40,6 @@ KAPPA = 1.0 + 2.0 * np.sqrt(2.0)
 # point, which is faster there (see ``lp_membership_batch``).
 LOCKSTEP_ABOVE = 64
 LOCKSTEP_CHUNK = 4096
-# Where floor(t) of the bracket position t = atan2 * units is in doubt; see
-# ``_grid_pricer_batch``.
-_BRACKET_SLACK = 2.0 ** -30
 
 MEMBER = "member"
 NON_MEMBER = "non_member"
@@ -141,11 +139,16 @@ def boundary_band(grid_n: int, tol: float = DEFAULT_LP_TOL) -> float:
       inequality f(c) <= 1 + (1 + 2 sqrt(2)) tol = 1 + KAPPA * tol.
 
     At the default tolerance the sag is the larger term up to grid 2^15.
-    ``tol`` must lie in [0, ``MAX_LP_TOL``] and ``grid_n`` between 8 and
-    ``MAX_GRID_N``, the ranges the oracle accepts, else ``ValueError``.
+    ``tol`` must lie in [0, ``MAX_LP_TOL``] and ``grid_n``, an integer
+    (NumPy's too; the sag holds only for a regular ``grid_n``-gon), between
+    8 and ``MAX_GRID_N``, the ranges the oracle accepts, else ``ValueError``.
     """
     if not 0.0 <= tol <= MAX_LP_TOL:
         raise ValueError(f"LP tolerance must lie in [0, {MAX_LP_TOL:g}], got {tol}")
+    try:
+        operator.index(grid_n)
+    except TypeError:
+        raise ValueError(f"grid_n must be an integer, got {grid_n}") from None
     if not grid_n >= 8:
         raise ValueError(f"grid_n must be at least 8, got {grid_n}")
     if grid_n > MAX_GRID_N:
@@ -175,7 +178,12 @@ def _grid_pricer(grid_n: int):
     may pick the other one. Nothing here knows the target point, let alone
     f; no column is stored, so the cost of a pivot does not grow with
     ``grid_n``. ``_grid_pricer_batch`` is its twin for many points at once,
-    bitwise equal on every row.
+    bitwise equal on every row. Both place the bracket with ``math.atan2``
+    on the same doubles, -(u2 + u3) and -(u0 + u1), then take an exact
+    floor and mod, so they share it by construction. NumPy's arctangent may
+    round an ulp away from ``math.atan2`` (0.9 % of 10^6 random inputs on
+    an AVX-512 host), which moves the floor wherever the minimum lies on a
+    grid angle, as at the artificial start.
     """
     units = grid_n / (2.0 * math.pi)  # grid steps per radian
     two_pi, cos, sin, atan2, floor = (
@@ -207,22 +215,14 @@ def _grid_pricer_batch(grid_n: int):
     priced for a (5, n) array of duals, one column per point.
 
     Point by point it returns ``_grid_pricer``'s column index, reduced cost
-    and column, bit for bit: the same bracket, the same operations in the
-    same order, and the first index on ties, since a point's four
-    candidates are laid out in increasing column order for ``argmin``.
-    ``np.cos`` and ``np.sin`` gave ``math.cos``'s and ``math.sin``'s bits on
-    every angle of grid 65536, but ``np.arctan2`` may round differently
-    from ``math.atan2`` (by at most an ulp on 10^6 random inputs on an
-    AVX-512 host, where 0.9 % differed), so it feeds only the bracket position
-    t = atan2(-q, -p) * grid_n / 2 pi. An error of a few ulps moves t by far
-    less than ``_BRACKET_SLACK * grid_n``, as |t| <= grid_n / 2, so it can
-    change floor(t) only where t lies that close to an integer; there
-    ``math.atan2`` recomputes t. That happens only at or next to a grid
-    angle, such as the artificial start's multiples of pi / 4.
+    and column, bit for bit: the same bracket (one ``math.atan2`` call per
+    family and point), the same operations in the same order, and the first
+    index on ties, since a point's four candidates are laid out in
+    increasing column order for ``argmin``. ``np.cos`` and ``np.sin`` gave
+    ``math.cos``'s and ``math.sin``'s bits on every angle of grid 65536.
     """
     units = grid_n / (2.0 * math.pi)  # grid steps per radian
     two_pi = 2.0 * math.pi
-    slack = _BRACKET_SLACK * grid_n
     # Axis 0 the family (chi = 1, then chi = 2), axis 1 the dual y0..y3.
     signs = np.array([[sa, sap, sa, sap] for sa, sap in (ALICE_SIGNS[1], ALICE_SIGNS[2])])
     sa, sap = signs[:, 0, None, None], signs[:, 1, None, None]
@@ -233,11 +233,8 @@ def _grid_pricer_batch(grid_n: int):
         n = duals.shape[1]
         u = duals[:4] * signs  # sa, sap are +-1: u rounds as in _grid_pricer
         y, x = -(u[:, 2] + u[:, 3]), -(u[:, 0] + u[:, 1])  # -q, -p
-        t = np.arctan2(y, x) * units
-        doubt = np.abs(t - np.rint(t)) <= slack
-        if doubt.any():
-            t[doubt] = np.array(list(map(math.atan2, y[doubt].tolist(),
-                                         x[doubt].tolist()))) * units
+        t = np.array(list(map(math.atan2, y.ravel().tolist(),
+                              x.ravel().tolist()))).reshape(2, n) * units
         low = np.floor(t).astype(np.int64) % grid_n
         low *= np.logical_or(x, y)  # p = q = 0: a flat family takes index 0
         ks = np.empty((2, 2, n), dtype=np.int64)  # (family, candidate, point)
@@ -320,7 +317,7 @@ def lp_membership_batch(points: np.ndarray, grid_n: int = DEFAULT_GRID_N,
     at grid 2048 took about twice as long point by point on a 2-core
     x86-64 host, 500 points six times as long).
     Every point must be finite, else ``ValueError``; ``boundary_band``
-    checks ``grid_n`` and ``tol``.
+    checks ``grid_n``, an integer, and ``tol``.
     """
     points = np.asarray(points, dtype=float)
     if points.ndim != 2 or points.shape[1] != 4:

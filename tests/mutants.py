@@ -95,6 +95,9 @@ CATALOGUE = (
     Mutant("band-grid-floor-unchecked", "src/chsh_steering/lhs_oracle.py",
            "if not grid_n >= 8:", "if False:",
            ("tests/test_lhs_oracle.py",)),
+    Mutant("grid-n-integer-unchecked", "src/chsh_steering/lhs_oracle.py",
+           "operator.index(grid_n)", "grid_n",
+           ("tests/test_lhs_oracle.py",)),
     Mutant("weight-check-nan-blind", "src/chsh_steering/lhs_oracle.py",
            "if not weight >= -WEIGHT_NEG_TOL:", "if weight < -WEIGHT_NEG_TOL:",
            ("tests/test_lhs_oracle.py",)),
@@ -239,8 +242,10 @@ CATALOGUE = (
            "            chunk = points[start:start + LOCKSTEP_CHUNK]",
            "for start in (0,):\n            chunk = points",
            ("tests/test_lhs_oracle.py",)),
-    Mutant("bracket-doubt-ignored", "src/chsh_steering/lhs_oracle.py",
-           "        if doubt.any():\n", "        if False:\n",
+    Mutant("bracket-numpy-arctan2", "src/chsh_steering/lhs_oracle.py",
+           "t = np.array(list(map(math.atan2, y.ravel().tolist(),\n"
+           "                              x.ravel().tolist()))).reshape(2, n) * units",
+           "t = np.arctan2(y, x) * units",
            ("tests/test_lhs_oracle.py",)),
     Mutant("bracket-flat-family-unpinned", "src/chsh_steering/lhs_oracle.py",
            "        low *= np.logical_or(x, y)", "        low *= True",

@@ -193,6 +193,18 @@ class TestLpMembership:
             with pytest.raises(ValueError, match=f"^{message}$"):
                 call()
 
+    def test_grid_n_must_be_an_integer(self):
+        # The band's sag holds for a regular grid_n-gon only, on both paths.
+        points = np.random.Generator(np.random.Philox(89)).uniform(-1.0, 1.0, (200, 4))
+        for size in (20, 200):
+            for grid_n in (8.5, 2048.0):
+                with pytest.raises(ValueError, match=f"^grid_n must be an integer, got {grid_n}$"):
+                    lp_membership_batch(points[:size], grid_n=grid_n)
+            want, got = ([(r.verdict, r.lp_feasible, r.max_residual.hex())
+                          for r in lp_membership_batch(points[:size], grid_n=grid_n)]
+                         for grid_n in (64, np.int64(64)))
+            assert got == want
+
     def test_fine_grid_band_covers_lp_tolerance(self):
         # At grid 2^17 the sag (2.9e-10) is below the LP tolerance, and phase
         # 1 accepts these points with f - 1 = 5e-10 as feasible, so only the
@@ -574,6 +586,15 @@ class TestLockstep:
             lp_membership_batch(points, grid_n=64)
 
 
+def _assert_twin_rows(price, duals, cols, reduced, columns):
+    """The batch pricer's output for the rows of ``duals`` is ``price``'s,
+    row by row, bit for bit."""
+    for i, row in enumerate(duals.tolist()):
+        col, value, column = price(row)
+        assert (cols[i], reduced[i].hex()) == (col, value.hex())
+        assert [v.hex() for v in columns[:, i].tolist()] == [v.hex() for v in column]
+
+
 class TestGridPricer:
     """The closed-form pricer against the dense pricing it replaced."""
 
@@ -647,11 +668,7 @@ class TestGridPricer:
     @staticmethod
     def _assert_twin_matches(grid_n, duals):
         price, twin = lhs_oracle._grid_pricer(grid_n), lhs_oracle._grid_pricer_batch(grid_n)
-        cols, reduced, columns = twin(duals.T)
-        for i, row in enumerate(duals.tolist()):
-            col, value, column = price(row)
-            assert (cols[i], reduced[i].hex()) == (col, value.hex())
-            assert [v.hex() for v in columns[:, i].tolist()] == [v.hex() for v in column]
+        _assert_twin_rows(price, duals, *twin(duals.T))
 
     @staticmethod
     def _on_grid_angles(rng, grid_n):
@@ -675,6 +692,27 @@ class TestGridPricer:
         rng = np.random.Generator(np.random.Philox(79 + grid_n))
         self._assert_twin_matches(grid_n, np.concatenate([
             _random_duals(rng, 100), self._on_grid_angles(rng, grid_n), np.zeros((1, 5))]))
+
+    @pytest.mark.parametrize("grid_n", [64, 2048])
+    def test_batch_twin_is_bitwise_equal_on_the_oracle_duals(self, grid_n, monkeypatch):
+        # The duals the lockstep loop really prices: the artificial start's
+        # minima sit on grid angles, and later p or q is often exactly 0.
+        batch_pricer, rounds = lhs_oracle._grid_pricer_batch, []
+
+        def checked(n):
+            price, twin = lhs_oracle._grid_pricer(n), batch_pricer(n)
+
+            def checked_twin(duals):
+                rounds.append(duals.shape[1])
+                priced = twin(duals)
+                _assert_twin_rows(price, duals.T, *priced)
+                return priced
+            return checked_twin
+
+        monkeypatch.setattr(lhs_oracle, "_grid_pricer_batch", checked)
+        rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(201)))
+        lp_membership_batch(rng.uniform(-1.0, 1.0, (500, 4)), grid_n=grid_n)
+        assert rounds[0] == 500 and len(rounds) > 1
 
     @pytest.mark.parametrize("direction", [-np.inf, np.inf])
     @pytest.mark.parametrize("grid_n", [8, 2048])

@@ -4,7 +4,6 @@ adjudication, angle/state scans and boundary-curve export."""
 from __future__ import annotations
 
 import argparse
-import csv
 import dataclasses
 import functools
 import itertools
@@ -64,14 +63,14 @@ def _reprs(values) -> list:
 def _write_csv(header, *columns) -> None:
     """Print ``header``, then one row per index of the equal-length
     ``columns``, each entry as a Python float, in the bytes ``csv.writer``
-    prints: a float's ``repr`` never needs quoting, and rows end in CRLF.
+    prints: no header name or float ``repr`` needs quoting; rows end in CRLF.
 
     The rows stream to stdout in chunks of ``_CSV_CHUNK``, so no list of
     every row is built (``scan angles`` passes iterators of up to 2^20
     values). Within a chunk each column formats each distinct value once:
     ``scan state``'s angle columns repeat ``resolution`` values.
     """
-    csv.writer(sys.stdout).writerow(header)
+    sys.stdout.write(",".join(header) + "\r\n")
     rows = zip(*(map(float, c) for c in columns))
     while chunk := list(itertools.islice(rows, _CSV_CHUNK)):
         sys.stdout.write("\r\n".join(map(",".join, zip(*map(_reprs, zip(*chunk)))))

@@ -25,6 +25,7 @@ phi(u) times one quadratic operator polynomial in u.
 from __future__ import annotations
 
 import math
+import operator
 import os
 from dataclasses import dataclass
 
@@ -405,10 +406,13 @@ def _usable_cores() -> int:
         return os.cpu_count() or 1
 
 
-# Threads each Monte Carlo call samples on: one per core in this process's
-# CPU affinity, at most four. It caps the sampling blocks in flight; each call
-# opens its own pool of this size and closes it before it returns.
-_THREADS = min(4, _usable_cores())
+def _integer(name: str, value) -> int:
+    """``value`` as an int if it is an integer (NumPy's too), else
+    ``ValueError`` naming ``name``."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
 
 
 def _count_positive(arrays, seed: np.random.SeedSequence, n_samples: int) -> int:
@@ -439,11 +443,12 @@ def monte_carlo_correlations(state: SinglePhotonState, eta_alice: float,
     ``DEFAULT_GRID_CELLS`` cells over [-``DEFAULT_SPAN``, ``DEFAULT_SPAN``],
     the same at every efficiency; the correlator is the mean sign product,
     so of the second outcome only the sign is resolved, by comparing Bob's
-    mass below 0 with his total mass, two quadratics in u whose
-    coefficients are exact moments of the standard normal. An efficiency
-    outside (0, 1] raises ``ValueError``, as does an ``n_samples`` outside
-    [1, ``MAX_MC_SAMPLES``]. The bucket of the first uniform, one of as many
-    equal buckets as the grid has cells, decides most sign products: the
+    mass below 0 with his total mass, two quadratics in u whose coefficients
+    are exact moments of the standard normal. An efficiency outside (0, 1]
+    raises ``ValueError``, as do an ``n_samples`` or ``seed`` that is not an
+    integer and an ``n_samples`` outside [1, ``MAX_MC_SAMPLES``], before any
+    table is built. The bucket of the first uniform, one of as many equal
+    buckets as the grid has cells, decides most sign products: the
     x-interval the bucket maps to gives the sign of u, and two thresholds
     per bucket on the second uniform settle Bob's comparison. u, found by a
     binary search of the inverse CDF, and the two quadratics are computed
@@ -454,11 +459,14 @@ def monte_carlo_correlations(state: SinglePhotonState, eta_alice: float,
     its uniforms (shards over sample ranges merge deterministically). The
     tables are built once per call: one grid; one inverse CDF and total mass
     per Alice phase; Bob's mass below 0 and the bucket thresholds per pair.
-    The four pairs are sampled concurrently on a pool that the call opens
-    with one thread per core in this process's CPU affinity, at most four,
-    and closes before it returns; each pair's exact count of +1 products
-    does not depend on the scheduling, so neither does the result.
+    The four pairs are sampled concurrently on a pool that the call sizes
+    when it opens it, with at most one thread per setting pair and per core
+    in this process's CPU affinity, and closes before it returns; each
+    pair's exact count of +1 products does not depend on the scheduling, so
+    neither does the result.
     """
+    n_samples = _integer("n_samples", n_samples)
+    seed = _integer("seed", seed)
     if not 1 <= n_samples <= MAX_MC_SAMPLES:
         raise ValueError(f"n_samples must lie in [1, {MAX_MC_SAMPLES}], got {n_samples}")
     rho = state_density(state)
@@ -466,7 +474,8 @@ def monte_carlo_correlations(state: SinglePhotonState, eta_alice: float,
     tables = _sampler_tables(rho, eta_alice, eta_bob)
     # Imported here: it would add several ms to every CLI start-up.
     from concurrent.futures import ThreadPoolExecutor
-    with ThreadPoolExecutor(_THREADS, thread_name_prefix="chsh-worker") as pool:
+    with ThreadPoolExecutor(min(len(tables), _usable_cores()),
+                            thread_name_prefix="chsh-worker") as pool:
         counts = list(pool.map(_count_positive, tables, children, [n_samples] * 4))
     means = []
     errors = []

@@ -17,6 +17,7 @@ built from the singular value decomposition of M.
 from __future__ import annotations
 
 import math
+import operator
 
 import numpy as np
 
@@ -330,12 +331,18 @@ def state_scan(rho: np.ndarray, bloch_resolution: int = DEFAULT_BLOCH_RESOLUTION
     The grid has ``bloch_resolution``**4 direction pairs, but each first
     direction meets only the second ones near the hull of their correlator
     points (see ``_coarse_maxima``; every valid state takes that one path),
-    so the time grows about as the square: ``bloch_resolution`` must lie
-    between 4 and ``MAX_BLOCH_RESOLUTION`` (128: about 0.1 s of scan on one
-    core of a 2-core x86-64 Xeon host), else ``ValueError``. The scan runs
-    on the calling thread with about ``_SCAN_BLOCK`` pairs in flight.
+    so the time grows about as the square: ``bloch_resolution`` must be an
+    integer (NumPy's too) between 4 and ``MAX_BLOCH_RESOLUTION`` (128: about
+    0.1 s of scan on one core of a 2-core x86-64 Xeon host), else
+    ``ValueError``. The scan runs on the calling thread with about
+    ``_SCAN_BLOCK`` pairs in flight.
     """
     rho = validate_density(rho)
+    try:
+        bloch_resolution = operator.index(bloch_resolution)
+    except TypeError:
+        raise ValueError(f"bloch_resolution must be an integer, "
+                         f"got {bloch_resolution!r}") from None
     if bloch_resolution < 4:
         raise ValueError("bloch_resolution must be at least 4")
     if bloch_resolution > MAX_BLOCH_RESOLUTION:

@@ -250,6 +250,29 @@ CATALOGUE = (
     Mutant("bracket-flat-family-unpinned", "src/chsh_steering/lhs_oracle.py",
            "        low *= np.logical_or(x, y)", "        low *= True",
            ("tests/test_lhs_oracle.py",)),
+    Mutant("pricer-bracket-one-candidate", "src/chsh_steering/lhs_oracle.py",
+           "for k in (low, low + 1) if low + 1 < grid_n", "for k in (low,) if low + 1 < grid_n",
+           ("tests/test_oracle_highs.py",)),
+    Mutant("batch-pricer-bracket-one-candidate", "src/chsh_steering/lhs_oracle.py",
+           "np.add(low, 1, out=ks[:, 1])", "np.add(low, 0, out=ks[:, 1])",
+           ("tests/test_oracle_highs.py",)),
+    Mutant("mc-n-samples-integer-unchecked", "src/chsh_steering/homodyne_experiment.py",
+           '    n_samples = _integer("n_samples", n_samples)\n', "",
+           ("tests/test_homodyne_experiment.py",)),
+    Mutant("mc-seed-integer-unchecked", "src/chsh_steering/homodyne_experiment.py",
+           '    seed = _integer("seed", seed)\n', "",
+           ("tests/test_homodyne_experiment.py",)),
+    Mutant("mc-integer-not-stored", "src/chsh_steering/homodyne_experiment.py",
+           "        return operator.index(value)\n",
+           "        operator.index(value)\n        return value\n",
+           ("tests/test_homodyne_experiment.py",)),
+    Mutant("mc-pool-ignores-affinity", "src/chsh_steering/homodyne_experiment.py",
+           "min(len(tables), _usable_cores())", "len(tables)",
+           ("tests/test_homodyne_experiment.py",)),
+    Mutant("scan-resolution-integer-unchecked", "src/chsh_steering/violation_search.py",
+           "bloch_resolution = operator.index(bloch_resolution)",
+           "bloch_resolution = bloch_resolution",
+           ("tests/test_violation_search.py",)),
     Mutant("check-entries-negated", "src/chsh_steering/qubit_core.py",
            "if not np.abs(op).max() <= 1.0 + OPERATOR_TOL:",
            "if np.abs(op).max() > 1.0 + OPERATOR_TOL:",

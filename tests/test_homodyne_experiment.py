@@ -5,6 +5,7 @@ import multiprocessing
 import pkgutil
 import queue
 import threading
+import time
 import warnings
 
 import numpy as np
@@ -373,6 +374,29 @@ class TestMonteCarlo:
         with pytest.raises(ValueError, match="n_samples must lie in"):
             monte_carlo_correlations(SinglePhotonState(0.0, 1.0), 1.0, 1.0,
                                      MAX_MC_SAMPLES + 1, seed=0)
+
+    # Each of these once passed the range check or reached NumPy, and failed
+    # with a TypeError, some of them on a pool thread after the tables.
+    @pytest.mark.parametrize("name, value", [("n_samples", 1.5), ("n_samples", 10.0),
+                                             ("n_samples", "10"), ("seed", 1.5),
+                                             ("seed", "1"), ("seed", None)])
+    def test_integer_arguments_are_checked_before_any_table(self, monkeypatch,
+                                                             name, value):
+        def no_tables(*args):
+            raise AssertionError("the sampler tables were built")
+
+        monkeypatch.setattr(homodyne_experiment, "_sampler_tables", no_tables)
+        arguments = {"n_samples": 10, "seed": 0, name: value}
+        with pytest.raises(ValueError, match=f"{name} must be an integer"):
+            homodyne_experiment.monte_carlo_correlations(SinglePhotonState(0.0, 1.0),
+                                                         1.0, 1.0, **arguments)
+
+    def test_integer_arguments_are_stored_as_ints(self):
+        # n_samples=True once ran and reported n_samples: True.
+        state = SinglePhotonState(np.deg2rad(22.5), 1.0)
+        mc = monte_carlo_correlations(state, 1.0, 1.0, True, seed=np.uint8(3))
+        assert (type(mc.n_samples), type(mc.seed)) == (int, int)
+        assert mc == monte_carlo_correlations(state, 1.0, 1.0, 1, seed=3)
 
     def test_sharded_sampling_merges_deterministically(self):
         # The kernel maps each uniform pair independently, so splitting the
@@ -915,6 +939,26 @@ def test_no_worker_thread_outlives_the_call():
     _mc(5)
     alive = [t.name for t in threading.enumerate() if t.name.startswith("chsh-worker")]
     assert alive == []
+
+
+def test_pool_is_sized_when_the_call_opens_it(monkeypatch):
+    # The affinity is read when the call runs, not at import: with one usable
+    # core the four pairs share one worker thread.
+    expected = _mc(3)
+    monkeypatch.setattr(homodyne_experiment, "_usable_cores", lambda: 1)
+    names = []
+    count = homodyne_experiment._count_positive
+
+    def recorded(*args):
+        names.append(threading.current_thread().name)
+        # Long enough that a second worker, if the pool had one, takes a pair.
+        time.sleep(0.02)
+        return count(*args)
+
+    monkeypatch.setattr(homodyne_experiment, "_count_positive", recorded)
+    assert _mc(3) == expected
+    assert len(names) == 4
+    assert len(set(names)) == 1 and names[0].startswith("chsh-worker")
 
 
 def _both():

@@ -165,6 +165,18 @@ class TestStateScan:
         with pytest.raises(ValueError):
             state_scan(maximally_entangled(), bloch_resolution=2)
 
+    # Each of these once reached NumPy and failed there with a TypeError.
+    @pytest.mark.parametrize("resolution", [4.5, 16.0, "16", None])
+    def test_resolution_must_be_an_integer(self, resolution):
+        with pytest.raises(ValueError, match="bloch_resolution must be an integer"):
+            state_scan(maximally_entangled(), bloch_resolution=resolution)
+
+    def test_numpy_integer_resolution_scans_as_an_int(self):
+        _, value, coarse = state_scan(maximally_entangled(), bloch_resolution=np.int16(8))
+        _, expected_value, expected = state_scan(maximally_entangled(), bloch_resolution=8)
+        assert value == expected_value
+        assert coarse.tobytes() == expected.tobytes()
+
     # Without the check these scaled states would scan as a false violation
     # (2.206 for the Werner state, which gives 1.697), above 2 sqrt(2)
     # (3.68) and as 0, or fail on a correlator out of range.
